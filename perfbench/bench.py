@@ -51,6 +51,7 @@ from stackfp import env as envmod  # noqa: E402
 if Path(stackfp.__file__).resolve().parent != (SRC / "stackfp").resolve():
     raise BenchSetupError(f"stackfp imported from {stackfp.__file__}, not {SRC}")
 
+from hostref import factor, reference_s  # noqa: E402
 from tracer import PARENT, ERROR, NAME, Tracer  # noqa: E402
 
 # (label, blocks, grid side, instances); every point has two layers.  Per-step
@@ -61,52 +62,16 @@ POINTS = (("n12", 12, 32, 16), ("n50", 50, 64, 4), ("n100", 100, 128, 2),
 LABELS = tuple(p[0] for p in POINTS)
 DEFAULT_FILL = 0.35
 DENSE_FILL = 0.7
-MIN_ROUNDS = 2
 
-# annealing budget per point as (calibration moves, iterations): small
-# enough that a round fits several times into a run, large enough that
-# decodes outweigh the free greedy solve each sa_place starts from
-SA_BUDGET = {"n12": (4, 12), "n50": (2, 8), "n100": (2, 6), "n200": (1, 4)}
+# annealing budget per point as (calibration moves, iterations): large
+# enough that the fixed-ratio decodes take about four fifths of sa_place's
+# time, the rest being the free greedy solve it starts from and the
+# wirelength baseline; small enough that the 200-block point still gets a
+# second sample in most runs
+SA_BUDGET = {"n12": (4, 12), "n50": (2, 8), "n100": (2, 10), "n200": (2, 6)}
 EPISODES = {"n12": 2, "n50": 2, "n100": 1, "n200": 1}   # per instance and round
 SAT_RULES = ("boundary", "grouping", "alignment")
 STRUCTURAL_RULES = ("overlap", "outline", "shape")
-
-# The host's speed drifts by up to 2x over tens of seconds (other tenants;
-# CPU time tracks wall time, so the drift is in the CPU, not scheduling).
-# Each timed run therefore also times a fixed reference kernel and reports
-# its timings scaled to a host on which that kernel takes REF_NOMINAL_S.
-REF_NOMINAL_S = 0.005
-_REF_XS = np.arange(128, dtype=np.float64)
-
-
-class _RefRect:
-    __slots__ = ("x", "y", "w", "h")
-
-    def __init__(self, i: int):
-        self.x, self.y, self.w, self.h = 7 * i % 120, 13 * i % 120, 3 + i % 9, 2 + i % 7
-
-
-_REF_RECTS = [_RefRect(i) for i in range(120)]
-
-
-def reference_s() -> float:
-    """Wall seconds of one fixed kernel in the workloads' blend: small numpy
-    calls on grid-sized vectors, and an interpreted loop over rectangle
-    objects.  Of the kernels tried, this blend slowed most like the
-    workloads when the host slowed."""
-    t0 = time.perf_counter()
-    acc = 0.0
-    for k in range(160):
-        g = np.clip(30.0 - _REF_XS, 0, None) + np.clip(_REF_XS - 60.0 - k % 5, 0, None)
-        acc += float(g.min())
-    for a in _REF_RECTS:
-        for b in _REF_RECTS[:32]:
-            ox = min(a.x + a.w, b.x + b.w) - max(a.x, b.x)
-            oy = min(a.y + a.h, b.y + b.h) - max(a.y, b.y)
-            if ox > 0 and oy > 0:
-                acc += ox * oy
-    return time.perf_counter() - t0
-
 
 @dataclasses.dataclass(frozen=True)
 class Workload:
@@ -249,26 +214,31 @@ class Pass:
         return out
 
     def ops(self, r: int) -> list:
-        """Round r as a list of calls, each returning one Outcome."""
-        call = functools.partial
+        """Round r as a list of (label, call) pairs, each call returning one
+        Outcome."""
         kind = self.workload.kind
+        # largest point first, so that a round cut at the deadline drops
+        # the short operations of the small points, which have many copies
+        insts = sorted(enumerate(self.insts), key=lambda ki: -ki[1].n)
         if kind == "greedy":
-            return [call(self._greedy, inst, task)
-                    for inst in self.insts for task in self.workload.tasks]
-        if kind == "sa":
-            return [call(self._anneal, inst, k) for k, inst in enumerate(self.insts)]
-        ops = []
-        if r == 0:
-            # the greedy solution an RL policy is measured against
-            ops += [call(self._greedy, inst, 3, "greedy-ref")
-                    for inst in self.insts if inst.name.endswith(".0")]
-        for k, inst in enumerate(self.insts):
-            ops += [call(self._episode, inst, k, e) for e in range(EPISODES[inst.label])]
-        return ops
+            specs = [(f"greedy {inst.name} t{task}", self._greedy, inst, task)
+                     for _, inst in insts for task in self.workload.tasks]
+        elif kind == "sa":
+            specs = [(f"sa {inst.name}", self._anneal, inst, k) for k, inst in insts]
+        else:
+            specs = []
+            if r == 0:
+                # the greedy solution an RL policy is measured against
+                specs += [(f"greedy-ref {inst.name} t3", self._greedy, inst, 3)
+                          for _, inst in insts if inst.name.endswith(".0")]
+            for k, inst in insts:
+                specs += [(f"episode {inst.name} e{e}", self._episode, inst, k, e)
+                          for e in range(EPISODES[inst.label])]
+        return [(label, functools.partial(fn, label, *args))
+                for label, fn, *args in specs]
 
-    def _greedy(self, inst: Instance, task: int, tag: str = "greedy") -> Outcome:
+    def _greedy(self, label: str, inst: Instance, task: int) -> Outcome:
         profile = core.TaskProfile.for_task(task)
-        label = f"{tag} {inst.name} t{task}"
         with self._op(label):
             t0 = time.perf_counter()
             res = solvers.greedy_place(inst.circuit, profile)
@@ -278,13 +248,12 @@ class Pass:
                           cost=res.cost, baseline=res.trace.hpwl_baseline)
             return self._write(out, inst.circuit, task)
 
-    def _anneal(self, inst: Instance, k: int) -> Outcome:
+    def _anneal(self, label: str, inst: Instance, k: int) -> Outcome:
         profile = core.TaskProfile.for_task(3)
         calib, iters = SA_BUDGET[inst.label]
         config = solvers.SolverConfig(kind="sa", seed=1000 * self.seed + k,
                                       sa_iterations=iters,
                                       sa_calibration_moves=calib)
-        label = f"sa {inst.name}"
         with self._op(label):
             t0 = time.perf_counter()
             res = solvers.sa_place(inst.circuit, profile, config)
@@ -297,7 +266,7 @@ class Pass:
                           baseline=res.trace.hpwl_baseline)
             return self._write(out, inst.circuit, 3)
 
-    def _episode(self, inst: Instance, k: int, e: int) -> Outcome:
+    def _episode(self, label: str, inst: Instance, k: int, e: int) -> Outcome:
         """A seeded random policy: reads the canvas and every value mask as a
         network's input would, picks uniformly from the availability mask and
         draws the next soft block's ratio log-uniformly in its band."""
@@ -308,7 +277,6 @@ class Pass:
             env = self.envs[inst.name] = envmod.PlacementEnv(
                 circuit, profile, plugins=inst.plugins)
         rng = np.random.default_rng((self.seed, k, e))
-        label = f"episode {inst.name} e{e}"
         with self._op(label):
             t0 = time.perf_counter()
             obs = env.reset()
@@ -377,7 +345,7 @@ class Tally:
     """Samples, round-0 outputs and failures of one pass.  With `host_refs`,
     the reference kernel runs after every operation, once per started half
     second of operation time; an operation's host factor is the median
-    reference time just before and just after it over REF_NOMINAL_S."""
+    reference time just before and just after it (see hostref)."""
 
     def __init__(self, workload: Workload, host_refs: bool = False):
         self.workload = workload
@@ -386,24 +354,32 @@ class Tally:
         self.round0: list[Outcome] = []
         self.problems: list[str] = []
         self.refs: list[float] = []
+        self.last_wall: dict[str, float] = {}
         self.attempted = 0
         self.failed = 0
-        self.rounds = 0
         self.op_s = 0.0
 
-    def run_round(self, p: Pass, r: int) -> None:
+    def run_round(self, p: Pass, r: int, deadline: float | None = None) -> bool:
+        """Run round r.  With a deadline, skip each operation whose previous
+        sample says it would end after it; True if none was skipped."""
         by_name = {inst.name: inst for inst in p.insts}
         outs = []
         before = [reference_s()] if self.host_refs else []
-        for op in p.ops(r):
+        complete = True
+        for label, op in p.ops(r):
+            if (deadline is not None
+                    and time.perf_counter() + self.last_wall.get(label, 0.0) > deadline):
+                complete = False
+                continue
             out = op()
             outs.append(out)
             if self.host_refs:
                 reference_s()       # refill the caches the operation evicted
                 after = [reference_s() for _ in range(1 + int(out.wall_s / 0.5))]
-                out.host = statistics.median(before + after) / REF_NOMINAL_S
+                out.host = factor(before + after)
                 self.refs += after
                 before = after
+            self.last_wall[label] = out.wall_s
             self.attempted += 1
             self.op_s += out.wall_s
             if p.tracer is None:
@@ -420,20 +396,20 @@ class Tally:
         self.outcomes += outs
         if r == 0:
             self.round0 = outs
-        self.rounds += 1
+        return complete
 
     def timed(self, kind: str | None = None) -> list[Outcome]:
         kind = kind or self.workload.kind
         return [o for o in self.outcomes if o.kind == kind]
 
     def host_factor(self) -> float:
-        """Median reference time of the run over REF_NOMINAL_S: above 1 when
-        the host ran slower than nominal."""
-        return statistics.median(self.refs) / REF_NOMINAL_S
+        """Host factor of the whole run."""
+        return factor(self.refs)
 
     def per_point(self, value) -> dict[str, tuple[float, int]]:
         """Per point: the mean over its operations of the median of `value`
-        over the rounds, which repeat the same operations, and the sample
+        over the rounds, which repeat the same operations (a round cut at
+        the deadline leaves some with one sample fewer), and the sample
         count.  Only the workload's own operations count, not the greedy
         references of env-rollout."""
         by_op: dict[tuple[str, str], list[float]] = {}
@@ -478,20 +454,17 @@ class Tally:
         }
 
 
-def run_timed(workload: Workload, seed: int, seconds: float, workdir: Path) -> Tally:
-    """Untraced closed loop: rounds until the next one would overrun
-    `seconds`, and at least MIN_ROUNDS."""
+def run_timed(workload: Workload, seed: int, deadline: float, workdir: Path) -> Tally:
+    """Untraced closed loop: round 0 in full, then rounds until one has to
+    skip an operation that would end after `deadline` (a `perf_counter`
+    time)."""
     tally = Tally(workload, host_refs=True)
     p = Pass(workload, seed, workdir)
-    start = time.perf_counter()
-    r = 0
-    while True:
-        t0 = time.perf_counter()
-        tally.run_round(p, r)
+    tally.run_round(p, 0)
+    r = 1
+    while tally.run_round(p, r, deadline):
         r += 1
-        now = time.perf_counter()
-        if r >= MIN_ROUNDS and now + (now - t0) > start + seconds:
-            return tally
+    return tally
 
 
 # --- traced pass ----------------------------------------------------------------

@@ -7,9 +7,9 @@ Workloads: greedy-ladder (free greedy solves, tasks 1-3), sa-anneal
 episodes through PlacementEnv with distance plug-ins, task 3).  All three
 run the same scale ladder; see bench.py.
 
---trace 0 runs the workload's closed loop, one call at a time in this
-process, for about S seconds and reports the end-to-end metrics.  Set-up
-time is measured in fresh interpreters, one after another.
+--trace 0 measures set-up time in fresh interpreters, one after another,
+then runs the workload's closed loop, one call at a time in this process,
+and reports the end-to-end metrics; both together take about S seconds.
 --trace 1 runs a fixed amount of work twice, round by round, untraced and
 with every traced library function wrapped, and reports the per-layer
 metrics; the spans go to .perfbench/trace-<workload>-s<seed>.jsonl.
@@ -28,25 +28,26 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 OUT = HERE.parent / ".perfbench"
-SETUP_REPEATS = 5
+SETUP_REPEATS = 15
 
 
-def measure_setup(bench, workdir: Path) -> tuple[float, float, int]:
+def measure_setup(workdir: Path) -> tuple[float, float, int]:
     """Median set-up seconds over fresh interpreters, each divided by the
-    host factor measured right after it; the raw median; the count."""
+    host factor the interpreter measured just before and just after it; the
+    raw median; the count."""
     raw, adjusted = [], []
     for _ in range(SETUP_REPEATS):
         proc = subprocess.run(
             [sys.executable, str(HERE / "setup_probe.py"), str(workdir)],
             capture_output=True, text=True, timeout=120, check=True)
-        raw.append(float(proc.stdout.split()[-1]))
-        bench.reference_s()         # refill the caches the child evicted
-        factor = statistics.median(bench.reference_s() for _ in range(3)) / bench.REF_NOMINAL_S
-        adjusted.append(raw[-1] / factor)
+        seconds, factor = map(float, proc.stdout.split()[-2:])
+        raw.append(seconds)
+        adjusted.append(seconds / factor)
     return statistics.median(adjusted), statistics.median(raw), len(raw)
 
 
@@ -90,7 +91,7 @@ def end_to_end(bench, tally, setup) -> dict:
     lines.append(f"{kind}.cost {quality['cost']:.6f} (mean over round 0)")
     lines.append(f"hpwl_ratio {quality['hpwl_ratio']:.6f}, rule_sat_frac "
                  f"{quality['rule_sat_frac']:.6f} (round 0)")
-    lines.append(f"peak_rss_mb {rss_mb:.1f} MB; {tally.rounds} rounds, "
+    lines.append(f"peak_rss_mb {rss_mb:.1f} MB; {tally.attempted} operations, "
                  f"{tally.op_s:.2f} s in timed calls")
     print("\n".join(lines))
 
@@ -147,8 +148,9 @@ def main(argv=None) -> int:
             metrics = per_layer(bench, tracer, layer,
                                 OUT / f"trace-{workload.name}-s{args.seed}.jsonl")
         else:
-            setup = measure_setup(bench, workdir)
-            tally = bench.run_timed(workload, args.seed, args.seconds, workdir)
+            deadline = time.perf_counter() + args.seconds
+            setup = measure_setup(workdir)
+            tally = bench.run_timed(workload, args.seed, deadline, workdir)
             metrics = end_to_end(bench, tally, setup)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

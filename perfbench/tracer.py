@@ -25,8 +25,7 @@ class MissingSpanError(RuntimeError):
 
 
 class Tracer:
-    def __init__(self, clock=time.perf_counter):
-        self.clock = clock
+    def __init__(self):
         self.spans: list[list] = []
         self._open: list[int] = []
         self.active = True
@@ -35,13 +34,13 @@ class Tracer:
         idx = len(self.spans)
         parent = self._open[-1] if self._open else -1
         op = self._open[0] if self._open else idx
-        self.spans.append([name, self.clock(), None, parent, op, 0.0, None])
+        self.spans.append([name, time.perf_counter(), None, parent, op, 0.0, None])
         self._open.append(idx)
         return idx
 
     def _exit(self, idx: int, error: str | None) -> None:
         span = self.spans[idx]
-        span[END] = self.clock()
+        span[END] = time.perf_counter()
         span[ERROR] = error
         self._open.pop()
         if span[PARENT] >= 0:
