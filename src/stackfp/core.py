@@ -7,9 +7,12 @@ anchor coordinate equals the other block's far edge.  Layers are indexed
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
+
+from .geometry import net_boxes, rect_overlap
 
 # Rule identifiers.  The last four are structural and can never be disabled.
 RULE_BOUNDARY = "boundary"      # block must touch bound terminals
@@ -210,33 +213,9 @@ class ConstraintSet:
                 raise ValueError(f"preplacement of block {pp.block} disagrees with its layer")
         for i, p1 in enumerate(self.preplacements):
             for p2 in self.preplacements[i + 1:]:
-                if p1.z != p2.z:
-                    continue
-                ox = min(p1.x + p1.w, p2.x + p2.w) - max(p1.x, p2.x)
-                oy = min(p1.y + p1.h, p2.y + p2.h) - max(p1.y, p2.y)
-                if ox > 0 and oy > 0:
+                if p1.z == p2.z and rect_overlap(p1.x, p1.y, p1.w, p1.h,
+                                                 p2.x, p2.y, p2.w, p2.h) > 0:
                     raise ValueError(f"preplacements {p1.block} and {p2.block} collide")
-
-    def group_of(self, block_id: int) -> tuple[int, ...] | None:
-        for g in self.groups:
-            if block_id in g:
-                return g
-        return None
-
-    def pairs_of(self, block_id: int) -> list[AlignmentPair]:
-        return [p for p in self.alignment_pairs if block_id in (p.a, p.b)]
-
-    def binding_of(self, block_id: int) -> BoundaryBinding | None:
-        for bb in self.boundary_bindings:
-            if bb.block == block_id:
-                return bb
-        return None
-
-    def preplacement_of(self, block_id: int) -> Preplacement | None:
-        for pp in self.preplacements:
-            if pp.block == block_id:
-                return pp
-        return None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -275,6 +254,73 @@ class TaskProfile:
 
     def uses(self, rule: str) -> bool:
         return rule in self.enabled_rules
+
+
+@dataclasses.dataclass(frozen=True)
+class CircuitIndex:
+    """The circuit's constraints and nets as index arrays, so that a rule's
+    metric over all of its instances is one kernel call.
+
+    Net members are rows of an index array into the block centers followed
+    by the terminal cells (block b is b, terminal t is num_blocks + t), and
+    a net's rows run from its start to the next net's start."""
+    layers: np.ndarray          # layer of each block
+    pairs: np.ndarray           # (2, pairs): members of each alignment pair
+    min_area: np.ndarray        # per pair
+    small_area: np.ndarray      # per pair: area of its smaller block
+    abut: np.ndarray            # (2, member pairs) inside abutment groups
+    bound: np.ndarray           # block of each boundary binding
+    every: np.ndarray           # the binding's mode is ALL
+    terms: np.ndarray           # (2, terminals, bindings): terminal cells, each
+                                # binding padded by repeating its first one
+    nets: tuple[np.ndarray, np.ndarray]                 # (rows, starts)
+    nets_of: tuple[tuple[np.ndarray, np.ndarray], ...]  # the same, per block
+    terminals: np.ndarray       # (2, terminals) float cells
+    # per block, where it has one: its abutment group, its alignment pair
+    # and its boundary binding (validate allows at most one of each)
+    group_of: dict[int, tuple[int, ...]]
+    pair_of: dict[int, AlignmentPair]
+    binding_of: dict[int, BoundaryBinding]
+
+    @classmethod
+    def build(cls, circuit: "Circuit") -> "CircuitIndex":
+        cons = circuit.constraints
+        pairs = cons.alignment_pairs
+        bindings = cons.boundary_bindings
+        width = max((len(bb.terminals) for bb in bindings), default=0)
+        terms = [[circuit.terminals[t] for t in bb.terminals] for bb in bindings]
+        terms = [[(t.x, t.y) for t in ts + ts[:1] * (width - len(ts))] for ts in terms]
+        ints = lambda v: np.array(v, dtype=np.int64)
+        n = len(circuit.blocks)
+        members = [[*net.blocks, *(n + t for t in net.terminals)] for net in circuit.nets]
+        nets_of = [[] for _ in range(n)]
+        for k, net in enumerate(circuit.nets):
+            for b in net.blocks:
+                nets_of[b].append(k)
+
+        def rows(nets):
+            lens = [len(members[k]) for k in nets]
+            return (ints([m for k in nets for m in members[k]]),
+                    np.cumsum([0, *lens], dtype=np.int64)[:-1])
+        return cls(
+            layers=ints([b.z for b in circuit.blocks]),
+            pairs=ints([(p.a, p.b) for p in pairs]).reshape(-1, 2).T,
+            min_area=np.array([p.min_area for p in pairs], dtype=float),
+            small_area=ints([min(circuit.blocks[p.a].area, circuit.blocks[p.b].area)
+                             for p in pairs]),
+            abut=ints([(g[i], g[j]) for g in cons.groups for i in range(len(g))
+                       for j in range(i + 1, len(g))]).reshape(-1, 2).T,
+            bound=ints([bb.block for bb in bindings]),
+            every=np.array([bb.mode == "ALL" for bb in bindings], dtype=bool),
+            terms=ints(terms).reshape(len(bindings), width, 2).transpose(2, 1, 0),
+            nets=rows(range(len(members))),
+            nets_of=tuple(rows(ks) for ks in nets_of),
+            terminals=np.array([[t.x for t in circuit.terminals],
+                                [t.y for t in circuit.terminals]], dtype=float),
+            group_of={b: g for g in cons.groups for b in g},
+            pair_of={b: p for p in pairs for b in (p.a, p.b)},
+            binding_of={bb.block: bb for bb in bindings},
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -319,8 +365,9 @@ class Circuit:
             return 1.0
         return sum(b.area for b in self.blocks) / len(self.blocks)
 
-    def with_constraints(self, constraints: ConstraintSet) -> "Circuit":
-        return dataclasses.replace(self, constraints=constraints)
+    @functools.cached_property
+    def index(self) -> CircuitIndex:
+        return CircuitIndex.build(self)
 
 
 def default_order(circuit: Circuit, preplaced_first: bool = True) -> list[int]:
@@ -385,14 +432,26 @@ class FloorplanState:
     def placed_ids(self) -> list[int]:
         return [int(i) for i in np.flatnonzero(self.placed)]
 
-    def layer_rects(self, z: int, skip: int | None = None) -> list[tuple[int, int, int, int]]:
-        """Rects of placed blocks on layer z, optionally skipping one block."""
-        out = []
-        for i in self.placed_ids():
-            if i == skip or self.circuit.blocks[i].z != z:
-                continue
-            out.append(self.rect(i))
-        return out
+    def net_boxes(self, block: int | None = None):
+        """Bounding box of every net over its terminal cells and its placed
+        blocks' centers; given a block, of that block's nets only, with the
+        block itself left out.  See geometry.net_boxes."""
+        index = self.circuit.index
+        rows, starts = index.nets if block is None else index.nets_of[block]
+        live = np.concatenate([self.placed, np.ones(index.terminals.shape[1], dtype=bool)])
+        if block is not None:
+            live[block] = False
+        pts = np.concatenate([[self.x + self.w / 2.0, self.y + self.h / 2.0],
+                              index.terminals], axis=1)
+        return net_boxes(pts[:, rows], live[rows], starts)
+
+    def layer_rects(self, z: int, skip: int | None = None):
+        """x, y, w, h arrays of the placed blocks on layer z in id order,
+        optionally skipping one block."""
+        on = self.placed & (self.circuit.index.layers == z)
+        if skip is not None:
+            on[skip] = False
+        return self.x[on], self.y[on], self.w[on], self.h[on]
 
     def set_shape(self, block_id: int, ar: float) -> tuple[int, int]:
         blk = self.circuit.blocks[block_id]
@@ -434,9 +493,6 @@ class FloorplanState:
         for pp in pres:
             self.w[pp.block] = pp.w
             self.h[pp.block] = pp.h
-            if self.circuit.blocks[pp.block].z != pp.z:
-                raise ValueError(
-                    f"preplacement of block {pp.block} disagrees with its layer")
             self.place(pp.block, pp.x, pp.y)
         self.cursor = len(ordered_pre)
 

@@ -34,7 +34,8 @@ from .core import (
     Preplacement,
     Terminal,
 )
-from .bookshelf import QUANTIZATION, farthest_point_subset, synth_circuit
+from .bookshelf import QUANTIZATION, ParseError, farthest_point_subset, synth_circuit
+from .geometry import rim_distance
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,10 +101,6 @@ def apply_constraints(circuit: Circuit, cf: ConstraintFile) -> Circuit:
                          boundary_bindings=bindings, preplacements=pres)
     return Circuit(circuit.name, circuit.dims, blocks, circuit.terminals,
                    circuit.nets, cons, circuit.utilization)
-
-
-def _rim_distance(t: Terminal, dims: GridDims) -> int:
-    return min(t.x, dims.width - 1 - t.x, t.y, dims.height - 1 - t.y)
 
 
 def gen_constraints(circuit: Circuit, counts, seed: int,
@@ -208,8 +205,9 @@ def gen_constraints(circuit: Circuit, counts, seed: int,
     bindings = []
     if n_tml:
         g = len(anchor_groups)
-        rim_sorted = sorted(circuit.terminals,
-                           key=lambda t: (_rim_distance(t, dims), t.id))
+        # terminals nearest the die's rim first
+        rim_sorted = sorted(circuit.terminals, key=lambda t: (
+            int(rim_distance(0, 0, dims.width, dims.height, t.x, t.y)), t.id))
         candidates = rim_sorted[:max(g, min(len(rim_sorted), 3 * g))]
         pts = [(t.x, t.y) for t in candidates]
         picks = farthest_point_subset(pts, g,
@@ -446,13 +444,26 @@ def placement_from_json(text: str) -> tuple[dict, list[dict]]:
 
 
 def state_from_placement(circuit: Circuit, rows: list[dict]):
-    """Force a FloorplanState into the recorded geometry (shapes included)."""
+    """Force a FloorplanState into the recorded geometry (shapes included).
+    Malformed rows raise ParseError."""
     from .core import FloorplanState
     state = FloorplanState(circuit)
+    n = circuit.num_blocks
+    keys = ("id", "x", "y", "z", "w", "h")
     for row in rows:
-        bid = int(row["id"])
-        state.w[bid] = int(row["w"])
-        state.h[bid] = int(row["h"])
-        state.place(bid, int(row["x"]), int(row["y"]))
+        if not (isinstance(row, dict) and all(
+                type(row.get(k)) is int for k in keys)):
+            raise ParseError(f"placement row {row!r} needs integer {', '.join(keys)}")
+        bid = row["id"]
+        if not 0 <= bid < n:
+            raise ParseError(f"placement row names block {bid}, circuit has 0..{n - 1}")
+        if state.placed[bid]:
+            raise ParseError(f"placement lists block {bid} twice")
+        if row["z"] != circuit.blocks[bid].z:
+            raise ParseError(f"placement puts block {bid} on layer {row['z']}, "
+                             f"circuit has it on {circuit.blocks[bid].z}")
+        state.w[bid] = row["w"]
+        state.h[bid] = row["h"]
+        state.place(bid, row["x"], row["y"])
     state.cursor = len(state.order)      # treat as a finished episode
     return state

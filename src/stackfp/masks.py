@@ -6,22 +6,32 @@ rule; binarized masks mark the anchors that satisfy the rule's threshold; the
 availability mask is the conjunction of all binarized masks, so an action
 sampled from it cannot violate any masked rule.
 
-When the conjunction is empty, rules are dropped in rounds of increasing
-severity until it is not: every subset of droppable masks is tried in order of
-its cost, where dropping the terminal mask costs the most, the grouping mask
-less, the alignment mask less again, and plug-in masks the least.  The
-position mask is never dropped; an empty position mask means the block simply
-does not fit anywhere.
+When the conjunction is empty, rules are relaxed by severity: dropping the
+terminal mask costs the most, the grouping mask less, the alignment mask less
+again, and plug-in masks the least.  One pass from the most severe mask to
+the least keeps each mask that leaves the conjunction nonempty.  The position
+mask is never dropped; an empty position mask means the block simply does not
+fit anywhere.
+
+Each rule's geometry is a kernel in `geometry`, evaluated here over the
+whole anchor grid at once; the metrics in `metrics` call the same kernels
+over constraint instances, so a mask cell equals the metric of the forced
+placement by construction.
 """
 
 import dataclasses
 
 import numpy as np
 
-from .core import FloorplanState, GridDims
-
-MERGE_ALL = "ALL"
-MERGE_ANY = "ANY"
+from .core import BoundaryBinding, FloorplanState
+from .geometry import (
+    abutment,
+    alignment_ratio,
+    center_distance,
+    merge_terminals,
+    rim_distance,
+    span_gap,
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -29,11 +39,6 @@ class RuleMask:
     values: np.ndarray
     rule: str
     block: int | None = None
-    merge: str | None = None    # set on merged masks: "max", "min" or "sum"
-
-    @property
-    def shape(self):
-        return self.values.shape
 
 
 @dataclasses.dataclass(frozen=True)
@@ -55,123 +60,68 @@ class AvailabilityResult:
         return bool(self.mask[x, y])
 
 
-def _grid(state: FloorplanState) -> GridDims:
-    return state.circuit.dims
+def _anchors(state: FloorplanState):
+    """Every anchor of the grid as broadcastable x (W, 1) and y (1, H)."""
+    dims = state.circuit.dims
+    return (np.arange(dims.width, dtype=np.int64)[:, None],
+            np.arange(dims.height, dtype=np.int64)[None, :])
 
 
-def adjacent_terminal_mask(state: FloorplanState, block_id: int, terminal) -> RuleMask:
-    """Distance from the terminal to the block's nearest edge cell, for every
-    anchor.  Anchors that would overhang the outline are still scored; the
-    position mask is what rules them out."""
-    dims = _grid(state)
-    if isinstance(terminal, int):
-        terminal = state.circuit.terminals[terminal]
-    w = int(state.w[block_id])
-    h = int(state.h[block_id])
-    tx, ty = terminal.x, terminal.y
-    xs = np.arange(dims.width, dtype=np.int64)
-    ys = np.arange(dims.height, dtype=np.int64)
-    # gap to the edge span vs offset to the two fixed edge rows, per axis
-    gap_x = np.maximum(np.maximum(xs - tx, tx - (xs + w - 1)), 0)
-    edge_x = np.minimum(np.abs(tx - xs), np.abs(tx - (xs + w - 1)))
-    gap_y = np.maximum(np.maximum(ys - ty, ty - (ys + h - 1)), 0)
-    edge_y = np.minimum(np.abs(ty - ys), np.abs(ty - (ys + h - 1)))
-    vals = np.minimum(gap_x[:, None] + edge_y[None, :],
-                      edge_x[:, None] + gap_y[None, :]).astype(np.float64)
-    return RuleMask(vals, "terminal", block_id)
-
-
-def merge_terminal_masks(masks: list[RuleMask], mode: str) -> RuleMask:
-    """ALL keeps the worst distance per cell, ANY the best."""
-    if not masks:
-        raise ValueError("cannot merge an empty list of terminal masks")
-    if mode not in (MERGE_ALL, MERGE_ANY):
-        raise ValueError(f"unknown merge mode {mode!r}")
-    stack = np.stack([m.values for m in masks])
-    vals = stack.max(axis=0) if mode == MERGE_ALL else stack.min(axis=0)
-    return RuleMask(vals, "terminal", masks[0].block,
-                    merge="max" if mode == MERGE_ALL else "min")
+def adjacent_terminal_mask(state: FloorplanState, binding: BoundaryBinding) -> RuleMask:
+    """Merged distance from the binding's terminals to the block's nearest
+    edge cell, for every anchor: the worst terminal for ALL bindings, the
+    best for ANY.  Anchors that would overhang the outline are still scored;
+    the position mask is what rules them out."""
+    xs, ys = _anchors(state)
+    b = binding.block
+    # one grid per terminal: broadcasting a terminal axis too runs slower
+    dist = np.stack([rim_distance(xs, ys, state.w[b], state.h[b], t.x, t.y)
+                     for t in (state.circuit.terminals[k] for k in binding.terminals)])
+    vals = merge_terminals(dist, binding.mode == "ALL")
+    return RuleMask(vals.astype(np.float64), "terminal", b)
 
 
 def adjacent_block_mask(state: FloorplanState, block_id: int, other_id: int) -> RuleMask:
     """Abutment length against one placed block, for every anchor.
 
-    Nonzero only on the four one-cell-wide strips where the subject's edge
-    meets the placed block's edge, and only where the facing intervals
-    actually overlap."""
-    dims = _grid(state)
+    Nonzero only on the two columns and two rows of anchors where the
+    subject's edge meets the placed block's edge."""
     if not state.placed[other_id]:
         raise ValueError(f"block {other_id} is not placed")
     if state.circuit.blocks[block_id].z != state.circuit.blocks[other_id].z:
         raise ValueError(f"blocks {block_id} and {other_id} sit on different layers")
-    w1 = int(state.w[block_id])
-    h1 = int(state.h[block_id])
-    x2, y2, w2, h2 = state.rect(other_id)
-    vals = np.zeros((dims.width, dims.height), dtype=np.float64)
-
-    def y_overlap(y_anchor):
-        return np.maximum(np.minimum(y_anchor + h1, y2 + h2) - np.maximum(y_anchor, y2), 0)
-
-    def x_overlap(x_anchor):
-        return np.maximum(np.minimum(x_anchor + w1, x2 + w2) - np.maximum(x_anchor, x2), 0)
-
-    ylo, yhi = max(y2 - h1 + 1, 0), min(y2 + h2, dims.height)
-    for x_strip in (x2 - w1, x2 + w2):
-        if 0 <= x_strip < dims.width and ylo < yhi:
-            vals[x_strip, ylo:yhi] = y_overlap(np.arange(ylo, yhi))
-    xlo, xhi = max(x2 - w1 + 1, 0), min(x2 + w2, dims.width)
-    for y_strip in (y2 - h1, y2 + h2):
-        if 0 <= y_strip < dims.height and xlo < xhi:
-            vals[xlo:xhi, y_strip] = x_overlap(np.arange(xlo, xhi))
-    return RuleMask(vals, "grouping", block_id)
-
-
-def merge_block_masks(masks: list[RuleMask], dims: GridDims,
-                      block_id: int | None = None) -> RuleMask:
-    """Sum of abutment masks over placed island members; an island with no
-    placed member yet merges to all zeros."""
-    if not masks:
-        return RuleMask(np.zeros((dims.width, dims.height)), "grouping", block_id,
-                        merge="sum")
-    vals = np.zeros_like(masks[0].values)
-    for m in masks:
-        vals = vals + m.values
-    return RuleMask(vals, "grouping", masks[0].block, merge="sum")
+    xs, ys = _anchors(state)
+    vals = abutment(xs, ys, state.w[block_id], state.h[block_id], *state.rect(other_id))
+    return RuleMask(vals.astype(np.float64), "grouping", block_id)
 
 
 def alignment_mask(state: FloorplanState, block_id: int, partner_id: int,
                    min_area: float) -> RuleMask:
     """Projected-overlap score against one placed cross-layer partner, for
     every anchor, saturated at 1."""
-    dims = _grid(state)
     if not state.placed[partner_id]:
         raise ValueError(f"block {partner_id} is not placed")
     if state.circuit.blocks[block_id].z == state.circuit.blocks[partner_id].z:
         raise ValueError(f"blocks {block_id} and {partner_id} share a layer")
     if min_area <= 0:
         raise ValueError("min_area must be positive")
-    w = int(state.w[block_id])
-    h = int(state.h[block_id])
-    x2, y2, w2, h2 = state.rect(partner_id)
-    xs = np.arange(dims.width, dtype=np.int64)
-    ys = np.arange(dims.height, dtype=np.int64)
-    ox = np.clip(np.minimum(xs + w, x2 + w2) - np.maximum(xs, x2), 0, None)
-    oy = np.clip(np.minimum(ys + h, y2 + h2) - np.maximum(ys, y2), 0, None)
-    vals = np.minimum(1.0, np.outer(ox, oy) / float(min_area))
+    xs, ys = _anchors(state)
+    vals = alignment_ratio(xs, ys, state.w[block_id], state.h[block_id],
+                           *state.rect(partner_id), float(min_area))
     return RuleMask(vals, "alignment", block_id)
 
 
 def position_mask(state: FloorplanState, block_id: int) -> RuleMask:
     """1 where the block fits fully on its layer without touching any placed
     footprint, 0 elsewhere."""
-    dims = _grid(state)
+    dims = state.circuit.dims
     w = int(state.w[block_id])
     h = int(state.h[block_id])
     z = state.circuit.blocks[block_id].z
     vals = np.zeros((dims.width, dims.height), dtype=np.float64)
     if w <= dims.width and h <= dims.height:
         vals[:dims.width - w + 1, :dims.height - h + 1] = 1.0
-    for (x2, y2, w2, h2) in state.layer_rects(z, skip=block_id):
+    for x2, y2, w2, h2 in zip(*(v.tolist() for v in state.layer_rects(z, skip=block_id))):
         xlo, xhi = max(x2 - w + 1, 0), min(x2 + w2, dims.width)
         ylo, yhi = max(y2 - h + 1, 0), min(y2 + h2, dims.height)
         if xlo < xhi and ylo < yhi:
@@ -183,85 +133,53 @@ def wire_mask(state: FloorplanState, block_id: int) -> RuleMask:
     """Wirelength increase if the block lands at each anchor: the sum over
     its nets of how far the anchor's center falls outside the net's current
     bounding box.  Zero inside every box."""
-    dims = _grid(state)
-    w = int(state.w[block_id])
-    h = int(state.h[block_id])
-    cx = np.arange(dims.width, dtype=np.float64) + w / 2.0
-    cy = np.arange(dims.height, dtype=np.float64) + h / 2.0
-    grow_x = np.zeros(dims.width, dtype=np.float64)
-    grow_y = np.zeros(dims.height, dtype=np.float64)
-    for net in state.circuit.nets:
-        if block_id not in net.blocks:
-            continue
-        pts = [(px, py) for (px, py) in _net_points_excluding(state, net, block_id)]
-        if not pts:
-            continue
-        px = [p[0] for p in pts]
-        py = [p[1] for p in pts]
-        grow_x += np.clip(min(px) - cx, 0, None) + np.clip(cx - max(px), 0, None)
-        grow_y += np.clip(min(py) - cy, 0, None) + np.clip(cy - max(py), 0, None)
-    vals = grow_x[:, None] + grow_y[None, :]
-    return RuleMask(vals, "wire", block_id)
-
-
-def _net_points_excluding(state: FloorplanState, net, block_id: int):
-    for t in net.terminals:
-        term = state.circuit.terminals[t]
-        yield float(term.x), float(term.y)
-    for b in net.blocks:
-        if b != block_id and state.placed[b]:
-            x, y, w, h = state.rect(b)
-            yield x + w / 2.0, y + h / 2.0
+    xs, ys = _anchors(state)
+    lo, hi = state.net_boxes(block_id)
+    fixed = np.isfinite(lo[0])          # nets with some other pin down
+    lo, hi = lo[:, fixed, None], hi[:, fixed, None]
+    grow_x = span_gap(lo[0], hi[0], xs.T + state.w[block_id] / 2.0).sum(axis=0)
+    grow_y = span_gap(lo[1], hi[1], ys + state.h[block_id] / 2.0).sum(axis=0)
+    return RuleMask(grow_x[:, None] + grow_y[None, :], "wire", block_id)
 
 
 def block_distance_mask(state: FloorplanState, block_id: int, anchor_id: int) -> RuleMask:
     """Manhattan distance between the subject's center at each anchor and a
     placed block's center; the demonstration plug-in rule."""
-    dims = _grid(state)
     if not state.placed[anchor_id]:
         raise ValueError(f"block {anchor_id} is not placed")
-    w = int(state.w[block_id])
-    h = int(state.h[block_id])
-    x0, y0, w0, h0 = state.rect(anchor_id)
-    cx0 = x0 + w0 / 2.0
-    cy0 = y0 + h0 / 2.0
-    dx = np.abs(np.arange(dims.width, dtype=np.float64) + w / 2.0 - cx0)
-    dy = np.abs(np.arange(dims.height, dtype=np.float64) + h / 2.0 - cy0)
-    vals = dx[:, None] + dy[None, :]
+    xs, ys = _anchors(state)
+    vals = center_distance(xs, ys, state.w[block_id], state.h[block_id],
+                           *state.rect(anchor_id))
     return RuleMask(vals, "block_distance", block_id)
 
 
 # Per-rule binarization sense: whether small or large values satisfy the rule.
 # A grouping threshold of zero means "any contact at all", hence strictly
 # positive; other senses are inclusive.
-def _binarize_terminal(vals, threshold):
+def _at_most(vals, threshold):
     return (vals <= threshold).astype(np.uint8)
+
+
+def _at_least(vals, threshold):
+    return (vals >= threshold).astype(np.uint8)
 
 
 def _binarize_grouping(vals, threshold):
     if threshold <= 0:
         return (vals > 0).astype(np.uint8)
-    return (vals >= threshold).astype(np.uint8)
-
-
-def _binarize_alignment(vals, threshold):
-    return (vals >= threshold).astype(np.uint8)
+    return _at_least(vals, threshold)
 
 
 def _binarize_position(vals, threshold):
     return (vals > 0).astype(np.uint8)
 
 
-def _binarize_block_distance(vals, threshold):
-    return (vals <= threshold).astype(np.uint8)
-
-
 _BINARIZE = {
-    "terminal": _binarize_terminal,
+    "terminal": _at_most,
     "grouping": _binarize_grouping,
-    "alignment": _binarize_alignment,
+    "alignment": _at_least,
     "position": _binarize_position,
-    "block_distance": _binarize_block_distance,
+    "block_distance": _at_most,
 }
 
 
@@ -281,13 +199,15 @@ def availability_mask(position: np.ndarray,
                       ) -> AvailabilityResult:
     """Conjunction of binarized masks with relaxation.
 
-    Pass None for rules the block is not subject to.  When the full
-    conjunction is empty, droppable masks are abandoned subset by subset in
-    order of total severity (extras < alignment < grouping < terminal) until
-    some cell survives; the dropped names are recorded.  The position mask is
+    Pass None for rules the block is not subject to.  Masks join the
+    conjunction from the most severe to the least (terminal, grouping,
+    alignment, then the extras from last to first), and a mask that would
+    empty it is dropped and recorded instead.  Since dropping a mask can
+    only grow the conjunction, this keeps the most severe masks that can be
+    kept together, with k+1 conjunctions for k masks.  The position mask is
     the one mask that is never given up: if it is empty the block fits
     nowhere and the result is infeasible."""
-    base = (position > 0).astype(np.uint8)
+    base = position > 0
     components = [*extras]
     if alignment is not None:
         components.append(("alignment", alignment))
@@ -297,20 +217,18 @@ def availability_mask(position: np.ndarray,
         components.append(("terminal", terminal))
 
     if not base.any():
-        return AvailabilityResult(np.zeros_like(base), tuple(n for n, _ in components), False)
+        return AvailabilityResult(np.zeros(base.shape, dtype=np.uint8),
+                                  tuple(n for n, _ in components), False)
 
-    for drop_bits in range(2 ** len(components)):
-        mask = base
-        dropped = []
-        for idx, (name, comp) in enumerate(components):
-            if drop_bits >> idx & 1:
-                dropped.append(name)
-            else:
-                mask = mask & (comp > 0)
-        if mask.any():
-            return AvailabilityResult(mask.astype(np.uint8), tuple(dropped), True)
-    # unreachable: dropping everything leaves base, which is nonempty
-    raise AssertionError("relaxation exhausted with a nonempty position mask")
+    mask = base
+    dropped = []
+    for name, comp in reversed(components):
+        kept = mask & (comp > 0)
+        if kept.any():
+            mask = kept
+        else:
+            dropped.append(name)
+    return AvailabilityResult(mask.astype(np.uint8), tuple(reversed(dropped)), True)
 
 
 class RulePlugin:
@@ -352,14 +270,12 @@ class BlockDistanceRule(RulePlugin):
         return block_distance_mask(state, block_id, self.anchor)
 
     def binarize(self, mask):
-        return _binarize_block_distance(mask.values, self.max_distance)
+        return _at_most(mask.values, self.max_distance)
 
     def metric(self, state):
         if not (state.placed[self.anchor] and state.placed[self.subject]):
             return 0.0
-        xa, ya, wa, ha = state.rect(self.anchor)
-        xs, ys, ws, hs = state.rect(self.subject)
-        return abs(xa + wa / 2.0 - xs - ws / 2.0) + abs(ya + ha / 2.0 - ys - hs / 2.0)
+        return float(center_distance(*state.rect(self.subject), *state.rect(self.anchor)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -377,74 +293,52 @@ class MaskStack:
     availability: AvailabilityResult
 
     def named_value_masks(self) -> list[tuple[str, RuleMask]]:
-        out = [("wire", self.wire), ("position", self.position)]
-        for name, m in (("terminal", self.terminal), ("grouping", self.grouping),
-                        ("alignment", self.alignment)):
-            if m is not None:
-                out.append((name, m))
-        for m in self.plugin_masks:
-            out.append((m.rule, m))
-        return out
+        masks = (self.wire, self.position, self.terminal, self.grouping,
+                 self.alignment, *self.plugin_masks)
+        return [(m.rule, m) for m in masks if m is not None]
 
 
 def compile_masks(state: FloorplanState, block_id: int, profile,
                   plugins: tuple = ()) -> MaskStack:
-    """Build, merge and binarize every mask that applies to one block, then
-    form the availability conjunction.
+    """Build and binarize every mask that applies to one block, then form
+    the availability conjunction.  An island's mask sums the abutment masks
+    of its placed members.
 
     Vacuous cases stay out of the conjunction: an island with no placed
     member and an alignment pair whose partner is still unplaced cannot
     constrain anything yet."""
-    cons = state.circuit.constraints
-    blocks = state.circuit.blocks
+    index = state.circuit.index
     dims = state.circuit.dims
 
     wire = wire_mask(state, block_id)
     position = position_mask(state, block_id)
     pos_bin = binarize(position)
 
-    terminal = None
-    term_bin = None
-    if profile.uses("boundary"):
-        binding = cons.binding_of(block_id)
-        if binding is not None:
-            per_term = [adjacent_terminal_mask(state, block_id, t)
-                        for t in binding.terminals]
-            terminal = merge_terminal_masks(per_term, binding.mode)
-            term_bin = binarize(terminal, profile.terminal_mask_threshold)
+    terminal = term_bin = None
+    binding = index.binding_of.get(block_id) if profile.uses("boundary") else None
+    if binding is not None:
+        terminal = adjacent_terminal_mask(state, binding)
+        term_bin = binarize(terminal, profile.terminal_mask_threshold)
 
-    grouping = None
-    group_bin = None
-    if profile.uses("grouping"):
-        island = cons.group_of(block_id)
-        if island is not None:
-            members = [adjacent_block_mask(state, block_id, m)
-                       for m in island if m != block_id and state.placed[m]]
-            grouping = merge_block_masks(members, dims, block_id)
-            if members:
-                group_bin = binarize(grouping, profile.block_mask_threshold)
+    grouping = group_bin = None
+    island = index.group_of.get(block_id) if profile.uses("grouping") else None
+    if island is not None:
+        vals = np.zeros((dims.width, dims.height), dtype=np.float64)
+        mates = [m for m in island if m != block_id and state.placed[m]]
+        for m in mates:
+            vals = vals + adjacent_block_mask(state, block_id, m).values
+        grouping = RuleMask(vals, "grouping", block_id)
+        if mates:
+            group_bin = binarize(grouping, profile.block_mask_threshold)
 
-    alignment = None
-    align_bin = None
-    if profile.uses("alignment"):
-        per_pair = []
-        for pair in cons.pairs_of(block_id):
-            partner = pair.other(block_id)
-            if not state.placed[partner]:
-                continue
-            m = alignment_mask(state, block_id, partner, pair.min_area)
-            floor_area = profile.alignment_mask_frac * min(
-                blocks[pair.a].area, blocks[pair.b].area)
-            b = binarize(m, floor_area / pair.min_area)
-            per_pair.append((m, b))
-        if per_pair:
-            vals = per_pair[0][0].values
-            combined = per_pair[0][1]
-            for m, b in per_pair[1:]:
-                vals = np.maximum(vals, m.values)
-                combined = combined & b
-            alignment = RuleMask(vals, "alignment", block_id, merge="max")
-            align_bin = combined
+    alignment = align_bin = None
+    pair = index.pair_of.get(block_id) if profile.uses("alignment") else None
+    if pair is not None and state.placed[pair.other(block_id)]:
+        alignment = alignment_mask(state, block_id, pair.other(block_id), pair.min_area)
+        blocks = state.circuit.blocks
+        floor_area = profile.alignment_mask_frac * min(blocks[pair.a].area,
+                                                       blocks[pair.b].area)
+        align_bin = binarize(alignment, floor_area / pair.min_area)
 
     plugin_masks = []
     extras = []

@@ -4,6 +4,11 @@ All distances are Manhattan and all geometry is 2D: layers only matter for
 deciding which pairs interact (overlap and abutment are per-layer, alignment
 is cross-layer) and are otherwise ignored, so terminal distance and
 wirelength see the stack in projection.
+
+The geometry itself lives in `geometry`, shared with the mask builders in
+`masks`: a metric here calls the same kernel that scores a mask cell, once
+over all instances of its rule (`Circuit.index`), and the single-instance
+functions are the same kernels at one point.
 """
 
 import dataclasses
@@ -13,10 +18,17 @@ import numpy as np
 from .core import (
     BoundaryBinding,
     Circuit,
-    ConstraintSet,
     FloorplanState,
     Terminal,
     shape_from_ar,
+)
+from .geometry import (
+    abutment,
+    alignment_ratio,
+    merge_terminals,
+    rect_overlap,
+    rim_distance,
+    span_reach,
 )
 
 
@@ -69,9 +81,14 @@ def _require_placed(state: FloorplanState, block_id: int) -> None:
         raise ValueError(f"block {block_id} is not placed")
 
 
-def _span_gap(lo: int, hi: int, p: float) -> float:
-    """Distance from p to the closed interval [lo, hi]."""
-    return max(lo - p, p - hi, 0)
+def _rects(state: FloorplanState, ids):
+    """x, y, w, h of the given blocks, for the geometry kernels."""
+    return state.x[ids], state.y[ids], state.w[ids], state.h[ids]
+
+
+def _pair_rects(state: FloorplanState, pairs: np.ndarray):
+    """x, y, w, h of each pair's first blocks, then of its second blocks."""
+    return (*_rects(state, pairs[0]), *_rects(state, pairs[1]))
 
 
 def block_terminal_distance(state: FloorplanState, block_id: int,
@@ -83,13 +100,7 @@ def block_terminal_distance(state: FloorplanState, block_id: int,
     _require_placed(state, block_id)
     if isinstance(terminal, int):
         terminal = state.circuit.terminals[terminal]
-    x, y, w, h = state.rect(block_id)
-    tx, ty = terminal.x, terminal.y
-    dx = _span_gap(x, x + w - 1, tx)
-    dy = _span_gap(y, y + h - 1, ty)
-    horiz = dx + min(abs(ty - y), abs(ty - (y + h - 1)))
-    vert = dy + min(abs(tx - x), abs(tx - (x + w - 1)))
-    return int(min(horiz, vert))
+    return int(rim_distance(*state.rect(block_id), terminal.x, terminal.y))
 
 
 def block_adjacency_length(state: FloorplanState, i: int, j: int) -> int:
@@ -102,13 +113,7 @@ def block_adjacency_length(state: FloorplanState, i: int, j: int) -> int:
     _require_placed(state, j)
     if state.circuit.blocks[i].z != state.circuit.blocks[j].z:
         raise ValueError(f"blocks {i} and {j} sit on different layers")
-    xi, yi, wi, hi = state.rect(i)
-    xj, yj, wj, hj = state.rect(j)
-    if xi + wi == xj or xj + wj == xi:
-        return max(0, min(yi + hi, yj + hj) - max(yi, yj))
-    if yi + hi == yj or yj + hj == yi:
-        return max(0, min(xi + wi, xj + wj) - max(xi, xj))
-    return 0
+    return int(abutment(*state.rect(i), *state.rect(j)))
 
 
 def projected_intersection(state: FloorplanState, i: int, j: int) -> int:
@@ -116,11 +121,7 @@ def projected_intersection(state: FloorplanState, i: int, j: int) -> int:
     layer; the basis of the alignment score."""
     _require_placed(state, i)
     _require_placed(state, j)
-    xi, yi, wi, hi = state.rect(i)
-    xj, yj, wj, hj = state.rect(j)
-    ox = max(0, min(xi + wi, xj + wj) - max(xi, xj))
-    oy = max(0, min(yi + hi, yj + hj) - max(yi, yj))
-    return ox * oy
+    return int(rect_overlap(*state.rect(i), *state.rect(j)))
 
 
 def alignment_score(state: FloorplanState, i: int, j: int, min_area: float) -> float:
@@ -129,67 +130,60 @@ def alignment_score(state: FloorplanState, i: int, j: int, min_area: float) -> f
         raise ValueError(f"alignment is cross-layer; blocks {i} and {j} share layer")
     if min_area <= 0:
         raise ValueError("min_area must be positive")
-    return min(1.0, projected_intersection(state, i, j) / min_area)
-
-
-def _net_points(state: FloorplanState, net) -> list[tuple[float, float]]:
-    pts = [(float(t.x), float(t.y))
-           for t in (state.circuit.terminals[k] for k in net.terminals)]
-    for b in net.blocks:
-        if state.placed[b]:
-            x, y, w, h = state.rect(b)
-            pts.append((x + w / 2.0, y + h / 2.0))
-    return pts
+    _require_placed(state, i)
+    _require_placed(state, j)
+    return float(alignment_ratio(*state.rect(i), *state.rect(j), min_area))
 
 
 def total_hpwl(state: FloorplanState) -> float:
     """Half-perimeter wirelength over all nets: block centers and terminal
     positions, unplaced blocks skipped.  Placing a block never shrinks it."""
-    total = 0.0
-    for net in state.circuit.nets:
-        pts = _net_points(state, net)
-        if len(pts) < 2:
-            continue
-        xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
-        total += (max(xs) - min(xs)) + (max(ys) - min(ys))
-    return total
+    lo, hi = state.net_boxes()
+    span = (hi - lo).sum(axis=0)
+    # spans are multiples of 0.5, so the sum is exact in any order
+    return float(span[np.isfinite(span)].sum())
+
+
+def _layer_overlaps(state: FloorplanState):
+    """Footprint overlap of every same-layer pair of placed blocks, one
+    strictly upper-triangular matrix per layer."""
+    for z in range(state.circuit.dims.num_layers):
+        x, y, w, h = (v[:, None] for v in state.layer_rects(z))
+        yield np.triu(rect_overlap(x, y, w, h, x.T, y.T, w.T, h.T), k=1)
 
 
 def total_overlap(state: FloorplanState) -> int:
     """Summed pairwise footprint overlap (cells) over same-layer placed
     pairs.  Zero iff no two placed blocks share a cell."""
-    total = 0
-    for z in range(state.circuit.dims.num_layers):
-        ids = [i for i in state.placed_ids() if state.circuit.blocks[i].z == z]
-        if len(ids) < 2:
-            continue
-        x = state.x[ids].astype(np.int64)
-        y = state.y[ids].astype(np.int64)
-        w = state.w[ids]
-        h = state.h[ids]
-        ox = np.minimum(x[:, None] + w[:, None], x[None, :] + w[None, :]) \
-            - np.maximum(x[:, None], x[None, :])
-        oy = np.minimum(y[:, None] + h[:, None], y[None, :] + h[None, :]) \
-            - np.maximum(y[:, None], y[None, :])
-        ov = np.clip(ox, 0, None) * np.clip(oy, 0, None)
-        total += int(np.triu(ov, k=1).sum())
-    return total
+    return sum(int(ov.sum()) for ov in _layer_overlaps(state))
+
+
+def _binding_distances(state: FloorplanState) -> np.ndarray:
+    """Merged distance of every boundary binding."""
+    index = state.circuit.index
+    dist = rim_distance(*_rects(state, index.bound), *index.terms)
+    return merge_terminals(dist, index.every)
 
 
 def binding_distance(state: FloorplanState, binding: BoundaryBinding) -> int:
     """Merged distance of one boundary binding: the worst terminal for ALL
     bindings, the best one for ANY."""
-    ds = [block_terminal_distance(state, binding.block, t) for t in binding.terminals]
-    return max(ds) if binding.mode == "ALL" else min(ds)
+    _require_placed(state, binding.block)
+    terms = [state.circuit.terminals[t] for t in binding.terminals]
+    dist = rim_distance(*state.rect(binding.block),
+                        np.array([t.x for t in terms]), np.array([t.y for t in terms]))
+    return int(merge_terminals(dist, binding.mode == "ALL"))
 
 
-def group_pairs(constraints: ConstraintSet):
-    """All unordered member pairs inside each abutment group."""
-    for g in constraints.groups:
-        for a in range(len(g)):
-            for b in range(a + 1, len(g)):
-                yield g[a], g[b]
+def _group_abutments(state: FloorplanState) -> np.ndarray:
+    return abutment(*_pair_rects(state, state.circuit.index.abut))
+
+
+def alignment_passes(state: FloorplanState, frac: float) -> np.ndarray:
+    """Per alignment pair, whether the projected intersection exceeds `frac`
+    of the smaller block's area."""
+    index = state.circuit.index
+    return rect_overlap(*_pair_rects(state, index.pairs)) > frac * index.small_area
 
 
 def metric_snapshot(state: FloorplanState) -> MetricTuple:
@@ -198,33 +192,27 @@ def metric_snapshot(state: FloorplanState) -> MetricTuple:
     Constraint terms average over every constraint instance; instances whose
     blocks are not yet placed contribute zero, so alignment and adjacency only
     grow as the episode completes and distance only counts realized bindings.
+    Each term is one kernel call over all of its rule's instances.
     """
-    cons = state.circuit.constraints
+    index = state.circuit.index
+    placed = state.placed
 
     aln = 0.0
-    if cons.alignment_pairs:
-        got = 0.0
-        for p in cons.alignment_pairs:
-            if state.placed[p.a] and state.placed[p.b]:
-                got += alignment_score(state, p.a, p.b, p.min_area)
-        aln = got / len(cons.alignment_pairs)
+    if index.pairs.size:
+        scores = alignment_ratio(*_pair_rects(state, index.pairs), index.min_area)
+        got = scores * placed[index.pairs].all(axis=0)
+        # summed in constraint order: np.sum may reorder float additions
+        aln = sum(got.tolist()) / len(got)
 
     adj = 0.0
-    pairs = list(group_pairs(cons))
-    if pairs:
-        got = 0.0
-        for a, b in pairs:
-            if state.placed[a] and state.placed[b]:
-                got += block_adjacency_length(state, a, b)
-        adj = got / len(pairs)
+    if index.abut.size:
+        got = _group_abutments(state) * placed[index.abut].all(axis=0)
+        adj = int(got.sum()) / len(got)
 
     dist = 0.0
-    if cons.boundary_bindings:
-        got = 0.0
-        for bb in cons.boundary_bindings:
-            if state.placed[bb.block]:
-                got += binding_distance(state, bb)
-        dist = got / len(cons.boundary_bindings)
+    if len(index.bound):
+        got = _binding_distances(state) * placed[index.bound]
+        dist = int(got.sum()) / len(index.bound)
 
     return MetricTuple(
         alignment=aln,
@@ -257,18 +245,6 @@ def normalize(metrics: MetricTuple, circuit: Circuit, hpwl_baseline: float) -> M
     )
 
 
-def _facing_edge_min(state: FloorplanState, i: int, j: int) -> int:
-    """Shorter of the two facing edges of an abutting pair; zero when the
-    pair does not abut."""
-    xi, yi, wi, hi = state.rect(i)
-    xj, yj, wj, hj = state.rect(j)
-    if xi + wi == xj or xj + wj == xi:
-        return min(hi, hj)
-    if yi + hi == yj or yj + hj == yi:
-        return min(wi, wj)
-    return 0
-
-
 def _shape_band_widths(block) -> tuple[int, int]:
     lo, _ = shape_from_ar(block.area, block.ar_min, block.ar_min, block.ar_max)
     hi, _ = shape_from_ar(block.area, block.ar_max, block.ar_min, block.ar_max)
@@ -276,7 +252,6 @@ def _shape_band_widths(block) -> tuple[int, int]:
 
 
 def satisfaction_counts(state: FloorplanState,
-                        constraints: ConstraintSet | None = None,
                         thresholds: SatisfactionThresholds | None = None,
                         ) -> dict[str, tuple[int, int]]:
     """(satisfied, total) per rule.
@@ -285,71 +260,51 @@ def satisfaction_counts(state: FloorplanState,
     instances and require their blocks to be placed.  Overlap counts
     same-layer placed pairs, outline counts placed blocks, shape counts soft
     blocks whose integer shape is reachable inside their aspect band."""
-    cons = constraints if constraints is not None else state.circuit.constraints
+    cons = state.circuit.constraints
+    index = state.circuit.index
     th = thresholds or SatisfactionThresholds()
-    blocks = state.circuit.blocks
     counts: dict[str, tuple[int, int]] = {}
 
-    for p in cons.alignment_pairs:
-        _require_placed(state, p.a)
-        _require_placed(state, p.b)
-    for a, b in group_pairs(cons):
-        _require_placed(state, a)
-        _require_placed(state, b)
-    for bb in cons.boundary_bindings:
-        _require_placed(state, bb.block)
-    for pp in cons.preplacements:
-        _require_placed(state, pp.block)
-
-    ok = sum(1 for bb in cons.boundary_bindings
-             if binding_distance(state, bb) <= th.distance_max)
-    counts["boundary"] = (ok, len(cons.boundary_bindings))
-
-    pairs = list(group_pairs(cons))
-    ok = 0
-    for a, b in pairs:
-        shared = block_adjacency_length(state, a, b)
-        edge = _facing_edge_min(state, a, b)
-        if shared > th.adjacency_frac * edge and shared > 0:
-            ok += 1
-    counts["grouping"] = (ok, len(pairs))
+    pre = np.array([pp.block for pp in cons.preplacements], dtype=np.int64)
+    need = np.concatenate([index.pairs.ravel(), index.abut.ravel(), index.bound, pre])
+    unplaced = need[~state.placed[need]]
+    if len(unplaced):
+        _require_placed(state, int(unplaced[0]))
 
     ok = 0
-    for p in cons.alignment_pairs:
-        inter = projected_intersection(state, p.a, p.b)
-        floor_area = th.alignment_frac * min(blocks[p.a].area, blocks[p.b].area)
-        if inter > floor_area:
-            ok += 1
-    counts["alignment"] = (ok, len(cons.alignment_pairs))
+    if len(index.bound):
+        ok = int(np.sum(_binding_distances(state) <= th.distance_max))
+    counts["boundary"] = (ok, len(index.bound))
+
+    shared = _group_abutments(state)
+    (xa, xb), _, (wa, wb), (ha, hb) = _rects(state, index.abut)
+    # a pair that meets in x faces along y, any other along x
+    edge = np.where(span_reach(xa, wa, xb, wb) == 0,
+                    np.minimum(ha, hb), np.minimum(wa, wb))
+    ok = (shared > th.adjacency_frac * edge) & (shared > 0)
+    counts["grouping"] = (int(np.sum(ok)), len(shared))
+
+    ok = alignment_passes(state, th.alignment_frac)
+    counts["alignment"] = (int(np.sum(ok)), len(ok))
 
     ok = sum(1 for pp in cons.preplacements
              if state.rect(pp.block) == (pp.x, pp.y, pp.w, pp.h))
     counts["preplace"] = (ok, len(cons.preplacements))
 
     ok = total = 0
-    for z in range(state.circuit.dims.num_layers):
-        ids = [i for i in state.placed_ids() if blocks[i].z == z]
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                total += 1
-                ox = min(state.x[ids[a]] + state.w[ids[a]], state.x[ids[b]] + state.w[ids[b]]) \
-                    - max(state.x[ids[a]], state.x[ids[b]])
-                oy = min(state.y[ids[a]] + state.h[ids[a]], state.y[ids[b]] + state.h[ids[b]]) \
-                    - max(state.y[ids[a]], state.y[ids[b]])
-                if ox <= 0 or oy <= 0:
-                    ok += 1
+    for ov in _layer_overlaps(state):
+        pairs = len(ov) * (len(ov) - 1) // 2
+        total += pairs
+        ok += pairs - int(np.count_nonzero(ov))
     counts["overlap"] = (ok, total)
 
     dims = state.circuit.dims
-    placed = state.placed_ids()
-    ok = sum(1 for i in placed
-             if state.x[i] >= 0 and state.y[i] >= 0
-             and state.x[i] + state.w[i] <= dims.width
-             and state.y[i] + state.h[i] <= dims.height)
-    counts["outline"] = (ok, len(placed))
+    x, y, w, h = _rects(state, state.placed)
+    inside = (x >= 0) & (y >= 0) & (x + w <= dims.width) & (y + h <= dims.height)
+    counts["outline"] = (int(inside.sum()), len(x))
 
     ok = total = 0
-    for b in blocks:
+    for b in state.circuit.blocks:
         if not b.is_soft:
             continue
         total += 1

@@ -2,10 +2,9 @@
 
 One panel per layer, blocks as labeled rectangles, terminals as dots.
 Alignment pairs are judged against the satisfaction threshold and both
-partner rectangles carry a `satisfied` or `violated` class (violated wins
-for blocks sitting in several pairs), so the inline stylesheet colors
-conforming pairs green and broken ones red.  Pairs with an unplaced member
-stay unclassified: a partial state has nothing to judge yet.
+partner rectangles carry a `satisfied` or `violated` class, so the inline
+stylesheet colors conforming pairs green and broken ones red.  Pairs with an
+unplaced member stay unclassified: a partial state has nothing to judge yet.
 
 Output is deterministic: elements appear in layer then id order and no
 coordinate depends on float formatting quirks (everything is an integer
@@ -15,7 +14,7 @@ multiple of the cell size).
 import xml.etree.ElementTree as ET
 
 from .core import FloorplanState
-from .metrics import SatisfactionThresholds, projected_intersection
+from .metrics import SatisfactionThresholds, alignment_passes
 
 _STYLE = """
   .die { fill: #ffffff; stroke: #444444; }
@@ -31,19 +30,16 @@ _STYLE = """
 
 def _pair_classes(state: FloorplanState,
                   thresholds: SatisfactionThresholds) -> dict[int, str]:
-    """Block id -> satisfied/violated, judging every fully placed pair."""
+    """Block id -> satisfied/violated, judging every fully placed pair; a
+    block sits in at most one pair."""
+    circuit = state.circuit
+    passes = alignment_passes(state, thresholds.alignment_frac)
+    live = state.placed[circuit.index.pairs].all(axis=0)
     verdict: dict[int, str] = {}
-    for p in state.circuit.constraints.alignment_pairs:
-        if not (state.placed[p.a] and state.placed[p.b]):
-            continue
-        floor_area = thresholds.alignment_frac * min(
-            state.circuit.blocks[p.a].area, state.circuit.blocks[p.b].area)
-        ok = projected_intersection(state, p.a, p.b) > floor_area
-        for bid in (p.a, p.b):
-            if not ok or verdict.get(bid) == "violated":
-                verdict[bid] = "violated"
-            else:
-                verdict[bid] = "satisfied"
+    pairs = circuit.constraints.alignment_pairs
+    for p, ok, on in zip(pairs, passes.tolist(), live.tolist()):
+        if on:
+            verdict[p.a] = verdict[p.b] = "satisfied" if ok else "violated"
     return verdict
 
 

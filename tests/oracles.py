@@ -108,3 +108,26 @@ def center_distance(r1, r2):
     c2x = Fraction(2 * r2[0] + r2[2], 2)
     c2y = Fraction(2 * r2[1] + r2[3], 2)
     return float(abs(c1x - c2x) + abs(c1y - c2y))
+
+
+def relaxed_availability(position, components):
+    """Availability by exhaustive subset search: `components` lists
+    (name, binary mask) from least to most severe, every subset of them is
+    tried as the drop set in order of its bit pattern (most severe mask the
+    highest bit), and the first subset that leaves a cell is taken.  Returns
+    (mask as uint8, dropped names in list order, feasible)."""
+    import numpy as np
+    base = (np.asarray(position) > 0).astype(np.uint8)
+    if not base.any():
+        return np.zeros_like(base), tuple(n for n, _ in components), False
+    for drop_bits in range(2 ** len(components)):
+        mask = base
+        dropped = []
+        for idx, (name, comp) in enumerate(components):
+            if drop_bits >> idx & 1:
+                dropped.append(name)
+            else:
+                mask = mask & (comp > 0)
+        if mask.any():
+            return mask.astype(np.uint8), tuple(dropped), True
+    raise AssertionError("dropping every mask leaves the nonempty position mask")

@@ -15,6 +15,7 @@ from stackfp import (
     COMMON_RULES,
     AlignmentPair,
     Block,
+    BoundaryBinding,
     Circuit,
     ConstraintSet,
     FloorplanState,
@@ -81,7 +82,7 @@ def test_c1_mask_cells_equal_forced_placement_metrics():
         cross = [i for i in placements if circuit.blocks[i].z == 1]
         min_area = {j: float(min(circuit.blocks[0].area,
                                  circuit.blocks[j].area)) for j in cross}
-        term_m = adjacent_terminal_mask(state, 0, 0)
+        term_m = adjacent_terminal_mask(state, BoundaryBinding(0, (0,)))
         pos_m = position_mask(state, 0)
         wire_m = wire_mask(state, 0)
         adj_m = {i: adjacent_block_mask(state, 0, i) for i in same}

@@ -622,3 +622,33 @@ class TestCli:
         assert [p.name for p in a] == [p.name for p in b]
         for pa, pb in zip(a, b):
             assert pa.read_bytes() == pb.read_bytes()
+
+    @pytest.mark.parametrize("defect", [
+        "id_beyond_circuit", "missing_w", "negative_id", "duplicate_id",
+        "wrong_layer", "float_x"])
+    def test_eval_malformed_placement_row_is_io(self, workdir, capsys, defect):
+        placement = self.solve(workdir)
+        doc = json.loads(placement.read_text())
+        row = doc["blocks"][0]
+        if defect == "id_beyond_circuit":
+            row["id"] = 999
+        elif defect == "missing_w":
+            del row["w"]
+        elif defect == "negative_id":
+            # -1 would wrap around to the last block, which this row places
+            last = max(doc["blocks"], key=lambda r: r["id"])
+            last["id"] = -1
+        elif defect == "duplicate_id":
+            doc["blocks"][1]["id"] = row["id"]
+        elif defect == "wrong_layer":
+            row["z"] = 1 - row["z"]
+        else:
+            row["x"] = float(row["x"])
+        placement.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = cli_main(["eval", "--circuit", str(workdir / "cli.circuit.json"),
+                       "--constraints", str(workdir / "cli.constraints.json"),
+                       "--placement", str(placement)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error:io:") and len(err.splitlines()) == 1

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stackfp import (
     AlignmentPair,
@@ -15,8 +16,6 @@ from stackfp import (
 )
 from stackfp.masks import (
     BlockDistanceRule,
-    MERGE_ALL,
-    MERGE_ANY,
     RuleMask,
     adjacent_block_mask,
     adjacent_terminal_mask,
@@ -25,8 +24,6 @@ from stackfp.masks import (
     binarize,
     block_distance_mask,
     compile_masks,
-    merge_block_masks,
-    merge_terminal_masks,
     position_mask,
     wire_mask,
 )
@@ -57,20 +54,20 @@ class TestTerminalMask:
     def test_unit_block_origin_terminal(self):
         s = make_state([hard(0, 1, 1)], {}, dims=(4, 4, 1),
                        terminals=(Terminal(0, "p", 0, 0, 0),))
-        m = adjacent_terminal_mask(s, 0, 0)
+        m = adjacent_terminal_mask(s, BoundaryBinding(0, (0,)))
         xs, ys = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
         assert np.array_equal(m.values, (xs + ys).astype(float))
 
     def test_far_corner_touch(self):
         s = make_state([hard(0, 2, 2)], {}, dims=(4, 4, 1),
                        terminals=(Terminal(0, "p", 3, 3, 0),))
-        m = adjacent_terminal_mask(s, 0, 0)
+        m = adjacent_terminal_mask(s, BoundaryBinding(0, (0,)))
         assert m.values[2, 2] == 0.0
 
     def test_every_cell_matches_forced_placement(self):
         s = make_state([hard(0, 3, 2)], {}, dims=(7, 6, 1),
                        terminals=(Terminal(0, "p", 4, 1, 0),))
-        m = adjacent_terminal_mask(s, 0, 0)
+        m = adjacent_terminal_mask(s, BoundaryBinding(0, (0,)))
         probe = make_state([hard(0, 3, 2)], {}, dims=(7, 6, 1),
                            terminals=(Terminal(0, "p", 4, 1, 0),))
         for x in range(7):
@@ -82,18 +79,18 @@ class TestTerminalMask:
     def test_merge_all_takes_worst_any_takes_best(self):
         terms = (Terminal(0, "p", 0, 0, 0), Terminal(1, "q", 5, 5, 0))
         s = make_state([hard(0, 2, 2)], {}, dims=(6, 6, 1), terminals=terms)
-        m0 = adjacent_terminal_mask(s, 0, 0)
-        m1 = adjacent_terminal_mask(s, 0, 1)
-        worst = merge_terminal_masks([m0, m1], MERGE_ALL)
-        best = merge_terminal_masks([m0, m1], MERGE_ANY)
+        m0 = adjacent_terminal_mask(s, BoundaryBinding(0, (0,)))
+        m1 = adjacent_terminal_mask(s, BoundaryBinding(0, (1,)))
+        worst = adjacent_terminal_mask(s, BoundaryBinding(0, (0, 1), "ALL"))
+        best = adjacent_terminal_mask(s, BoundaryBinding(0, (0, 1), "ANY"))
         assert np.all(worst.values >= m0.values) and np.all(worst.values >= m1.values)
         assert np.all(best.values <= m0.values) and np.all(best.values <= m1.values)
         assert np.array_equal(worst.values, np.maximum(m0.values, m1.values))
         assert np.array_equal(best.values, np.minimum(m0.values, m1.values))
 
     def test_merge_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            merge_terminal_masks([], MERGE_ALL)
+        with pytest.raises(ValueError, match="without terminals"):
+            BoundaryBinding(0, ())
 
 
 class TestBlockMask:
@@ -124,17 +121,22 @@ class TestBlockMask:
 
     def test_merge_sums_islands(self):
         s = make_state([hard(0, 2, 2), hard(1, 2, 2), hard(2, 2, 2)],
-                       {1: (0, 0), 2: (4, 0)}, dims=(8, 8, 1))
+                       {1: (0, 0), 2: (4, 0)}, dims=(8, 8, 1),
+                       constraints=ConstraintSet(groups=((0, 1, 2),)))
         m1 = adjacent_block_mask(s, 0, 1)
         m2 = adjacent_block_mask(s, 0, 2)
-        merged = merge_block_masks([m1, m2], s.circuit.dims)
+        merged = compile_masks(s, 0, TaskProfile.for_task(2)).grouping
         assert np.array_equal(merged.values, m1.values + m2.values)
         # the anchor between both neighbors abuts both: (2,0) touches b1 and b2
         assert merged.values[2, 0] == m1.values[2, 0] + m2.values[2, 0] == 4.0
 
     def test_merge_empty_is_zero(self):
-        merged = merge_block_masks([], GridDims(5, 4, 1))
-        assert merged.values.shape == (5, 4) and not merged.values.any()
+        s = make_state([hard(0, 2, 2), hard(1, 2, 2)], {}, dims=(5, 4, 1),
+                       constraints=ConstraintSet(groups=((0, 1),)))
+        stack = compile_masks(s, 0, TaskProfile.for_task(2))
+        assert stack.grouping.values.shape == (5, 4) and not stack.grouping.values.any()
+        # an island with nothing placed leaves availability to the position mask
+        assert np.array_equal(stack.availability.mask, binarize(stack.position))
 
     def test_unplaced_other_rejected(self):
         s = make_state([hard(0, 2, 2), hard(1, 2, 2)], {}, dims=(6, 6, 1))
@@ -327,6 +329,36 @@ class TestAvailability:
                                 extras=(("keep_close", extra),))
         assert res.dropped == ("keep_close",)
         assert res.mask[3, 3] == 1
+
+
+@st.composite
+def _availability_inputs(draw):
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    cells = st.lists(st.booleans(), min_size=shape[0] * shape[1],
+                     max_size=shape[0] * shape[1])
+
+    def binary():
+        return np.array(draw(cells), dtype=np.uint8).reshape(shape)
+
+    rules = {name: binary() if draw(st.booleans()) else None
+             for name in ("terminal", "grouping", "alignment")}
+    extras = tuple((f"plugin{k}", binary()) for k in range(draw(st.integers(0, 8))))
+    return binary(), rules, extras
+
+
+@given(_availability_inputs())
+@settings(max_examples=300, deadline=None)
+def test_availability_matches_subset_search(inputs):
+    position, rules, extras = inputs
+    res = availability_mask(position, extras=extras, **rules)
+    components = [*extras] + [(name, rules[name])
+                              for name in ("alignment", "grouping", "terminal")
+                              if rules[name] is not None]
+    mask, dropped, feasible = oracles.relaxed_availability(position, components)
+    assert res.feasible == feasible
+    assert res.dropped == dropped
+    assert res.mask.dtype == mask.dtype == np.uint8
+    assert np.array_equal(res.mask, mask)
 
 
 class TestBlockDistancePlugin:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -359,3 +360,114 @@ def test_terminal_distance_property(x, y, w, h, tx, ty):
                    terminals=(Terminal(0, "p", tx, ty, 0),))
     assert block_terminal_distance(s, 0, 0) == \
         oracles.terminal_distance((x, y, w, h), tx, ty)
+
+
+@st.composite
+def _partial_instances(draw):
+    """A random 2-layer circuit with random pairs, groups and ALL/ANY
+    bindings, some of its blocks placed anywhere (overlaps allowed)."""
+    side = 10
+    n = draw(st.integers(2, 8))
+    blocks = [Block(i, f"b{i}", 1, 1, 1, 1.0, 1.0, False, draw(st.integers(0, 1)))
+              for i in range(n)]
+    shapes = [(draw(st.integers(1, 4)), draw(st.integers(1, 4))) for _ in range(n)]
+    blocks = [dataclasses.replace(b, area=w * h, w=w, h=h) for b, (w, h) in zip(blocks, shapes)]
+    terminals = tuple(Terminal(t, f"p{t}", draw(st.integers(0, side - 1)),
+                               draw(st.integers(0, side - 1)), 0)
+                      for t in range(draw(st.integers(1, 4))))
+    free = draw(st.permutations(range(n)))
+    pairs, used = [], set()
+    for a in free:
+        for b in free:
+            if a not in used and b not in used and blocks[a].z != blocks[b].z \
+                    and draw(st.booleans()):
+                pairs.append(AlignmentPair(a, b, float(draw(st.integers(1, 8)))))
+                used |= {a, b}
+    groups = []
+    for z in (0, 1):
+        members = [b.id for b in blocks if b.z == z]
+        k = draw(st.integers(0, len(members)))
+        if k >= 2:
+            groups.append(tuple(members[:k]))
+    bindings = tuple(
+        BoundaryBinding(b, tuple(draw(st.lists(st.integers(0, len(terminals) - 1),
+                                               min_size=1, max_size=3, unique=True))),
+                        draw(st.sampled_from(["ALL", "ANY"])))
+        for b in range(n) if draw(st.booleans()))
+    nets = tuple(Net(blocks=tuple(draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))),
+                     terminals=(t,))
+                 for t in range(len(terminals)))
+    cons = ConstraintSet(alignment_pairs=tuple(pairs), groups=tuple(groups),
+                         boundary_bindings=bindings)
+    placements = {b: (draw(st.integers(0, side - 1)), draw(st.integers(0, side - 1)))
+                  for b in range(n) if draw(st.booleans())}
+    return make_state(blocks, placements, terminals=terminals, nets=nets,
+                      dims=(side, side, 2), constraints=cons)
+
+
+@given(_partial_instances())
+@settings(max_examples=200, deadline=None)
+def test_snapshot_and_satisfaction_match_oracles(s):
+    c = s.circuit
+    cons = c.constraints
+    placed = {i: s.rect(i) for i in s.placed_ids()}
+
+    def merged(bb):
+        ds = [oracles.terminal_distance(placed[bb.block], c.terminals[t].x, c.terminals[t].y)
+              for t in bb.terminals]
+        return max(ds) if bb.mode == "ALL" else min(ds)
+
+    group_pairs = [(g[i], g[j]) for g in cons.groups
+                   for i in range(len(g)) for j in range(i + 1, len(g))]
+    m = metric_snapshot(s)
+    aln = [oracles.alignment_fraction(placed[p.a], placed[p.b], p.min_area)
+           if p.a in placed and p.b in placed else 0.0 for p in cons.alignment_pairs]
+    assert m.alignment == (sum(aln) / len(aln) if aln else 0.0)
+    adj = [oracles.adjacency_length(placed[a], placed[b])
+           for a, b in group_pairs if a in placed and b in placed]
+    assert m.adjacency == (sum(adj) / len(group_pairs) if group_pairs else 0.0)
+    dist = [merged(bb) for bb in cons.boundary_bindings if bb.block in placed]
+    assert m.distance == (sum(dist) / len(cons.boundary_bindings)
+                          if cons.boundary_bindings else 0.0)
+    points = [[(float(c.terminals[t].x), float(c.terminals[t].y)) for t in net.terminals]
+              + [(placed[b][0] + placed[b][2] / 2, placed[b][1] + placed[b][3] / 2)
+                 for b in net.blocks if b in placed]
+              for net in c.nets]
+    assert m.hpwl == oracles.hpwl(points)
+    layer_pairs = [(i, j) for i in placed for j in placed
+                   if i < j and c.blocks[i].z == c.blocks[j].z]
+    overlaps = [oracles.overlap_cells(placed[i], placed[j]) for i, j in layer_pairs]
+    assert m.overlap == sum(overlaps)
+
+    required = ({b for p in cons.alignment_pairs for b in (p.a, p.b)}
+                | {b for g in cons.groups for b in g}
+                | {bb.block for bb in cons.boundary_bindings})
+    if not required <= placed.keys():
+        with pytest.raises(ValueError, match="not placed"):
+            satisfaction_counts(s)
+        return
+    counts = satisfaction_counts(s)
+    th = SatisfactionThresholds()
+
+    def facing_edge(r1, r2):
+        if r1[0] + r1[2] == r2[0] or r2[0] + r2[2] == r1[0]:
+            return min(r1[3], r2[3])
+        return min(r1[2], r2[2])
+
+    abut = [oracles.adjacency_length(placed[a], placed[b]) for a, b in group_pairs]
+    assert counts["grouping"] == (
+        sum(1 for (a, b), k in zip(group_pairs, abut)
+            if k > 0 and k > th.adjacency_frac * facing_edge(placed[a], placed[b])),
+        len(group_pairs))
+    assert counts["boundary"] == (
+        sum(1 for bb in cons.boundary_bindings if merged(bb) <= th.distance_max),
+        len(cons.boundary_bindings))
+    assert counts["alignment"] == (
+        sum(1 for p in cons.alignment_pairs
+            if oracles.overlap_cells(placed[p.a], placed[p.b])
+            > th.alignment_frac * min(c.blocks[p.a].area, c.blocks[p.b].area)),
+        len(cons.alignment_pairs))
+    assert counts["overlap"] == (sum(1 for k in overlaps if k == 0), len(layer_pairs))
+    inside = [r for r in placed.values()
+              if r[0] + r[2] <= c.dims.width and r[1] + r[3] <= c.dims.height]
+    assert counts["outline"] == (len(inside), len(placed))
