@@ -82,6 +82,17 @@ def _parse_floats(text: str, n: int, flag: str) -> list[float]:
         raise UsageError(f"{flag} wants numbers, got {text!r}") from None
 
 
+def _count(minimum: int):
+    """argparse type: an integer no smaller than `minimum`."""
+    def count(text: str) -> int:
+        n = int(text)
+        if n < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {n}")
+        return n
+    return count
+
+
 def _profile(args) -> TaskProfile:
     overrides = {}
     if args.weights:
@@ -175,10 +186,7 @@ def _cmd_masks(args) -> int:
 
     env = PlacementEnv(circuit, profile,
                        hpwl_baseline=result.trace.hpwl_baseline)
-    obs = env.reset()
-    first = result.order[env.state.cursor] if obs is not None else None
-    if first is not None and first in result.ars:
-        obs = env.reset(first_ar=result.ars[first])
+    obs = env.reset(first_ar=result.ars.get(result.trace.steps[0].block))
     for step in result.trace.steps[:args.at_step]:
         obs, _, _ = env.step(Action(step.x, step.y, step.ar_next))
 
@@ -312,7 +320,7 @@ def build_parser() -> _Parser:
     p.add_argument("--solver", choices=("greedy", "sa", "random"),
                    default="greedy")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sa-iterations", type=int, default=2000)
+    p.add_argument("--sa-iterations", type=_count(0), default=2000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_solve)
 
@@ -350,11 +358,11 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("bench", help="synthetic sweep, byte-reproducible")
-    p.add_argument("--instances", type=int, default=3)
-    p.add_argument("--seeds", type=int, default=3)
+    p.add_argument("--instances", type=_count(1), default=3)
+    p.add_argument("--seeds", type=_count(1), default=3)
     p.add_argument("--tasks", default="1,2,3")
     p.add_argument("--solvers", default="greedy,random")
-    p.add_argument("--sa-iterations", type=int, default=150)
+    p.add_argument("--sa-iterations", type=_count(0), default=150)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bench)

@@ -370,10 +370,10 @@ class Circuit:
         return CircuitIndex.build(self)
 
 
-def default_order(circuit: Circuit, preplaced_first: bool = True) -> list[int]:
+def default_order(circuit: Circuit) -> list[int]:
     """Placement order: preplaced blocks first, then by descending area,
     ties broken by block id."""
-    pre = {pp.block for pp in circuit.constraints.preplacements} if preplaced_first else set()
+    pre = {pp.block for pp in circuit.constraints.preplacements}
     key = lambda b: (-b.area, b.id)
     head = sorted((b for b in circuit.blocks if b.id in pre), key=key)
     tail = sorted((b for b in circuit.blocks if b.id not in pre), key=key)

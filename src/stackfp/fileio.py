@@ -16,6 +16,7 @@ early, grab their terminal before the die crowds, and so keep the
 relaxation ladder quiet.
 """
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -36,6 +37,18 @@ from .core import (
 )
 from .bookshelf import QUANTIZATION, ParseError, farthest_point_subset, synth_circuit
 from .geometry import rim_distance
+
+
+@contextlib.contextmanager
+def _document(kind: str):
+    """Report a missing key or a member of the wrong type met while reading
+    a JSON document as a ParseError naming the document."""
+    try:
+        yield
+    except KeyError as e:
+        raise ParseError(f"{kind} file lacks key {e}") from None
+    except (TypeError, AttributeError) as e:
+        raise ParseError(f"{kind} file has a member of the wrong type: {e}") from None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -59,23 +72,24 @@ class ConstraintFile:
     @classmethod
     def from_json(cls, text: str) -> "ConstraintFile":
         doc = json.loads(text)
-        return cls(
-            alignment_pairs=tuple(
-                {"a": int(p["a"]), "b": int(p["b"]),
-                 "min_area_frac": float(p.get("min_area_frac", 1.0))}
-                for p in doc.get("alignment_pairs", ())),
-            groups=tuple(tuple(int(b) for b in g)
-                         for g in doc.get("groups", ())),
-            boundary=tuple(
-                {"block": int(b["block"]),
-                 "terminals": [int(t) for t in b["terminals"]],
-                 "mode": str(b.get("mode", "ALL"))}
-                for b in doc.get("boundary", ())),
-            preplaced=tuple(
-                {k: int(p[k]) for k in ("block", "x", "y", "z", "w", "h")}
-                for p in doc.get("preplaced", ())),
-            layers={int(k): int(v) for k, v in doc.get("layers", {}).items()},
-        )
+        with _document("constraint"):
+            return cls(
+                alignment_pairs=tuple(
+                    {"a": int(p["a"]), "b": int(p["b"]),
+                     "min_area_frac": float(p.get("min_area_frac", 1.0))}
+                    for p in doc.get("alignment_pairs", ())),
+                groups=tuple(tuple(int(b) for b in g)
+                             for g in doc.get("groups", ())),
+                boundary=tuple(
+                    {"block": int(b["block"]),
+                     "terminals": [int(t) for t in b["terminals"]],
+                     "mode": str(b.get("mode", "ALL"))}
+                    for b in doc.get("boundary", ())),
+                preplaced=tuple(
+                    {k: int(p[k]) for k in ("block", "x", "y", "z", "w", "h")}
+                    for p in doc.get("preplaced", ())),
+                layers={int(k): int(v) for k, v in doc.get("layers", {}).items()},
+            )
 
 
 def apply_constraints(circuit: Circuit, cf: ConstraintFile) -> Circuit:
@@ -370,24 +384,28 @@ def _constraints_from_doc(doc: dict) -> ConstraintSet:
 
 def circuit_from_json(text: str) -> Circuit:
     doc = json.loads(text)
-    if doc.get("format") != "stackfp-circuit-1":
+    if not isinstance(doc, dict) or doc.get("format") != "stackfp-circuit-1":
         raise ValueError("not a circuit file")
-    dims = GridDims(doc["dims"]["width"], doc["dims"]["height"],
-                    doc["dims"]["layers"])
-    blocks = tuple(
-        Block(int(b["id"]), b["name"], int(b["area"]), int(b["w"]), int(b["h"]),
-              float(b["ar_min"]), float(b["ar_max"]), bool(b["soft"]), int(b["z"]))
-        for b in doc["blocks"])
-    terminals = tuple(
-        Terminal(int(t["id"]), t["name"], int(t["x"]), int(t["y"]), int(t["z"]))
-        for t in doc["terminals"])
-    nets = tuple(
-        Net(blocks=tuple(int(b) for b in n["blocks"]),
-            terminals=tuple(int(t) for t in n["terminals"]))
-        for n in doc["nets"])
-    cons = _constraints_from_doc(doc.get("constraints", {}))
-    return Circuit(doc["name"], dims, blocks, terminals, nets, cons,
-                   utilization=float(doc.get("utilization", 0.80)))
+    with _document("circuit"):
+        dims = GridDims(doc["dims"]["width"], doc["dims"]["height"],
+                        doc["dims"]["layers"])
+        blocks = tuple(
+            Block(int(b["id"]), b["name"], int(b["area"]), int(b["w"]),
+                  int(b["h"]), float(b["ar_min"]), float(b["ar_max"]),
+                  bool(b["soft"]), int(b["z"]))
+            for b in doc["blocks"])
+        terminals = tuple(
+            Terminal(int(t["id"]), t["name"], int(t["x"]), int(t["y"]),
+                     int(t["z"]))
+            for t in doc["terminals"])
+        nets = tuple(
+            Net(blocks=tuple(int(b) for b in n["blocks"]),
+                terminals=tuple(int(t) for t in n["terminals"]))
+            for n in doc["nets"])
+        cons = _constraints_from_doc(doc.get("constraints", {}))
+        name, utilization = doc["name"], float(doc.get("utilization", 0.80))
+    return Circuit(name, dims, blocks, terminals, nets, cons,
+                   utilization=utilization)
 
 
 # --- placement files -------------------------------------------------------
@@ -435,12 +453,24 @@ def placement_to_json(state, circuit_name: str, task: int, solver: str,
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+_PLACEMENT_HEADER = {"width": int, "height": int, "layers": int, "task": int,
+                     "solver": str, "seed": int}
+
+
 def placement_from_json(text: str) -> tuple[dict, list[dict]]:
-    """Header dict and per-block rows; pair with a circuit to rebuild state."""
+    """Header dict and per-block rows; pair with a circuit to rebuild state.
+    The header must carry the fields `stackfp eval` reads, with their types."""
     doc = json.loads(text)
-    if doc.get("format") != "stackfp-placement-1":
+    if not isinstance(doc, dict) or doc.get("format") != "stackfp-placement-1":
         raise ValueError("not a placement file")
-    return doc["header"], doc["blocks"]
+    header, rows = doc.get("header"), doc.get("blocks")
+    if not (isinstance(header, dict) and all(
+            type(header.get(k)) is t for k, t in _PLACEMENT_HEADER.items())):
+        raise ParseError("placement header needs integer width, height, "
+                         "layers, task and seed and a string solver")
+    if not isinstance(rows, list):
+        raise ParseError("placement file needs a list of blocks")
+    return header, rows
 
 
 def state_from_placement(circuit: Circuit, rows: list[dict]):

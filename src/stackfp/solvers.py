@@ -2,13 +2,15 @@
 
 All three solvers draw every anchor from the availability mask, so whatever
 that mask encodes (non-overlap, outline, and any enabled rule that survived
-relaxation) holds for their output by construction.  They differ only in how
-they pick among the allowed cells:
+relaxation) holds for their output by construction.  They share one rollout
+(reset, step loop, summary) and differ only in how they pick among the
+allowed cells and how they shape soft blocks:
 
 * greedy: lexicographic scan of the value masks (wirelength up, alignment
   down, shared edge down, terminal distance up), final ties broken row-major;
-  soft-block ratios come from a one-step lookahead over a small candidate
-  ladder.
+  each soft block's ratio comes from a scan over a small candidate ladder on
+  a copy of the state with the pending placement applied, the opening block
+  included (nothing is pending before it).
 * annealing: reuses greedy as a decoder for a genome of placement order plus
   per-block ratios, starting from the greedy solution itself.
 * random: uniform over the allowed cells, ratios log-uniform in the band.
@@ -43,32 +45,25 @@ from .env import (
 from .masks import MaskStack, compile_masks
 from .metrics import MetricTuple
 
-TIE_KEYS = ("wire", "alignment", "adjacency", "terminal")
+AR_CANDIDATES = 8                       # ratio ladder length per soft block
+# greedy's lexicographic keys: mask stack attribute and optimization sense
+TIE_KEYS = (("wire", "min"), ("alignment", "max"), ("grouping", "max"),
+            ("terminal", "min"))
+SA_ALPHA = 0.95                         # temperature decay per iteration
+SA_MOVE_WEIGHTS = (0.4, 0.3, 0.3)       # swap, relocate, ratio nudge
 
 
 @dataclasses.dataclass(frozen=True)
 class SolverConfig:
     kind: str = "greedy"                  # greedy | sa | random
     seed: int = 0
-    ar_candidates: int = 8
-    tie_break: tuple[str, ...] = TIE_KEYS
     sa_iterations: int = 2000
-    sa_alpha: float = 0.95                # temperature decay per iteration
     sa_t0: float | None = None            # None: calibrate from sampled moves
-    sa_move_weights: tuple[float, float, float] = (0.4, 0.3, 0.3)
     sa_calibration_moves: int = 50
 
     def __post_init__(self):
         if self.kind not in ("greedy", "sa", "random"):
             raise ValueError(f"unknown solver kind {self.kind!r}")
-        if self.ar_candidates < 1:
-            raise ValueError("need at least one aspect ratio candidate")
-        if not self.tie_break:
-            raise ValueError("tie_break cannot be empty")
-        if not (0.0 < self.sa_alpha <= 1.0):
-            raise ValueError("sa_alpha must be in (0, 1]")
-        if len(self.sa_move_weights) != 3 or sum(self.sa_move_weights) <= 0:
-            raise ValueError("sa_move_weights needs three nonnegative entries")
 
 
 @dataclasses.dataclass
@@ -118,93 +113,117 @@ def ar_candidate_ladder(block, count: int) -> list[float]:
     return out
 
 
-def _mask_for_key(stack: MaskStack, key: str):
-    """Value mask and optimization sense for one tie-break key."""
-    builtin = {
-        "wire": (stack.wire, "min"),
-        "alignment": (stack.alignment, "max"),
-        "adjacency": (stack.grouping, "max"),
-        "terminal": (stack.terminal, "min"),
-    }
-    if key in builtin:
-        return builtin[key]
-    for m in stack.plugin_masks:
-        if m.rule == key:
-            return m, "min"
-    raise ValueError(f"tie-break key {key!r} matches no mask")
+def _available_cells(stack: MaskStack) -> np.ndarray:
+    """Flat indices of the cells the availability mask allows."""
+    avail = stack.availability
+    cells = np.flatnonzero(avail.mask)
+    if cells.size == 0:
+        raise InfeasibleError(
+            f"no cell available for block {stack.block} ({avail.rung})")
+    return cells
 
 
-def _filter_cells(stack: MaskStack, tie_break) -> tuple[np.ndarray, tuple]:
+def _filter_cells(stack: MaskStack) -> tuple[np.ndarray, tuple]:
     """Lexicographic filtering over the available cells.
 
     Each key keeps only the cells optimal for its value mask; keys whose rule
     does not bind this block are skipped.  Returns the surviving flat indices
     and the score prefix (relaxation depth first, then one value per applied
     key) used to compare placements across aspect ratio candidates."""
-    avail = stack.availability
-    cells = np.flatnonzero(avail.mask)
-    if cells.size == 0:
-        raise InfeasibleError(
-            f"no cell available for block {stack.block} ({avail.rung})")
-    score = [float(len(avail.dropped))]
-    for key in tie_break:
-        mask, sense = _mask_for_key(stack, key)
+    cells = _available_cells(stack)
+    score = [float(len(stack.availability.dropped))]
+    for key, sense in TIE_KEYS:
+        mask = getattr(stack, key)
         if mask is None:
             continue
         vals = mask.values.reshape(-1)[cells]
-        if sense == "max":
-            best = vals.max()
-            score.append(-float(best))
-        else:
-            best = vals.min()
-            score.append(float(best))
+        best = vals.max() if sense == "max" else vals.min()
+        score.append(-float(best) if sense == "max" else float(best))
         cells = cells[vals == best]
     return cells, tuple(score)
 
 
-def _pick_cell(stack: MaskStack, tie_break, height: int) -> tuple[int, int]:
-    cells, _ = _filter_cells(stack, tie_break)
-    flat = int(cells.min())          # row-major: smallest x, then smallest y
-    return divmod(flat, height)
+def _pick_cell(stack: MaskStack) -> int:
+    """Greedy's cell: the smallest flat index among the lexicographic
+    survivors, i.e. row-major, smallest x, then smallest y."""
+    cells, _ = _filter_cells(stack)
+    return int(cells.min())
 
 
-def _stack_score(stack: MaskStack, tie_break) -> tuple | None:
+def _stack_score(stack: MaskStack) -> tuple | None:
     """Comparable quality of the best cell in a stack; None when the block
     fits nowhere under this shape."""
     try:
-        cells, score = _filter_cells(stack, tie_break)
+        cells, score = _filter_cells(stack)
     except InfeasibleError:
         return None
     return score + (float(cells.min()),)
 
 
-def _best_first_ar(env: PlacementEnv, block, config: SolverConfig) -> float | None:
-    """Scan reset shapes for the opening soft block and keep the one whose
-    best cell scores lowest."""
-    best_r, best_s = None, None
-    for r in ar_candidate_ladder(block, config.ar_candidates):
-        obs = env.reset(first_ar=r)
-        s = _stack_score(obs.masks, config.tie_break)
-        if s is not None and (best_s is None or s < best_s):
-            best_r, best_s = r, s
-    return best_r
-
-
-def _lookahead_ar(env: PlacementEnv, x: int, y: int, next_id: int,
-                  config: SolverConfig) -> float | None:
-    """Simulate the pending placement, then score each candidate shape of the
-    next block by the best cell it would leave available."""
+def _scan_ar(env: PlacementEnv, block_id: int, pending) -> float | None:
+    """Greedy's ratio: try each candidate shape of a soft block on a copy of
+    the state, with the pending placement (the current block's chosen cell,
+    None before the opening block) applied, and keep the shape whose best
+    cell scores lowest; None when no candidate fits."""
     sim = env.state.clone()
-    sim.place(env.observation.block, x, y)
-    nxt = env.circuit.blocks[next_id]
+    if pending is not None:
+        sim.place(env.observation.block, *pending)
     best_r, best_s = None, None
-    for r in ar_candidate_ladder(nxt, config.ar_candidates):
-        sim.set_shape(next_id, r)
-        stack = compile_masks(sim, next_id, env.profile, env.plugins)
-        s = _stack_score(stack, config.tie_break)
+    for r in ar_candidate_ladder(env.circuit.blocks[block_id], AR_CANDIDATES):
+        sim.set_shape(block_id, r)
+        stack = compile_masks(sim, block_id, env.profile, env.plugins)
+        s = _stack_score(stack)
         if s is not None and (best_s is None or s < best_s):
             best_r, best_s = r, s
     return best_r
+
+
+def _rollout(kind: str, circuit: Circuit, profile: TaskProfile, pick, choose,
+             *, order, plugins, hpwl_baseline) -> SolveResult:
+    """One masked episode, shared by every solver.  `pick(masks)` returns
+    the flat index of the cell for the block up next.  `choose(env,
+    block_id, pending)` returns a soft block's ratio (None keeps its shape)
+    before that block is observed: the opening block's right after reset,
+    with nothing pending, and each later one's with its predecessor's cell
+    pending."""
+    t_start = time.perf_counter()
+    env = PlacementEnv(circuit, profile, order=order, plugins=plugins,
+                       hpwl_baseline=hpwl_baseline)
+    chosen: dict[int, float] = {}
+
+    def shape(block_id: int, pending) -> float | None:
+        if not circuit.blocks[block_id].is_soft:
+            return None
+        r = choose(env, block_id, pending)
+        if r is not None:
+            chosen[block_id] = r
+        return r
+
+    obs = env.reset()
+    if obs is not None:
+        r = shape(obs.block, None)
+        if r is not None:
+            obs = env.reset(first_ar=r)
+    while obs is not None:
+        x, y = divmod(pick(obs.masks), circuit.dims.height)
+        nxt = env.state.cursor + 1
+        ar_next = None
+        if nxt < len(env.state.order):
+            ar_next = shape(env.state.order[nxt], (x, y))
+        obs, _, _ = env.step(Action(x, y, ar_next=ar_next))
+
+    summary = episode_summary(env.state, env.trace, profile=profile,
+                              plugins=plugins)
+    return SolveResult(
+        kind=kind,
+        state=env.state,
+        trace=env.trace,
+        summary=summary,
+        order=tuple(env.state.order),
+        ars=chosen,
+        cost=objective_cost(summary.norm, profile),
+        runtime_s=time.perf_counter() - t_start,
+    )
 
 
 def greedy_place(circuit: Circuit, profile: TaskProfile,
@@ -215,56 +234,17 @@ def greedy_place(circuit: Circuit, profile: TaskProfile,
                  hpwl_baseline: float | None = None) -> SolveResult:
     """Mask-guided greedy placement.
 
-    Free mode (ars None) also chooses every soft block's ratio: the opening
-    block by a reset scan, each later one by lookahead while its predecessor
-    is placed.  With `ars` given the ratios are fixed and no scanning
-    happens, which is the decode path the annealer uses."""
-    config = config or SolverConfig()
-    t_start = time.perf_counter()
-    env = PlacementEnv(circuit, profile, order=order, plugins=plugins,
-                       hpwl_baseline=hpwl_baseline)
-    chosen: dict[int, float] = dict(ars) if ars is not None else {}
-    free = ars is None
-
-    obs = env.reset()
-    if obs is not None:
-        first = circuit.blocks[obs.block]
-        if first.is_soft:
-            if not free and first.id in chosen:
-                obs = env.reset(first_ar=chosen[first.id])
-            elif free:
-                r = _best_first_ar(env, first, config)
-                if r is not None:
-                    chosen[first.id] = r
-                obs = env.reset(first_ar=r)
-
-    while obs is not None:
-        x, y = _pick_cell(obs.masks, config.tie_break, circuit.dims.height)
-        ar_next = None
-        cursor = env.state.cursor
-        if cursor + 1 < len(env.state.order):
-            next_id = env.state.order[cursor + 1]
-            if circuit.blocks[next_id].is_soft:
-                if free:
-                    ar_next = _lookahead_ar(env, x, y, next_id, config)
-                    if ar_next is not None:
-                        chosen[next_id] = ar_next
-                else:
-                    ar_next = chosen.get(next_id)
-        obs, _, _ = env.step(Action(x, y, ar_next=ar_next))
-
-    summary = episode_summary(env.state, env.trace, profile=profile,
-                              plugins=plugins)
-    return SolveResult(
-        kind="greedy",
-        state=env.state,
-        trace=env.trace,
-        summary=summary,
-        order=tuple(env.state.order),
-        ars=chosen,
-        cost=objective_cost(summary.norm, profile),
-        runtime_s=time.perf_counter() - t_start,
-    )
+    Free mode (ars None) also chooses every soft block's ratio by the
+    candidate scan.  With `ars` given the ratios are fixed and no scanning
+    happens, which is the decode path the annealer uses.  Greedy has no
+    knobs; `config` is taken so that every solver has one signature."""
+    if ars is None:
+        choose = _scan_ar
+    else:
+        def choose(env, block_id, pending):
+            return ars.get(block_id)
+    return _rollout("greedy", circuit, profile, _pick_cell, choose,
+                    order=order, plugins=plugins, hpwl_baseline=hpwl_baseline)
 
 
 def random_place(circuit: Circuit, profile: TaskProfile,
@@ -273,51 +253,18 @@ def random_place(circuit: Circuit, profile: TaskProfile,
                  plugins: tuple = (),
                  hpwl_baseline: float | None = None) -> SolveResult:
     """Uniform choice over the allowed cells; ratios log-uniform in band."""
-    config = config or SolverConfig(kind="random")
-    t_start = time.perf_counter()
-    rng = np.random.default_rng(config.seed)
-    env = PlacementEnv(circuit, profile, order=order, plugins=plugins,
-                       hpwl_baseline=hpwl_baseline)
+    rng = np.random.default_rng(config.seed if config else 0)
 
-    def sample_ar(block) -> float:
+    def pick(stack: MaskStack) -> int:
+        return int(rng.choice(_available_cells(stack)))
+
+    def sample_ar(env, block_id, pending) -> float:
+        block = circuit.blocks[block_id]
         return math.exp(rng.uniform(math.log(block.ar_min),
                                     math.log(block.ar_max)))
 
-    chosen: dict[int, float] = {}
-    obs = env.reset()
-    if obs is not None and circuit.blocks[obs.block].is_soft:
-        r = sample_ar(circuit.blocks[obs.block])
-        chosen[obs.block] = r
-        obs = env.reset(first_ar=r)
-    while obs is not None:
-        cells = np.flatnonzero(obs.availability.mask)
-        if cells.size == 0:
-            raise InfeasibleError(
-                f"no cell available for block {obs.block} "
-                f"({obs.availability.rung})")
-        flat = int(rng.choice(cells))
-        x, y = divmod(flat, circuit.dims.height)
-        ar_next = None
-        cursor = env.state.cursor
-        if cursor + 1 < len(env.state.order):
-            nxt = circuit.blocks[env.state.order[cursor + 1]]
-            if nxt.is_soft:
-                ar_next = sample_ar(nxt)
-                chosen[nxt.id] = ar_next
-        obs, _, _ = env.step(Action(x, y, ar_next=ar_next))
-
-    summary = episode_summary(env.state, env.trace, profile=profile,
-                              plugins=plugins)
-    return SolveResult(
-        kind="random",
-        state=env.state,
-        trace=env.trace,
-        summary=summary,
-        order=tuple(env.state.order),
-        ars=chosen,
-        cost=objective_cost(summary.norm, profile),
-        runtime_s=time.perf_counter() - t_start,
-    )
+    return _rollout("random", circuit, profile, pick, sample_ar,
+                    order=order, plugins=plugins, hpwl_baseline=hpwl_baseline)
 
 
 class _Genome:
@@ -337,11 +284,11 @@ class _Genome:
         return self.prefix + self.tail
 
 
-def _propose(genome: _Genome, soft_ids: list[int], weights, rng) -> _Genome:
+def _propose(genome: _Genome, soft_ids: list[int], rng) -> _Genome:
     """One neighbor: swap two order slots, relocate one, or nudge a ratio."""
     cand = genome.clone()
     moves = ["swap", "relocate", "ar"]
-    w = np.asarray(weights, dtype=float)
+    w = np.asarray(SA_MOVE_WEIGHTS, dtype=float)
     if len(cand.tail) < 2:
         w[0] = w[1] = 0.0
     if not soft_ids:
@@ -382,7 +329,7 @@ def sa_place(circuit: Circuit, profile: TaskProfile,
     base_order = list(order) if order is not None else default_order(circuit)
     baseline = wire_greedy_baseline(circuit, base_order)
 
-    seed_result = greedy_place(circuit, profile, config, order=base_order,
+    seed_result = greedy_place(circuit, profile, order=base_order,
                                plugins=plugins, hpwl_baseline=baseline)
 
     pinned = set()
@@ -400,18 +347,16 @@ def sa_place(circuit: Circuit, profile: TaskProfile,
 
     def decode(g: _Genome):
         try:
-            res = greedy_place(circuit, profile, config, order=g.order,
-                               ars=g.ars, plugins=plugins,
-                               hpwl_baseline=baseline)
+            return greedy_place(circuit, profile, order=g.order, ars=g.ars,
+                                plugins=plugins, hpwl_baseline=baseline)
         except InfeasibleError:
             return None
-        return res
 
     t0 = config.sa_t0
     if t0 is None:
         ups = []
         for _ in range(config.sa_calibration_moves):
-            res = decode(_propose(genome, soft_ids, config.sa_move_weights, rng))
+            res = decode(_propose(genome, soft_ids, rng))
             if res is not None and res.cost > cur_cost:
                 ups.append(res.cost - cur_cost)
         # mean uphill move accepted with probability ~0.8 at the start
@@ -421,7 +366,7 @@ def sa_place(circuit: Circuit, profile: TaskProfile,
     accepted = 0
     curve = [best_cost]
     for _ in range(config.sa_iterations):
-        cand = _propose(genome, soft_ids, config.sa_move_weights, rng)
+        cand = _propose(genome, soft_ids, rng)
         res = decode(cand)
         if res is not None:
             delta = res.cost - cur_cost
@@ -430,7 +375,7 @@ def sa_place(circuit: Circuit, profile: TaskProfile,
                 accepted += 1
                 if res.cost < best_cost:
                     best_cost, best_result = res.cost, res
-        temp *= config.sa_alpha
+        temp *= SA_ALPHA
         curve.append(best_cost)
 
     return SAResult(

@@ -612,6 +612,19 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:usage:")
 
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--instances", "0"],
+        ["bench", "--seeds", "0"],
+        ["bench", "--sa-iterations", "-1"],
+        ["solve", "--circuit", "c.json", "--task", "1", "--sa-iterations", "-1"],
+    ], ids=["instances", "seeds", "bench_sa_iterations", "solve_sa_iterations"])
+    def test_count_below_minimum_is_usage(self, workdir, capsys, argv):
+        rc = cli_main([*argv, "--out", str(workdir / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:usage:") and len(err.splitlines()) == 1
+        assert not (workdir / "x").exists()
+
     def test_bench_reproducible(self, workdir):
         args = ["bench", "--instances", "1", "--seeds", "2",
                 "--tasks", "1", "--solvers", "greedy,random"]
@@ -625,11 +638,18 @@ class TestCli:
 
     @pytest.mark.parametrize("defect", [
         "id_beyond_circuit", "missing_w", "negative_id", "duplicate_id",
-        "wrong_layer", "float_x"])
+        "wrong_layer", "float_x", "circuit_without_dims",
+        "placement_without_header", "pair_without_a"])
     def test_eval_malformed_placement_row_is_io(self, workdir, capsys, defect):
         placement = self.solve(workdir)
         doc = json.loads(placement.read_text())
         row = doc["blocks"][0]
+
+        def strip(path, drop):
+            other = json.loads(path.read_text())
+            drop(other)
+            path.write_text(json.dumps(other))
+
         if defect == "id_beyond_circuit":
             row["id"] = 999
         elif defect == "missing_w":
@@ -642,8 +662,15 @@ class TestCli:
             doc["blocks"][1]["id"] = row["id"]
         elif defect == "wrong_layer":
             row["z"] = 1 - row["z"]
-        else:
+        elif defect == "float_x":
             row["x"] = float(row["x"])
+        elif defect == "circuit_without_dims":
+            strip(workdir / "cli.circuit.json", lambda d: d.pop("dims"))
+        elif defect == "placement_without_header":
+            del doc["header"]
+        else:
+            strip(workdir / "cli.constraints.json",
+                  lambda d: d["alignment_pairs"][0].pop("a"))
         placement.write_text(json.dumps(doc))
         capsys.readouterr()
         rc = cli_main(["eval", "--circuit", str(workdir / "cli.circuit.json"),

@@ -121,13 +121,15 @@ class TestGreedyFrozen:
         assert g.state.rect(0) == (0, 0, 4, 4)
         assert g.state.rect(1) == (0, 4, 6, 3)
         assert g.ars[1] == pytest.approx(2.0)
-
-    def test_unknown_tie_break_key_rejected(self):
-        c = Circuit("o", GridDims(8, 8, 1), (hard(0, 2, 2),), (), (),
+        # the same die with the 4x4 preplaced: the soft block opens the
+        # episode, and its scan runs before any step
+        cons = ConstraintSet(preplacements=(Preplacement(0, 0, 0, 0, 4, 4),))
+        c = Circuit("open", GridDims(8, 7, 1), blocks, (), (), cons,
                     utilization=1.0)
-        cfg = SolverConfig(tie_break=("wire", "bogus"))
-        with pytest.raises(ValueError, match="bogus"):
-            greedy_place(c, TaskProfile.for_task(1), cfg)
+        g = greedy_place(c, TaskProfile.for_task(3))
+        assert [s.block for s in g.trace.steps] == [1]
+        assert g.state.rect(1) == (0, 4, 6, 3)
+        assert g.ars == {1: pytest.approx(2.0)}
 
     def test_infeasible_raises(self):
         blocks = (hard(0, 3, 3), hard(1, 2, 2))
@@ -155,6 +157,7 @@ class TestGreedyProperties:
         fixed = greedy_place(c, p, order=list(free.order), ars=free.ars,
                              hpwl_baseline=free.trace.hpwl_baseline)
         assert fixed.cost == free.cost
+        assert fixed.ars == free.ars
         for i in range(c.num_blocks):
             assert fixed.state.rect(i) == free.state.rect(i)
 
