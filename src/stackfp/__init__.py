@@ -58,7 +58,6 @@ from .masks import (
 )
 from .metrics import (
     MetricTuple,
-    SatisfactionThresholds,
     metric_snapshot,
     normalize,
     satisfaction_counts,

@@ -352,7 +352,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("render", help="draw a placement as SVG")
     common(p)
     p.add_argument("--placement", required=True)
-    p.add_argument("--cell", type=int, default=12)
+    p.add_argument("--cell", type=_count(1), default=12)
     p.add_argument("--no-labels", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_render)
@@ -363,7 +363,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tasks", default="1,2,3")
     p.add_argument("--solvers", default="greedy,random")
     p.add_argument("--sa-iterations", type=_count(0), default=150)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_count(1), default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bench)
     return parser

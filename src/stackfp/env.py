@@ -23,7 +23,6 @@ from .core import Circuit, FloorplanError, FloorplanState, occupancy_grid
 from .masks import MaskStack, compile_masks, position_mask, wire_mask
 from .metrics import (
     MetricTuple,
-    SatisfactionThresholds,
     metric_snapshot,
     normalize,
     satisfaction_counts,
@@ -278,7 +277,6 @@ class EpisodeSummary:
 
 
 def episode_summary(state: FloorplanState, trace: EpisodeTrace,
-                    thresholds: SatisfactionThresholds | None = None,
                     profile=None, plugins: tuple = ()) -> EpisodeSummary:
     """Final-state report of a finished episode: metrics raw and normalized,
     per-rule satisfaction, and the relaxation audit."""
@@ -292,7 +290,7 @@ def episode_summary(state: FloorplanState, trace: EpisodeTrace,
     return EpisodeSummary(
         raw=raw,
         norm=norm,
-        satisfaction=satisfaction_counts(state, thresholds=thresholds),
+        satisfaction=satisfaction_counts(state),
         rungs=[s.rung for s in trace.steps],
         rung_events=trace.rung_events(),
         hpwl_baseline=trace.hpwl_baseline,

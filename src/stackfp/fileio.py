@@ -94,12 +94,19 @@ class ConstraintFile:
 
 def apply_constraints(circuit: Circuit, cf: ConstraintFile) -> Circuit:
     """New circuit carrying the file's constraints; the layer map (if any)
-    reassigns blocks first so the result validates as a whole."""
+    reassigns blocks first so the result validates as a whole.  A layer-map
+    entry or an alignment pair naming a block the circuit lacks is a
+    ParseError."""
+    by_id = {b.id: b for b in circuit.blocks}
+    named = [*cf.layers, *(p[k] for p in cf.alignment_pairs for k in ("a", "b"))]
+    missing = [b for b in named if b not in by_id]
+    if missing:
+        raise ParseError(f"constraint file names block {missing[0]}, "
+                         f"which the circuit lacks")
     blocks = circuit.blocks
     if cf.layers:
         blocks = tuple(
             dataclasses.replace(b, z=cf.layers.get(b.id, b.z)) for b in blocks)
-    by_id = {b.id: b for b in blocks}
     pairs = tuple(
         AlignmentPair(p["a"], p["b"],
                       p["min_area_frac"] * min(by_id[p["a"]].area,

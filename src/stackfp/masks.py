@@ -2,16 +2,18 @@
 
 Every mask is a (W, H) float array indexed [x, y], where (x, y) is the anchor
 the subject block would be placed at.  Value masks score each anchor under one
-rule; binarized masks mark the anchors that satisfy the rule's threshold; the
-availability mask is the conjunction of all binarized masks, so an action
-sampled from it cannot violate any masked rule.
+rule.  `compile_masks` binarizes each rule's mask where it builds it, by that
+rule's threshold, into one list ordered by severity, the ladder; the
+availability mask is the conjunction of the ladder with the position mask,
+so an action sampled from it cannot violate any masked rule.  Built-in rules
+and plug-ins take the same route.
 
 When the conjunction is empty, rules are relaxed by severity: dropping the
 terminal mask costs the most, the grouping mask less, the alignment mask less
-again, and plug-in masks the least.  One pass from the most severe mask to
-the least keeps each mask that leaves the conjunction nonempty.  The position
-mask is never dropped; an empty position mask means the block simply does not
-fit anywhere.
+again, and plug-in masks the least.  One pass down the ladder keeps each
+mask that leaves the conjunction nonempty.  The position mask is never
+dropped; an empty position mask means the block simply does not fit
+anywhere.
 
 Each rule's geometry is a kernel in `geometry`, evaluated here over the
 whole anchor grid at once; the metrics in `metrics` call the same kernels
@@ -38,7 +40,6 @@ from .geometry import (
 class RuleMask:
     values: np.ndarray
     rule: str
-    block: int | None = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,7 +79,7 @@ def adjacent_terminal_mask(state: FloorplanState, binding: BoundaryBinding) -> R
     dist = np.stack([rim_distance(xs, ys, state.w[b], state.h[b], t.x, t.y)
                      for t in (state.circuit.terminals[k] for k in binding.terminals)])
     vals = merge_terminals(dist, binding.mode == "ALL")
-    return RuleMask(vals.astype(np.float64), "terminal", b)
+    return RuleMask(vals.astype(np.float64), "terminal")
 
 
 def adjacent_block_mask(state: FloorplanState, block_id: int, other_id: int) -> RuleMask:
@@ -92,7 +93,7 @@ def adjacent_block_mask(state: FloorplanState, block_id: int, other_id: int) -> 
         raise ValueError(f"blocks {block_id} and {other_id} sit on different layers")
     xs, ys = _anchors(state)
     vals = abutment(xs, ys, state.w[block_id], state.h[block_id], *state.rect(other_id))
-    return RuleMask(vals.astype(np.float64), "grouping", block_id)
+    return RuleMask(vals.astype(np.float64), "grouping")
 
 
 def alignment_mask(state: FloorplanState, block_id: int, partner_id: int,
@@ -108,7 +109,7 @@ def alignment_mask(state: FloorplanState, block_id: int, partner_id: int,
     xs, ys = _anchors(state)
     vals = alignment_ratio(xs, ys, state.w[block_id], state.h[block_id],
                            *state.rect(partner_id), float(min_area))
-    return RuleMask(vals, "alignment", block_id)
+    return RuleMask(vals, "alignment")
 
 
 def position_mask(state: FloorplanState, block_id: int) -> RuleMask:
@@ -126,7 +127,7 @@ def position_mask(state: FloorplanState, block_id: int) -> RuleMask:
         ylo, yhi = max(y2 - h + 1, 0), min(y2 + h2, dims.height)
         if xlo < xhi and ylo < yhi:
             vals[xlo:xhi, ylo:yhi] = 0.0
-    return RuleMask(vals, "position", block_id)
+    return RuleMask(vals, "position")
 
 
 def wire_mask(state: FloorplanState, block_id: int) -> RuleMask:
@@ -139,7 +140,7 @@ def wire_mask(state: FloorplanState, block_id: int) -> RuleMask:
     lo, hi = lo[:, fixed, None], hi[:, fixed, None]
     grow_x = span_gap(lo[0], hi[0], xs.T + state.w[block_id] / 2.0).sum(axis=0)
     grow_y = span_gap(lo[1], hi[1], ys + state.h[block_id] / 2.0).sum(axis=0)
-    return RuleMask(grow_x[:, None] + grow_y[None, :], "wire", block_id)
+    return RuleMask(grow_x[:, None] + grow_y[None, :], "wire")
 
 
 def block_distance_mask(state: FloorplanState, block_id: int, anchor_id: int) -> RuleMask:
@@ -150,79 +151,25 @@ def block_distance_mask(state: FloorplanState, block_id: int, anchor_id: int) ->
     xs, ys = _anchors(state)
     vals = center_distance(xs, ys, state.w[block_id], state.h[block_id],
                            *state.rect(anchor_id))
-    return RuleMask(vals, "block_distance", block_id)
-
-
-# Per-rule binarization sense: whether small or large values satisfy the rule.
-# A grouping threshold of zero means "any contact at all", hence strictly
-# positive; other senses are inclusive.
-def _at_most(vals, threshold):
-    return (vals <= threshold).astype(np.uint8)
-
-
-def _at_least(vals, threshold):
-    return (vals >= threshold).astype(np.uint8)
-
-
-def _binarize_grouping(vals, threshold):
-    if threshold <= 0:
-        return (vals > 0).astype(np.uint8)
-    return _at_least(vals, threshold)
-
-
-def _binarize_position(vals, threshold):
-    return (vals > 0).astype(np.uint8)
-
-
-_BINARIZE = {
-    "terminal": _at_most,
-    "grouping": _binarize_grouping,
-    "alignment": _at_least,
-    "position": _binarize_position,
-    "block_distance": _at_most,
-}
-
-
-def binarize(mask: RuleMask, threshold: float = 0.0) -> np.ndarray:
-    """Cells that satisfy the mask's rule at the given threshold, as uint8."""
-    fn = _BINARIZE.get(mask.rule)
-    if fn is None:
-        raise ValueError(f"no binarization sense for rule {mask.rule!r}")
-    return fn(mask.values, threshold)
+    return RuleMask(vals, "block_distance")
 
 
 def availability_mask(position: np.ndarray,
-                      terminal: np.ndarray | None = None,
-                      grouping: np.ndarray | None = None,
-                      alignment: np.ndarray | None = None,
-                      extras: tuple[tuple[str, np.ndarray], ...] = (),
-                      ) -> AvailabilityResult:
-    """Conjunction of binarized masks with relaxation.
-
-    Pass None for rules the block is not subject to.  Masks join the
-    conjunction from the most severe to the least (terminal, grouping,
-    alignment, then the extras from last to first), and a mask that would
-    empty it is dropped and recorded instead.  Since dropping a mask can
-    only grow the conjunction, this keeps the most severe masks that can be
-    kept together, with k+1 conjunctions for k masks.  The position mask is
-    the one mask that is never given up: if it is empty the block fits
-    nowhere and the result is infeasible."""
+                      ladder: list[tuple[str, np.ndarray]]) -> AvailabilityResult:
+    """Conjunction of the position mask with the ladder's (rule name, binary
+    mask) pairs, listed from the most severe rule to the least.  A mask that
+    would empty the conjunction is dropped instead, so one pass keeps the
+    most severe masks that can be kept together (k+1 conjunctions for k
+    masks); `dropped` names them least severe first.  The position mask is
+    never given up: if it is empty the block fits nowhere and the result is
+    infeasible."""
     base = position > 0
-    components = [*extras]
-    if alignment is not None:
-        components.append(("alignment", alignment))
-    if grouping is not None:
-        components.append(("grouping", grouping))
-    if terminal is not None:
-        components.append(("terminal", terminal))
-
     if not base.any():
         return AvailabilityResult(np.zeros(base.shape, dtype=np.uint8),
-                                  tuple(n for n, _ in components), False)
-
+                                  tuple(n for n, _ in reversed(ladder)), False)
     mask = base
     dropped = []
-    for name, comp in reversed(components):
+    for name, comp in ladder:
         kept = mask & (comp > 0)
         if kept.any():
             mask = kept
@@ -235,9 +182,11 @@ class RulePlugin:
     """Extension point for extra maskable rules.
 
     A plug-in names itself, says which blocks it constrains, builds a value
-    mask, binarizes it, and reports a scalar metric of the current state.
-    Its binarized mask joins the availability conjunction and is the first
-    kind of mask the relaxation ladder gives up."""
+    mask, binarizes it (nonzero cells satisfy the rule), and reports a
+    scalar metric of the current state.  Its name keys its value mask in
+    `MaskStack.rules`, so it must differ from every other rule that binds
+    the same block.  Its binary mask joins the ladder below every built-in
+    rule, so it is the first kind of mask the relaxation gives up."""
 
     name = "plugin"
 
@@ -270,7 +219,7 @@ class BlockDistanceRule(RulePlugin):
         return block_distance_mask(state, block_id, self.anchor)
 
     def binarize(self, mask):
-        return _at_most(mask.values, self.max_distance)
+        return mask.values <= self.max_distance
 
     def metric(self, state):
         if not (state.placed[self.anchor] and state.placed[self.subject]):
@@ -280,84 +229,70 @@ class BlockDistanceRule(RulePlugin):
 
 @dataclasses.dataclass(frozen=True)
 class MaskStack:
-    """Everything the mask machinery knows about placing one block: value
-    masks per rule (None when the rule does not bind the block), their
-    binarized forms, and the availability conjunction."""
+    """Everything the mask machinery knows about placing one block: the
+    value mask of each rule that binds it, keyed by rule name (wire,
+    position, terminal, grouping, alignment, then plug-ins by their own
+    names), and the availability conjunction."""
     block: int
-    wire: RuleMask
-    position: RuleMask
-    terminal: RuleMask | None
-    grouping: RuleMask | None
-    alignment: RuleMask | None
-    plugin_masks: tuple[RuleMask, ...]
+    rules: dict[str, RuleMask]
     availability: AvailabilityResult
 
     def named_value_masks(self) -> list[tuple[str, RuleMask]]:
-        masks = (self.wire, self.position, self.terminal, self.grouping,
-                 self.alignment, *self.plugin_masks)
-        return [(m.rule, m) for m in masks if m is not None]
+        return list(self.rules.items())
 
 
 def compile_masks(state: FloorplanState, block_id: int, profile,
                   plugins: tuple = ()) -> MaskStack:
-    """Build and binarize every mask that applies to one block, then form
-    the availability conjunction.  An island's mask sums the abutment masks
-    of its placed members.
-
-    Vacuous cases stay out of the conjunction: an island with no placed
-    member and an alignment pair whose partner is still unplaced cannot
-    constrain anything yet."""
+    """Build every mask that binds one block, each with its binary form on
+    the ladder (terminal, grouping, alignment, then the plug-ins from last
+    to first), and form the availability conjunction.  Terminal keeps
+    distances up to its threshold, grouping any contact at a zero threshold
+    and at least the threshold above zero, alignment scores from its floor
+    up; plug-ins binarize themselves.  An island's mask sums the abutment
+    masks of its placed members.  An island with no placed member and a
+    pair whose partner is unplaced constrain nothing yet and stay off the
+    ladder.  Two rules that bind one block must not share a name."""
     index = state.circuit.index
-    dims = state.circuit.dims
+    rules = {"wire": wire_mask(state, block_id),
+             "position": position_mask(state, block_id)}
+    ladder = []
 
-    wire = wire_mask(state, block_id)
-    position = position_mask(state, block_id)
-    pos_bin = binarize(position)
-
-    terminal = term_bin = None
     binding = index.binding_of.get(block_id) if profile.uses("boundary") else None
     if binding is not None:
-        terminal = adjacent_terminal_mask(state, binding)
-        term_bin = binarize(terminal, profile.terminal_mask_threshold)
+        rules["terminal"] = adjacent_terminal_mask(state, binding)
+        ladder.append(("terminal",
+                       rules["terminal"].values <= profile.terminal_mask_threshold))
 
-    grouping = group_bin = None
     island = index.group_of.get(block_id) if profile.uses("grouping") else None
     if island is not None:
-        vals = np.zeros((dims.width, dims.height), dtype=np.float64)
+        vals = np.zeros_like(rules["position"].values)
         mates = [m for m in island if m != block_id and state.placed[m]]
         for m in mates:
             vals = vals + adjacent_block_mask(state, block_id, m).values
-        grouping = RuleMask(vals, "grouping", block_id)
+        rules["grouping"] = RuleMask(vals, "grouping")
         if mates:
-            group_bin = binarize(grouping, profile.block_mask_threshold)
+            floor = profile.block_mask_threshold
+            ladder.append(("grouping", vals > 0 if floor <= 0 else vals >= floor))
 
-    alignment = align_bin = None
     pair = index.pair_of.get(block_id) if profile.uses("alignment") else None
     if pair is not None and state.placed[pair.other(block_id)]:
-        alignment = alignment_mask(state, block_id, pair.other(block_id), pair.min_area)
+        rules["alignment"] = alignment_mask(state, block_id, pair.other(block_id),
+                                            pair.min_area)
         blocks = state.circuit.blocks
         floor_area = profile.alignment_mask_frac * min(blocks[pair.a].area,
                                                        blocks[pair.b].area)
-        align_bin = binarize(alignment, floor_area / pair.min_area)
+        ladder.append(("alignment",
+                       rules["alignment"].values >= floor_area / pair.min_area))
 
-    plugin_masks = []
-    extras = []
+    plugged = []
     for plugin in plugins:
         if not plugin.applies_to(state, block_id):
             continue
-        m = plugin.build(state, block_id)
-        plugin_masks.append(m)
-        extras.append((plugin.name, plugin.binarize(m)))
+        if plugin.name in rules:
+            raise ValueError(f"two rules named {plugin.name!r} bind block {block_id}")
+        rules[plugin.name] = plugin.build(state, block_id)
+        plugged.append((plugin.name, plugin.binarize(rules[plugin.name])))
+    ladder.extend(reversed(plugged))
 
-    avail = availability_mask(pos_bin, terminal=term_bin, grouping=group_bin,
-                              alignment=align_bin, extras=tuple(extras))
-    return MaskStack(
-        block=block_id,
-        wire=wire,
-        position=position,
-        terminal=terminal,
-        grouping=grouping,
-        alignment=alignment,
-        plugin_masks=tuple(plugin_masks),
-        availability=avail,
-    )
+    return MaskStack(block_id, rules,
+                     availability_mask(rules["position"].values, ladder))

@@ -61,19 +61,14 @@ class MetricTuple:
 MetricTuple.ZERO = MetricTuple(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-@dataclasses.dataclass(frozen=True)
-class SatisfactionThresholds:
-    """Pass marks for per-constraint satisfaction counting.
-
-    A boundary binding passes when its merged distance is at most
-    `distance_max`.  An abutment pair passes when the shared edge exceeds
-    `adjacency_frac` of the shorter facing edge.  An alignment pair passes
-    when the projected intersection exceeds `alignment_frac` of the smaller
-    block area.
-    """
-    distance_max: float = 0.0
-    adjacency_frac: float = 0.5
-    alignment_frac: float = 0.5
+# Pass marks for per-constraint satisfaction counting: a boundary binding
+# passes when its merged distance is at most DISTANCE_MAX, an abutment pair
+# when the shared edge exceeds ADJACENCY_FRAC of the shorter facing edge, an
+# alignment pair when the projected intersection exceeds ALIGNMENT_FRAC of
+# the smaller block area.
+DISTANCE_MAX = 0.0
+ADJACENCY_FRAC = 0.5
+ALIGNMENT_FRAC = 0.5
 
 
 def _require_placed(state: FloorplanState, block_id: int) -> None:
@@ -179,11 +174,12 @@ def _group_abutments(state: FloorplanState) -> np.ndarray:
     return abutment(*_pair_rects(state, state.circuit.index.abut))
 
 
-def alignment_passes(state: FloorplanState, frac: float) -> np.ndarray:
-    """Per alignment pair, whether the projected intersection exceeds `frac`
-    of the smaller block's area."""
+def alignment_passes(state: FloorplanState) -> np.ndarray:
+    """Per alignment pair, whether the projected intersection exceeds
+    ALIGNMENT_FRAC of the smaller block's area."""
     index = state.circuit.index
-    return rect_overlap(*_pair_rects(state, index.pairs)) > frac * index.small_area
+    return (rect_overlap(*_pair_rects(state, index.pairs))
+            > ALIGNMENT_FRAC * index.small_area)
 
 
 def metric_snapshot(state: FloorplanState) -> MetricTuple:
@@ -251,9 +247,7 @@ def _shape_band_widths(block) -> tuple[int, int]:
     return lo, hi
 
 
-def satisfaction_counts(state: FloorplanState,
-                        thresholds: SatisfactionThresholds | None = None,
-                        ) -> dict[str, tuple[int, int]]:
+def satisfaction_counts(state: FloorplanState) -> dict[str, tuple[int, int]]:
     """(satisfied, total) per rule.
 
     Boundary, grouping, alignment and preplacement count constraint
@@ -262,7 +256,6 @@ def satisfaction_counts(state: FloorplanState,
     blocks whose integer shape is reachable inside their aspect band."""
     cons = state.circuit.constraints
     index = state.circuit.index
-    th = thresholds or SatisfactionThresholds()
     counts: dict[str, tuple[int, int]] = {}
 
     pre = np.array([pp.block for pp in cons.preplacements], dtype=np.int64)
@@ -273,7 +266,7 @@ def satisfaction_counts(state: FloorplanState,
 
     ok = 0
     if len(index.bound):
-        ok = int(np.sum(_binding_distances(state) <= th.distance_max))
+        ok = int(np.sum(_binding_distances(state) <= DISTANCE_MAX))
     counts["boundary"] = (ok, len(index.bound))
 
     shared = _group_abutments(state)
@@ -281,10 +274,10 @@ def satisfaction_counts(state: FloorplanState,
     # a pair that meets in x faces along y, any other along x
     edge = np.where(span_reach(xa, wa, xb, wb) == 0,
                     np.minimum(ha, hb), np.minimum(wa, wb))
-    ok = (shared > th.adjacency_frac * edge) & (shared > 0)
+    ok = (shared > ADJACENCY_FRAC * edge) & (shared > 0)
     counts["grouping"] = (int(np.sum(ok)), len(shared))
 
-    ok = alignment_passes(state, th.alignment_frac)
+    ok = alignment_passes(state)
     counts["alignment"] = (int(np.sum(ok)), len(ok))
 
     ok = sum(1 for pp in cons.preplacements

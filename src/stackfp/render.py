@@ -14,7 +14,7 @@ multiple of the cell size).
 import xml.etree.ElementTree as ET
 
 from .core import FloorplanState
-from .metrics import SatisfactionThresholds, alignment_passes
+from .metrics import alignment_passes
 
 _STYLE = """
   .die { fill: #ffffff; stroke: #444444; }
@@ -28,12 +28,11 @@ _STYLE = """
 """
 
 
-def _pair_classes(state: FloorplanState,
-                  thresholds: SatisfactionThresholds) -> dict[int, str]:
+def _pair_classes(state: FloorplanState) -> dict[int, str]:
     """Block id -> satisfied/violated, judging every fully placed pair; a
     block sits in at most one pair."""
     circuit = state.circuit
-    passes = alignment_passes(state, thresholds.alignment_frac)
+    passes = alignment_passes(state)
     live = state.placed[circuit.index.pairs].all(axis=0)
     verdict: dict[int, str] = {}
     pairs = circuit.constraints.alignment_pairs
@@ -44,11 +43,9 @@ def _pair_classes(state: FloorplanState,
 
 
 def render_svg(state: FloorplanState, cell: int = 12, margin: int = 16,
-               gap: int = 24, labels: bool = True,
-               thresholds: SatisfactionThresholds | None = None) -> str:
+               gap: int = 24, labels: bool = True) -> str:
     """Serialize the state as a standalone SVG document, one panel per
     layer.  Partial states render whatever is placed."""
-    thresholds = thresholds or SatisfactionThresholds()
     circuit = state.circuit
     dims = circuit.dims
     pw, ph = dims.width * cell, dims.height * cell
@@ -64,7 +61,7 @@ def render_svg(state: FloorplanState, cell: int = 12, margin: int = 16,
     })
     style = ET.SubElement(svg, "style")
     style.text = _STYLE
-    verdict = _pair_classes(state, thresholds)
+    verdict = _pair_classes(state)
 
     for z in range(dims.num_layers):
         ox = margin + z * (pw + gap)

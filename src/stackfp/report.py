@@ -27,13 +27,7 @@ import json
 import math
 
 from .core import Circuit, FloorplanState
-from .env import wire_greedy_baseline
-from .metrics import (
-    SatisfactionThresholds,
-    metric_snapshot,
-    normalize,
-    satisfaction_counts,
-)
+from .env import EpisodeTrace, episode_summary, wire_greedy_baseline
 
 _METRIC_FIELDS = ("distance", "adjacency", "alignment", "hpwl", "overlap")
 _CSV_COLUMNS = ("circuit", "task", "solver", "seed", *_METRIC_FIELDS,
@@ -76,23 +70,16 @@ def record_from_summary(circuit_name: str, task: int, solver: str, seed: int,
 
 def record_from_state(circuit: Circuit, state: FloorplanState, *, task: int,
                       solver: str = "eval", seed: int = 0,
-                      thresholds: SatisfactionThresholds | None = None,
                       hpwl_baseline: float | None = None,
                       wall_s: float = 0.0) -> RunRecord:
-    """Rebuild the metric columns from a bare placement; the rung count is
-    unknowable after the fact and stays empty."""
-    raw = metric_snapshot(state)
+    """Rebuild the metric columns from a finished bare placement; the rung
+    count is unknowable after the fact and stays empty."""
     if hpwl_baseline is None:
         hpwl_baseline = wire_greedy_baseline(circuit)
-    norm = normalize(raw, circuit, hpwl_baseline)
-    sat = satisfaction_counts(state, thresholds=thresholds)
-    return RunRecord(
-        circuit=circuit.name, task=task, solver=solver, seed=seed,
-        distance=norm.distance, adjacency=norm.adjacency,
-        alignment=norm.alignment, hpwl=norm.hpwl, overlap=raw.overlap,
-        satisfied=sum(ok for ok, _ in sat.values()),
-        sat_total=sum(total for _, total in sat.values()),
-        rungs=None, wall_s=wall_s)
+    summary = episode_summary(state, EpisodeTrace(tuple(state.order), hpwl_baseline))
+    return dataclasses.replace(
+        record_from_summary(circuit.name, task, solver, seed, summary, wall_s),
+        rungs=None)
 
 
 # --- aggregation -------------------------------------------------------------

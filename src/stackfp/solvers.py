@@ -46,7 +46,7 @@ from .masks import MaskStack, compile_masks
 from .metrics import MetricTuple
 
 AR_CANDIDATES = 8                       # ratio ladder length per soft block
-# greedy's lexicographic keys: mask stack attribute and optimization sense
+# greedy's lexicographic keys: MaskStack.rules name and optimization sense
 TIE_KEYS = (("wire", "min"), ("alignment", "max"), ("grouping", "max"),
             ("terminal", "min"))
 SA_ALPHA = 0.95                         # temperature decay per iteration
@@ -133,7 +133,7 @@ def _filter_cells(stack: MaskStack) -> tuple[np.ndarray, tuple]:
     cells = _available_cells(stack)
     score = [float(len(stack.availability.dropped))]
     for key, sense in TIE_KEYS:
-        mask = getattr(stack, key)
+        mask = stack.rules.get(key)
         if mask is None:
             continue
         vals = mask.values.reshape(-1)[cells]

@@ -36,8 +36,8 @@ from stackfp.masks import (
     wire_mask,
 )
 from stackfp.metrics import (
+    ALIGNMENT_FRAC,
     MetricTuple,
-    SatisfactionThresholds,
     alignment_score,
     binding_distance,
     block_adjacency_length,
@@ -227,7 +227,7 @@ def test_c5_alignment_pairs_all_satisfied_on_stackable_fixtures():
     t0 = time.perf_counter()
     profile = TaskProfile.for_task(1)
     assert profile.alignment_mask_frac == 0.1
-    assert SatisfactionThresholds().alignment_frac == 0.5
+    assert ALIGNMENT_FRAC == 0.5
     for circuit in stackable_fixtures():
         res = greedy_place(circuit, profile)
         got, total = satisfaction_counts(res.state)["alignment"]

@@ -617,7 +617,10 @@ class TestCli:
         ["bench", "--seeds", "0"],
         ["bench", "--sa-iterations", "-1"],
         ["solve", "--circuit", "c.json", "--task", "1", "--sa-iterations", "-1"],
-    ], ids=["instances", "seeds", "bench_sa_iterations", "solve_sa_iterations"])
+        ["bench", "--jobs", "0"],
+        ["render", "--circuit", "c.json", "--placement", "p.json", "--cell", "0"],
+    ], ids=["instances", "seeds", "bench_sa_iterations", "solve_sa_iterations",
+            "jobs", "render_cell"])
     def test_count_below_minimum_is_usage(self, workdir, capsys, argv):
         rc = cli_main([*argv, "--out", str(workdir / "x")])
         assert rc == 1
@@ -639,7 +642,8 @@ class TestCli:
     @pytest.mark.parametrize("defect", [
         "id_beyond_circuit", "missing_w", "negative_id", "duplicate_id",
         "wrong_layer", "float_x", "circuit_without_dims",
-        "placement_without_header", "pair_without_a"])
+        "placement_without_header", "pair_without_a", "pair_names_unknown_block",
+        "layer_map_names_unknown_block"])
     def test_eval_malformed_placement_row_is_io(self, workdir, capsys, defect):
         placement = self.solve(workdir)
         doc = json.loads(placement.read_text())
@@ -668,9 +672,15 @@ class TestCli:
             strip(workdir / "cli.circuit.json", lambda d: d.pop("dims"))
         elif defect == "placement_without_header":
             del doc["header"]
-        else:
+        elif defect == "pair_without_a":
             strip(workdir / "cli.constraints.json",
                   lambda d: d["alignment_pairs"][0].pop("a"))
+        elif defect == "pair_names_unknown_block":
+            strip(workdir / "cli.constraints.json",
+                  lambda d: d["alignment_pairs"][0].update(a=999))
+        else:
+            strip(workdir / "cli.constraints.json",
+                  lambda d: d["layers"].update({"999": 1}))
         placement.write_text(json.dumps(doc))
         capsys.readouterr()
         rc = cli_main(["eval", "--circuit", str(workdir / "cli.circuit.json"),

@@ -16,12 +16,10 @@ from stackfp import (
 )
 from stackfp.masks import (
     BlockDistanceRule,
-    RuleMask,
     adjacent_block_mask,
     adjacent_terminal_mask,
     alignment_mask,
     availability_mask,
-    binarize,
     block_distance_mask,
     compile_masks,
     position_mask,
@@ -125,7 +123,7 @@ class TestBlockMask:
                        constraints=ConstraintSet(groups=((0, 1, 2),)))
         m1 = adjacent_block_mask(s, 0, 1)
         m2 = adjacent_block_mask(s, 0, 2)
-        merged = compile_masks(s, 0, TaskProfile.for_task(2)).grouping
+        merged = compile_masks(s, 0, TaskProfile.for_task(2)).rules["grouping"]
         assert np.array_equal(merged.values, m1.values + m2.values)
         # the anchor between both neighbors abuts both: (2,0) touches b1 and b2
         assert merged.values[2, 0] == m1.values[2, 0] + m2.values[2, 0] == 4.0
@@ -134,9 +132,10 @@ class TestBlockMask:
         s = make_state([hard(0, 2, 2), hard(1, 2, 2)], {}, dims=(5, 4, 1),
                        constraints=ConstraintSet(groups=((0, 1),)))
         stack = compile_masks(s, 0, TaskProfile.for_task(2))
-        assert stack.grouping.values.shape == (5, 4) and not stack.grouping.values.any()
+        grouping = stack.rules["grouping"].values
+        assert grouping.shape == (5, 4) and not grouping.any()
         # an island with nothing placed leaves availability to the position mask
-        assert np.array_equal(stack.availability.mask, binarize(stack.position))
+        assert np.array_equal(stack.availability.mask, stack.rules["position"].values)
 
     def test_unplaced_other_rejected(self):
         s = make_state([hard(0, 2, 2), hard(1, 2, 2)], {}, dims=(6, 6, 1))
@@ -245,27 +244,52 @@ class TestWireMask:
 
 
 class TestBinarize:
+    """Each rule's binarization sense, through `compile_masks` and the
+    thresholds of the task profile."""
+
     def test_terminal_keeps_close_cells(self):
-        m = RuleMask(np.array([[0.0, 1.0], [2.0, 3.0]]), "terminal")
-        assert np.array_equal(binarize(m, 0.0), [[1, 0], [0, 0]])
-        assert np.array_equal(binarize(m, 2.0), [[1, 1], [1, 0]])
+        s = make_state([hard(0, 1, 1)], {}, dims=(4, 4, 1),
+                       terminals=(Terminal(0, "p", 0, 0, 0),),
+                       constraints=ConstraintSet(
+                           boundary_bindings=(BoundaryBinding(0, (0,)),)))
+        xs, ys = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
+        for threshold in (0.0, 2.0):
+            profile = TaskProfile.for_task(1, terminal_mask_threshold=threshold)
+            stack = compile_masks(s, 0, profile)
+            assert np.array_equal(stack.rules["terminal"].values, xs + ys)
+            assert np.array_equal(stack.availability.mask, xs + ys <= threshold)
 
     def test_grouping_zero_threshold_is_strict(self):
-        m = RuleMask(np.array([[0.0, 0.5], [2.0, 0.0]]), "grouping")
-        assert np.array_equal(binarize(m, 0.0), [[0, 1], [1, 0]])
-        assert np.array_equal(binarize(m, 1.0), [[0, 0], [1, 0]])
+        s = make_state([hard(0, 2, 2), hard(1, 2, 2)], {1: (0, 0)}, dims=(6, 6, 1),
+                       constraints=ConstraintSet(groups=((0, 1),)))
+        pos = position_mask(s, 0).values > 0
+        vals = adjacent_block_mask(s, 0, 1).values
+        assert vals[2, 1] == 1.0 and vals[2, 0] == 2.0
+        # strict at zero (no contact is out), inclusive above
+        for threshold, kept in ((0.0, vals > 0), (1.0, vals >= 1), (2.0, vals >= 2)):
+            profile = TaskProfile.for_task(2, block_mask_threshold=threshold)
+            avail = compile_masks(s, 0, profile).availability
+            assert avail.dropped == ()
+            assert np.array_equal(avail.mask, pos & kept), threshold
 
     def test_alignment_keeps_high_cells(self):
-        m = RuleMask(np.array([[0.05, 0.2], [0.1, 1.0]]), "alignment")
-        assert np.array_equal(binarize(m, 0.1), [[0, 1], [1, 1]])
+        cons = ConstraintSet(alignment_pairs=(AlignmentPair(0, 1, 16.0),))
+        s = make_state([hard(0, 4, 4, z=0), hard(1, 4, 4, z=1)], {1: (0, 0)},
+                       constraints=cons)
+        profile = TaskProfile.for_task(3, alignment_mask_frac=0.5)
+        stack = compile_masks(s, 0, profile)
+        vals = stack.rules["alignment"].values
+        assert vals[2, 0] == 0.5 and vals[3, 0] == 0.25
+        avail = stack.availability
+        assert avail.allows(2, 0) and not avail.allows(3, 0)
+        assert np.array_equal(avail.mask, (position_mask(s, 0).values > 0) & (vals >= 0.5))
 
     def test_position_passthrough(self):
-        m = RuleMask(np.array([[0.0, 1.0], [1.0, 0.0]]), "position")
-        assert np.array_equal(binarize(m), [[0, 1], [1, 0]])
-
-    def test_unknown_rule_rejected(self):
-        with pytest.raises(ValueError, match="binarization"):
-            binarize(RuleMask(np.zeros((2, 2)), "mystery"))
+        s = make_state([hard(0, 2, 2), hard(1, 3, 3)], {1: (2, 2)}, dims=(6, 6, 1))
+        stack = compile_masks(s, 0, TaskProfile.for_task(3))
+        assert list(stack.rules) == ["wire", "position"]
+        assert np.array_equal(stack.availability.mask, stack.rules["position"].values)
+        assert stack.availability.mask.dtype == np.uint8
 
 
 class TestAvailability:
@@ -273,14 +297,14 @@ class TestAvailability:
         pos = np.ones((4, 4), dtype=np.uint8)
         term = np.zeros((4, 4), dtype=np.uint8)
         term[1, 1] = 1
-        res = availability_mask(pos, terminal=term)
+        res = availability_mask(pos, [("terminal", term)])
         assert res.feasible and res.dropped == ()
         assert res.rung == "none"
         assert res.mask.sum() == 1 and res.allows(1, 1)
 
     def test_absent_rules_do_not_constrain(self):
         pos = np.ones((3, 3), dtype=np.uint8)
-        res = availability_mask(pos)
+        res = availability_mask(pos, [])
         assert res.mask.sum() == 9
 
     def test_conflict_drops_grouping_keeps_others(self):
@@ -290,7 +314,8 @@ class TestAvailability:
         term = np.zeros_like(pos); term[0, :] = 1
         grp = np.zeros_like(pos); grp[5, :] = 1
         aln = np.zeros_like(pos); aln[0:2, :] = 1
-        res = availability_mask(pos, terminal=term, grouping=grp, alignment=aln)
+        res = availability_mask(pos, [("terminal", term), ("grouping", grp),
+                                      ("alignment", aln)])
         assert res.feasible
         assert res.dropped == ("grouping",)
         assert res.rung == "drop:grouping"
@@ -300,7 +325,7 @@ class TestAvailability:
         pos = np.ones((4, 4), dtype=np.uint8)
         grp = np.zeros_like(pos); grp[2, :] = 1
         aln = np.zeros_like(pos); aln[1, :] = 1
-        res = availability_mask(pos, grouping=grp, alignment=aln)
+        res = availability_mask(pos, [("grouping", grp), ("alignment", aln)])
         assert res.dropped == ("alignment",)
 
     def test_terminal_survives_longest(self):
@@ -308,7 +333,8 @@ class TestAvailability:
         term = np.zeros_like(pos); term[0, 0] = 1
         grp = np.zeros_like(pos); grp[3, 3] = 1
         aln = np.zeros_like(pos); aln[2, 2] = 1
-        res = availability_mask(pos, terminal=term, grouping=grp, alignment=aln)
+        res = availability_mask(pos, [("terminal", term), ("grouping", grp),
+                                      ("alignment", aln)])
         assert res.feasible
         assert res.dropped == ("alignment", "grouping")
         assert res.mask[0, 0] == 1 and res.mask.sum() == 1
@@ -316,17 +342,17 @@ class TestAvailability:
     def test_empty_position_is_infeasible(self):
         pos = np.zeros((4, 4), dtype=np.uint8)
         term = np.ones_like(pos)
-        res = availability_mask(pos, terminal=term)
+        res = availability_mask(pos, [("terminal", term), ("grouping", term)])
         assert not res.feasible
         assert res.rung == "infeasible"
-        assert not res.mask.any()
+        assert res.dropped == ("grouping", "terminal")
+        assert not res.mask.any() and res.mask.dtype == np.uint8
 
     def test_extras_dropped_first(self):
         pos = np.ones((4, 4), dtype=np.uint8)
         extra = np.zeros_like(pos); extra[0, 0] = 1
         aln = np.zeros_like(pos); aln[3, 3] = 1
-        res = availability_mask(pos, alignment=aln,
-                                extras=(("keep_close", extra),))
+        res = availability_mask(pos, [("alignment", aln), ("keep_close", extra)])
         assert res.dropped == ("keep_close",)
         assert res.mask[3, 3] == 1
 
@@ -340,21 +366,17 @@ def _availability_inputs(draw):
     def binary():
         return np.array(draw(cells), dtype=np.uint8).reshape(shape)
 
-    rules = {name: binary() if draw(st.booleans()) else None
-             for name in ("terminal", "grouping", "alignment")}
-    extras = tuple((f"plugin{k}", binary()) for k in range(draw(st.integers(0, 8))))
-    return binary(), rules, extras
+    # up to the three built-in rules plus eight plug-ins, most severe first
+    ladder = [(f"rule{k}", binary()) for k in range(draw(st.integers(0, 11)))]
+    return binary(), ladder
 
 
 @given(_availability_inputs())
 @settings(max_examples=300, deadline=None)
 def test_availability_matches_subset_search(inputs):
-    position, rules, extras = inputs
-    res = availability_mask(position, extras=extras, **rules)
-    components = [*extras] + [(name, rules[name])
-                              for name in ("alignment", "grouping", "terminal")
-                              if rules[name] is not None]
-    mask, dropped, feasible = oracles.relaxed_availability(position, components)
+    position, ladder = inputs
+    res = availability_mask(position, ladder)
+    mask, dropped, feasible = oracles.relaxed_availability(position, ladder[::-1])
     assert res.feasible == feasible
     assert res.dropped == dropped
     assert res.mask.dtype == mask.dtype == np.uint8
@@ -403,11 +425,10 @@ class TestCompileMasks:
         s = make_state(blocks, {}, terminals=terms, nets=nets, constraints=cons)
         profile = TaskProfile.for_task(3)
         stack = compile_masks(s, 1, profile)   # block 1: group only, none placed
-        assert stack.terminal is None and stack.alignment is None
-        assert stack.grouping is not None      # island exists, mask all zero
-        assert not stack.grouping.values.any()
+        assert list(stack.rules) == ["wire", "position", "grouping"]
+        assert not stack.rules["grouping"].values.any()   # no mate placed yet
         # vacuous island does not constrain availability
-        assert stack.availability.mask.sum() == binarize(stack.position).sum()
+        assert stack.availability.mask.sum() == stack.rules["position"].values.sum()
 
     def test_rules_disabled_by_profile(self):
         blocks, cons, terms, nets = self._fixture()
@@ -415,8 +436,8 @@ class TestCompileMasks:
                        nets=nets, constraints=cons)
         t2 = TaskProfile.for_task(2)   # no boundary rule
         stack = compile_masks(s, 0, t2)
-        assert stack.terminal is None
-        assert stack.grouping is not None and stack.grouping.values.any()
+        assert "terminal" not in stack.rules
+        assert stack.rules["grouping"].values.any()
 
     def test_full_stack_conjunction(self):
         blocks, cons, terms, nets = self._fixture()
@@ -442,5 +463,38 @@ class TestCompileMasks:
                        constraints=cons)
         rule = BlockDistanceRule(anchor=1, subject=0, max_distance=2.0)
         stack = compile_masks(s, 0, TaskProfile.for_task(3), plugins=(rule,))
-        assert len(stack.plugin_masks) == 1
-        assert all(m.rule == "block_distance" for m in stack.plugin_masks)
+        assert list(stack.rules) == ["wire", "position", "terminal", "grouping",
+                                     rule.name]
+        assert stack.rules[rule.name].rule == "block_distance"
+        assert stack.named_value_masks() == list(stack.rules.items())
+
+    def test_clashing_plugins_relax_first_listed_first(self):
+        s = make_state([hard(0, 2, 2), hard(1, 2, 2), hard(2, 2, 2)],
+                       {1: (0, 0), 2: (10, 10)}, dims=(12, 12, 1))
+        # no anchor lies within 2 of both blocks
+        near1 = BlockDistanceRule(anchor=1, subject=0, max_distance=2.0)
+        near2 = BlockDistanceRule(anchor=2, subject=0, max_distance=2.0)
+        profile = TaskProfile.for_task(3)
+        for plugins in ((near1, near2), (near2, near1)):
+            stack = compile_masks(s, 0, profile, plugins=plugins)
+            assert stack.availability.dropped == (plugins[0].name,)
+            kept = plugins[1].binarize(stack.rules[plugins[1].name])
+            assert np.array_equal(stack.availability.mask,
+                                  (stack.rules["position"].values > 0) & kept)
+
+    def test_duplicate_rule_names_rejected(self):
+        blocks, cons, terms, nets = self._fixture()
+        s = make_state(blocks, {1: (2, 0)}, terminals=terms, nets=nets,
+                       constraints=cons)
+        twice = (BlockDistanceRule(1, 0, 2.0), BlockDistanceRule(1, 0, 4.0))
+        with pytest.raises(ValueError, match="two rules named"):
+            compile_masks(s, 0, TaskProfile.for_task(3), plugins=twice)
+        shadow = BlockDistanceRule(1, 0, 2.0)
+        shadow.name = "position"
+        with pytest.raises(ValueError, match="two rules named 'position'"):
+            compile_masks(s, 0, TaskProfile.for_task(3), plugins=(shadow,))
+        # a plug-in that does not bind the block takes no name from it
+        other = BlockDistanceRule(1, 2, 2.0)
+        other.name = twice[0].name
+        stack = compile_masks(s, 0, TaskProfile.for_task(3), plugins=(twice[0], other))
+        assert twice[0].name in stack.rules

@@ -19,7 +19,6 @@ from stackfp import (
 )
 from stackfp.metrics import (
     MetricTuple,
-    SatisfactionThresholds,
     alignment_score,
     binding_distance,
     block_adjacency_length,
@@ -447,7 +446,6 @@ def test_snapshot_and_satisfaction_match_oracles(s):
             satisfaction_counts(s)
         return
     counts = satisfaction_counts(s)
-    th = SatisfactionThresholds()
 
     def facing_edge(r1, r2):
         if r1[0] + r1[2] == r2[0] or r2[0] + r2[2] == r1[0]:
@@ -457,15 +455,15 @@ def test_snapshot_and_satisfaction_match_oracles(s):
     abut = [oracles.adjacency_length(placed[a], placed[b]) for a, b in group_pairs]
     assert counts["grouping"] == (
         sum(1 for (a, b), k in zip(group_pairs, abut)
-            if k > 0 and k > th.adjacency_frac * facing_edge(placed[a], placed[b])),
+            if k > 0 and k > 0.5 * facing_edge(placed[a], placed[b])),
         len(group_pairs))
     assert counts["boundary"] == (
-        sum(1 for bb in cons.boundary_bindings if merged(bb) <= th.distance_max),
+        sum(1 for bb in cons.boundary_bindings if merged(bb) <= 0),
         len(cons.boundary_bindings))
     assert counts["alignment"] == (
         sum(1 for p in cons.alignment_pairs
             if oracles.overlap_cells(placed[p.a], placed[p.b])
-            > th.alignment_frac * min(c.blocks[p.a].area, c.blocks[p.b].area)),
+            > 0.5 * min(c.blocks[p.a].area, c.blocks[p.b].area)),
         len(cons.alignment_pairs))
     assert counts["overlap"] == (sum(1 for k in overlaps if k == 0), len(layer_pairs))
     inside = [r for r in placed.values()
