@@ -139,24 +139,24 @@ def parse_pl_text(text: str) -> dict[str, tuple[float, float]]:
     return coords
 
 
-def apportion(total: int, weights, minimum: int = 1) -> list[int]:
-    """Integer shares proportional to weights, each at least `minimum`,
-    summing exactly to `total` (largest-remainder rounding)."""
+def apportion(total: int, weights) -> list[int]:
+    """Integer shares proportional to weights, each at least 1, summing
+    exactly to `total` (largest-remainder rounding)."""
     n = len(weights)
-    if total < n * minimum:
-        raise ValueError(f"cannot apportion {total} into {n} shares of >= {minimum}")
+    if total < n:
+        raise ValueError(f"cannot apportion {total} into {n} shares of >= 1")
     wsum = float(sum(weights))
     if wsum <= 0:
         raise ValueError("weights must have positive sum")
     raw = [total * float(w) / wsum for w in weights]
-    shares = [max(minimum, math.floor(r)) for r in raw]
+    shares = [max(1, math.floor(r)) for r in raw]
     rem = total - sum(shares)
     if rem < 0:                      # minimums overshot; trim largest shares
         order = sorted(range(n), key=lambda i: (-shares[i], i))
         k = 0
         while rem < 0:
             i = order[k % n]
-            if shares[i] > minimum:
+            if shares[i] > 1:
                 shares[i] -= 1
                 rem += 1
             k += 1

@@ -21,7 +21,6 @@ import dataclasses
 import json
 import multiprocessing
 import sys
-import time
 from pathlib import Path
 
 from .bookshelf import ParseError, parse_circuit
@@ -69,6 +68,8 @@ def _parse_dims(text: str) -> GridDims:
         w, h, l = (int(p) for p in parts)
     except ValueError:
         raise UsageError(f"--dims wants three integers, got {text!r}") from None
+    if min(w, h, l) < 1:
+        raise UsageError(f"--dims wants sides of at least 1, got {text!r}")
     return GridDims(w, h, l)
 
 
@@ -110,6 +111,8 @@ def _load_circuit(args) -> Circuit:
     path = Path(args.circuit)
     if path.is_dir():
         dims = _parse_dims(args.dims) if args.dims else GridDims(128, 128, 2)
+        if not 0 < args.util <= 1:
+            raise UsageError(f"--util wants a value in (0, 1], got {args.util}")
         texts = []
         for suffix in (".blocks", ".nets", ".pl"):
             hits = sorted(path.glob("*" + suffix))
@@ -143,9 +146,7 @@ def _cmd_solve(args) -> int:
     profile = _profile(args)
     config = SolverConfig(kind=args.solver, seed=args.seed,
                           sa_iterations=args.sa_iterations)
-    t0 = time.perf_counter()
     result = solve(circuit, profile, config)
-    wall = time.perf_counter() - t0
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stem = f"{circuit.name}-t{args.task}-{args.solver}-s{args.seed}"
@@ -153,7 +154,7 @@ def _cmd_solve(args) -> int:
         placement_to_json(result.state, circuit.name, args.task, args.solver,
                           args.seed))
     rec = record_from_summary(circuit.name, args.task, args.solver, args.seed,
-                              result.summary, wall_s=wall)
+                              result.summary, wall_s=result.runtime_s)
     (out / f"{stem}.report.csv").write_text(write_report([rec]))
     (out / f"{stem}.report.json").write_text(write_report([rec], "json"))
     (out / f"{stem}.trace.jsonl").write_text(result.trace.to_jsonl())
@@ -179,6 +180,9 @@ def _cmd_eval(args) -> int:
 def _cmd_masks(args) -> int:
     circuit = _load_constrained(args)
     profile = _profile(args)
+    n = circuit.num_blocks
+    if args.block is not None and not 0 <= args.block < n:
+        raise UsageError(f"--block must be in [0, {n}), got {args.block}")
     result = greedy_place(circuit, profile)
     total = len(result.trace.steps)
     if not 0 <= args.at_step < total:

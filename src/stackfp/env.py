@@ -69,7 +69,6 @@ class StepRecord:
 
 @dataclasses.dataclass
 class EpisodeTrace:
-    order: tuple[int, ...]
     hpwl_baseline: float
     steps: list[StepRecord] = dataclasses.field(default_factory=list)
     rewards: list[float] | None = None
@@ -134,12 +133,13 @@ def compute_rewards(metrics: list[MetricTuple], profile) -> list[float]:
     return rewards
 
 
-def wire_greedy_baseline(circuit: Circuit, order: list[int] | None = None) -> float:
-    """Wirelength of one plain wire-greedy rollout: blocks keep their given
-    shapes and land on the cheapest legal cell, optional rules ignored.  Used
-    to normalize wirelength; falls back to 1 when the circuit has no nets or
+def wire_greedy_baseline(circuit: Circuit) -> float:
+    """Wirelength of one plain wire-greedy rollout in the default order:
+    blocks keep their given shapes and land on the cheapest legal cell,
+    optional rules ignored.  Every episode normalizes wirelength by it,
+    whatever its order; falls back to 1 when the circuit has no nets or
     nothing could be placed."""
-    state = FloorplanState(circuit, order)
+    state = FloorplanState(circuit)
     for block_id in state.order:
         pos = position_mask(state, block_id).values
         if not pos.any():
@@ -158,6 +158,8 @@ class PlacementEnv:
 
     Deterministic: identical circuit, profile, order, reset arguments and
     action sequence reproduce identical states, observations and traces.
+    Wirelength normalizes by `hpwl_baseline`, or, when none is given, by
+    the circuit's `wire_greedy_baseline`, whatever the order.
     """
 
     def __init__(self, circuit: Circuit, profile, order: list[int] | None = None,
@@ -178,9 +180,8 @@ class PlacementEnv:
         if self.profile.uses("preplace"):
             self.state.apply_preplacements()
         if self._baseline is None:
-            self._baseline = wire_greedy_baseline(self.circuit, self._order)
-        self.trace = EpisodeTrace(order=tuple(self.state.order),
-                                  hpwl_baseline=self._baseline)
+            self._baseline = wire_greedy_baseline(self.circuit)
+        self.trace = EpisodeTrace(hpwl_baseline=self._baseline)
         if not self.state.done and first_ar is not None:
             blk = self.circuit.blocks[self.state.current_block]
             if blk.is_soft:
@@ -262,18 +263,6 @@ class EpisodeSummary:
     hpwl_baseline: float
     rewards: list[float]
     plugin_metrics: dict[str, float] = dataclasses.field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "raw": self.raw.as_dict(),
-            "norm": self.norm.as_dict(),
-            "satisfaction": {k: list(v) for k, v in self.satisfaction.items()},
-            "rungs": self.rungs,
-            "rung_events": self.rung_events,
-            "hpwl_baseline": self.hpwl_baseline,
-            "rewards": self.rewards,
-            "plugin_metrics": self.plugin_metrics,
-        }
 
 
 def episode_summary(state: FloorplanState, trace: EpisodeTrace,

@@ -128,8 +128,8 @@ def gen_constraints(circuit: Circuit, counts, seed: int,
                     min_area_frac: float = 1.0) -> ConstraintFile:
     """Seeded constraint fabrication matching exact block counts.
 
-    counts is (n_aln, n_tml, n_grp) or a dict with those keys: blocks in
-    alignment pairs, blocks bound to terminals, blocks in abutment groups.
+    counts is (n_aln, n_tml, n_grp): blocks in alignment pairs, blocks
+    bound to terminals, blocks in abutment groups.
 
     Pairs join area-adjacent blocks across neighboring layers with
     alternating orientation, keeping fill balanced.  Free blocks then land
@@ -138,10 +138,7 @@ def gen_constraints(circuit: Circuit, counts, seed: int,
     over boundary-hugging terminals by farthest-point selection; a pair
     bound at both ends shares a single terminal, since its members must
     overlap across layers anyway."""
-    if isinstance(counts, dict):
-        n_aln, n_tml, n_grp = (counts["n_aln"], counts["n_tml"], counts["n_grp"])
-    else:
-        n_aln, n_tml, n_grp = counts
+    n_aln, n_tml, n_grp = counts
     n = circuit.num_blocks
     dims = circuit.dims
     if n_aln % 2 or n_grp % 2:
@@ -254,16 +251,15 @@ def gen_constraints(circuit: Circuit, counts, seed: int,
 
 def synth_instance(name: str, seed: int, *, n_blocks: int = 12,
                    n_terminals: int = 12, counts=(10, 5, 10),
-                   dims: GridDims = GridDims(32, 32, 2), fill: float = 0.35,
-                   noise_nets: int = 2,
-                   utilization: float = 0.80) -> tuple[Circuit, ConstraintFile]:
+                   dims: GridDims = GridDims(32, 32, 2),
+                   fill: float = 0.35) -> tuple[Circuit, ConstraintFile]:
     """Seeded benchmark instance whose nets track the constraint structure.
 
     The block and terminal skeleton comes from synth_circuit and the rules
     from gen_constraints; the nets are then rebuilt to match.  Each
     alignment pair shares a net with whatever terminals its members are
     bound to, and every block outside the pairs pulls toward a spare
-    terminal of its own, plus a few small random nets as noise.  Nets drawn
+    terminal of its own, plus two small random nets as noise.  Nets drawn
     blind instead leave the wire pull uncorrelated with the rules, so
     unrelated blocks squat on boundary corners and pair shadows before
     their owners arrive.
@@ -272,7 +268,7 @@ def synth_instance(name: str, seed: int, *, n_blocks: int = 12,
     constraint file itself.
     """
     base = synth_circuit(name, n_blocks, n_terminals, 0, seed=seed, dims=dims,
-                         fill=fill, utilization=utilization)
+                         fill=fill)
     cf = gen_constraints(base, counts, seed=seed + 1)
     bound = {b["block"]: tuple(b["terminals"]) for b in cf.boundary}
 
@@ -322,7 +318,7 @@ def synth_instance(name: str, seed: int, *, n_blocks: int = 12,
     for blk in rest:
         nets.append(Net(blocks=(blk,), terminals=next_spare()))
 
-    for _ in range(noise_nets):
+    for _ in range(2):
         deg = int(rng.integers(2, min(4, n_blocks) + 1))
         members = sorted(int(x) for x in
                          rng.choice(n_blocks, size=deg, replace=False))

@@ -39,7 +39,6 @@ from .geometry import (
 @dataclasses.dataclass(frozen=True)
 class RuleMask:
     values: np.ndarray
-    rule: str
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,7 +78,7 @@ def adjacent_terminal_mask(state: FloorplanState, binding: BoundaryBinding) -> R
     dist = np.stack([rim_distance(xs, ys, state.w[b], state.h[b], t.x, t.y)
                      for t in (state.circuit.terminals[k] for k in binding.terminals)])
     vals = merge_terminals(dist, binding.mode == "ALL")
-    return RuleMask(vals.astype(np.float64), "terminal")
+    return RuleMask(vals.astype(np.float64))
 
 
 def adjacent_block_mask(state: FloorplanState, block_id: int, other_id: int) -> RuleMask:
@@ -93,7 +92,7 @@ def adjacent_block_mask(state: FloorplanState, block_id: int, other_id: int) -> 
         raise ValueError(f"blocks {block_id} and {other_id} sit on different layers")
     xs, ys = _anchors(state)
     vals = abutment(xs, ys, state.w[block_id], state.h[block_id], *state.rect(other_id))
-    return RuleMask(vals.astype(np.float64), "grouping")
+    return RuleMask(vals.astype(np.float64))
 
 
 def alignment_mask(state: FloorplanState, block_id: int, partner_id: int,
@@ -109,7 +108,7 @@ def alignment_mask(state: FloorplanState, block_id: int, partner_id: int,
     xs, ys = _anchors(state)
     vals = alignment_ratio(xs, ys, state.w[block_id], state.h[block_id],
                            *state.rect(partner_id), float(min_area))
-    return RuleMask(vals, "alignment")
+    return RuleMask(vals)
 
 
 def position_mask(state: FloorplanState, block_id: int) -> RuleMask:
@@ -127,7 +126,7 @@ def position_mask(state: FloorplanState, block_id: int) -> RuleMask:
         ylo, yhi = max(y2 - h + 1, 0), min(y2 + h2, dims.height)
         if xlo < xhi and ylo < yhi:
             vals[xlo:xhi, ylo:yhi] = 0.0
-    return RuleMask(vals, "position")
+    return RuleMask(vals)
 
 
 def wire_mask(state: FloorplanState, block_id: int) -> RuleMask:
@@ -140,7 +139,7 @@ def wire_mask(state: FloorplanState, block_id: int) -> RuleMask:
     lo, hi = lo[:, fixed, None], hi[:, fixed, None]
     grow_x = span_gap(lo[0], hi[0], xs.T + state.w[block_id] / 2.0).sum(axis=0)
     grow_y = span_gap(lo[1], hi[1], ys + state.h[block_id] / 2.0).sum(axis=0)
-    return RuleMask(grow_x[:, None] + grow_y[None, :], "wire")
+    return RuleMask(grow_x[:, None] + grow_y[None, :])
 
 
 def block_distance_mask(state: FloorplanState, block_id: int, anchor_id: int) -> RuleMask:
@@ -151,7 +150,7 @@ def block_distance_mask(state: FloorplanState, block_id: int, anchor_id: int) ->
     xs, ys = _anchors(state)
     vals = center_distance(xs, ys, state.w[block_id], state.h[block_id],
                            *state.rect(anchor_id))
-    return RuleMask(vals, "block_distance")
+    return RuleMask(vals)
 
 
 def availability_mask(position: np.ndarray,
@@ -269,7 +268,7 @@ def compile_masks(state: FloorplanState, block_id: int, profile,
         mates = [m for m in island if m != block_id and state.placed[m]]
         for m in mates:
             vals = vals + adjacent_block_mask(state, block_id, m).values
-        rules["grouping"] = RuleMask(vals, "grouping")
+        rules["grouping"] = RuleMask(vals)
         if mates:
             floor = profile.block_mask_threshold
             ladder.append(("grouping", vals > 0 if floor <= 0 else vals >= floor))

@@ -16,8 +16,9 @@ re-parses losslessly.
 
 Metric columns contain no hidden solver state: a row rebuilt from the
 placement file alone (`record_from_state`) matches the solve-time row,
-because every stock solver normalizes wirelength against the default-order
-baseline.  Runs driven with a custom order must pass their baseline along.
+because the wirelength baseline is a function of the circuit alone
+(`wire_greedy_baseline` always rolls out the default order) and every
+episode normalizes by it, whatever order it places in.
 """
 
 import csv
@@ -69,16 +70,12 @@ def record_from_summary(circuit_name: str, task: int, solver: str, seed: int,
 
 
 def record_from_state(circuit: Circuit, state: FloorplanState, *, task: int,
-                      solver: str = "eval", seed: int = 0,
-                      hpwl_baseline: float | None = None,
-                      wall_s: float = 0.0) -> RunRecord:
+                      solver: str = "eval", seed: int = 0) -> RunRecord:
     """Rebuild the metric columns from a finished bare placement; the rung
-    count is unknowable after the fact and stays empty."""
-    if hpwl_baseline is None:
-        hpwl_baseline = wire_greedy_baseline(circuit)
-    summary = episode_summary(state, EpisodeTrace(tuple(state.order), hpwl_baseline))
+    count is unknowable after the fact and stays empty, and wall time is 0."""
+    summary = episode_summary(state, EpisodeTrace(wire_greedy_baseline(circuit)))
     return dataclasses.replace(
-        record_from_summary(circuit.name, task, solver, seed, summary, wall_s),
+        record_from_summary(circuit.name, task, solver, seed, summary),
         rungs=None)
 
 

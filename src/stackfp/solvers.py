@@ -30,7 +30,6 @@ from .core import (
     FloorplanState,
     InfeasibleError,
     TaskProfile,
-    default_order,
     shape_from_ar,
 )
 from .env import (
@@ -58,8 +57,7 @@ class SolverConfig:
     kind: str = "greedy"                  # greedy | sa | random
     seed: int = 0
     sa_iterations: int = 2000
-    sa_t0: float | None = None            # None: calibrate from sampled moves
-    sa_calibration_moves: int = 50
+    sa_calibration_moves: int = 50        # sampled moves that set the start temperature
 
     def __post_init__(self):
         if self.kind not in ("greedy", "sa", "random"):
@@ -93,19 +91,13 @@ def objective_cost(norm: MetricTuple, profile: TaskProfile) -> float:
     return -weighted_score(norm, profile)
 
 
-def ar_candidate_ladder(block, count: int) -> list[float]:
-    """Geometrically spaced ratios across the block's band, deduplicated by
-    the integer shape they quantize to.  A single candidate sits at the
-    band's geometric mean."""
+def ar_candidate_ladder(block) -> list[float]:
+    """AR_CANDIDATES geometrically spaced ratios across the block's band,
+    deduplicated by the integer shape they quantize to."""
     if not block.is_soft:
         return []
-    if count == 1:
-        ratios = [math.sqrt(block.ar_min * block.ar_max)]
-    else:
-        ratios = [float(r) for r in
-                  np.geomspace(block.ar_min, block.ar_max, count)]
     out, seen = [], set()
-    for r in ratios:
+    for r in np.geomspace(block.ar_min, block.ar_max, AR_CANDIDATES).tolist():
         shape = shape_from_ar(block.area, r, block.ar_min, block.ar_max)
         if shape not in seen:
             seen.add(shape)
@@ -169,7 +161,7 @@ def _scan_ar(env: PlacementEnv, block_id: int, pending) -> float | None:
     if pending is not None:
         sim.place(env.observation.block, *pending)
     best_r, best_s = None, None
-    for r in ar_candidate_ladder(env.circuit.blocks[block_id], AR_CANDIDATES):
+    for r in ar_candidate_ladder(env.circuit.blocks[block_id]):
         sim.set_shape(block_id, r)
         stack = compile_masks(sim, block_id, env.profile, env.plugins)
         s = _stack_score(stack)
@@ -226,8 +218,7 @@ def _rollout(kind: str, circuit: Circuit, profile: TaskProfile, pick, choose,
     )
 
 
-def greedy_place(circuit: Circuit, profile: TaskProfile,
-                 config: SolverConfig | None = None, *,
+def greedy_place(circuit: Circuit, profile: TaskProfile, *,
                  order: list[int] | None = None,
                  ars: dict[int, float] | None = None,
                  plugins: tuple = (),
@@ -236,8 +227,7 @@ def greedy_place(circuit: Circuit, profile: TaskProfile,
 
     Free mode (ars None) also chooses every soft block's ratio by the
     candidate scan.  With `ars` given the ratios are fixed and no scanning
-    happens, which is the decode path the annealer uses.  Greedy has no
-    knobs; `config` is taken so that every solver has one signature."""
+    happens, which is the decode path the annealer uses."""
     if ars is None:
         choose = _scan_ar
     else:
@@ -249,9 +239,7 @@ def greedy_place(circuit: Circuit, profile: TaskProfile,
 
 def random_place(circuit: Circuit, profile: TaskProfile,
                  config: SolverConfig | None = None, *,
-                 order: list[int] | None = None,
-                 plugins: tuple = (),
-                 hpwl_baseline: float | None = None) -> SolveResult:
+                 plugins: tuple = ()) -> SolveResult:
     """Uniform choice over the allowed cells; ratios log-uniform in band."""
     rng = np.random.default_rng(config.seed if config else 0)
 
@@ -264,7 +252,7 @@ def random_place(circuit: Circuit, profile: TaskProfile,
                                     math.log(block.ar_max)))
 
     return _rollout("random", circuit, profile, pick, sample_ar,
-                    order=order, plugins=plugins, hpwl_baseline=hpwl_baseline)
+                    order=None, plugins=plugins, hpwl_baseline=None)
 
 
 class _Genome:
@@ -314,10 +302,10 @@ def _propose(genome: _Genome, soft_ids: list[int], rng) -> _Genome:
 
 def sa_place(circuit: Circuit, profile: TaskProfile,
              config: SolverConfig | None = None, *,
-             order: list[int] | None = None,
              plugins: tuple = ()) -> SAResult:
     """Simulated annealing over (order, ratios), decoded by the greedy
-    placer with a shared wirelength baseline so costs are comparable.
+    placer with the circuit's wirelength baseline computed once.  The start
+    temperature is calibrated from `sa_calibration_moves` sampled moves.
 
     Starts from the free greedy solution, so the initial cost equals the
     greedy cost and the best-so-far curve never rises above it.  Decodes
@@ -326,11 +314,9 @@ def sa_place(circuit: Circuit, profile: TaskProfile,
     t_start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
 
-    base_order = list(order) if order is not None else default_order(circuit)
-    baseline = wire_greedy_baseline(circuit, base_order)
-
-    seed_result = greedy_place(circuit, profile, order=base_order,
-                               plugins=plugins, hpwl_baseline=baseline)
+    baseline = wire_greedy_baseline(circuit)
+    seed_result = greedy_place(circuit, profile, plugins=plugins,
+                               hpwl_baseline=baseline)
 
     pinned = set()
     if profile.uses("preplace"):
@@ -352,15 +338,13 @@ def sa_place(circuit: Circuit, profile: TaskProfile,
         except InfeasibleError:
             return None
 
-    t0 = config.sa_t0
-    if t0 is None:
-        ups = []
-        for _ in range(config.sa_calibration_moves):
-            res = decode(_propose(genome, soft_ids, rng))
-            if res is not None and res.cost > cur_cost:
-                ups.append(res.cost - cur_cost)
-        # mean uphill move accepted with probability ~0.8 at the start
-        t0 = (sum(ups) / len(ups)) / math.log(1 / 0.8) if ups else 1.0
+    ups = []
+    for _ in range(config.sa_calibration_moves):
+        res = decode(_propose(genome, soft_ids, rng))
+        if res is not None and res.cost > cur_cost:
+            ups.append(res.cost - cur_cost)
+    # mean uphill move accepted with probability ~0.8 at the start
+    t0 = (sum(ups) / len(ups)) / math.log(1 / 0.8) if ups else 1.0
 
     temp = t0
     accepted = 0
@@ -400,7 +384,7 @@ def solve(circuit: Circuit, profile: TaskProfile,
     """Dispatch on config.kind."""
     config = config or SolverConfig()
     if config.kind == "greedy":
-        return greedy_place(circuit, profile, config, plugins=plugins)
+        return greedy_place(circuit, profile, plugins=plugins)
     if config.kind == "sa":
         return sa_place(circuit, profile, config, plugins=plugins)
     return random_place(circuit, profile, config, plugins=plugins)

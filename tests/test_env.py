@@ -386,8 +386,6 @@ class TestTraceAndSummary:
             "boundary", "grouping", "alignment", "preplace",
             "overlap", "outline", "shape"}
         assert summ.satisfaction["overlap"] == (2, 2)   # one pair per layer
-        d = summ.as_dict()
-        assert json.dumps(d, sort_keys=True)   # serializable
 
     def test_summary_requires_finished_episode(self):
         env = PlacementEnv(four_block_circuit(), unit_profile())

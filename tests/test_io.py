@@ -14,6 +14,7 @@ from stackfp import (
     Net,
     TaskProfile,
     Terminal,
+    default_order,
 )
 from stackfp.bookshelf import (
     ParseError,
@@ -170,7 +171,7 @@ class TestApportion:
         assert shares == [10, 20, 30]
 
     def test_minimum_floor(self):
-        shares = apportion(10, [1000.0, 1.0], minimum=1)
+        shares = apportion(10, [1000.0, 1.0])
         assert shares[1] >= 1 and sum(shares) == 10
 
 
@@ -487,6 +488,18 @@ class TestReports:
                       "overlap", "satisfied", "sat_total"):
             assert getattr(solved, field) == getattr(reread, field)
 
+    def test_custom_order_solve_and_eval_agree(self):
+        # the wirelength baseline belongs to the circuit, not to the order
+        cc, _ = synth_instance("x", 3)
+        res = greedy_place(cc, TaskProfile.for_task(3),
+                           order=default_order(cc)[::-1])
+        solved = record_from_summary(cc.name, 3, "greedy", 0, res.summary)
+        text = placement_to_json(res.state, cc.name, 3, "greedy", 0)
+        _, rows = placement_from_json(text)
+        reread = record_from_state(cc, state_from_placement(cc, rows), task=3,
+                                   solver="greedy")
+        assert dataclasses.replace(solved, rungs=None) == reread
+
 
 @pytest.fixture()
 def workdir(tmp_path):
@@ -623,6 +636,29 @@ class TestCli:
             "jobs", "render_cell"])
     def test_count_below_minimum_is_usage(self, workdir, capsys, argv):
         rc = cli_main([*argv, "--out", str(workdir / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:usage:") and len(err.splitlines()) == 1
+        assert not (workdir / "x").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["masks", "--block", "999"],
+        ["masks", "--block", "-1"],
+        ["solve", "--dims", "0x4x2"],
+        ["solve", "--dims", "32x32x0"],
+        ["solve", "--dims", "32x32x2", "--util", "0"],
+        ["solve", "--dims", "32x32x2", "--util", "-1"],
+        ["solve", "--dims", "32x32x2", "--util", "nan"],
+        ["solve", "--dims", "32x32x2", "--util", "1.5"],
+    ], ids=["block_beyond_circuit", "negative_block", "zero_width",
+            "zero_layers", "util_zero", "util_negative", "util_nan",
+            "util_above_one"])
+    def test_out_of_range_value_is_usage(self, workdir, capsys, argv):
+        circuit = (["--circuit", str(workdir / "cli.circuit.json")]
+                   if argv[0] == "masks" else
+                   ["--circuit", str(workdir / "gsrc")])
+        rc = cli_main([*argv, *circuit, "--task", "3",
+                       "--out", str(workdir / "x")])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:usage:") and len(err.splitlines()) == 1

@@ -465,7 +465,6 @@ class TestCompileMasks:
         stack = compile_masks(s, 0, TaskProfile.for_task(3), plugins=(rule,))
         assert list(stack.rules) == ["wire", "position", "terminal", "grouping",
                                      rule.name]
-        assert stack.rules[rule.name].rule == "block_distance"
         assert stack.named_value_masks() == list(stack.rules.items())
 
     def test_clashing_plugins_relax_first_listed_first(self):

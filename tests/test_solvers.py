@@ -57,19 +57,15 @@ def demo_circuit():
 
 class TestArLadder:
     def test_hard_block_has_no_candidates(self):
-        assert ar_candidate_ladder(hard(0, 3, 3), 8) == []
+        assert ar_candidate_ladder(hard(0, 3, 3)) == []
 
     def test_dedupes_to_distinct_shapes(self):
         b = soft(0, 16, 4, 4)
-        ladder = ar_candidate_ladder(b, 8)
+        ladder = ar_candidate_ladder(b)
         shapes = [shape_from_ar(16, r, 0.5, 2.0) for r in ladder]
         assert shapes == [(3, 6), (4, 4), (5, 4), (6, 3)]
         assert ladder == sorted(ladder)
         assert ladder[-1] == 2.0
-
-    def test_single_candidate_sits_at_geometric_mean(self):
-        b = soft(0, 16, 4, 4)
-        assert ar_candidate_ladder(b, 1) == [1.0]
 
 
 class TestGreedyFrozen:
@@ -232,12 +228,6 @@ class TestAnnealing:
         assert a.cost_curve == b.cost_curve
         assert a.accepted == b.accepted
         assert a.t0 == b.t0
-
-    def test_explicit_t0_skips_calibration(self):
-        c = demo_circuit()
-        p = TaskProfile.for_task(3)
-        s = sa_place(c, p, self.cfg(sa_t0=2.5, sa_iterations=5))
-        assert s.t0 == 2.5
 
     def test_result_is_sound(self):
         s = sa_place(demo_circuit(), TaskProfile.for_task(3), self.cfg())
