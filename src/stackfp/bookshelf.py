@@ -52,6 +52,18 @@ def _content_lines(text: str):
 _KEYWORD = re.compile(r"^\s*\w[\w ]*:\s*\S")
 
 
+def _number(text: str, line: str, ln: int) -> float:
+    """A number of a benchmark file: finite, and below 1e100 in magnitude so
+    that the areas, products and sums of quantization stay finite."""
+    try:
+        v = float(text)
+    except ValueError:
+        v = math.nan
+    if not abs(v) < 1e100:
+        raise ParseError(f"bad number {text!r} in {line!r}", ln)
+    return v
+
+
 def parse_blocks_text(text: str):
     """Raw block and terminal declarations.
 
@@ -75,12 +87,7 @@ def parse_blocks_text(text: str):
             if len(tokens) != 5:
                 raise ParseError(
                     f"softrectangular wants area, min and max ratio: {line!r}", ln)
-            try:
-                area = float(tokens[2])
-                ar_min = float(tokens[3])
-                ar_max = float(tokens[4])
-            except ValueError:
-                raise ParseError(f"bad number in {line!r}", ln) from None
+            area, ar_min, ar_max = (_number(t, line, ln) for t in tokens[2:])
             if area <= 0 or not (0 < ar_min <= ar_max):
                 raise ParseError(f"degenerate soft block {name!r}", ln)
             blocks[name] = {"kind": "soft", "area": area,
@@ -90,8 +97,8 @@ def parse_blocks_text(text: str):
             if len(verts) < 3:
                 raise ParseError(
                     f"hardrectilinear wants vertex list: {line!r}", ln)
-            xs = [float(a) for a, _ in verts]
-            ys = [float(b) for _, b in verts]
+            xs = [_number(a, line, ln) for a, _ in verts]
+            ys = [_number(b, line, ln) for _, b in verts]
             w, h = max(xs) - min(xs), max(ys) - min(ys)
             if w <= 0 or h <= 0:
                 raise ParseError(f"degenerate hard block {name!r}", ln)
@@ -132,10 +139,7 @@ def parse_pl_text(text: str) -> dict[str, tuple[float, float]]:
         tokens = line.split()
         if len(tokens) < 3:
             raise ParseError(f"pl line wants name x y: {line!r}", ln)
-        try:
-            coords[tokens[0]] = (float(tokens[1]), float(tokens[2]))
-        except ValueError:
-            raise ParseError(f"bad coordinate in {line!r}", ln) from None
+        coords[tokens[0]] = (_number(tokens[1], line, ln), _number(tokens[2], line, ln))
     return coords
 
 
@@ -278,8 +282,11 @@ def parse_circuit(blocks_text: str, nets_text: str, pl_text: str,
         if bids or tids:
             nets.append(Net(blocks=tuple(bids), terminals=tuple(tids)))
 
-    return Circuit(name, dims, tuple(blocks), tuple(terminals), tuple(nets),
-                   utilization=utilization)
+    try:
+        return Circuit(name, dims, tuple(blocks), tuple(terminals), tuple(nets),
+                       utilization=utilization)
+    except ValueError as e:
+        raise ParseError(str(e)) from None
 
 
 def boundary_cells(dims: GridDims) -> list[tuple[int, int]]:

@@ -18,7 +18,7 @@ processes; output bytes are identical for any job count and across runs.
 
 import argparse
 import dataclasses
-import json
+import math
 import multiprocessing
 import sys
 from pathlib import Path
@@ -73,14 +73,33 @@ def _parse_dims(text: str) -> GridDims:
     return GridDims(w, h, l)
 
 
-def _parse_floats(text: str, n: int, flag: str) -> list[float]:
-    parts = text.split(",")
-    if len(parts) != n:
-        raise UsageError(f"{flag} wants {n} comma-separated numbers, got {text!r}")
-    try:
-        return [float(p) for p in parts]
-    except ValueError:
-        raise UsageError(f"{flag} wants numbers, got {text!r}") from None
+def _number(low: float = -math.inf, high: float = math.inf):
+    """argparse type: a finite number in (low, high]."""
+    def number(text: str) -> float:
+        v = float(text)
+        if not math.isfinite(v):
+            raise argparse.ArgumentTypeError(f"wants a finite number, got {text!r}")
+        if not low < v <= high:
+            raise argparse.ArgumentTypeError(
+                f"wants a number in ({low:g}, {high:g}], got {text!r}")
+        return v
+    return number
+
+
+def _values(item, n: int | None = None):
+    """argparse type: comma-separated values of type `item`; exactly `n`
+    of them when n is given."""
+    def values(text: str) -> list:
+        parts = text.split(",")
+        if n is not None and len(parts) != n:
+            raise argparse.ArgumentTypeError(
+                f"wants {n} comma-separated values, got {text!r}")
+        try:
+            return [item(p) for p in parts]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"wants comma-separated {item.__name__} values, got {text!r}") from None
+    return values
 
 
 def _count(minimum: int):
@@ -97,11 +116,11 @@ def _count(minimum: int):
 def _profile(args) -> TaskProfile:
     overrides = {}
     if args.weights:
-        wa, wo, wh, wl, wd = _parse_floats(args.weights, 5, "--weights")
+        wa, wo, wh, wl, wd = args.weights
         overrides.update(w_alignment=wa, w_overlap=wo, w_hpwl=wh,
                          w_adjacency=wl, w_distance=wd)
     if args.thresholds:
-        t, b, af = _parse_floats(args.thresholds, 3, "--thresholds")
+        t, b, af = args.thresholds
         overrides.update(terminal_mask_threshold=t, block_mask_threshold=b,
                          alignment_mask_frac=af)
     return TaskProfile.for_task(args.task, **overrides)
@@ -111,8 +130,6 @@ def _load_circuit(args) -> Circuit:
     path = Path(args.circuit)
     if path.is_dir():
         dims = _parse_dims(args.dims) if args.dims else GridDims(128, 128, 2)
-        if not 0 < args.util <= 1:
-            raise UsageError(f"--util wants a value in (0, 1], got {args.util}")
         texts = []
         for suffix in (".blocks", ".nets", ".pl"):
             hits = sorted(path.glob("*" + suffix))
@@ -171,6 +188,9 @@ def _cmd_eval(args) -> int:
     if got != want:
         raise ParseError(f"placement grid {got} does not match circuit {want}")
     state = state_from_placement(circuit, rows)
+    if not state.placed.all():
+        raise ParseError(f"placement omits block {state.placed.tolist().index(False)}; "
+                         f"eval needs every block")
     rec = record_from_state(circuit, state, task=header["task"],
                             solver=header["solver"], seed=header["seed"])
     sys.stdout.write(write_report([rec], args.format))
@@ -222,10 +242,7 @@ def _cmd_masks(args) -> int:
 
 def _cmd_gen_constraints(args) -> int:
     circuit = _load_circuit(args)
-    counts = _parse_floats(args.counts, 3, "--counts")
-    if any(c != int(c) for c in counts):
-        raise UsageError(f"--counts wants integers, got {args.counts!r}")
-    cf = gen_constraints(circuit, tuple(int(c) for c in counts),
+    cf = gen_constraints(circuit, tuple(args.counts),
                          seed=args.seed, min_area_frac=args.min_area_frac)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -265,17 +282,15 @@ def _bench_cell(cell) -> tuple[str, str, dict]:
 
 
 def _cmd_bench(args) -> int:
-    tasks = [int(t) for t in
-             _parse_floats(args.tasks, len(args.tasks.split(",")), "--tasks")]
-    if any(t not in (1, 2, 3) for t in tasks):
-        raise UsageError(f"--tasks wants values in 1..3, got {args.tasks!r}")
+    if any(t not in (1, 2, 3) for t in args.tasks):
+        raise UsageError(f"--tasks wants values in 1..3, got {args.tasks}")
     solvers = args.solvers.split(",")
     for s in solvers:
         if s not in ("greedy", "sa", "random"):
             raise UsageError(f"unknown solver {s!r} in --solvers")
     cells = [(i, t, s, seed, args.sa_iterations)
              for i in range(args.instances)
-             for t in tasks
+             for t in args.tasks
              for s in solvers
              for seed in range(args.seeds)]
     if args.jobs > 1:
@@ -306,16 +321,16 @@ def build_parser() -> _Parser:
         p.add_argument("--circuit", required=True,
                        help="bookshelf directory or circuit .json")
         p.add_argument("--dims", help="grid as WxHxL (bookshelf input only)")
-        p.add_argument("--util", type=float, default=0.80,
+        p.add_argument("--util", type=_number(0, 1), default=0.80,
                        help="area utilization for quantization")
         if constraints:
             p.add_argument("--constraints", help="constraint .json to apply")
 
     def tasky(p):
         p.add_argument("--task", type=int, choices=(1, 2, 3), required=True)
-        p.add_argument("--weights",
+        p.add_argument("--weights", type=_values(_number(), 5),
                        help="w_aln,w_ovl,w_hpwl,w_adj,w_dist")
-        p.add_argument("--thresholds",
+        p.add_argument("--thresholds", type=_values(_number(), 3),
                        help="terminal_max,block_min,alignment_frac")
 
     p = sub.add_parser("solve", help="place one circuit")
@@ -323,7 +338,7 @@ def build_parser() -> _Parser:
     tasky(p)
     p.add_argument("--solver", choices=("greedy", "sa", "random"),
                    default="greedy")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.add_argument("--sa-iterations", type=_count(0), default=2000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_solve)
@@ -346,10 +361,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen-constraints", help="fabricate a constraint file")
     common(p, constraints=False)
-    p.add_argument("--counts", required=True,
+    p.add_argument("--counts", required=True, type=_values(_count(0), 3),
                    help="aligned,bound,grouped block counts")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-area-frac", type=float, default=1.0)
+    p.add_argument("--seed", type=_count(0), default=0)
+    p.add_argument("--min-area-frac", type=_number(0), default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_constraints)
 
@@ -364,7 +379,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bench", help="synthetic sweep, byte-reproducible")
     p.add_argument("--instances", type=_count(1), default=3)
     p.add_argument("--seeds", type=_count(1), default=3)
-    p.add_argument("--tasks", default="1,2,3")
+    p.add_argument("--tasks", type=_values(int), default=[1, 2, 3])
     p.add_argument("--solvers", default="greedy,random")
     p.add_argument("--sa-iterations", type=_count(0), default=150)
     p.add_argument("--jobs", type=_count(1), default=1)
@@ -383,7 +398,9 @@ def main(argv=None) -> int:
     except InfeasibleError as e:
         print(f"error:infeasible: {e}", file=sys.stderr)
         return 2
-    except (ParseError, OSError, json.JSONDecodeError, ValueError) as e:
+    # readers raise ParseError for bad input; UnicodeError is a file that
+    # is not text.  Any other exception is a fault of the program itself.
+    except (ParseError, OSError, UnicodeError) as e:
         print(f"error:io: {e}", file=sys.stderr)
         return 3
 

@@ -40,14 +40,15 @@ class InfeasibleError(FloorplanError):
 
 def shape_from_ar(area: int, ar: float, ar_min: float, ar_max: float) -> tuple[int, int]:
     """Integer (w, h) realizing `area` at aspect ratio w/h as close to `ar` as
-    the grid allows.  The ratio is clipped into [ar_min, ar_max] first; the
-    height is rounded up so w*h covers the full area (slack is below one row).
+    the grid allows.  The ratio is clipped into [ar_min, ar_max] first, and to
+    at most `area`, the ratio of a single row; the height is rounded up so w*h
+    covers the full area (slack is below one row).
     """
     if area <= 0:
         raise ValueError(f"block area must be positive, got {area}")
     if not (0 < ar_min <= ar_max):
         raise ValueError(f"bad aspect ratio band [{ar_min}, {ar_max}]")
-    ratio = min(max(ar, ar_min), ar_max)
+    ratio = min(max(ar, ar_min), ar_max, area)
     w = max(1, math.floor(math.sqrt(area * ratio) + 0.5))
     h = max(1, -(-area // w))
     return w, h
@@ -334,6 +335,8 @@ class Circuit:
     utilization: float = 0.80
 
     def __post_init__(self):
+        if not 0 < self.utilization <= 1:
+            raise ValueError(f"utilization must be in (0, 1], got {self.utilization}")
         for i, b in enumerate(self.blocks):
             if b.id != i:
                 raise ValueError(f"block ids must be 0..n-1 in order, found {b.id} at {i}")
@@ -342,6 +345,9 @@ class Circuit:
         for i, t in enumerate(self.terminals):
             if t.id != i:
                 raise ValueError(f"terminal ids must be 0..n-1 in order, found {t.id} at {i}")
+            if not (0 <= t.x < self.dims.width and 0 <= t.y < self.dims.height
+                    and 0 <= t.z < self.dims.num_layers):
+                raise ValueError(f"terminal {t.name} at ({t.x},{t.y},{t.z}) lies off the grid")
         for net in self.nets:
             for b in net.blocks:
                 if not (0 <= b < len(self.blocks)):

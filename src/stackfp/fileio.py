@@ -9,6 +9,10 @@ that load -> save is byte-stable:
   groups, boundary bindings, preplacements, and a full block-to-layer map;
 * placement files: solver output, one rect per block plus a small header.
 
+Each record is one table, walked by one writer and one reader.  The reader
+checks every value, and malformed input is a ParseError naming its place,
+e.g. ``circuit.blocks[3].soft wants true or false, got 'no'``.
+
 The generator fabricates constraint sets matching requested counts, where
 the alignment and grouping counts tally blocks, not instances (ten aligned
 blocks means five pairs).  Bindings go to the largest blocks: they place
@@ -16,10 +20,11 @@ early, grab their terminal before the die crowds, and so keep the
 relaxation ladder quiet.
 """
 
-import contextlib
+import collections
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 
@@ -29,6 +34,7 @@ from .core import (
     BoundaryBinding,
     Circuit,
     ConstraintSet,
+    FloorplanState,
     GridDims,
     InfeasibleError,
     Net,
@@ -39,17 +45,99 @@ from .bookshelf import QUANTIZATION, ParseError, farthest_point_subset, synth_ci
 from .geometry import rim_distance
 
 
-@contextlib.contextmanager
-def _document(kind: str):
-    """Report a missing key or a member of the wrong type met while reading
-    a JSON document as a ParseError naming the document."""
-    try:
-        yield
-    except KeyError as e:
-        raise ParseError(f"{kind} file lacks key {e}") from None
-    except (TypeError, AttributeError) as e:
-        raise ParseError(f"{kind} file has a member of the wrong type: {e}") from None
+# --- tables ------------------------------------------------------------------
+# A spec is a _Leaf, a _Record, [spec] for a JSON array (read as a tuple) or
+# {_ID: spec} for an object keyed by block ids (read with int keys, written
+# with string keys so that sorted output keeps "10" before "2").
 
+_ID = re.compile(r"0|-?[1-9][0-9]{0,18}")
+_Leaf = collections.namedtuple("_Leaf", "what ok")
+_Record = collections.namedtuple("_Record", "make fields consts")
+
+
+def _record(make, *fields, consts=()):
+    """A JSON object that `make` builds from fields (key, spec[, attribute
+    [, default]]): the attribute is the constructor keyword, the key unless
+    given, and the default is the JSON value a missing member reads as.
+    `consts` are (key, value) members written and required verbatim."""
+    def field(key, spec, attr=None, default=...):    # a leaf's test runs inline
+        return key, attr or key, spec, default, getattr(spec, "ok", None)
+    return _Record(make, tuple(field(*f) for f in fields), consts)
+
+
+def _read(spec, v):
+    """What JSON value v describes, checked against spec."""
+    kind = type(spec)
+    if kind is _Leaf:
+        if not spec.ok(v):
+            raise ParseError(f" wants {spec.what}, got {v!r:.60}")
+        return v
+    if type(v) is not (dict if kind is _Record else kind):
+        raise ParseError(f" wants {'a list' if kind is list else 'an object'}, got {v!r:.60}")
+    kw, out = {}, []
+    try:
+        if kind is not _Record:
+            item = spec[_ID] if kind is dict else spec[0]
+            ok = getattr(item, "ok", None)
+            for k, x in v.items() if kind is dict else enumerate(v):
+                if kind is dict and not _ID.fullmatch(k):
+                    raise ParseError(f" wants a block id as key, got {k!r:.60}")
+                out.append(x if ok and ok(x) else _read(item, x))
+            return dict(zip(map(int, v), out)) if kind is dict else tuple(out)
+        for k, want in spec.consts:
+            if v.get(k) != want:
+                raise ParseError(f" wants {want!r}, got {v.get(k)!r:.60}")
+        for k, attr, item, default, ok in spec.fields:
+            x = v.get(k, default)
+            if ok is None or not ok(x):
+                if x is ...:
+                    raise ParseError(" is missing")
+                x = _read(item, x)
+            kw[attr] = x
+    except ParseError as e:
+        raise ParseError(f"{'.' + k if kind is _Record else [k]}{e}") from None
+    try:
+        return kw if spec.make is dict else spec.make(**kw)
+    except ValueError as e:
+        raise ParseError(f": {e}") from None
+
+
+def _write(spec, v):
+    kind = type(spec)
+    if kind is _Record:
+        get = v.__getitem__ if type(v) is dict else v.__getattribute__
+        return dict(spec.consts, **{k: _write(item, get(attr))
+                                    for k, attr, item, *_ in spec.fields})
+    if kind is dict:
+        return {str(k): _write(spec[_ID], x) for k, x in v.items()}
+    return [_write(spec[0], x) for x in v] if kind is list else v
+
+
+def _load(spec: _Record, kind: str, text: str):
+    try:
+        return _read(spec, json.loads(text))
+    except ParseError as e:
+        raise ParseError(f"{kind}{e}") from None
+    except (ValueError, RecursionError) as e:   # from json.loads: not JSON
+        raise ParseError(f"{kind} file is not JSON: {e}") from None
+
+
+def _dump(spec: _Record, obj) -> str:
+    return json.dumps(_write(spec, obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+_INT = _Leaf("an integer", lambda v: type(v) is int and -2**63 <= v < 2**63)
+_SIZE = _Leaf("an integer of at least 1", lambda v: type(v) is int and 1 <= v < 2**63)
+_FLOAT = _Leaf("a finite number", lambda v: type(v) is float and math.isfinite(v)
+               or type(v) is int and -2**63 <= v < 2**63)
+_STR = _Leaf("a printable string", lambda v: type(v) is str and v.isprintable())
+_STEM = _Leaf("a file stem", lambda v: _STR.ok(v) and "/" not in v)   # names solve output
+_BOOL = _Leaf("true or false", lambda v: type(v) is bool)
+_MODE = _Leaf("'ALL' or 'ANY'", lambda v: v == "ALL" or v == "ANY")
+_TASK = _Leaf("1, 2 or 3", lambda v: type(v) is int and 1 <= v <= 3)
+
+
+# --- constraint files --------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
 class ConstraintFile:
@@ -60,46 +148,39 @@ class ConstraintFile:
     layers: dict[int, int] = dataclasses.field(default_factory=dict)
 
     def to_json(self) -> str:
-        doc = {
-            "alignment_pairs": [dict(p) for p in self.alignment_pairs],
-            "groups": [list(g) for g in self.groups],
-            "boundary": [dict(b) for b in self.boundary],
-            "preplaced": [dict(p) for p in self.preplaced],
-            "layers": {str(k): v for k, v in sorted(self.layers.items())},
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return _dump(_CONSTRAINT_FILE, self)
 
     @classmethod
     def from_json(cls, text: str) -> "ConstraintFile":
-        doc = json.loads(text)
-        with _document("constraint"):
-            return cls(
-                alignment_pairs=tuple(
-                    {"a": int(p["a"]), "b": int(p["b"]),
-                     "min_area_frac": float(p.get("min_area_frac", 1.0))}
-                    for p in doc.get("alignment_pairs", ())),
-                groups=tuple(tuple(int(b) for b in g)
-                             for g in doc.get("groups", ())),
-                boundary=tuple(
-                    {"block": int(b["block"]),
-                     "terminals": [int(t) for t in b["terminals"]],
-                     "mode": str(b.get("mode", "ALL"))}
-                    for b in doc.get("boundary", ())),
-                preplaced=tuple(
-                    {k: int(p[k]) for k in ("block", "x", "y", "z", "w", "h")}
-                    for p in doc.get("preplaced", ())),
-                layers={int(k): int(v) for k, v in doc.get("layers", {}).items()},
-            )
+        return _load(_CONSTRAINT_FILE, "constraints", text)
+
+
+# shared by constraint files and a circuit file's `constraints` member
+_RECT = (("x", _INT), ("y", _INT), ("z", _INT), ("w", _SIZE), ("h", _SIZE))
+_GROUPS = ("groups", [[_INT]], None, [])
+_BOUNDARY = (("block", _INT), ("terminals", [_INT]), ("mode", _MODE, None, "ALL"))
+_PREPLACED = (("block", _INT), *_RECT)
+
+_CONSTRAINT_FILE = _record(
+    ConstraintFile, _GROUPS, ("layers", {_ID: _INT}, None, {}),
+    ("alignment_pairs", [_record(dict, ("a", _INT), ("b", _INT),
+                                 ("min_area_frac", _FLOAT, None, 1.0))], None, []),
+    ("boundary", [_record(dict, *_BOUNDARY)], None, []),
+    ("preplaced", [_record(dict, *_PREPLACED)], None, []))
+_CONSTRAINT_SET = _record(
+    ConstraintSet, _GROUPS,
+    ("alignment_pairs", [_record(AlignmentPair, ("a", _INT), ("b", _INT),
+                                 ("min_area", _FLOAT))], None, []),
+    ("boundary", [_record(BoundaryBinding, *_BOUNDARY)], "boundary_bindings", []),
+    ("preplaced", [_record(Preplacement, *_PREPLACED)], "preplacements", []))
 
 
 def apply_constraints(circuit: Circuit, cf: ConstraintFile) -> Circuit:
     """New circuit carrying the file's constraints; the layer map (if any)
-    reassigns blocks first so the result validates as a whole.  A layer-map
-    entry or an alignment pair naming a block the circuit lacks is a
-    ParseError."""
-    by_id = {b.id: b for b in circuit.blocks}
+    reassigns blocks first so the result validates as a whole.  A constraint
+    naming a block the circuit lacks, or one it rejects, is a ParseError."""
     named = [*cf.layers, *(p[k] for p in cf.alignment_pairs for k in ("a", "b"))]
-    missing = [b for b in named if b not in by_id]
+    missing = [b for b in named if not 0 <= b < circuit.num_blocks]
     if missing:
         raise ParseError(f"constraint file names block {missing[0]}, "
                          f"which the circuit lacks")
@@ -107,21 +188,16 @@ def apply_constraints(circuit: Circuit, cf: ConstraintFile) -> Circuit:
     if cf.layers:
         blocks = tuple(
             dataclasses.replace(b, z=cf.layers.get(b.id, b.z)) for b in blocks)
-    pairs = tuple(
-        AlignmentPair(p["a"], p["b"],
-                      p["min_area_frac"] * min(by_id[p["a"]].area,
-                                               by_id[p["b"]].area))
-        for p in cf.alignment_pairs)
-    bindings = tuple(
-        BoundaryBinding(b["block"], tuple(b["terminals"]), b["mode"])
-        for b in cf.boundary)
-    pres = tuple(
-        Preplacement(p["block"], p["x"], p["y"], p["z"], p["w"], p["h"])
-        for p in cf.preplaced)
-    cons = ConstraintSet(alignment_pairs=pairs, groups=cf.groups,
-                         boundary_bindings=bindings, preplacements=pres)
-    return Circuit(circuit.name, circuit.dims, blocks, circuit.terminals,
-                   circuit.nets, cons, circuit.utilization)
+    try:
+        pairs = tuple(AlignmentPair(p["a"], p["b"], p["min_area_frac"] * min(
+            blocks[p["a"]].area, blocks[p["b"]].area)) for p in cf.alignment_pairs)
+        cons = ConstraintSet(
+            alignment_pairs=pairs, groups=cf.groups,
+            boundary_bindings=tuple(BoundaryBinding(**b) for b in cf.boundary),
+            preplacements=tuple(Preplacement(**p) for p in cf.preplaced))
+        return dataclasses.replace(circuit, blocks=blocks, constraints=cons)
+    except ValueError as e:
+        raise ParseError(f"constraints: {e}") from None
 
 
 def gen_constraints(circuit: Circuit, counts, seed: int,
@@ -233,7 +309,7 @@ def gen_constraints(circuit: Circuit, counts, seed: int,
         for members, idx in zip(anchor_groups, picks):
             for blk in members:
                 bindings.append({"block": blk,
-                                 "terminals": [candidates[idx].id],
+                                 "terminals": (candidates[idx].id,),
                                  "mode": "ALL"})
         bindings.sort(key=lambda b: b["block"])
 
@@ -330,85 +406,26 @@ def synth_instance(name: str, seed: int, *, n_blocks: int = 12,
 
 # --- circuit files ---------------------------------------------------------
 
+_CIRCUIT = _record(
+    Circuit, ("name", _STEM), ("utilization", _FLOAT, None, 0.80),
+    ("dims", _record(GridDims, ("width", _SIZE), ("height", _SIZE),
+                     ("layers", _SIZE, "num_layers"))),
+    ("blocks", [_record(Block, ("id", _INT), ("name", _STR), ("area", _SIZE),
+                        ("w", _SIZE), ("h", _SIZE), ("ar_min", _FLOAT),
+                        ("ar_max", _FLOAT), ("soft", _BOOL, "is_soft"), ("z", _INT))]),
+    ("terminals", [_record(Terminal, ("id", _INT), ("name", _STR), ("x", _INT),
+                           ("y", _INT), ("z", _INT))]),
+    ("nets", [_record(Net, ("blocks", [_INT]), ("terminals", [_INT]))]),
+    ("constraints", _CONSTRAINT_SET, None, {}),
+    consts=(("format", "stackfp-circuit-1"), ("quantization", QUANTIZATION)))
+
+
 def circuit_to_json(circuit: Circuit) -> str:
-    doc = {
-        "format": "stackfp-circuit-1",
-        "quantization": QUANTIZATION,
-        "name": circuit.name,
-        "dims": {"width": circuit.dims.width, "height": circuit.dims.height,
-                 "layers": circuit.dims.num_layers},
-        "utilization": circuit.utilization,
-        "blocks": [
-            {"id": b.id, "name": b.name, "area": b.area, "w": b.w, "h": b.h,
-             "ar_min": b.ar_min, "ar_max": b.ar_max, "soft": b.is_soft,
-             "z": b.z}
-            for b in circuit.blocks],
-        "terminals": [
-            {"id": t.id, "name": t.name, "x": t.x, "y": t.y, "z": t.z}
-            for t in circuit.terminals],
-        "nets": [
-            {"blocks": list(n.blocks), "terminals": list(n.terminals)}
-            for n in circuit.nets],
-        "constraints": _constraints_to_doc(circuit.constraints),
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _constraints_to_doc(cons: ConstraintSet) -> dict:
-    return {
-        "alignment_pairs": [
-            {"a": p.a, "b": p.b, "min_area": p.min_area}
-            for p in cons.alignment_pairs],
-        "groups": [list(g) for g in cons.groups],
-        "boundary": [
-            {"block": b.block, "terminals": list(b.terminals), "mode": b.mode}
-            for b in cons.boundary_bindings],
-        "preplaced": [
-            {"block": p.block, "x": p.x, "y": p.y, "z": p.z, "w": p.w, "h": p.h}
-            for p in cons.preplacements],
-    }
-
-
-def _constraints_from_doc(doc: dict) -> ConstraintSet:
-    return ConstraintSet(
-        alignment_pairs=tuple(
-            AlignmentPair(int(p["a"]), int(p["b"]), float(p["min_area"]))
-            for p in doc.get("alignment_pairs", ())),
-        groups=tuple(tuple(int(b) for b in g) for g in doc.get("groups", ())),
-        boundary_bindings=tuple(
-            BoundaryBinding(int(b["block"]), tuple(int(t) for t in b["terminals"]),
-                            str(b["mode"]))
-            for b in doc.get("boundary", ())),
-        preplacements=tuple(
-            Preplacement(*(int(p[k]) for k in ("block", "x", "y", "z", "w", "h")))
-            for p in doc.get("preplaced", ())),
-    )
+    return _dump(_CIRCUIT, circuit)
 
 
 def circuit_from_json(text: str) -> Circuit:
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or doc.get("format") != "stackfp-circuit-1":
-        raise ValueError("not a circuit file")
-    with _document("circuit"):
-        dims = GridDims(doc["dims"]["width"], doc["dims"]["height"],
-                        doc["dims"]["layers"])
-        blocks = tuple(
-            Block(int(b["id"]), b["name"], int(b["area"]), int(b["w"]),
-                  int(b["h"]), float(b["ar_min"]), float(b["ar_max"]),
-                  bool(b["soft"]), int(b["z"]))
-            for b in doc["blocks"])
-        terminals = tuple(
-            Terminal(int(t["id"]), t["name"], int(t["x"]), int(t["y"]),
-                     int(t["z"]))
-            for t in doc["terminals"])
-        nets = tuple(
-            Net(blocks=tuple(int(b) for b in n["blocks"]),
-                terminals=tuple(int(t) for t in n["terminals"]))
-            for n in doc["nets"])
-        cons = _constraints_from_doc(doc.get("constraints", {}))
-        name, utilization = doc["name"], float(doc.get("utilization", 0.80))
-    return Circuit(name, dims, blocks, terminals, nets, cons,
-                   utilization=utilization)
+    return _load(_CIRCUIT, "circuit", text)
 
 
 # --- placement files -------------------------------------------------------
@@ -439,64 +456,46 @@ def mask_pgm(values: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
+_PLACEMENT = _record(
+    lambda header, blocks: (header, blocks),
+    ("header", _record(dict, ("circuit", _STR), ("task", _TASK), ("solver", _STR),
+                       ("seed", _INT), ("width", _SIZE), ("height", _SIZE),
+                       ("layers", _SIZE))),
+    ("blocks", [_record(dict, ("id", _INT), *_RECT)]),
+    consts=(("format", "stackfp-placement-1"),))
+
+
 def placement_to_json(state, circuit_name: str, task: int, solver: str,
                       seed: int) -> str:
     dims = state.circuit.dims
-    doc = {
-        "format": "stackfp-placement-1",
-        "header": {"circuit": circuit_name, "task": task, "solver": solver,
-                   "seed": seed, "width": dims.width, "height": dims.height,
-                   "layers": dims.num_layers},
-        "blocks": [
-            {"id": i, "x": r[0], "y": r[1], "z": state.circuit.blocks[i].z,
-             "w": r[2], "h": r[3]}
-            for i in sorted(state.placed_ids())
-            for r in (state.rect(i),)],
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    header = dict(circuit=circuit_name, task=task, solver=solver, seed=seed,
+                  width=dims.width, height=dims.height, layers=dims.num_layers)
+    rows = [dict(id=i, x=x, y=y, z=state.circuit.blocks[i].z, w=w, h=h)
+            for i in state.placed_ids() for x, y, w, h in (state.rect(i),)]
+    return _dump(_PLACEMENT, {"header": header, "blocks": rows})
 
 
-_PLACEMENT_HEADER = {"width": int, "height": int, "layers": int, "task": int,
-                     "solver": str, "seed": int}
+def placement_from_json(text: str) -> tuple[dict, tuple[dict, ...]]:
+    """Header dict and per-block rows; pair with a circuit to rebuild state."""
+    return _load(_PLACEMENT, "placement", text)
 
 
-def placement_from_json(text: str) -> tuple[dict, list[dict]]:
-    """Header dict and per-block rows; pair with a circuit to rebuild state.
-    The header must carry the fields `stackfp eval` reads, with their types."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or doc.get("format") != "stackfp-placement-1":
-        raise ValueError("not a placement file")
-    header, rows = doc.get("header"), doc.get("blocks")
-    if not (isinstance(header, dict) and all(
-            type(header.get(k)) is t for k, t in _PLACEMENT_HEADER.items())):
-        raise ParseError("placement header needs integer width, height, "
-                         "layers, task and seed and a string solver")
-    if not isinstance(rows, list):
-        raise ParseError("placement file needs a list of blocks")
-    return header, rows
-
-
-def state_from_placement(circuit: Circuit, rows: list[dict]):
-    """Force a FloorplanState into the recorded geometry (shapes included).
-    Malformed rows raise ParseError."""
-    from .core import FloorplanState
+def state_from_placement(circuit: Circuit, rows) -> FloorplanState:
+    """Force a FloorplanState into the recorded geometry (shapes included); a
+    row with an unknown or repeated block, or off its layer or outline, is a ParseError."""
     state = FloorplanState(circuit)
-    n = circuit.num_blocks
-    keys = ("id", "x", "y", "z", "w", "h")
+    n, dims = circuit.num_blocks, circuit.dims
     for row in rows:
-        if not (isinstance(row, dict) and all(
-                type(row.get(k)) is int for k in keys)):
-            raise ParseError(f"placement row {row!r} needs integer {', '.join(keys)}")
-        bid = row["id"]
+        bid, x, y, w, h = row["id"], row["x"], row["y"], row["w"], row["h"]
         if not 0 <= bid < n:
             raise ParseError(f"placement row names block {bid}, circuit has 0..{n - 1}")
         if state.placed[bid]:
             raise ParseError(f"placement lists block {bid} twice")
         if row["z"] != circuit.blocks[bid].z:
-            raise ParseError(f"placement puts block {bid} on layer {row['z']}, "
-                             f"circuit has it on {circuit.blocks[bid].z}")
-        state.w[bid] = row["w"]
-        state.h[bid] = row["h"]
-        state.place(bid, row["x"], row["y"])
+            raise ParseError(f"placement moves block {bid} off layer {circuit.blocks[bid].z}")
+        if x < 0 or y < 0 or x + w > dims.width or y + h > dims.height:
+            raise ParseError(f"placement block {bid} leaves the {dims.width}x{dims.height} outline")
+        state.w[bid], state.h[bid] = w, h
+        state.place(bid, x, y)
     state.cursor = len(state.order)      # treat as a finished episode
     return state

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -52,6 +54,10 @@ class TestShapeFromAr:
     def test_unit_area(self):
         assert shape_from_ar(1, 1.0, 0.5, 2.0) == (1, 1)
 
+    def test_ratio_clipped_to_one_row(self):
+        # a band far wider than the area still gives a shape one row high
+        assert shape_from_ar(5, 1e300, 0.5, 1e300) == (5, 1)
+
     def test_rejects_empty_area(self):
         with pytest.raises(ValueError):
             shape_from_ar(0, 1.0, 0.5, 2.0)
@@ -84,6 +90,16 @@ class TestCircuitValidation:
         with pytest.raises(ValueError, match="utilization"):
             circuit([hard(0, 8, 8), hard(1, 8, 8, z=1)], util=0.5)
         circuit([hard(0, 8, 8)], util=0.5)
+
+    def test_utilization_range(self):
+        for util in (0.0, 1.5, math.nan):
+            with pytest.raises(ValueError, match="utilization"):
+                circuit([hard(0, 2, 2)], util=util)
+
+    def test_terminals_on_the_grid(self):
+        for x, y, z in ((8, 0, 0), (0, -1, 0), (0, 0, 2)):
+            with pytest.raises(ValueError, match="off the grid"):
+                circuit([hard(0, 2, 2)], terminals=[Terminal(0, "p", x, y, z)])
 
     def test_net_member_bounds(self):
         with pytest.raises(ValueError, match="unknown block"):

@@ -1,9 +1,12 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stackfp import (
     Block,
@@ -239,7 +242,7 @@ class TestCircuitJson:
         assert back.constraints.groups == cc.constraints.groups
 
     def test_rejects_other_documents(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError, match="circuit.format"):
             circuit_from_json(json.dumps({"format": "something-else"}))
 
 
@@ -359,7 +362,7 @@ class TestPlacementFiles:
         assert placement_to_json(state, cc.name, 1, "greedy", 0) == text
 
     def test_rejects_other_documents(self):
-        with pytest.raises(ValueError, match="placement"):
+        with pytest.raises(ParseError, match="placement.format"):
             placement_from_json(json.dumps({"format": "nope"}))
 
 
@@ -602,6 +605,13 @@ class TestCli:
         assert rc == 3
         assert capsys.readouterr().err.startswith("error:io:")
 
+    def test_undecodable_file_is_io(self, workdir, capsys):
+        (workdir / "cli.circuit.json").write_bytes(b"\xff\xfe{")
+        rc = cli_main(["solve", "--circuit", str(workdir / "cli.circuit.json"),
+                       "--task", "1", "--out", str(workdir / "x")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error:io:")
+
     def test_infeasible_counts_exit_two(self, workdir, capsys):
         rc = cli_main(["gen-constraints", "--circuit",
                        str(workdir / "cli.circuit.json"),
@@ -642,22 +652,40 @@ class TestCli:
         assert not (workdir / "x").exists()
 
     @pytest.mark.parametrize("argv", [
-        ["masks", "--block", "999"],
-        ["masks", "--block", "-1"],
-        ["solve", "--dims", "0x4x2"],
-        ["solve", "--dims", "32x32x0"],
-        ["solve", "--dims", "32x32x2", "--util", "0"],
-        ["solve", "--dims", "32x32x2", "--util", "-1"],
-        ["solve", "--dims", "32x32x2", "--util", "nan"],
-        ["solve", "--dims", "32x32x2", "--util", "1.5"],
+        ["masks", "--circuit", "JSON", "--task", "3", "--block", "999"],
+        ["masks", "--circuit", "JSON", "--task", "3", "--block", "-1"],
+        ["solve", "--circuit", "GSRC", "--task", "3", "--dims", "0x4x2"],
+        ["solve", "--circuit", "GSRC", "--task", "3", "--dims", "32x32x0"],
+        ["solve", "--circuit", "GSRC", "--task", "3", "--dims", "32x32x2", "--util", "0"],
+        ["solve", "--circuit", "GSRC", "--task", "3", "--dims", "32x32x2", "--util", "-1"],
+        ["solve", "--circuit", "GSRC", "--task", "3", "--dims", "32x32x2", "--util", "nan"],
+        ["solve", "--circuit", "GSRC", "--task", "3", "--dims", "32x32x2", "--util", "1.5"],
+        ["solve", "--circuit", "JSON", "--task", "3", "--weights", "nan,1,1,1,1"],
+        ["solve", "--circuit", "JSON", "--task", "3", "--solver", "sa",
+         "--sa-iterations", "2", "--weights", "inf,1,1,1,1"],
+        ["solve", "--circuit", "JSON", "--task", "3", "--thresholds", "nan,0,0.5"],
+        ["gen-constraints", "--circuit", "JSON", "--counts", "2,0,0",
+         "--min-area-frac", "nan"],
+        ["gen-constraints", "--circuit", "JSON", "--counts", "2,0,0",
+         "--min-area-frac", "0"],
+        ["gen-constraints", "--circuit", "JSON", "--counts", "inf,0,0"],
+        ["gen-constraints", "--circuit", "JSON", "--counts", "nan,0,0"],
+        ["solve", "--circuit", "JSON", "--task", "3", "--solver", "random",
+         "--seed", "-1"],
+        ["solve", "--circuit", "JSON", "--task", "3", "--solver", "sa",
+         "--sa-iterations", "2", "--seed", "-1"],
+        ["bench", "--tasks", "1.7", "--instances", "1", "--seeds", "1"],
+        ["gen-constraints", "--circuit", "JSON", "--counts=-2,0,0"],
     ], ids=["block_beyond_circuit", "negative_block", "zero_width",
             "zero_layers", "util_zero", "util_negative", "util_nan",
-            "util_above_one"])
+            "util_above_one", "weights_nan", "weights_inf", "thresholds_nan",
+            "min_area_frac_nan", "min_area_frac_zero", "counts_inf",
+            "counts_nan", "seed_negative_random", "seed_negative_sa",
+            "tasks_fraction", "counts_negative"])
     def test_out_of_range_value_is_usage(self, workdir, capsys, argv):
-        circuit = (["--circuit", str(workdir / "cli.circuit.json")]
-                   if argv[0] == "masks" else
-                   ["--circuit", str(workdir / "gsrc")])
-        rc = cli_main([*argv, *circuit, "--task", "3",
+        paths = {"JSON": str(workdir / "cli.circuit.json"),
+                 "GSRC": str(workdir / "gsrc")}
+        rc = cli_main([*(paths.get(a, a) for a in argv),
                        "--out", str(workdir / "x")])
         assert rc == 1
         err = capsys.readouterr().err
@@ -675,53 +703,182 @@ class TestCli:
         for pa, pb in zip(a, b):
             assert pa.read_bytes() == pb.read_bytes()
 
-    @pytest.mark.parametrize("defect", [
-        "id_beyond_circuit", "missing_w", "negative_id", "duplicate_id",
-        "wrong_layer", "float_x", "circuit_without_dims",
-        "placement_without_header", "pair_without_a", "pair_names_unknown_block",
-        "layer_map_names_unknown_block"])
-    def test_eval_malformed_placement_row_is_io(self, workdir, capsys, defect):
-        placement = self.solve(workdir)
-        doc = json.loads(placement.read_text())
-        row = doc["blocks"][0]
-
-        def strip(path, drop):
-            other = json.loads(path.read_text())
-            drop(other)
-            path.write_text(json.dumps(other))
-
-        if defect == "id_beyond_circuit":
-            row["id"] = 999
-        elif defect == "missing_w":
-            del row["w"]
-        elif defect == "negative_id":
-            # -1 would wrap around to the last block, which this row places
-            last = max(doc["blocks"], key=lambda r: r["id"])
-            last["id"] = -1
-        elif defect == "duplicate_id":
-            doc["blocks"][1]["id"] = row["id"]
-        elif defect == "wrong_layer":
-            row["z"] = 1 - row["z"]
-        elif defect == "float_x":
-            row["x"] = float(row["x"])
-        elif defect == "circuit_without_dims":
-            strip(workdir / "cli.circuit.json", lambda d: d.pop("dims"))
-        elif defect == "placement_without_header":
-            del doc["header"]
-        elif defect == "pair_without_a":
-            strip(workdir / "cli.constraints.json",
-                  lambda d: d["alignment_pairs"][0].pop("a"))
-        elif defect == "pair_names_unknown_block":
-            strip(workdir / "cli.constraints.json",
-                  lambda d: d["alignment_pairs"][0].update(a=999))
-        else:
-            strip(workdir / "cli.constraints.json",
-                  lambda d: d["layers"].update({"999": 1}))
-        placement.write_text(json.dumps(doc))
+    def assert_io(self, capsys, argv, match):
         capsys.readouterr()
-        rc = cli_main(["eval", "--circuit", str(workdir / "cli.circuit.json"),
-                       "--constraints", str(workdir / "cli.constraints.json"),
-                       "--placement", str(placement)])
+        rc = cli_main(argv)
         err = capsys.readouterr().err
         assert rc == 3
         assert err.startswith("error:io:") and len(err.splitlines()) == 1
+        assert match in err
+
+    @staticmethod
+    def spoil(path, mutate):
+        doc = json.loads(path.read_text())
+        mutate(doc)
+        path.write_text(json.dumps(doc))
+
+    # (file, mutation, text the one error line must hold)
+    @pytest.mark.parametrize("target,mutate,match", [
+        ("placement", lambda d: d["blocks"][0].update(id=999), ""),
+        ("placement", lambda d: d["blocks"][0].pop("w"), ""),
+        # -1 would wrap around to the last block, which this row places
+        ("placement", lambda d: max(d["blocks"], key=lambda r: r["id"]).update(id=-1), ""),
+        ("placement", lambda d: d["blocks"][1].update(id=d["blocks"][0]["id"]), ""),
+        ("placement", lambda d: d["blocks"][0].update(z=1 - d["blocks"][0]["z"]), ""),
+        ("placement", lambda d: d["blocks"][0].update(x=float(d["blocks"][0]["x"])), ""),
+        ("circuit", lambda d: d.pop("dims"), ""),
+        ("placement", lambda d: d.pop("header"), ""),
+        ("constraints", lambda d: d["alignment_pairs"][0].pop("a"), ""),
+        ("constraints", lambda d: d["alignment_pairs"][0].update(a=999), ""),
+        ("constraints", lambda d: d["layers"].update({"999": 1}), ""),
+        ("circuit", lambda d: d["dims"].update(width=32.0), "circuit.dims.width"),
+        ("placement", lambda d: d["blocks"][0].update(x=10**30), "placement.blocks[0].x"),
+        ("circuit", lambda d: d["blocks"][0].update(soft="no"), "circuit.blocks[0].soft"),
+        ("circuit", lambda d: d["blocks"][1].update(id=1.5), "circuit.blocks[1].id"),
+        ("circuit", lambda d: d["blocks"][1].update(id=1.0), "circuit.blocks[1].id"),
+        ("circuit", lambda d: d.update(utilization=math.nan), "circuit.utilization"),
+        ("circuit", lambda d: d["nets"][0].update(blocks="01"), "circuit.nets[0].blocks"),
+        ("constraints", lambda d: d["alignment_pairs"][0].update(min_area_frac="0.5"),
+         "min_area_frac"),
+        ("constraints", lambda d: d["alignment_pairs"][0].update(min_area_frac=math.inf),
+         "min_area_frac"),
+        ("constraints", lambda d: d["alignment_pairs"][0].update(min_area_frac=math.nan),
+         "min_area_frac"),
+        ("circuit", lambda d: d["terminals"][0].update(x=999), "off the grid"),
+        ("placement", lambda d: d["blocks"][0].update(w=-3), "placement.blocks[0].w"),
+        ("placement", lambda d: d["blocks"][0].update(w=0), "placement.blocks[0].w"),
+        ("placement", lambda d: d["header"].update(task=9), "placement.header.task"),
+        ("placement", lambda d: d["blocks"].pop(), "omits block"),
+        ("circuit", lambda d: d["blocks"][0].update(name="b0\nerror:"), "circuit.blocks[0].name"),
+        ("circuit", lambda d: d.update(name="../escaped"), "circuit.name"),
+    ], ids=["id_beyond_circuit", "missing_w", "negative_id", "duplicate_id",
+            "wrong_layer", "float_x", "circuit_without_dims",
+            "placement_without_header", "pair_without_a",
+            "pair_names_unknown_block", "layer_map_names_unknown_block",
+            "float_width", "huge_x", "soft_not_bool", "fractional_id",
+            "integral_float_id", "nan_utilization", "string_net",
+            "string_min_area_frac", "infinite_min_area_frac",
+            "nan_min_area_frac", "terminal_off_grid", "negative_w", "zero_w",
+            "task_out_of_range", "omitted_block", "name_with_line_break",
+            "name_with_path"])
+    def test_eval_malformed_placement_row_is_io(self, workdir, capsys, target,
+                                                mutate, match):
+        placement = self.solve(workdir)
+        files = {"circuit": workdir / "cli.circuit.json",
+                 "constraints": workdir / "cli.constraints.json",
+                 "placement": placement}
+        self.spoil(files[target], mutate)
+        self.assert_io(capsys, ["eval", "--circuit", str(files["circuit"]),
+                                "--constraints", str(files["constraints"]),
+                                "--placement", str(placement)], match)
+
+    @pytest.mark.parametrize("target,mutate,match", [
+        ("circuit", lambda d: next(b for b in d["blocks"] if b["soft"]).update(
+            ar_max=math.inf), "ar_max"),
+        ("constraints", lambda d: d["alignment_pairs"][0].update(min_area_frac=math.nan),
+         "min_area_frac"),
+    ], ids=["infinite_ar_max", "nan_min_area_frac"])
+    def test_solve_malformed_input_is_io(self, workdir, capsys, target, mutate,
+                                         match):
+        path = workdir / f"cli.{target}.json"
+        self.spoil(path, mutate)
+        self.assert_io(capsys, ["solve", "--circuit", str(workdir / "cli.circuit.json"),
+                                "--constraints", str(workdir / "cli.constraints.json"),
+                                "--task", "3", "--out", str(workdir / "o")], match)
+
+
+# --- fuzzing the input boundary ------------------------------------------------
+
+ODD_VALUES = st.sampled_from([
+    None, True, False, "", "x", [], {}, [1], {"a": 1}, 0, -1, 1.5, 2**63,
+    -2**70, 1e308, -1e308, math.nan, math.inf, -math.inf])
+ODD_TOKENS = st.sampled_from([
+    "nan", "inf", "-inf", "1e400", "1e308", "-1e30", "9" * 30, "0", "-5", "x"])
+GSRC_FLAGS = ["--dims", "32x32x2", "--util", "0.45"]
+FUZZ_FILES = ("c.json", "k.json", "fz.placement.json", "gsrc.placement.json",
+              "gsrc/t.blocks", "gsrc/t.nets", "gsrc/t.pl")
+
+
+def spoil_json(data, text: str) -> str:
+    """One drawn defect: the top-level value replaced, or some member
+    somewhere dropped or given an odd value."""
+    doc = json.loads(text)
+    if data.draw(st.integers(0, 9)) == 0:
+        return json.dumps(data.draw(ODD_VALUES))
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node:
+        parent, key = node, data.draw(st.sampled_from(
+            list(node) if isinstance(node, dict) else range(len(node))))
+        node = parent[key]
+        if data.draw(st.booleans()):
+            break
+    if parent is None:
+        return json.dumps(data.draw(ODD_VALUES))
+    if data.draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = data.draw(ODD_VALUES)
+    return json.dumps(doc)
+
+
+def spoil_text(data, text: str) -> str:
+    """One drawn defect in a bookshelf file: a line dropped, or one of its
+    tokens replaced."""
+    lines = text.splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    tokens = lines[i].split()
+    if not tokens or data.draw(st.booleans()):
+        del lines[i]
+    else:
+        tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(ODD_TOKENS)
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """Valid inputs for both circuit kinds, each with a solved placement."""
+    root = tmp_path_factory.mktemp("fuzz")
+    cc, cf = synth_instance("fz", 5)
+    (root / "c.json").write_text(circuit_to_json(cc))
+    (root / "k.json").write_text(cf.to_json())
+    gsrc = root / "gsrc"
+    gsrc.mkdir()
+    for name, text in (("t.blocks", BLOCKS_TEXT), ("t.nets", NETS_TEXT), ("t.pl", PL_TEXT)):
+        (gsrc / name).write_text(text)
+    for argv, stem in ((["--circuit", str(root / "c.json"), "--constraints",
+                         str(root / "k.json")], "fz"),
+                       (["--circuit", str(gsrc), *GSRC_FLAGS], "gsrc")):
+        assert cli_main(["solve", *argv, "--task", "1", "--out", str(root / "o")]) == 0
+        (root / f"{stem}.placement.json").write_text(
+            (root / "o" / f"{stem}-t1-greedy-s0.placement.json").read_text())
+    return root
+
+
+class TestMalformedInputFuzz:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(data=st.data(), target=st.sampled_from(FUZZ_FILES),
+           command=st.sampled_from(["eval", "render"]))
+    def test_one_error_line_and_no_traceback(self, fuzz_dir, data, target, command):
+        work = fuzz_dir / "case"
+        gsrc = work / "gsrc"
+        gsrc.mkdir(parents=True, exist_ok=True)
+        for name in FUZZ_FILES:
+            text = (fuzz_dir / name).read_text()
+            if name == target:
+                text = (spoil_json if name.endswith(".json") else spoil_text)(data, text)
+            (work / name).write_text(text)
+        if target.startswith("gsrc"):
+            argv = ["--circuit", str(gsrc), *GSRC_FLAGS,
+                    "--placement", str(work / "gsrc.placement.json")]
+        else:
+            argv = ["--circuit", str(work / "c.json"), "--constraints",
+                    str(work / "k.json"), "--placement", str(work / "fz.placement.json")]
+        if command == "render":
+            argv += ["--out", str(work / "plot.svg")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = cli_main([command, *argv])
+        lines = err.getvalue().splitlines()
+        assert rc == 0 or (rc in (2, 3) and len(lines) == 1
+                           and lines[0].startswith("error:")), (rc, lines)
