@@ -50,6 +50,8 @@ def _content_lines(text: str):
 
 
 _KEYWORD = re.compile(r"^\s*\w[\w ]*:\s*\S")
+# name, kind, declared vertex count, then nothing but parenthesized vertices
+_VERTICES = re.compile(r"\S+\s+hardrectilinear\s+(\d+)((?:\s*\([^()]*\))*)")
 
 
 def _number(text: str, line: str, ln: int) -> float:
@@ -93,12 +95,16 @@ def parse_blocks_text(text: str):
             blocks[name] = {"kind": "soft", "area": area,
                             "ar_min": ar_min, "ar_max": ar_max}
         elif kind == "hardrectilinear":
-            verts = re.findall(r"\(\s*([-\d.]+)\s*,\s*([-\d.]+)\s*\)", line)
-            if len(verts) < 3:
+            head = _VERTICES.fullmatch(line)
+            verts = re.findall(r"\(([^()]*)\)", head[2]) if head else []
+            if head is None or len(verts) != int(head[1]) or len(verts) < 3:
                 raise ParseError(
-                    f"hardrectilinear wants vertex list: {line!r}", ln)
-            xs = [_number(a, line, ln) for a, _ in verts]
-            ys = [_number(b, line, ln) for _, b in verts]
+                    f"hardrectilinear wants a count, then that many vertices: {line!r}", ln)
+            verts = [v.split(",") for v in verts]
+            if any(len(v) != 2 for v in verts):
+                raise ParseError(f"hardrectilinear vertex wants two numbers: {line!r}", ln)
+            xs = [_number(a.strip(), line, ln) for a, _ in verts]
+            ys = [_number(b.strip(), line, ln) for _, b in verts]
             w, h = max(xs) - min(xs), max(ys) - min(ys)
             if w <= 0 or h <= 0:
                 raise ParseError(f"degenerate hard block {name!r}", ln)

@@ -288,6 +288,9 @@ def _cmd_bench(args) -> int:
     for s in solvers:
         if s not in ("greedy", "sa", "random"):
             raise UsageError(f"unknown solver {s!r} in --solvers")
+    for flag, values in (("--tasks", args.tasks), ("--solvers", solvers)):
+        if len(set(values)) != len(values):
+            raise UsageError(f"{flag} lists a value twice, got {values}")
     cells = [(i, t, s, seed, args.sa_iterations)
              for i in range(args.instances)
              for t in args.tasks

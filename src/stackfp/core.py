@@ -4,6 +4,13 @@ Coordinates are integer grid cells.  A block anchored at (x, y) covers the
 half-open cell range [x, x+w) x [y, y+h), so two blocks abut exactly when one
 anchor coordinate equals the other block's far edge.  Layers are indexed
 0..num_layers-1 and blocks never move between layers during placement.
+
+`FloorplanState` keeps its own bookkeeping up to date as blocks go down, so
+no step recomputes it from the placed blocks: a per-layer summed-area table
+of cell cover (Crow, SIGGRAPH 1984), whose window sums give the position
+mask and whose double difference is the occupancy canvas; each net's live
+bounding box, which wirelength and the wire mask read; and the running
+footprint overlap.  Blocks are only ever added, never removed.
 """
 
 import dataclasses
@@ -12,7 +19,7 @@ import math
 
 import numpy as np
 
-from .geometry import net_boxes, rect_overlap
+from .geometry import rect_overlap
 
 # Rule identifiers.  The last four are structural and can never be disabled.
 RULE_BOUNDARY = "boundary"      # block must touch bound terminals
@@ -260,11 +267,7 @@ class TaskProfile:
 @dataclasses.dataclass(frozen=True)
 class CircuitIndex:
     """The circuit's constraints and nets as index arrays, so that a rule's
-    metric over all of its instances is one kernel call.
-
-    Net members are rows of an index array into the block centers followed
-    by the terminal cells (block b is b, terminal t is num_blocks + t), and
-    a net's rows run from its start to the next net's start."""
+    metric over all of its instances is one kernel call."""
     layers: np.ndarray          # layer of each block
     pairs: np.ndarray           # (2, pairs): members of each alignment pair
     min_area: np.ndarray        # per pair
@@ -274,9 +277,10 @@ class CircuitIndex:
     every: np.ndarray           # the binding's mode is ALL
     terms: np.ndarray           # (2, terminals, bindings): terminal cells, each
                                 # binding padded by repeating its first one
-    nets: tuple[np.ndarray, np.ndarray]                 # (rows, starts)
-    nets_of: tuple[tuple[np.ndarray, np.ndarray], ...]  # the same, per block
-    terminals: np.ndarray       # (2, terminals) float cells
+    net_ids: tuple[np.ndarray, ...]     # per block, the nets it belongs to
+    # (2, nets) lo and hi of each net's box over its terminal cells; a net
+    # without terminals gets the empty box lo = inf, hi = -inf
+    terminal_boxes: tuple[np.ndarray, np.ndarray]
     # per block, where it has one: its abutment group, its alignment pair
     # and its boundary binding (validate allows at most one of each)
     group_of: dict[int, tuple[int, ...]]
@@ -292,17 +296,16 @@ class CircuitIndex:
         terms = [[circuit.terminals[t] for t in bb.terminals] for bb in bindings]
         terms = [[(t.x, t.y) for t in ts + ts[:1] * (width - len(ts))] for ts in terms]
         ints = lambda v: np.array(v, dtype=np.int64)
-        n = len(circuit.blocks)
-        members = [[*net.blocks, *(n + t for t in net.terminals)] for net in circuit.nets]
-        nets_of = [[] for _ in range(n)]
+        net_ids = [[] for _ in circuit.blocks]
+        lo = np.full((2, len(circuit.nets)), np.inf)
+        hi = np.full((2, len(circuit.nets)), -np.inf)
         for k, net in enumerate(circuit.nets):
             for b in net.blocks:
-                nets_of[b].append(k)
-
-        def rows(nets):
-            lens = [len(members[k]) for k in nets]
-            return (ints([m for k in nets for m in members[k]]),
-                    np.cumsum([0, *lens], dtype=np.int64)[:-1])
+                net_ids[b].append(k)
+            cells = [(circuit.terminals[t].x, circuit.terminals[t].y) for t in net.terminals]
+            if cells:
+                lo[:, k] = np.min(cells, axis=0)
+                hi[:, k] = np.max(cells, axis=0)
         return cls(
             layers=ints([b.z for b in circuit.blocks]),
             pairs=ints([(p.a, p.b) for p in pairs]).reshape(-1, 2).T,
@@ -314,10 +317,8 @@ class CircuitIndex:
             bound=ints([bb.block for bb in bindings]),
             every=np.array([bb.mode == "ALL" for bb in bindings], dtype=bool),
             terms=ints(terms).reshape(len(bindings), width, 2).transpose(2, 1, 0),
-            nets=rows(range(len(members))),
-            nets_of=tuple(rows(ks) for ks in nets_of),
-            terminals=np.array([[t.x for t in circuit.terminals],
-                                [t.y for t in circuit.terminals]], dtype=float),
+            net_ids=tuple(ints(ks) for ks in net_ids),
+            terminal_boxes=(lo, hi),
             group_of={b: g for g in cons.groups for b in g},
             pair_of={b: p for p in pairs for b in (p.a, p.b)},
             binding_of={bb.block: bb for bb in bindings},
@@ -366,6 +367,7 @@ class Circuit:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
+    @functools.cached_property
     def mean_block_area(self) -> float:
         if not self.blocks:
             return 1.0
@@ -374,6 +376,13 @@ class Circuit:
     @functools.cached_property
     def index(self) -> CircuitIndex:
         return CircuitIndex.build(self)
+
+    @functools.cached_property
+    def wire_baseline(self) -> float:
+        """Wirelength of the circuit's wire-greedy rollout, rolled out on
+        first use; see `env.wire_greedy_baseline`."""
+        from .env import wire_greedy_rollout    # env builds on this module
+        return wire_greedy_rollout(self)
 
 
 def default_order(circuit: Circuit) -> list[int]:
@@ -392,6 +401,16 @@ class FloorplanState:
     Block shapes live here because soft blocks are reshaped per episode.
     `order` is a permutation of all block ids and `cursor` the index of the
     next block to place; everything before the cursor is already down.
+
+    `place` keeps three things current for the placed blocks: `sat`, the
+    per-layer summed-area table of cell cover, shape (L, W+1, H+1), where
+    sat[z, i, j] counts the covered cells [0, i) x [0, j) of layer z with
+    multiplicity, off-grid parts clipped; `net_lo` and `net_hi`, each net's
+    (2, nets) box over its terminal cells and its placed blocks' centers;
+    and `overlap`, the summed pairwise footprint overlap of same-layer
+    placed blocks, exact for forced placements too.  The table is int32 to
+    keep clones small; it is exact while a layer's summed cover stays below
+    2**31 cells.
     """
 
     def __init__(self, circuit: Circuit, order: list[int] | None = None):
@@ -408,6 +427,13 @@ class FloorplanState:
         self.w = np.array([b.w for b in circuit.blocks], dtype=np.int64)
         self.h = np.array([b.h for b in circuit.blocks], dtype=np.int64)
         self.placed = np.zeros(n, dtype=bool)
+        dims = circuit.dims
+        self.sat = np.zeros((dims.num_layers, dims.width + 1, dims.height + 1),
+                            dtype=np.int32)
+        lo, hi = circuit.index.terminal_boxes
+        self.net_lo = lo.copy()
+        self.net_hi = hi.copy()
+        self.overlap = 0
 
     def clone(self) -> "FloorplanState":
         dup = object.__new__(FloorplanState)
@@ -419,6 +445,10 @@ class FloorplanState:
         dup.w = self.w.copy()
         dup.h = self.h.copy()
         dup.placed = self.placed.copy()
+        dup.sat = self.sat.copy()
+        dup.net_lo = self.net_lo.copy()
+        dup.net_hi = self.net_hi.copy()
+        dup.overlap = self.overlap
         return dup
 
     @property
@@ -439,24 +469,18 @@ class FloorplanState:
         return [int(i) for i in np.flatnonzero(self.placed)]
 
     def net_boxes(self, block: int | None = None):
-        """Bounding box of every net over its terminal cells and its placed
-        blocks' centers; given a block, of that block's nets only, with the
-        block itself left out.  See geometry.net_boxes."""
-        index = self.circuit.index
-        rows, starts = index.nets if block is None else index.nets_of[block]
-        live = np.concatenate([self.placed, np.ones(index.terminals.shape[1], dtype=bool)])
-        if block is not None:
-            live[block] = False
-        pts = np.concatenate([[self.x + self.w / 2.0, self.y + self.h / 2.0],
-                              index.terminals], axis=1)
-        return net_boxes(pts[:, rows], live[rows], starts)
+        """(lo, hi), each (2, nets): the box of every net over its terminal
+        cells and its placed blocks' centers, the empty box lo = inf,
+        hi = -inf where there is none; given an unplaced block, of its nets
+        only, so the block itself is left out.  Read-only."""
+        if block is None:
+            return self.net_lo, self.net_hi
+        ids = self.circuit.index.net_ids[block]
+        return self.net_lo[:, ids], self.net_hi[:, ids]
 
-    def layer_rects(self, z: int, skip: int | None = None):
-        """x, y, w, h arrays of the placed blocks on layer z in id order,
-        optionally skipping one block."""
+    def layer_rects(self, z: int):
+        """x, y, w, h arrays of the placed blocks on layer z in id order."""
         on = self.placed & (self.circuit.index.layers == z)
-        if skip is not None:
-            on[skip] = False
         return self.x[on], self.y[on], self.w[on], self.h[on]
 
     def set_shape(self, block_id: int, ar: float) -> tuple[int, int]:
@@ -473,18 +497,33 @@ class FloorplanState:
     def place(self, block_id: int, x: int, y: int, validate: bool = True) -> None:
         if self.placed[block_id]:
             raise ValueError(f"block {block_id} is already placed")
-        if validate:
-            dims = self.circuit.dims
-            if x < 0 or y < 0 or x + self.w[block_id] > dims.width or y + self.h[block_id] > dims.height:
-                raise ValueError(
-                    f"block {block_id} at ({x},{y}) leaves the "
-                    f"{dims.width}x{dims.height} outline")
+        dims = self.circuit.dims
+        w, h = int(self.w[block_id]), int(self.h[block_id])
+        if validate and (x < 0 or y < 0 or x + w > dims.width or y + h > dims.height):
+            raise ValueError(
+                f"block {block_id} at ({x},{y}) leaves the "
+                f"{dims.width}x{dims.height} outline")
+        z = self.circuit.blocks[block_id].z
+        self.overlap += int(rect_overlap(*self.layer_rects(z), x, y, w, h).sum())
         self.x[block_id] = x
         self.y[block_id] = y
         self.placed[block_id] = True
 
-    def unplace(self, block_id: int) -> None:
-        self.placed[block_id] = False
+        # the rect clipped to the grid, [x0, x1) x [y0, y1), has
+        # min(i - x0, x1 - x0) * min(j - y0, y1 - y0) cells below and left
+        # of (i, j) once i > x0 and j > y0, and none before
+        x0, x1 = max(x, 0), min(x + w, dims.width)
+        y0, y1 = max(y, 0), min(y + h, dims.height)
+        if x0 < x1 and y0 < y1:
+            self.sat[z, x0 + 1:, y0 + 1:] += np.multiply.outer(
+                np.minimum(np.arange(1, dims.width + 1 - x0, dtype=np.int32), x1 - x0),
+                np.minimum(np.arange(1, dims.height + 1 - y0, dtype=np.int32), y1 - y0))
+
+        ids = self.circuit.index.net_ids[block_id]
+        if len(ids):
+            center = np.array([[x + w / 2.0], [y + h / 2.0]])
+            self.net_lo[:, ids] = np.minimum(self.net_lo[:, ids], center)
+            self.net_hi[:, ids] = np.maximum(self.net_hi[:, ids], center)
 
     def apply_preplacements(self) -> None:
         """Pin every preplaced block at its fixed spot and move those blocks
@@ -503,12 +542,13 @@ class FloorplanState:
         self.cursor = len(ordered_pre)
 
 
+def window_sums(sat: np.ndarray, w: int, h: int) -> np.ndarray:
+    """Cover summed over every w x h window that fits the grid, from
+    summed-area tables over the last two axes: entry [..., x, y] counts the
+    covered cells of [x, x+w) x [y, y+h), shape (..., W-w+1, H-h+1)."""
+    return sat[..., w:, h:] - sat[..., :-w, h:] - sat[..., w:, :-h] + sat[..., :-w, :-h]
+
+
 def occupancy_grid(state: FloorplanState) -> np.ndarray:
     """Binary per-layer coverage, shape (num_layers, W, H), cell [z, x, y]."""
-    dims = state.circuit.dims
-    grid = np.zeros((dims.num_layers, dims.width, dims.height), dtype=np.uint8)
-    for i in state.placed_ids():
-        z = state.circuit.blocks[i].z
-        x, y, w, h = state.rect(i)
-        grid[z, max(0, x):max(0, x + w), max(0, y):max(0, y + h)] = 1
-    return grid
+    return (window_sums(state.sat, 1, 1) > 0).astype(np.uint8)

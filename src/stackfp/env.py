@@ -138,7 +138,13 @@ def wire_greedy_baseline(circuit: Circuit) -> float:
     blocks keep their given shapes and land on the cheapest legal cell,
     optional rules ignored.  Every episode normalizes wirelength by it,
     whatever its order; falls back to 1 when the circuit has no nets or
-    nothing could be placed."""
+    nothing could be placed.  Rolled out once per circuit and kept on it
+    (`Circuit.wire_baseline`)."""
+    return circuit.wire_baseline
+
+
+def wire_greedy_rollout(circuit: Circuit) -> float:
+    """The rollout behind `wire_greedy_baseline`, run afresh."""
     state = FloorplanState(circuit)
     for block_id in state.order:
         pos = position_mask(state, block_id).values

@@ -74,11 +74,3 @@ def center_distance(x1, y1, w1, h1, x2, y2, w2, h2):
     return (np.abs(x1 + w1 / 2.0 - (x2 + w2 / 2.0))
             + np.abs(y1 + h1 / 2.0 - (y2 + h2 / 2.0)))
 
-
-def net_boxes(pts, live, starts):
-    """Bounding box (lo, hi) of each net's live pins, where pts holds the
-    pins' (x, y) along its leading axis and columns starts[i]:starts[i+1]
-    are net i's pins.  A net without a live pin gets the empty box
-    lo = inf, hi = -inf."""
-    return (np.minimum.reduceat(np.where(live, pts, np.inf), starts, axis=-1),
-            np.maximum.reduceat(np.where(live, pts, -np.inf), starts, axis=-1))

@@ -1,7 +1,8 @@
 """Per-cell rule masks over candidate anchor positions.
 
 Every mask is a (W, H) float array indexed [x, y], where (x, y) is the anchor
-the subject block would be placed at.  Value masks score each anchor under one
+the subject block would be placed at.  The subject is a block not yet placed,
+and a placed one raises ValueError.  Value masks score each anchor under one
 rule.  `compile_masks` binarizes each rule's mask where it builds it, by that
 rule's threshold, into one list ordered by severity, the ladder; the
 availability mask is the conjunction of the ladder with the position mask,
@@ -18,14 +19,16 @@ anywhere.
 Each rule's geometry is a kernel in `geometry`, evaluated here over the
 whole anchor grid at once; the metrics in `metrics` call the same kernels
 over constraint instances, so a mask cell equals the metric of the forced
-placement by construction.
+placement by construction.  The position and wire masks read the state's
+incremental bookkeeping instead: window sums of its summed-area table and
+its live net boxes, so neither grows with the number of placed blocks.
 """
 
 import dataclasses
 
 import numpy as np
 
-from .core import BoundaryBinding, FloorplanState
+from .core import BoundaryBinding, FloorplanState, window_sums
 from .geometry import (
     abutment,
     alignment_ratio,
@@ -60,8 +63,15 @@ class AvailabilityResult:
         return bool(self.mask[x, y])
 
 
-def _anchors(state: FloorplanState):
-    """Every anchor of the grid as broadcastable x (W, 1) and y (1, H)."""
+def _require_unplaced(state: FloorplanState, block_id: int) -> None:
+    if state.placed[block_id]:
+        raise ValueError(f"block {block_id} is placed; masks score unplaced blocks")
+
+
+def _anchors(state: FloorplanState, block_id: int):
+    """Every anchor of the grid for the unplaced subject block, as
+    broadcastable x (W, 1) and y (1, H)."""
+    _require_unplaced(state, block_id)
     dims = state.circuit.dims
     return (np.arange(dims.width, dtype=np.int64)[:, None],
             np.arange(dims.height, dtype=np.int64)[None, :])
@@ -72,8 +82,8 @@ def adjacent_terminal_mask(state: FloorplanState, binding: BoundaryBinding) -> R
     edge cell, for every anchor: the worst terminal for ALL bindings, the
     best for ANY.  Anchors that would overhang the outline are still scored;
     the position mask is what rules them out."""
-    xs, ys = _anchors(state)
     b = binding.block
+    xs, ys = _anchors(state, b)
     # one grid per terminal: broadcasting a terminal axis too runs slower
     dist = np.stack([rim_distance(xs, ys, state.w[b], state.h[b], t.x, t.y)
                      for t in (state.circuit.terminals[k] for k in binding.terminals)])
@@ -90,7 +100,7 @@ def adjacent_block_mask(state: FloorplanState, block_id: int, other_id: int) -> 
         raise ValueError(f"block {other_id} is not placed")
     if state.circuit.blocks[block_id].z != state.circuit.blocks[other_id].z:
         raise ValueError(f"blocks {block_id} and {other_id} sit on different layers")
-    xs, ys = _anchors(state)
+    xs, ys = _anchors(state, block_id)
     vals = abutment(xs, ys, state.w[block_id], state.h[block_id], *state.rect(other_id))
     return RuleMask(vals.astype(np.float64))
 
@@ -105,7 +115,7 @@ def alignment_mask(state: FloorplanState, block_id: int, partner_id: int,
         raise ValueError(f"blocks {block_id} and {partner_id} share a layer")
     if min_area <= 0:
         raise ValueError("min_area must be positive")
-    xs, ys = _anchors(state)
+    xs, ys = _anchors(state, block_id)
     vals = alignment_ratio(xs, ys, state.w[block_id], state.h[block_id],
                            *state.rect(partner_id), float(min_area))
     return RuleMask(vals)
@@ -113,19 +123,17 @@ def alignment_mask(state: FloorplanState, block_id: int, partner_id: int,
 
 def position_mask(state: FloorplanState, block_id: int) -> RuleMask:
     """1 where the block fits fully on its layer without touching any placed
-    footprint, 0 elsewhere."""
+    footprint, 0 elsewhere: the anchors whose window of the layer's
+    summed-area table sums to zero."""
+    _require_unplaced(state, block_id)
     dims = state.circuit.dims
     w = int(state.w[block_id])
     h = int(state.h[block_id])
-    z = state.circuit.blocks[block_id].z
     vals = np.zeros((dims.width, dims.height), dtype=np.float64)
     if w <= dims.width and h <= dims.height:
-        vals[:dims.width - w + 1, :dims.height - h + 1] = 1.0
-    for x2, y2, w2, h2 in zip(*(v.tolist() for v in state.layer_rects(z, skip=block_id))):
-        xlo, xhi = max(x2 - w + 1, 0), min(x2 + w2, dims.width)
-        ylo, yhi = max(y2 - h + 1, 0), min(y2 + h2, dims.height)
-        if xlo < xhi and ylo < yhi:
-            vals[xlo:xhi, ylo:yhi] = 0.0
+        z = state.circuit.blocks[block_id].z
+        vals[:dims.width - w + 1, :dims.height - h + 1] = \
+            window_sums(state.sat[z], w, h) == 0
     return RuleMask(vals)
 
 
@@ -133,7 +141,7 @@ def wire_mask(state: FloorplanState, block_id: int) -> RuleMask:
     """Wirelength increase if the block lands at each anchor: the sum over
     its nets of how far the anchor's center falls outside the net's current
     bounding box.  Zero inside every box."""
-    xs, ys = _anchors(state)
+    xs, ys = _anchors(state, block_id)
     lo, hi = state.net_boxes(block_id)
     fixed = np.isfinite(lo[0])          # nets with some other pin down
     lo, hi = lo[:, fixed, None], hi[:, fixed, None]
@@ -147,7 +155,7 @@ def block_distance_mask(state: FloorplanState, block_id: int, anchor_id: int) ->
     placed block's center; the demonstration plug-in rule."""
     if not state.placed[anchor_id]:
         raise ValueError(f"block {anchor_id} is not placed")
-    xs, ys = _anchors(state)
+    xs, ys = _anchors(state, block_id)
     vals = center_distance(xs, ys, state.w[block_id], state.h[block_id],
                            *state.rect(anchor_id))
     return RuleMask(vals)

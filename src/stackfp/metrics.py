@@ -8,7 +8,9 @@ wirelength see the stack in projection.
 The geometry itself lives in `geometry`, shared with the mask builders in
 `masks`: a metric here calls the same kernel that scores a mask cell, once
 over all instances of its rule (`Circuit.index`), and the single-instance
-functions are the same kernels at one point.
+functions are the same kernels at one point.  Wirelength and total overlap
+read what `FloorplanState` keeps up to date as blocks go down (live net
+boxes, the running overlap), so they cost the same at every step.
 """
 
 import dataclasses
@@ -132,25 +134,19 @@ def alignment_score(state: FloorplanState, i: int, j: int, min_area: float) -> f
 
 def total_hpwl(state: FloorplanState) -> float:
     """Half-perimeter wirelength over all nets: block centers and terminal
-    positions, unplaced blocks skipped.  Placing a block never shrinks it."""
+    positions, unplaced blocks skipped, from the state's live net boxes.
+    Placing a block never shrinks it."""
     lo, hi = state.net_boxes()
     span = (hi - lo).sum(axis=0)
     # spans are multiples of 0.5, so the sum is exact in any order
     return float(span[np.isfinite(span)].sum())
 
 
-def _layer_overlaps(state: FloorplanState):
-    """Footprint overlap of every same-layer pair of placed blocks, one
-    strictly upper-triangular matrix per layer."""
-    for z in range(state.circuit.dims.num_layers):
-        x, y, w, h = (v[:, None] for v in state.layer_rects(z))
-        yield np.triu(rect_overlap(x, y, w, h, x.T, y.T, w.T, h.T), k=1)
-
-
 def total_overlap(state: FloorplanState) -> int:
     """Summed pairwise footprint overlap (cells) over same-layer placed
-    pairs.  Zero iff no two placed blocks share a cell."""
-    return sum(int(ov.sum()) for ov in _layer_overlaps(state))
+    pairs, as the state keeps it.  Zero iff no two placed blocks share a
+    cell."""
+    return state.overlap
 
 
 def _binding_distances(state: FloorplanState) -> np.ndarray:
@@ -213,7 +209,7 @@ def metric_snapshot(state: FloorplanState) -> MetricTuple:
     return MetricTuple(
         alignment=aln,
         hpwl=total_hpwl(state),
-        overlap=float(total_overlap(state)),
+        overlap=float(state.overlap),
         adjacency=adj,
         distance=dist,
         normalized=False,
@@ -229,7 +225,7 @@ def normalize(metrics: MetricTuple, circuit: Circuit, hpwl_baseline: float) -> M
         raise ValueError("metrics are already normalized")
     if hpwl_baseline <= 0:
         raise ValueError(f"hpwl baseline must be positive, got {hpwl_baseline}")
-    mean_area = circuit.mean_block_area()
+    mean_area = circuit.mean_block_area
     half_perim = (circuit.dims.width + circuit.dims.height) / 2.0
     return MetricTuple(
         alignment=metrics.alignment,
@@ -285,10 +281,12 @@ def satisfaction_counts(state: FloorplanState) -> dict[str, tuple[int, int]]:
     counts["preplace"] = (ok, len(cons.preplacements))
 
     ok = total = 0
-    for ov in _layer_overlaps(state):
-        pairs = len(ov) * (len(ov) - 1) // 2
+    for z in range(state.circuit.dims.num_layers):
+        x, y, w, h = (v[:, None] for v in state.layer_rects(z))
+        pairs = len(x) * (len(x) - 1) // 2
         total += pairs
-        ok += pairs - int(np.count_nonzero(ov))
+        ok += pairs - int(np.count_nonzero(np.triu(
+            rect_overlap(x, y, w, h, x.T, y.T, w.T, h.T), k=1)))
     counts["overlap"] = (ok, total)
 
     dims = state.circuit.dims

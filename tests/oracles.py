@@ -4,9 +4,15 @@ Everything here works on plain tuples and explicit cell enumeration, never on
 the package's own vectorized code paths.  Rectangles are (x, y, w, h) anchored
 at their lower-left cell; a rect covers the half-open cell range
 [x, x+w) x [y, y+h).
+
+The last section recomputes from a FloorplanState's placed rects alone what
+the state keeps up to date as blocks go down: cover, occupancy, overlap, net
+boxes, and the position and wire masks built on them.
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 
 def rasterize(rects, width, height):
@@ -116,7 +122,6 @@ def relaxed_availability(position, components):
     tried as the drop set in order of its bit pattern (most severe mask the
     highest bit), and the first subset that leaves a cell is taken.  Returns
     (mask as uint8, dropped names in list order, feasible)."""
-    import numpy as np
     base = (np.asarray(position) > 0).astype(np.uint8)
     if not base.any():
         return np.zeros_like(base), tuple(n for n, _ in components), False
@@ -131,3 +136,96 @@ def relaxed_availability(position, components):
         if mask.any():
             return mask.astype(np.uint8), tuple(dropped), True
     raise AssertionError("dropping every mask leaves the nonempty position mask")
+
+
+# --- from-scratch versions of FloorplanState's incremental bookkeeping --------
+
+def painted_cover(state):
+    """Per-layer cover count, cover[z, x, y], painted rect by rect; cells
+    off the grid are clipped."""
+    dims = state.circuit.dims
+    cover = np.zeros((dims.num_layers, dims.width, dims.height), dtype=np.int64)
+    for b in state.placed_ids():
+        x, y, w, h = state.rect(b)
+        cover[state.circuit.blocks[b].z,
+              max(0, x):max(0, x + w), max(0, y):max(0, y + h)] += 1
+    return cover
+
+
+def painted_occupancy(state):
+    """Binary per-layer coverage, shape (num_layers, W, H), as uint8."""
+    return (painted_cover(state) > 0).astype(np.uint8)
+
+
+def pairwise_overlap(state):
+    """Summed overlap cells over every same-layer pair of placed blocks."""
+    ids = state.placed_ids()
+    blocks = state.circuit.blocks
+    return sum(overlap_cells(state.rect(a), state.rect(b))
+               for i, a in enumerate(ids) for b in ids[i + 1:]
+               if blocks[a].z == blocks[b].z)
+
+
+def net_pins(state, k, skip=None):
+    """(x, y) of net k's terminal cells and placed blocks' centers, leaving
+    out block `skip`."""
+    circuit = state.circuit
+    net = circuit.nets[k]
+    pins = [(circuit.terminals[t].x, circuit.terminals[t].y) for t in net.terminals]
+    for b in net.blocks:
+        if b != skip and state.placed[b]:
+            x, y, w, h = state.rect(b)
+            pins.append((x + w / 2.0, y + h / 2.0))
+    return pins
+
+
+def pin_net_boxes(state, block=None):
+    """(lo, hi), each (2, nets), of every net's pins, or of `block`'s nets
+    in id order with the block left out; the empty box lo = inf, hi = -inf
+    for a net without pins."""
+    nets = [k for k, net in enumerate(state.circuit.nets)
+            if block is None or block in net.blocks]
+    lo = np.full((2, len(nets)), np.inf)
+    hi = np.full((2, len(nets)), -np.inf)
+    for col, k in enumerate(nets):
+        pins = net_pins(state, k, skip=block)
+        if pins:
+            lo[:, col] = min(p[0] for p in pins), min(p[1] for p in pins)
+            hi[:, col] = max(p[0] for p in pins), max(p[1] for p in pins)
+    return lo, hi
+
+
+def looped_position_mask(state, block_id):
+    """1.0 where the block fits on the grid clear of every other placed
+    block of its layer, cleared rect by rect."""
+    dims = state.circuit.dims
+    w, h = int(state.w[block_id]), int(state.h[block_id])
+    z = state.circuit.blocks[block_id].z
+    vals = np.zeros((dims.width, dims.height))
+    if w <= dims.width and h <= dims.height:
+        vals[:dims.width - w + 1, :dims.height - h + 1] = 1.0
+    for b in state.placed_ids():
+        if b == block_id or state.circuit.blocks[b].z != z:
+            continue
+        x2, y2, w2, h2 = state.rect(b)
+        xlo, xhi = max(x2 - w + 1, 0), min(x2 + w2, dims.width)
+        ylo, yhi = max(y2 - h + 1, 0), min(y2 + h2, dims.height)
+        if xlo < xhi and ylo < yhi:
+            vals[xlo:xhi, ylo:yhi] = 0.0
+    return vals
+
+
+def wire_increase(state, block_id):
+    """Wirelength growth at every anchor: the HPWL of the block's nets with
+    its center there, less their HPWL without it; a net with no other pin
+    adds nothing."""
+    dims = state.circuit.dims
+    w, h = int(state.w[block_id]), int(state.h[block_id])
+    nets = [pins for k, net in enumerate(state.circuit.nets) if block_id in net.blocks
+            for pins in [net_pins(state, k, skip=block_id)] if pins]
+    vals = np.zeros((dims.width, dims.height))
+    for x in range(dims.width):
+        for y in range(dims.height):
+            c = (x + w / 2.0, y + h / 2.0)
+            vals[x, y] = hpwl([pins + [c] for pins in nets]) - hpwl(nets)
+    return vals

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stackfp import (
     AlignmentPair,
@@ -20,7 +20,9 @@ from stackfp import (
     occupancy_grid,
     shape_from_ar,
 )
-from stackfp.core import COMMON_RULES, RULE_OVERLAP
+from stackfp.core import COMMON_RULES, RULE_OVERLAP, window_sums
+from stackfp.masks import position_mask, wire_mask
+from stackfp.metrics import total_hpwl, total_overlap
 
 import oracles
 
@@ -250,3 +252,89 @@ class TestOccupancy:
         s.place(1, 0, 0)
         grid = occupancy_grid(s)
         assert grid[0].sum() == 4 and grid[1].sum() == 4
+
+
+@st.composite
+def small_circuits(draw):
+    """Up to six hard or soft blocks on a small grid of one or two layers,
+    with random terminals and nets."""
+    dims = (draw(st.integers(3, 9)), draw(st.integers(3, 9)), draw(st.integers(1, 2)))
+    blocks = []
+    for i in range(draw(st.integers(1, 6))):
+        z = draw(st.integers(0, dims[2] - 1))
+        if draw(st.booleans()):
+            blocks.append(soft(i, draw(st.integers(1, 6)), z=z))
+        else:
+            blocks.append(hard(i, draw(st.integers(1, 3)), draw(st.integers(1, 3)), z=z))
+    assume(sum(b.area for b in blocks) <= dims[0] * dims[1] * dims[2])
+    terms = [Terminal(t, f"p{t}", draw(st.integers(0, dims[0] - 1)),
+                      draw(st.integers(0, dims[1] - 1)), draw(st.integers(0, dims[2] - 1)))
+             for t in range(draw(st.integers(0, 3)))]
+    nets = []
+    for _ in range(draw(st.integers(0, 4))):
+        members = st.lists(st.integers(0, len(blocks) - 1), unique=True, max_size=3)
+        pins = st.lists(st.integers(0, len(terms) - 1), unique=True, max_size=2)
+        net_blocks = draw(members)
+        net_terms = draw(pins) if terms else []
+        if net_blocks or net_terms:
+            nets.append(Net(tuple(net_blocks), tuple(net_terms)))
+    return circuit(blocks, terms, nets, dims=dims)
+
+
+def assert_matches_scratch(s, window):
+    """Everything the state keeps incrementally equals its from-scratch
+    version in `oracles`."""
+    cover = oracles.painted_cover(s)
+    sat = np.zeros_like(s.sat)
+    sat[:, 1:, 1:] = cover.cumsum(axis=1).cumsum(axis=2)
+    assert np.array_equal(s.sat, sat)
+    w, h = window
+    dims = s.circuit.dims
+    if w <= dims.width and h <= dims.height:
+        sums = window_sums(s.sat, w, h)
+        for x in range(dims.width - w + 1):
+            for y in range(dims.height - h + 1):
+                assert list(sums[:, x, y]) == list(cover[:, x:x + w, y:y + h].sum(axis=(1, 2)))
+    assert np.array_equal(occupancy_grid(s), oracles.painted_occupancy(s))
+    assert total_overlap(s) == oracles.pairwise_overlap(s)
+    nets = range(len(s.circuit.nets))
+    assert total_hpwl(s) == oracles.hpwl([oracles.net_pins(s, k) for k in nets])
+    for got, want in zip(s.net_boxes(), oracles.pin_net_boxes(s)):
+        assert np.array_equal(got, want)
+
+
+class TestIncrementalState:
+    @given(small_circuits(), st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_matches_from_scratch_after_every_operation(self, c, data):
+        """Random place (forced anywhere, overlaps included), set_shape and
+        clone sequences; every state made along the way is checked after
+        each operation, so clones stay independent, and the current state's
+        masks are checked for one of its unplaced blocks."""
+        states = [FloorplanState(c)]
+        dims = c.dims
+        window = st.tuples(st.integers(1, 4), st.integers(1, 4))
+        for _ in range(data.draw(st.integers(1, 10))):
+            s = states[-1]
+            unplaced = [b for b in range(c.num_blocks) if not s.placed[b]]
+            op = data.draw(st.sampled_from(["place", "place", "shape", "clone"]))
+            if op == "clone":
+                states.append(s.clone())
+            elif unplaced:
+                b = data.draw(st.sampled_from(unplaced))
+                if op == "place":
+                    s.place(b, data.draw(st.integers(-2, dims.width)),
+                            data.draw(st.integers(-2, dims.height)), validate=False)
+                    unplaced.remove(b)
+                elif c.blocks[b].is_soft:
+                    s.set_shape(b, data.draw(st.floats(0.25, 4.0)))
+            for t in states:
+                assert_matches_scratch(t, data.draw(window))
+            if unplaced:
+                b = data.draw(st.sampled_from(unplaced))
+                for got, want in zip(s.net_boxes(b), oracles.pin_net_boxes(s, b)):
+                    assert np.array_equal(got, want)
+                assert np.array_equal(position_mask(s, b).values,
+                                      oracles.looped_position_mask(s, b))
+                assert np.array_equal(wire_mask(s, b).values,
+                                      oracles.wire_increase(s, b))

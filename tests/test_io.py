@@ -112,6 +112,26 @@ class TestBookshelfParsing:
         assert blocks["hb0"] == {"kind": "hard", "w": 60, "h": 40}
         assert terminals == ["p0", "p1"]
 
+    @pytest.mark.parametrize("verts", [
+        "(0, 0) (0, 40) (6O, 40) (60, 0)",
+        "(0, 0) (0, 40) (nan, 40) (60, 0)",
+        "(0, 0) (0, 40) (60, 40)",
+        "(0, 0) (0, 40) (60, 40) (60, 0) (0, 0)",
+        "(0, 0) (0, 40) (60 40) (60, 0)",
+        "(0, 0) (0, 40) (60, 40, 1) (60, 0)",
+        "(0, 0) (0, 40) (60, 40) x (60, 0)",
+        "(0, 0) (0, 40) (60, (40) (60, 0)",
+    ], ids=["letter", "nan", "missing_vertex", "extra_vertex", "one_number",
+            "three_numbers", "stray_token", "unbalanced"])
+    def test_bad_vertex_list(self, verts):
+        bad = BLOCKS_TEXT.replace("4 (0, 0) (0, 40) (60, 40) (60, 0)", "4 " + verts)
+        with pytest.raises(ParseError, match="line 9"):
+            parse_blocks_text(bad)
+
+    def test_vertex_in_exponent_notation(self):
+        blocks, _ = parse_blocks_text(BLOCKS_TEXT.replace("(60, 40)", "(1e3, 40)"))
+        assert blocks["hb0"] == {"kind": "hard", "w": 1000, "h": 40}
+
     def test_empty_nets_file(self):
         c = parse_circuit(BLOCKS_TEXT, "UCLA nets 1.0\nNumNets : 0\n",
                           PL_TEXT, dims=GridDims(24, 24, 2), name="t")
@@ -612,6 +632,13 @@ class TestCli:
         assert rc == 3
         assert capsys.readouterr().err.startswith("error:io:")
 
+    def test_bad_bookshelf_vertex_is_io(self, workdir, capsys):
+        blocks = workdir / "gsrc" / "toy.blocks"
+        blocks.write_text(blocks.read_text().replace("(60, 40)", "(6O, 40)"))
+        self.assert_io(capsys, ["solve", "--circuit", str(workdir / "gsrc"),
+                                "--dims", "24x24x2", "--task", "1",
+                                "--out", str(workdir / "o")], "'6O'")
+
     def test_infeasible_counts_exit_two(self, workdir, capsys):
         rc = cli_main(["gen-constraints", "--circuit",
                        str(workdir / "cli.circuit.json"),
@@ -676,12 +703,15 @@ class TestCli:
          "--sa-iterations", "2", "--seed", "-1"],
         ["bench", "--tasks", "1.7", "--instances", "1", "--seeds", "1"],
         ["gen-constraints", "--circuit", "JSON", "--counts=-2,0,0"],
+        ["bench", "--tasks", "1,1", "--instances", "1", "--seeds", "1"],
+        ["bench", "--solvers", "greedy,sa,greedy", "--instances", "1", "--seeds", "1"],
     ], ids=["block_beyond_circuit", "negative_block", "zero_width",
             "zero_layers", "util_zero", "util_negative", "util_nan",
             "util_above_one", "weights_nan", "weights_inf", "thresholds_nan",
             "min_area_frac_nan", "min_area_frac_zero", "counts_inf",
             "counts_nan", "seed_negative_random", "seed_negative_sa",
-            "tasks_fraction", "counts_negative"])
+            "tasks_fraction", "counts_negative", "tasks_repeated",
+            "solvers_repeated"])
     def test_out_of_range_value_is_usage(self, workdir, capsys, argv):
         paths = {"JSON": str(workdir / "cli.circuit.json"),
                  "GSRC": str(workdir / "gsrc")}

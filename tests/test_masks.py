@@ -66,13 +66,11 @@ class TestTerminalMask:
         s = make_state([hard(0, 3, 2)], {}, dims=(7, 6, 1),
                        terminals=(Terminal(0, "p", 4, 1, 0),))
         m = adjacent_terminal_mask(s, BoundaryBinding(0, (0,)))
-        probe = make_state([hard(0, 3, 2)], {}, dims=(7, 6, 1),
-                           terminals=(Terminal(0, "p", 4, 1, 0),))
         for x in range(7):
             for y in range(6):
+                probe = s.clone()
                 probe.place(0, x, y, validate=False)
                 assert m.values[x, y] == block_terminal_distance(probe, 0, 0)
-                probe.unplace(0)
 
     def test_merge_all_takes_worst_any_takes_best(self):
         terms = (Terminal(0, "p", 0, 0, 0), Terminal(1, "q", 5, 5, 0))
@@ -200,6 +198,23 @@ class TestPositionMask:
         shrunk = make_state([hard(0, 3, 3), hard(1, 3, 3)], {1: (2, 2)}, dims=(8, 8, 1))
         narrow = position_mask(shrunk, 0).values
         assert np.all(narrow >= wide)
+
+
+@pytest.mark.parametrize("build", [
+    lambda s: position_mask(s, 0),
+    lambda s: wire_mask(s, 0),
+    lambda s: adjacent_terminal_mask(s, BoundaryBinding(0, (0,))),
+    lambda s: adjacent_block_mask(s, 0, 1),
+    lambda s: alignment_mask(s, 0, 2, 1.0),
+    lambda s: block_distance_mask(s, 0, 1),
+    lambda s: compile_masks(s, 0, TaskProfile.for_task(3)),
+], ids=["position", "wire", "terminal", "block", "alignment", "distance", "compile"])
+def test_placed_subject_rejected(build):
+    s = make_state([hard(0, 2, 2), hard(1, 2, 2), hard(2, 2, 2, z=1)],
+                   {0: (0, 0), 1: (2, 0), 2: (0, 0)},
+                   terminals=(Terminal(0, "p", 0, 0, 0),))
+    with pytest.raises(ValueError, match="block 0 is placed"):
+        build(s)
 
 
 class TestWireMask:
