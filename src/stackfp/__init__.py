@@ -102,7 +102,6 @@ from .report import (
     aggregate,
     record_from_state,
     record_from_summary,
-    report_from_json,
     write_report,
 )
 

@@ -156,6 +156,17 @@ def _load_constrained(args) -> Circuit:
     return circuit
 
 
+def _load_placement(args, circuit: Circuit):
+    """Header and state of the --placement file, whose grid must be the
+    circuit's."""
+    header, rows = placement_from_json(Path(args.placement).read_text())
+    got = (header["width"], header["height"], header["layers"])
+    want = (circuit.dims.width, circuit.dims.height, circuit.dims.num_layers)
+    if got != want:
+        raise ParseError(f"placement grid {got} does not match circuit {want}")
+    return header, state_from_placement(circuit, rows)
+
+
 # --- subcommands -------------------------------------------------------------
 
 def _cmd_solve(args) -> int:
@@ -182,12 +193,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_eval(args) -> int:
     circuit = _load_constrained(args)
-    header, rows = placement_from_json(Path(args.placement).read_text())
-    got = (header["width"], header["height"], header["layers"])
-    want = (circuit.dims.width, circuit.dims.height, circuit.dims.num_layers)
-    if got != want:
-        raise ParseError(f"placement grid {got} does not match circuit {want}")
-    state = state_from_placement(circuit, rows)
+    header, state = _load_placement(args, circuit)
     if not state.placed.all():
         raise ParseError(f"placement omits block {state.placed.tolist().index(False)}; "
                          f"eval needs every block")
@@ -208,8 +214,7 @@ def _cmd_masks(args) -> int:
     if not 0 <= args.at_step < total:
         raise UsageError(f"--at-step must be in [0, {total}), got {args.at_step}")
 
-    env = PlacementEnv(circuit, profile,
-                       hpwl_baseline=result.trace.hpwl_baseline)
+    env = PlacementEnv(circuit, profile)
     obs = env.reset(first_ar=result.ars.get(result.trace.steps[0].block))
     for step in result.trace.steps[:args.at_step]:
         obs, _, _ = env.step(Action(step.x, step.y, step.ar_next))
@@ -253,9 +258,7 @@ def _cmd_gen_constraints(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    circuit = _load_constrained(args)
-    _, rows = placement_from_json(Path(args.placement).read_text())
-    state = state_from_placement(circuit, rows)
+    _, state = _load_placement(args, _load_constrained(args))
     out = Path(args.out)
     out.write_text(render_svg(state, cell=args.cell,
                               labels=not args.no_labels))

@@ -93,6 +93,19 @@ class Block:
             raise ValueError(f"block {self.name}: empty geometry")
         if self.is_soft and not (0 < self.ar_min <= self.ar_max):
             raise ValueError(f"block {self.name}: bad aspect band")
+        if fault := shape_fault(self, self.w, self.h):
+            raise ValueError(fault)
+
+
+def shape_fault(block: Block, w: int, h: int) -> str | None:
+    """Why a w x h rect cannot stand for the block, or None: a hard block
+    keeps its own w x h, which equals its area, and a soft shape covers its
+    area."""
+    if not block.is_soft and (w, h) != (block.w, block.h):
+        return f"hard block {block.name} is {block.w}x{block.h}, got {w}x{h}"
+    if w * h < block.area or (not block.is_soft and w * h > block.area):
+        return f"{w}x{h} does not hold block {block.name}'s area {block.area}"
+    return None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -219,6 +232,8 @@ class ConstraintSet:
                 raise ValueError(f"preplacement of block {pp.block} on missing layer {pp.z}")
             if blocks[pp.block].z != pp.z:
                 raise ValueError(f"preplacement of block {pp.block} disagrees with its layer")
+            if fault := shape_fault(blocks[pp.block], pp.w, pp.h):
+                raise ValueError(f"preplacement of block {pp.block}: {fault}")
         for i, p1 in enumerate(self.preplacements):
             for p2 in self.preplacements[i + 1:]:
                 if p1.z == p2.z and rect_overlap(p1.x, p1.y, p1.w, p1.h,

@@ -76,9 +76,6 @@ class EpisodeTrace:
     def norm_metrics(self) -> list[MetricTuple]:
         return [s.norm for s in self.steps]
 
-    def rung_events(self) -> int:
-        return sum(1 for s in self.steps if s.rung != "none")
-
     def finalize_rewards(self, profile) -> list[float]:
         self.rewards = compute_rewards(self.norm_metrics(), profile)
         return self.rewards
@@ -164,17 +161,17 @@ class PlacementEnv:
 
     Deterministic: identical circuit, profile, order, reset arguments and
     action sequence reproduce identical states, observations and traces.
-    Wirelength normalizes by `hpwl_baseline`, or, when none is given, by
-    the circuit's `wire_greedy_baseline`, whatever the order.
+    Wirelength normalizes by the circuit's `wire_greedy_baseline`, whatever
+    the order.
     """
 
     def __init__(self, circuit: Circuit, profile, order: list[int] | None = None,
-                 plugins: tuple = (), hpwl_baseline: float | None = None):
+                 plugins: tuple = ()):
         self.circuit = circuit
         self.profile = profile
         self.plugins = tuple(plugins)
         self._order = list(order) if order is not None else None
-        self._baseline = hpwl_baseline
+        self.hpwl_baseline: float | None = None
         self.state: FloorplanState | None = None
         self.trace: EpisodeTrace | None = None
         self.observation: Observation | None = None
@@ -185,9 +182,8 @@ class PlacementEnv:
         self.state = FloorplanState(self.circuit, self._order)
         if self.profile.uses("preplace"):
             self.state.apply_preplacements()
-        if self._baseline is None:
-            self._baseline = wire_greedy_baseline(self.circuit)
-        self.trace = EpisodeTrace(hpwl_baseline=self._baseline)
+        self.hpwl_baseline = wire_greedy_baseline(self.circuit)
+        self.trace = EpisodeTrace(hpwl_baseline=self.hpwl_baseline)
         if not self.state.done and first_ar is not None:
             blk = self.circuit.blocks[self.state.current_block]
             if blk.is_soft:
@@ -236,7 +232,7 @@ class PlacementEnv:
                 self.state.set_shape(nxt.id, action.ar_next)
 
         raw = metric_snapshot(self.state)
-        norm = normalize(raw, self.circuit, self._baseline)
+        norm = normalize(raw, self.circuit, self.hpwl_baseline)
         self.trace.steps.append(StepRecord(
             step=len(self.trace.steps),
             block=block,
@@ -254,19 +250,13 @@ class PlacementEnv:
             self.trace.finalize_rewards(self.profile)
         return self.observation, norm, done
 
-    @property
-    def hpwl_baseline(self) -> float:
-        return self._baseline
-
 
 @dataclasses.dataclass
 class EpisodeSummary:
     raw: MetricTuple
     norm: MetricTuple
     satisfaction: dict[str, tuple[int, int]]
-    rungs: list[str]
     rung_events: int
-    hpwl_baseline: float
     rewards: list[float]
     plugin_metrics: dict[str, float] = dataclasses.field(default_factory=dict)
 
@@ -286,9 +276,7 @@ def episode_summary(state: FloorplanState, trace: EpisodeTrace,
         raw=raw,
         norm=norm,
         satisfaction=satisfaction_counts(state),
-        rungs=[s.rung for s in trace.steps],
-        rung_events=trace.rung_events(),
-        hpwl_baseline=trace.hpwl_baseline,
+        rung_events=sum(1 for s in trace.steps if s.rung != "none"),
         rewards=list(rewards) if rewards is not None else [],
         plugin_metrics={p.name: p.metric(state) for p in plugins},
     )

@@ -40,6 +40,7 @@ from .core import (
     Net,
     Preplacement,
     Terminal,
+    shape_fault,
 )
 from .bookshelf import QUANTIZATION, ParseError, farthest_point_subset, synth_circuit
 from .geometry import rim_distance
@@ -482,7 +483,8 @@ def placement_from_json(text: str) -> tuple[dict, tuple[dict, ...]]:
 
 def state_from_placement(circuit: Circuit, rows) -> FloorplanState:
     """Force a FloorplanState into the recorded geometry (shapes included); a
-    row with an unknown or repeated block, or off its layer or outline, is a ParseError."""
+    row with an unknown or repeated block, off its layer or outline, or in a
+    shape that cannot stand for its block (`shape_fault`), is a ParseError."""
     state = FloorplanState(circuit)
     n, dims = circuit.num_blocks, circuit.dims
     for row in rows:
@@ -495,6 +497,8 @@ def state_from_placement(circuit: Circuit, rows) -> FloorplanState:
             raise ParseError(f"placement moves block {bid} off layer {circuit.blocks[bid].z}")
         if x < 0 or y < 0 or x + w > dims.width or y + h > dims.height:
             raise ParseError(f"placement block {bid} leaves the {dims.width}x{dims.height} outline")
+        if fault := shape_fault(circuit.blocks[bid], w, h):
+            raise ParseError(f"placement block {bid}: {fault}")
         state.w[bid], state.h[bid] = w, h
         state.place(bid, x, y)
     state.cursor = len(state.order)      # treat as a finished episode

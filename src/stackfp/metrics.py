@@ -7,23 +7,16 @@ wirelength see the stack in projection.
 
 The geometry itself lives in `geometry`, shared with the mask builders in
 `masks`: a metric here calls the same kernel that scores a mask cell, once
-over all instances of its rule (`Circuit.index`), and the single-instance
-functions are the same kernels at one point.  Wirelength and total overlap
-read what `FloorplanState` keeps up to date as blocks go down (live net
-boxes, the running overlap), so they cost the same at every step.
+over all instances of its rule (`Circuit.index`).  Wirelength and total
+overlap read what `FloorplanState` keeps up to date as blocks go down (live
+net boxes, the running overlap), so they cost the same at every step.
 """
 
 import dataclasses
 
 import numpy as np
 
-from .core import (
-    BoundaryBinding,
-    Circuit,
-    FloorplanState,
-    Terminal,
-    shape_from_ar,
-)
+from .core import Circuit, FloorplanState, shape_from_ar
 from .geometry import (
     abutment,
     alignment_ratio,
@@ -48,8 +41,6 @@ class MetricTuple:
     distance: float
     normalized: bool = False
 
-    ZERO = None     # filled in below
-
     def as_dict(self) -> dict:
         return {
             "alignment": self.alignment,
@@ -58,9 +49,6 @@ class MetricTuple:
             "adjacency": self.adjacency,
             "distance": self.distance,
         }
-
-
-MetricTuple.ZERO = MetricTuple(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 # Pass marks for per-constraint satisfaction counting: a boundary binding
@@ -73,11 +61,6 @@ ADJACENCY_FRAC = 0.5
 ALIGNMENT_FRAC = 0.5
 
 
-def _require_placed(state: FloorplanState, block_id: int) -> None:
-    if not state.placed[block_id]:
-        raise ValueError(f"block {block_id} is not placed")
-
-
 def _rects(state: FloorplanState, ids):
     """x, y, w, h of the given blocks, for the geometry kernels."""
     return state.x[ids], state.y[ids], state.w[ids], state.h[ids]
@@ -86,50 +69,6 @@ def _rects(state: FloorplanState, ids):
 def _pair_rects(state: FloorplanState, pairs: np.ndarray):
     """x, y, w, h of each pair's first blocks, then of its second blocks."""
     return (*_rects(state, pairs[0]), *_rects(state, pairs[1]))
-
-
-def block_terminal_distance(state: FloorplanState, block_id: int,
-                            terminal: Terminal | int) -> int:
-    """Min Manhattan distance from the terminal to the block's nearest edge
-    cell.  Zero means the terminal sits on the block's one-cell-wide rim;
-    a terminal strictly inside a block is still one or more cells from the
-    rim.  Layers are ignored."""
-    _require_placed(state, block_id)
-    if isinstance(terminal, int):
-        terminal = state.circuit.terminals[terminal]
-    return int(rim_distance(*state.rect(block_id), terminal.x, terminal.y))
-
-
-def block_adjacency_length(state: FloorplanState, i: int, j: int) -> int:
-    """Shared abutment length of two placed blocks on a common layer.
-
-    Only exact edge contact counts: when one block's x extent ends where the
-    other's begins, the result is their y overlap, and vice versa.  Corner
-    contact and separated or overlapping blocks give zero."""
-    _require_placed(state, i)
-    _require_placed(state, j)
-    if state.circuit.blocks[i].z != state.circuit.blocks[j].z:
-        raise ValueError(f"blocks {i} and {j} sit on different layers")
-    return int(abutment(*state.rect(i), *state.rect(j)))
-
-
-def projected_intersection(state: FloorplanState, i: int, j: int) -> int:
-    """Cell count of the two footprints' overlap when projected onto one
-    layer; the basis of the alignment score."""
-    _require_placed(state, i)
-    _require_placed(state, j)
-    return int(rect_overlap(*state.rect(i), *state.rect(j)))
-
-
-def alignment_score(state: FloorplanState, i: int, j: int, min_area: float) -> float:
-    """Projected intersection over min_area, saturated at 1."""
-    if state.circuit.blocks[i].z == state.circuit.blocks[j].z:
-        raise ValueError(f"alignment is cross-layer; blocks {i} and {j} share layer")
-    if min_area <= 0:
-        raise ValueError("min_area must be positive")
-    _require_placed(state, i)
-    _require_placed(state, j)
-    return float(alignment_ratio(*state.rect(i), *state.rect(j), min_area))
 
 
 def total_hpwl(state: FloorplanState) -> float:
@@ -154,16 +93,6 @@ def _binding_distances(state: FloorplanState) -> np.ndarray:
     index = state.circuit.index
     dist = rim_distance(*_rects(state, index.bound), *index.terms)
     return merge_terminals(dist, index.every)
-
-
-def binding_distance(state: FloorplanState, binding: BoundaryBinding) -> int:
-    """Merged distance of one boundary binding: the worst terminal for ALL
-    bindings, the best one for ANY."""
-    _require_placed(state, binding.block)
-    terms = [state.circuit.terminals[t] for t in binding.terminals]
-    dist = rim_distance(*state.rect(binding.block),
-                        np.array([t.x for t in terms]), np.array([t.y for t in terms]))
-    return int(merge_terminals(dist, binding.mode == "ALL"))
 
 
 def _group_abutments(state: FloorplanState) -> np.ndarray:
@@ -258,7 +187,7 @@ def satisfaction_counts(state: FloorplanState) -> dict[str, tuple[int, int]]:
     need = np.concatenate([index.pairs.ravel(), index.abut.ravel(), index.bound, pre])
     unplaced = need[~state.placed[need]]
     if len(unplaced):
-        _require_placed(state, int(unplaced[0]))
+        raise ValueError(f"block {unplaced[0]} is not placed")
 
     ok = 0
     if len(index.bound):

@@ -11,8 +11,8 @@ of one.
 CSV output lists runs first, sorted by (circuit, task, solver, seed), then
 one aggregate line per group whose seed cell reads ``mean±std`` and whose
 numeric cells carry ``m±s``.  JSON output splits them into ``runs`` and
-``aggregates`` arrays with separate ``*_mean``/``*_std`` numbers and
-re-parses losslessly.
+``aggregates`` arrays with separate ``*_mean``/``*_std`` numbers; a run
+object holds every `RunRecord` field at full precision.
 
 Metric columns contain no hidden solver state: a row rebuilt from the
 placement file alone (`record_from_state`) matches the solve-time row,
@@ -162,12 +162,3 @@ def write_report(records: list[RunRecord], fmt: str = "csv") -> str:
         }
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
     raise ValueError(f"unknown report format {fmt!r}")
-
-
-def report_from_json(text: str) -> list[RunRecord]:
-    """Rebuild the run records from a JSON report (aggregates are derived
-    data and are recomputable)."""
-    doc = json.loads(text)
-    if doc.get("format") != "stackfp-report-1":
-        raise ValueError("not a report file")
-    return [RunRecord(**row) for row in doc["runs"]]

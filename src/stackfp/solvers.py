@@ -39,7 +39,7 @@ from .env import (
     PlacementEnv,
     episode_summary,
     weighted_score,
-    wire_greedy_baseline,
+    wire_greedy_baseline,   # noqa: F401  perfbench wraps solvers.wire_greedy_baseline
 )
 from .masks import MaskStack, compile_masks
 from .metrics import MetricTuple
@@ -171,7 +171,7 @@ def _scan_ar(env: PlacementEnv, block_id: int, pending) -> float | None:
 
 
 def _rollout(kind: str, circuit: Circuit, profile: TaskProfile, pick, choose,
-             *, order, plugins, hpwl_baseline) -> SolveResult:
+             *, order, plugins) -> SolveResult:
     """One masked episode, shared by every solver.  `pick(masks)` returns
     the flat index of the cell for the block up next.  `choose(env,
     block_id, pending)` returns a soft block's ratio (None keeps its shape)
@@ -179,8 +179,7 @@ def _rollout(kind: str, circuit: Circuit, profile: TaskProfile, pick, choose,
     with nothing pending, and each later one's with its predecessor's cell
     pending."""
     t_start = time.perf_counter()
-    env = PlacementEnv(circuit, profile, order=order, plugins=plugins,
-                       hpwl_baseline=hpwl_baseline)
+    env = PlacementEnv(circuit, profile, order=order, plugins=plugins)
     chosen: dict[int, float] = {}
 
     def shape(block_id: int, pending) -> float | None:
@@ -221,8 +220,7 @@ def _rollout(kind: str, circuit: Circuit, profile: TaskProfile, pick, choose,
 def greedy_place(circuit: Circuit, profile: TaskProfile, *,
                  order: list[int] | None = None,
                  ars: dict[int, float] | None = None,
-                 plugins: tuple = (),
-                 hpwl_baseline: float | None = None) -> SolveResult:
+                 plugins: tuple = ()) -> SolveResult:
     """Mask-guided greedy placement.
 
     Free mode (ars None) also chooses every soft block's ratio by the
@@ -234,7 +232,7 @@ def greedy_place(circuit: Circuit, profile: TaskProfile, *,
         def choose(env, block_id, pending):
             return ars.get(block_id)
     return _rollout("greedy", circuit, profile, _pick_cell, choose,
-                    order=order, plugins=plugins, hpwl_baseline=hpwl_baseline)
+                    order=order, plugins=plugins)
 
 
 def random_place(circuit: Circuit, profile: TaskProfile,
@@ -252,7 +250,7 @@ def random_place(circuit: Circuit, profile: TaskProfile,
                                     math.log(block.ar_max)))
 
     return _rollout("random", circuit, profile, pick, sample_ar,
-                    order=None, plugins=plugins, hpwl_baseline=None)
+                    order=None, plugins=plugins)
 
 
 class _Genome:
@@ -304,8 +302,9 @@ def sa_place(circuit: Circuit, profile: TaskProfile,
              config: SolverConfig | None = None, *,
              plugins: tuple = ()) -> SAResult:
     """Simulated annealing over (order, ratios), decoded by the greedy
-    placer with the circuit's wirelength baseline computed once.  The start
-    temperature is calibrated from `sa_calibration_moves` sampled moves.
+    placer; every decode normalizes wirelength by the circuit's own
+    baseline, so costs compare across genomes.  The start temperature is
+    calibrated from `sa_calibration_moves` sampled moves.
 
     Starts from the free greedy solution, so the initial cost equals the
     greedy cost and the best-so-far curve never rises above it.  Decodes
@@ -314,9 +313,7 @@ def sa_place(circuit: Circuit, profile: TaskProfile,
     t_start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
 
-    baseline = wire_greedy_baseline(circuit)
-    seed_result = greedy_place(circuit, profile, plugins=plugins,
-                               hpwl_baseline=baseline)
+    seed_result = greedy_place(circuit, profile, plugins=plugins)
 
     pinned = set()
     if profile.uses("preplace"):
@@ -334,7 +331,7 @@ def sa_place(circuit: Circuit, profile: TaskProfile,
     def decode(g: _Genome):
         try:
             return greedy_place(circuit, profile, order=g.order, ars=g.ars,
-                                plugins=plugins, hpwl_baseline=baseline)
+                                plugins=plugins)
         except InfeasibleError:
             return None
 

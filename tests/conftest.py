@@ -7,6 +7,8 @@ Tests may attach a short note to their line via `acceptance_notes`.
 
 import re
 
+import pytest
+
 acceptance_notes: dict[int, str] = {}
 
 _LABELS = {
@@ -25,14 +27,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     verdicts: dict[int, bool] = {}
     for reports in terminalreporter.stats.values():
         for rep in reports:
-            nodeid = getattr(rep, "nodeid", "") or ""
-            if "test_acceptance" not in nodeid:
+            # stats also hold deselected items and warnings; judge test reports
+            if not isinstance(rep, pytest.TestReport):
                 continue
-            m = re.search(r"::test_c(\d+)_", nodeid)
+            if "test_acceptance" not in rep.nodeid:
+                continue
+            m = re.search(r"::test_c(\d+)_", rep.nodeid)
             if m is None:
                 continue
             # one report per phase; judge the call, or any failed phase
-            if getattr(rep, "when", None) == "call" or rep.outcome == "failed":
+            if rep.when == "call" or rep.outcome == "failed":
                 n = int(m.group(1))
                 verdicts[n] = verdicts.get(n, True) and rep.outcome == "passed"
     if not verdicts:

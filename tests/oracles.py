@@ -5,9 +5,10 @@ the package's own vectorized code paths.  Rectangles are (x, y, w, h) anchored
 at their lower-left cell; a rect covers the half-open cell range
 [x, x+w) x [y, y+h).
 
-The last section recomputes from a FloorplanState's placed rects alone what
-the state keeps up to date as blocks go down: cover, occupancy, overlap, net
-boxes, and the position and wire masks built on them.
+The last section works from a FloorplanState's placed rects alone: boundary
+binding distances, and what the state keeps up to date as blocks go down
+(cover, occupancy, overlap, net boxes, and the position and wire masks
+built on them).
 """
 
 from fractions import Fraction
@@ -150,6 +151,15 @@ def painted_cover(state):
         cover[state.circuit.blocks[b].z,
               max(0, x):max(0, x + w), max(0, y):max(0, y + h)] += 1
     return cover
+
+
+def binding_distance(state, binding):
+    """Merged distance of a boundary binding: its worst terminal for mode
+    ALL, its best for ANY."""
+    rect = state.rect(binding.block)
+    ds = [terminal_distance(rect, state.circuit.terminals[t].x,
+                            state.circuit.terminals[t].y) for t in binding.terminals]
+    return max(ds) if binding.mode == "ALL" else min(ds)
 
 
 def painted_occupancy(state):

@@ -11,6 +11,7 @@ import time
 import numpy as np
 
 import conftest
+import oracles
 from stackfp import (
     COMMON_RULES,
     AlignmentPair,
@@ -38,12 +39,7 @@ from stackfp.masks import (
 from stackfp.metrics import (
     ALIGNMENT_FRAC,
     MetricTuple,
-    alignment_score,
-    binding_distance,
-    block_adjacency_length,
-    block_terminal_distance,
     satisfaction_counts,
-    total_hpwl,
     total_overlap,
 )
 from stackfp.solvers import SolverConfig, greedy_place, solve
@@ -51,7 +47,8 @@ from stackfp.solvers import SolverConfig, greedy_place, solve
 
 def test_c1_mask_cells_equal_forced_placement_metrics():
     """Every mask type, 200 random configurations, every cell: the mask
-    value equals the metric measured after force-placing the block there."""
+    value equals the brute-force reference (`oracles`) measured on the
+    block forced to that anchor."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(11)
     for _ in range(200):
@@ -78,41 +75,34 @@ def test_c1_mask_cells_equal_forced_placement_metrics():
         for bid, (x, y) in placements.items():
             state.place(bid, x, y, validate=False)
 
+        rect = {i: state.rect(i) for i in placements}
         same = [i for i in placements if circuit.blocks[i].z == 0]
         cross = [i for i in placements if circuit.blocks[i].z == 1]
         min_area = {j: float(min(circuit.blocks[0].area,
                                  circuit.blocks[j].area)) for j in cross}
         term_m = adjacent_terminal_mask(state, BoundaryBinding(0, (0,)))
         pos_m = position_mask(state, 0)
-        wire_m = wire_mask(state, 0)
         adj_m = {i: adjacent_block_mask(state, 0, i) for i in same}
         aln_m = {j: alignment_mask(state, 0, j, min_area[j]) for j in cross}
         dist_m = {i: block_distance_mask(state, 0, i) for i in placements}
-        base_overlap = total_overlap(state)
-        base_hpwl = total_hpwl(state)
+        assert np.array_equal(wire_mask(state, 0).values,
+                              oracles.wire_increase(state, 0))
 
         for x in range(wide):
             for y in range(high):
-                probe = state.clone()
-                probe.place(0, x, y, validate=False)
+                at = (x, y, sw, sh)
                 assert term_m.values[x, y] == \
-                    block_terminal_distance(probe, 0, 0)
-                legal = (x + sw <= wide and y + sh <= high
-                         and total_overlap(probe) == base_overlap)
-                assert pos_m.values[x, y] == (1.0 if legal else 0.0)
-                assert wire_m.values[x, y] == total_hpwl(probe) - base_hpwl
+                    oracles.terminal_distance(at, term.x, term.y)
+                assert pos_m.values[x, y] == oracles.position_ok(
+                    at, wide, high, [rect[i] for i in same])
                 for i in same:
                     assert adj_m[i].values[x, y] == \
-                        block_adjacency_length(probe, 0, i)
+                        oracles.adjacency_length(at, rect[i])
                 for j in cross:
                     assert aln_m[j].values[x, y] == \
-                        alignment_score(probe, 0, j, min_area[j])
+                        oracles.alignment_fraction(at, rect[j], min_area[j])
                 for i, mask in dist_m.items():
-                    xa, ya, wa, ha = probe.rect(i)
-                    xs, ys, ws, hs = probe.rect(0)
-                    center_gap = (abs(xs + ws / 2 - xa - wa / 2)
-                                  + abs(ys + hs / 2 - ya - ha / 2))
-                    assert mask.values[x, y] == center_gap
+                    assert mask.values[x, y] == oracles.center_distance(at, rect[i])
     assert time.perf_counter() - t0 < 10.0
 
 
@@ -130,7 +120,7 @@ def test_c2_bound_blocks_touch_terminals_without_relaxation():
         firings += res.summary.rung_events
         if res.summary.rung_events == 0:
             for bb in circuit.constraints.boundary_bindings:
-                assert binding_distance(res.state, bb) == 0, (seed, bb.block)
+                assert oracles.binding_distance(res.state, bb) == 0, (seed, bb.block)
                 checked += 1
     conftest.acceptance_notes[2] = \
         f"rung firings {firings}, bindings checked {checked}"

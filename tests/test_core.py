@@ -136,6 +136,26 @@ class TestCircuitValidation:
         with pytest.raises(ValueError, match="mode"):
             BoundaryBinding(0, (0,), mode="SOME")
 
+    def test_hard_block_shape_equals_its_area(self):
+        with pytest.raises(ValueError, match="does not hold block b0's area 56"):
+            Block(0, "b0", 56, 1, 1, 1.0, 1.0, False, 0)
+
+    def test_soft_block_shape_covers_its_area(self):
+        Block(0, "b0", 10, 4, 3, 0.5, 2.0, True, 0)          # slack is allowed
+        with pytest.raises(ValueError, match="3x3 does not hold block b0's area 10"):
+            Block(0, "b0", 10, 3, 3, 0.5, 2.0, True, 0)
+
+    def test_preplacement_shape_must_stand_for_its_block(self):
+        for blocks, w, h, match in (
+                ([hard(0, 2, 3)], 3, 2, "hard block b0 is 2x3, got 3x2"),
+                ([soft(0, 10)], 3, 3, "3x3 does not hold"),
+        ):
+            cs = ConstraintSet(preplacements=(Preplacement(0, 0, 0, 0, w, h),))
+            with pytest.raises(ValueError, match=f"preplacement of block 0: {match}"):
+                circuit(blocks, constraints=cs)
+        cs = ConstraintSet(preplacements=(Preplacement(0, 0, 0, 0, 5, 2),))
+        circuit([soft(0, 10)], constraints=cs)    # any shape covering the area
+
 
 class TestTaskProfile:
     def test_structural_rules_always_enabled(self):

@@ -26,11 +26,8 @@ from stackfp import (
     total_overlap,
     wire_greedy_baseline,
 )
-from stackfp.metrics import (
-    alignment_score,
-    binding_distance,
-    block_adjacency_length,
-)
+
+import oracles
 
 
 def soft(bid, area, w, h, z=0):
@@ -280,12 +277,13 @@ class TestBaseline:
                     utilization=1.0)
         assert wire_greedy_baseline(c) == pytest.approx(3.0)
 
-    def test_env_uses_given_baseline(self):
-        env = PlacementEnv(four_block_circuit(), unit_profile(),
-                           hpwl_baseline=50.0)
+    def test_env_normalizes_by_circuit_baseline(self):
+        env = PlacementEnv(four_block_circuit(), unit_profile())
         run_random_episode(env, seed=9)
         last = env.trace.steps[-1]
-        assert last.norm.hpwl == pytest.approx(last.raw.hpwl / 50.0)
+        b = wire_greedy_baseline(four_block_circuit())
+        assert b != 1.0
+        assert last.norm.hpwl == last.raw.hpwl / b
 
     def test_env_computes_baseline_once(self):
         env = PlacementEnv(four_block_circuit(), unit_profile())
@@ -322,12 +320,12 @@ class TestMaskGuidedSoundness:
                                TaskProfile.for_task(3))
             run_random_episode(env, seed=seed)
             s = env.state
-            assert env.trace.rung_events() == 0
+            assert all(step.rung == "none" for step in env.trace.steps)
             assert total_overlap(s) == 0
-            assert binding_distance(
+            assert oracles.binding_distance(
                 s, s.circuit.constraints.boundary_bindings[0]) == 0
-            assert block_adjacency_length(s, 0, 1) > 0
-            score = alignment_score(s, 0, 2, 16.0)
+            assert oracles.adjacency_length(s.rect(0), s.rect(1)) > 0
+            score = oracles.alignment_fraction(s.rect(0), s.rect(2), 16.0)
             assert score >= 0.1 * min(24, 16) / 16.0 - 1e-12
 
     def test_fuzz_zero_overlap_and_in_bounds(self):
@@ -378,9 +376,8 @@ class TestTraceAndSummary:
         env = self.finished_env()
         summ = episode_summary(env.state, env.trace)
         assert summ.rung_events == 0
-        assert summ.rungs == ["none"] * 4
         assert summ.raw.normalized is False and summ.norm.normalized is True
-        assert summ.hpwl_baseline == env.hpwl_baseline
+        assert summ.norm.hpwl == summ.raw.hpwl / env.hpwl_baseline
         assert summ.rewards == env.trace.rewards
         assert set(summ.satisfaction) == {
             "boundary", "grouping", "alignment", "preplace",

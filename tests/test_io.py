@@ -49,7 +49,6 @@ from stackfp.report import (
     RunRecord,
     record_from_state,
     record_from_summary,
-    report_from_json,
     write_report,
 )
 from stackfp.solvers import greedy_place
@@ -492,9 +491,9 @@ class TestReports:
 
     def test_json_round_trip(self):
         recs = [record(seed=1), record(seed=0, solver="sa")]
-        back = report_from_json(write_report(recs, "json"))
-        assert sorted(back, key=lambda r: (r.solver, r.seed)) == \
-               sorted(recs, key=lambda r: (r.solver, r.seed))
+        doc = json.loads(write_report(recs, "json"))
+        back = [RunRecord(**row) for row in doc["runs"]]
+        assert back == sorted(recs, key=lambda r: (r.circuit, r.task, r.solver, r.seed))
 
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="format"):
@@ -802,6 +801,39 @@ class TestCli:
                                 "--constraints", str(files["constraints"]),
                                 "--placement", str(placement)], match)
 
+    @pytest.mark.parametrize("command,target,mutate,match", [
+        ("solve", "circuit", lambda d: next(b for b in d["blocks"] if not b["soft"]).update(
+            w=1, h=1), "circuit.blocks[0]: 1x1 does not hold block b0's area 132"),
+        ("solve", "circuit", lambda d: d["constraints"]["preplaced"].append(dict(
+            block=0, x=0, y=0, z=d["blocks"][0]["z"], w=12, h=11)),
+         "preplacement of block 0: hard block b0 is 11x12, got 12x11"),
+        ("eval", "placement", lambda d: [r.update(w=1, h=1) for r in d["blocks"]],
+         "placement block 0: hard block b0 is 11x12, got 1x1"),
+        ("eval", "placement", lambda d: next(r for r in d["blocks"] if r["id"] == 2).update(
+            w=1), "does not hold block b2's area 48"),
+    ], ids=["hard_block", "preplacement", "placement_rows", "soft_row"])
+    def test_shape_that_cannot_hold_its_block_is_io(self, workdir, capsys, command,
+                                                    target, mutate, match):
+        files = {"circuit": workdir / "cli.circuit.json",
+                 "constraints": workdir / "cli.constraints.json",
+                 "placement": self.solve(workdir)}
+        self.spoil(files[target], mutate)
+        extra = (["--placement", str(files["placement"])] if command == "eval"
+                 else ["--task", "3", "--out", str(workdir / "o")])
+        self.assert_io(capsys, [command, "--circuit", str(files["circuit"]),
+                                "--constraints", str(files["constraints"]), *extra],
+                       match)
+
+    def test_render_checks_the_grid(self, workdir, capsys):
+        placement = self.solve(workdir)
+        self.spoil(placement, lambda d: d["header"].update(width=999))
+        self.assert_io(capsys, ["render", "--circuit", str(workdir / "cli.circuit.json"),
+                                "--constraints", str(workdir / "cli.constraints.json"),
+                                "--placement", str(placement),
+                                "--out", str(workdir / "plot.svg")],
+                       "placement grid (999, 32, 2) does not match circuit (32, 32, 2)")
+        assert not (workdir / "plot.svg").exists()
+
     @pytest.mark.parametrize("target,mutate,match", [
         ("circuit", lambda d: next(b for b in d["blocks"] if b["soft"]).update(
             ar_max=math.inf), "ar_max"),
@@ -887,9 +919,11 @@ def fuzz_dir(tmp_path_factory):
 
 class TestMalformedInputFuzz:
     @settings(max_examples=500, deadline=None, derandomize=True)
-    @given(data=st.data(), target=st.sampled_from(FUZZ_FILES),
-           command=st.sampled_from(["eval", "render"]))
-    def test_one_error_line_and_no_traceback(self, fuzz_dir, data, target, command):
+    @given(data=st.data(), command=st.sampled_from(["eval", "render", "solve"]))
+    def test_one_error_line_and_no_traceback(self, fuzz_dir, data, command):
+        # solve reads no placement file, so it spoils one of the others
+        target = data.draw(st.sampled_from(
+            [f for f in FUZZ_FILES if command != "solve" or "placement" not in f]))
         work = fuzz_dir / "case"
         gsrc = work / "gsrc"
         gsrc.mkdir(parents=True, exist_ok=True)
@@ -899,11 +933,15 @@ class TestMalformedInputFuzz:
                 text = (spoil_json if name.endswith(".json") else spoil_text)(data, text)
             (work / name).write_text(text)
         if target.startswith("gsrc"):
-            argv = ["--circuit", str(gsrc), *GSRC_FLAGS,
-                    "--placement", str(work / "gsrc.placement.json")]
+            argv = ["--circuit", str(gsrc), *GSRC_FLAGS]
+            placement = work / "gsrc.placement.json"
         else:
-            argv = ["--circuit", str(work / "c.json"), "--constraints",
-                    str(work / "k.json"), "--placement", str(work / "fz.placement.json")]
+            argv = ["--circuit", str(work / "c.json"), "--constraints", str(work / "k.json")]
+            placement = work / "fz.placement.json"
+        if command == "solve":
+            argv += ["--task", "1", "--out", str(work / "o")]
+        else:
+            argv += ["--placement", str(placement)]
         if command == "render":
             argv += ["--out", str(work / "plot.svg")]
         err = io.StringIO()

@@ -25,11 +25,7 @@ from stackfp.masks import (
     position_mask,
     wire_mask,
 )
-from stackfp.metrics import (
-    block_adjacency_length,
-    block_terminal_distance,
-    total_hpwl,
-)
+from stackfp.metrics import total_hpwl
 
 import oracles
 
@@ -68,9 +64,7 @@ class TestTerminalMask:
         m = adjacent_terminal_mask(s, BoundaryBinding(0, (0,)))
         for x in range(7):
             for y in range(6):
-                probe = s.clone()
-                probe.place(0, x, y, validate=False)
-                assert m.values[x, y] == block_terminal_distance(probe, 0, 0)
+                assert m.values[x, y] == oracles.terminal_distance((x, y, 3, 2), 4, 1)
 
     def test_merge_all_takes_worst_any_takes_best(self):
         terms = (Terminal(0, "p", 0, 0, 0), Terminal(1, "q", 5, 5, 0))
@@ -111,9 +105,8 @@ class TestBlockMask:
             m = adjacent_block_mask(s, 0, 1)
             for x in range(8):
                 for y in range(8):
-                    probe = s.clone()
-                    probe.place(0, x, y, validate=False)
-                    assert m.values[x, y] == block_adjacency_length(probe, 0, 1), (x, y)
+                    assert m.values[x, y] == oracles.adjacency_length(
+                        (x, y, 2, 3), (*placed_at, 3, 2)), (x, y)
 
     def test_merge_sums_islands(self):
         s = make_state([hard(0, 2, 2), hard(1, 2, 2), hard(2, 2, 2)],
@@ -140,6 +133,11 @@ class TestBlockMask:
         with pytest.raises(ValueError, match="not placed"):
             adjacent_block_mask(s, 0, 1)
 
+    def test_cross_layer_other_rejected(self):
+        s = make_state([hard(0, 2, 2, z=0), hard(1, 2, 2, z=1)], {1: (2, 0)})
+        with pytest.raises(ValueError, match="layers"):
+            adjacent_block_mask(s, 0, 1)
+
 
 class TestAlignmentMask:
     def test_frozen_example(self):
@@ -150,14 +148,12 @@ class TestAlignmentMask:
         assert m.values[4, 0] == 0.0
 
     def test_every_cell_matches_forced_placement(self):
-        from stackfp.metrics import alignment_score
         s = make_state([hard(0, 3, 2, z=0), hard(1, 2, 4, z=1)], {1: (3, 2)})
         m = alignment_mask(s, 0, 1, min_area=6.0)
         for x in range(8):
             for y in range(8):
-                probe = s.clone()
-                probe.place(0, x, y, validate=False)
-                assert m.values[x, y] == alignment_score(probe, 0, 1, 6.0)
+                assert m.values[x, y] == oracles.alignment_fraction(
+                    (x, y, 3, 2), (3, 2, 2, 4), 6.0)
 
     def test_same_layer_rejected(self):
         s = make_state([hard(0, 2, 2), hard(1, 2, 2)], {1: (0, 0)})
@@ -467,10 +463,8 @@ class TestCompileMasks:
         for x in range(8):
             for y in range(8):
                 if res.mask[x, y]:
-                    probe = s.clone()
-                    probe.place(0, x, y, validate=False)
-                    assert block_terminal_distance(probe, 0, 0) == 0
-                    assert block_adjacency_length(probe, 0, 1) > 0
+                    assert oracles.terminal_distance((x, y, 2, 2), 0, 0) == 0
+                    assert oracles.adjacency_length((x, y, 2, 2), s.rect(1)) > 0
 
     def test_plugins_join_the_stack(self):
         blocks, cons, terms, nets = self._fixture()

@@ -17,21 +17,19 @@ from stackfp import (
     Preplacement,
     Terminal,
 )
+from stackfp.geometry import abutment, alignment_ratio, rim_distance
 from stackfp.metrics import (
     MetricTuple,
-    alignment_score,
-    binding_distance,
-    block_adjacency_length,
-    block_terminal_distance,
     metric_snapshot,
     normalize,
-    projected_intersection,
     satisfaction_counts,
     total_hpwl,
     total_overlap,
 )
 
 import oracles
+
+ZERO = MetricTuple(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def hard(bid, w, h, z=0):
@@ -48,28 +46,24 @@ def make_state(blocks, placements, terminals=(), nets=(), dims=(8, 8, 2),
     return s
 
 
+# The rule geometry that metrics and masks share, kernel by kernel, against
+# the brute-force references.
+
+def rim(rect, tx, ty):
+    return int(rim_distance(*rect, tx, ty))
+
+
 class TestTerminalDistance:
     def test_frozen_examples(self):
-        s = make_state([hard(0, 3, 2)], {0: (2, 2)},
-                       terminals=(Terminal(0, "p0", 0, 3, 0), Terminal(1, "p1", 6, 0, 0)))
-        assert block_terminal_distance(s, 0, 0) == 2
-        assert block_terminal_distance(s, 0, 1) == 4
+        assert rim((2, 2, 3, 2), 0, 3) == 2 == oracles.terminal_distance((2, 2, 3, 2), 0, 3)
+        assert rim((2, 2, 3, 2), 6, 0) == 4 == oracles.terminal_distance((2, 2, 3, 2), 6, 0)
 
     def test_on_rim_is_zero(self):
-        s = make_state([hard(0, 3, 3)], {0: (1, 1)},
-                       terminals=(Terminal(0, "p", 1, 2, 0),))
-        assert block_terminal_distance(s, 0, 0) == 0
+        assert rim((1, 1, 3, 3), 1, 2) == 0 == oracles.terminal_distance((1, 1, 3, 3), 1, 2)
 
     def test_interior_counts_to_rim(self):
         # 5x5 block, terminal dead center: two cells from every edge row
-        s = make_state([hard(0, 5, 5)], {0: (0, 0)},
-                       terminals=(Terminal(0, "p", 2, 2, 0),))
-        assert block_terminal_distance(s, 0, 0) == 2
-
-    def test_unplaced_rejected(self):
-        s = make_state([hard(0, 2, 2)], {}, terminals=(Terminal(0, "p", 0, 0, 0),))
-        with pytest.raises(ValueError, match="not placed"):
-            block_terminal_distance(s, 0, 0)
+        assert rim((0, 0, 5, 5), 2, 2) == 2 == oracles.terminal_distance((0, 0, 5, 5), 2, 2)
 
     def test_matches_edge_cell_oracle(self):
         rng = np.random.default_rng(11)
@@ -77,21 +71,19 @@ class TestTerminalDistance:
             w, h = int(rng.integers(1, 6)), int(rng.integers(1, 6))
             x, y = int(rng.integers(-2, 10)), int(rng.integers(-2, 10))
             tx, ty = int(rng.integers(0, 10)), int(rng.integers(0, 10))
-            s = make_state([hard(0, w, h)], {0: (x, y)}, dims=(12, 12, 1),
-                           terminals=(Terminal(0, "p", tx, ty, 0),))
-            assert block_terminal_distance(s, 0, 0) == \
+            assert rim((x, y, w, h), tx, ty) == \
                 oracles.terminal_distance((x, y, w, h), tx, ty)
 
 
 class TestAdjacency:
     def test_frozen_examples(self):
         for (pos, expect) in [((2, 0), 2), ((2, 1), 1), ((3, 0), 0)]:
-            s = make_state([hard(0, 2, 2), hard(1, 2, 2)], {0: (0, 0), 1: pos})
-            assert block_adjacency_length(s, 0, 1) == expect
+            assert abutment(0, 0, 2, 2, *pos, 2, 2) == expect == \
+                oracles.adjacency_length((0, 0, 2, 2), (*pos, 2, 2))
 
     def test_corner_touch_is_zero(self):
-        s = make_state([hard(0, 2, 2), hard(1, 2, 2)], {0: (0, 0), 1: (2, 2)})
-        assert block_adjacency_length(s, 0, 1) == 0
+        assert abutment(0, 0, 2, 2, 2, 2, 2, 2) == 0 == \
+            oracles.adjacency_length((0, 0, 2, 2), (2, 2, 2, 2))
 
     def test_symmetry_and_oracle_all_placements(self):
         # every in-bounds placement of a 2x3 and a 2x2 block on an 8x8 layer
@@ -99,50 +91,34 @@ class TestAdjacency:
             for y1 in range(6):
                 for x2 in range(7):
                     for y2 in range(7):
-                        s = make_state([hard(0, 2, 3), hard(1, 2, 2)],
-                                       {0: (x1, y1), 1: (x2, y2)}, dims=(8, 8, 1))
-                        got = block_adjacency_length(s, 0, 1)
-                        assert got == block_adjacency_length(s, 1, 0)
+                        got = abutment(x1, y1, 2, 3, x2, y2, 2, 2)
+                        assert got == abutment(x2, y2, 2, 2, x1, y1, 2, 3)
                         assert got == oracles.adjacency_length(
                             (x1, y1, 2, 3), (x2, y2, 2, 2))
 
     def test_positive_adjacency_implies_no_overlap(self):
         for x2 in range(7):
             for y2 in range(7):
-                s = make_state([hard(0, 2, 3), hard(1, 2, 2)],
-                               {0: (3, 3), 1: (x2, y2)}, dims=(8, 8, 1))
-                if block_adjacency_length(s, 0, 1) > 0:
-                    assert total_overlap(s) == 0
-
-    def test_cross_layer_rejected(self):
-        s = make_state([hard(0, 2, 2, z=0), hard(1, 2, 2, z=1)], {0: (0, 0), 1: (2, 0)})
-        with pytest.raises(ValueError, match="layers"):
-            block_adjacency_length(s, 0, 1)
+                if abutment(3, 3, 2, 3, x2, y2, 2, 2) > 0:
+                    assert oracles.overlap_cells((3, 3, 2, 3), (x2, y2, 2, 2)) == 0
 
 
 class TestAlignment:
     def test_frozen_examples(self):
-        s = make_state([hard(0, 4, 4, z=0), hard(1, 4, 4, z=1)], {0: (0, 0), 1: (2, 0)})
-        assert alignment_score(s, 0, 1, 16.0) == 0.5
-        s = make_state([hard(0, 4, 4, z=0), hard(1, 4, 4, z=1)], {0: (0, 0), 1: (0, 0)})
-        assert alignment_score(s, 0, 1, 16.0) == 1.0
+        assert alignment_ratio(0, 0, 4, 4, 2, 0, 4, 4, 16.0) == 0.5 == \
+            oracles.alignment_fraction((0, 0, 4, 4), (2, 0, 4, 4), 16.0)
+        assert alignment_ratio(0, 0, 4, 4, 0, 0, 4, 4, 16.0) == 1.0
 
     def test_saturates_at_one(self):
-        s = make_state([hard(0, 4, 4, z=0), hard(1, 4, 4, z=1)], {0: (0, 0), 1: (0, 0)})
-        assert alignment_score(s, 0, 1, 4.0) == 1.0
-
-    def test_same_layer_rejected(self):
-        s = make_state([hard(0, 2, 2), hard(1, 2, 2)], {0: (0, 0), 1: (0, 0)})
-        with pytest.raises(ValueError, match="cross-layer"):
-            alignment_score(s, 0, 1, 4.0)
+        assert alignment_ratio(0, 0, 4, 4, 0, 0, 4, 4, 4.0) == 1.0 == \
+            oracles.alignment_fraction((0, 0, 4, 4), (0, 0, 4, 4), 4.0)
 
     def test_monotone_in_offset(self):
-        scores = []
-        for dx in range(6):
-            s = make_state([hard(0, 4, 4, z=0), hard(1, 4, 4, z=1)],
-                           {0: (0, 0), 1: (dx, 0)})
-            scores.append(alignment_score(s, 0, 1, 16.0))
+        scores = [float(alignment_ratio(0, 0, 4, 4, dx, 0, 4, 4, 16.0))
+                  for dx in range(6)]
         assert scores == sorted(scores, reverse=True)
+        assert scores == [oracles.alignment_fraction((0, 0, 4, 4), (dx, 0, 4, 4), 16.0)
+                          for dx in range(6)]
 
     def test_matches_raster_oracle(self):
         rng = np.random.default_rng(3)
@@ -151,11 +127,8 @@ class TestAlignment:
                   int(rng.integers(1, 5)), int(rng.integers(1, 5)))
             r2 = (int(rng.integers(0, 5)), int(rng.integers(0, 5)),
                   int(rng.integers(1, 5)), int(rng.integers(1, 5)))
-            s = make_state([hard(0, r1[2], r1[3], z=0), hard(1, r2[2], r2[3], z=1)],
-                           {0: r1[:2], 1: r2[:2]}, dims=(10, 10, 2))
             m = min(r1[2] * r1[3], r2[2] * r2[3])
-            assert alignment_score(s, 0, 1, m) == \
-                pytest.approx(oracles.alignment_fraction(r1, r2, m), abs=0)
+            assert alignment_ratio(*r1, *r2, m) == oracles.alignment_fraction(r1, r2, m)
 
 
 class TestHpwl:
@@ -249,14 +222,14 @@ class TestNormalize:
 
     def test_double_normalize_rejected(self):
         c = Circuit("t", GridDims(8, 8, 1), (hard(0, 2, 2),), (), (), utilization=1.0)
-        n = normalize(MetricTuple.ZERO, c, 1.0)
+        n = normalize(ZERO, c, 1.0)
         with pytest.raises(ValueError, match="already"):
             normalize(n, c, 1.0)
 
     def test_baseline_must_be_positive(self):
         c = Circuit("t", GridDims(8, 8, 1), (hard(0, 2, 2),), (), (), utilization=1.0)
         with pytest.raises(ValueError, match="baseline"):
-            normalize(MetricTuple.ZERO, c, 0.0)
+            normalize(ZERO, c, 0.0)
 
 
 class TestSnapshotAndSatisfaction:
@@ -333,11 +306,11 @@ class TestSnapshotAndSatisfaction:
         cons_any = ConstraintSet(boundary_bindings=(BoundaryBinding(0, (0, 1), "ANY"),))
         s = make_state(blocks, {0: (0, 0)}, terminals=terms, constraints=cons_all)
         # worst terminal: (7,7) to nearest edge cell (1,1) is 12
-        assert binding_distance(s, cons_all.boundary_bindings[0]) == 12
-        assert binding_distance(s, cons_all.boundary_bindings[0]) == \
-            oracles.terminal_distance((0, 0, 2, 2), 7, 7)
+        assert metric_snapshot(s).distance == 12 == \
+            oracles.binding_distance(s, cons_all.boundary_bindings[0])
         s = make_state(blocks, {0: (0, 0)}, terminals=terms, constraints=cons_any)
-        assert binding_distance(s, cons_any.boundary_bindings[0]) == 0
+        assert metric_snapshot(s).distance == 0 == \
+            oracles.binding_distance(s, cons_any.boundary_bindings[0])
 
     def test_soft_shape_band(self):
         b = Block(0, "s", 16, 4, 4, 0.5, 2.0, True, 0)
@@ -355,10 +328,7 @@ class TestSnapshotAndSatisfaction:
        st.integers(0, 9), st.integers(0, 9))
 @settings(max_examples=200, deadline=None)
 def test_terminal_distance_property(x, y, w, h, tx, ty):
-    s = make_state([hard(0, w, h)], {0: (x, y)}, dims=(10, 10, 1),
-                   terminals=(Terminal(0, "p", tx, ty, 0),))
-    assert block_terminal_distance(s, 0, 0) == \
-        oracles.terminal_distance((x, y, w, h), tx, ty)
+    assert rim((x, y, w, h), tx, ty) == oracles.terminal_distance((x, y, w, h), tx, ty)
 
 
 @st.composite
@@ -411,11 +381,6 @@ def test_snapshot_and_satisfaction_match_oracles(s):
     cons = c.constraints
     placed = {i: s.rect(i) for i in s.placed_ids()}
 
-    def merged(bb):
-        ds = [oracles.terminal_distance(placed[bb.block], c.terminals[t].x, c.terminals[t].y)
-              for t in bb.terminals]
-        return max(ds) if bb.mode == "ALL" else min(ds)
-
     group_pairs = [(g[i], g[j]) for g in cons.groups
                    for i in range(len(g)) for j in range(i + 1, len(g))]
     m = metric_snapshot(s)
@@ -425,7 +390,7 @@ def test_snapshot_and_satisfaction_match_oracles(s):
     adj = [oracles.adjacency_length(placed[a], placed[b])
            for a, b in group_pairs if a in placed and b in placed]
     assert m.adjacency == (sum(adj) / len(group_pairs) if group_pairs else 0.0)
-    dist = [merged(bb) for bb in cons.boundary_bindings if bb.block in placed]
+    dist = [oracles.binding_distance(s, bb) for bb in cons.boundary_bindings if bb.block in placed]
     assert m.distance == (sum(dist) / len(cons.boundary_bindings)
                           if cons.boundary_bindings else 0.0)
     points = [[(float(c.terminals[t].x), float(c.terminals[t].y)) for t in net.terminals]
@@ -458,7 +423,7 @@ def test_snapshot_and_satisfaction_match_oracles(s):
             if k > 0 and k > 0.5 * facing_edge(placed[a], placed[b])),
         len(group_pairs))
     assert counts["boundary"] == (
-        sum(1 for bb in cons.boundary_bindings if merged(bb) <= 0),
+        sum(1 for bb in cons.boundary_bindings if oracles.binding_distance(s, bb) <= 0),
         len(cons.boundary_bindings))
     assert counts["alignment"] == (
         sum(1 for p in cons.alignment_pairs

@@ -98,7 +98,7 @@ class TestGreedyFrozen:
         g = greedy_place(self.grouped_pair(()), TaskProfile.for_task(3))
         assert g.state.rect(0) == (0, 0, 2, 2)
         assert g.state.rect(1) == (0, 2, 2, 2)
-        assert g.summary.rungs == ["none", "none"]
+        assert [s.rung for s in g.trace.steps] == ["none", "none"]
 
     def test_wire_outranks_abutment_length(self):
         # a net pulling block 1 toward (7,0) makes the right-hand strip
@@ -150,8 +150,7 @@ class TestGreedyProperties:
         c = demo_circuit()
         p = TaskProfile.for_task(3)
         free = greedy_place(c, p)
-        fixed = greedy_place(c, p, order=list(free.order), ars=free.ars,
-                             hpwl_baseline=free.trace.hpwl_baseline)
+        fixed = greedy_place(c, p, order=list(free.order), ars=free.ars)
         assert fixed.cost == free.cost
         assert fixed.ars == free.ars
         for i in range(c.num_blocks):
