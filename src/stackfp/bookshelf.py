@@ -117,23 +117,26 @@ def parse_blocks_text(text: str):
 def parse_nets_text(text: str) -> list[list[str]]:
     """Member-name lists, one per NetDegree section."""
     nets: list[list[str]] = []
-    expected = 0
+    expected = header = 0                 # the last net's degree and line
+
+    def check_last():
+        if nets and len(nets[-1]) != expected:
+            raise ParseError(
+                f"net has {len(nets[-1])} members, expected {expected}", header)
+
     for ln, line in _content_lines(text):
         m = re.match(r"NetDegree\s*:\s*(\d+)", line)
         if m:
-            if nets and len(nets[-1]) != expected:
-                raise ParseError(
-                    f"net has {len(nets[-1])} members, expected {expected}", ln)
+            check_last()
             nets.append([])
-            expected = int(m.group(1))
+            expected, header = int(m.group(1)), ln
             continue
         if _KEYWORD.match(line):
             continue                      # NumNets / NumPins headers
         if not nets:
             raise ParseError(f"member line before any NetDegree: {line!r}", ln)
         nets[-1].append(line.split()[0])
-    if nets and len(nets[-1]) != expected:
-        raise ParseError(f"net has {len(nets[-1])} members, expected {expected}")
+    check_last()
     return nets
 
 

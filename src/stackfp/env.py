@@ -46,12 +46,21 @@ class Observation:
     step: int
     block: int
     order: tuple[int, ...]
-    canvas: np.ndarray          # (num_layers, W, H) occupancy
     masks: MaskStack
+    _state: FloorplanState = dataclasses.field(repr=False)  # the live episode state
 
     @property
     def availability(self):
         return self.masks.availability
+
+    @property
+    def canvas(self) -> np.ndarray:
+        """(num_layers, W, H) occupancy before this block goes down, built
+        when read; readable only until the episode steps past it."""
+        if self._state.done or self._state.current_block != self.block:
+            raise FloorplanError(
+                f"the episode has stepped past block {self.block}; its canvas is gone")
+        return occupancy_grid(self._state)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -179,6 +188,33 @@ class PlacementEnv:
     def reset(self, first_ar: float | None = None) -> Observation | None:
         """Start an episode: preplace fixed blocks when that rule is active,
         optionally shape the first movable block, and observe it."""
+        self._start(first_ar)
+        self.observation = self._observe()
+        return self.observation
+
+    def replay(self, steps: list[StepRecord],
+               first_ar: float | None = None) -> Observation | None:
+        """Start an episode as `reset(first_ar)` does, then take `steps`
+        over: the leading records of an earlier episode of this circuit,
+        profile, order and plug-ins whose blocks had the shapes that
+        `first_ar` and the records' `ar_next` give them here.  Each block
+        goes down at its recorded cell without an availability check, and
+        the record joins the trace as is: nothing is observed or measured
+        until the block after the last record, whose observation is
+        returned."""
+        self._start(first_ar)
+        for rec in steps:
+            if self.state.done or rec.block != self.state.current_block:
+                raise FloorplanError(
+                    f"step {rec.step} places block {rec.block} out of order")
+            self._advance(rec.block, rec.x, rec.y, rec.ar_next)
+            self.trace.steps.append(rec)
+        self.observation = self._observe()
+        if self.state.done:
+            self.trace.finalize_rewards(self.profile)
+        return self.observation
+
+    def _start(self, first_ar: float | None) -> None:
         self.state = FloorplanState(self.circuit, self._order)
         if self.profile.uses("preplace"):
             self.state.apply_preplacements()
@@ -188,8 +224,15 @@ class PlacementEnv:
             blk = self.circuit.blocks[self.state.current_block]
             if blk.is_soft:
                 self.state.set_shape(blk.id, first_ar)
-        self.observation = self._observe()
-        return self.observation
+
+    def _advance(self, block: int, x: int, y: int, ar_next: float | None) -> None:
+        """Place the current block and shape the one after it."""
+        self.state.place(block, x, y)
+        self.state.cursor += 1
+        if not self.state.done and ar_next is not None:
+            nxt = self.circuit.blocks[self.state.current_block]
+            if nxt.is_soft:
+                self.state.set_shape(nxt.id, ar_next)
 
     def _observe(self) -> Observation | None:
         if self.state.done:
@@ -200,8 +243,8 @@ class PlacementEnv:
             step=len(self.trace.steps),
             block=block,
             order=tuple(self.state.order),
-            canvas=occupancy_grid(self.state),
             masks=stack,
+            _state=self.state,
         )
 
     def step(self, action: Action) -> tuple[Observation | None, MetricTuple, bool]:
@@ -223,13 +266,7 @@ class PlacementEnv:
                 f"block {self.observation.block} (rung {avail.rung})")
 
         block = self.observation.block
-        self.state.place(block, action.x, action.y)
-        self.state.cursor += 1
-
-        if not self.state.done and action.ar_next is not None:
-            nxt = self.circuit.blocks[self.state.current_block]
-            if nxt.is_soft:
-                self.state.set_shape(nxt.id, action.ar_next)
+        self._advance(block, action.x, action.y, action.ar_next)
 
         raw = metric_snapshot(self.state)
         norm = normalize(raw, self.circuit, self.hpwl_baseline)

@@ -30,6 +30,7 @@ from .core import (
     FloorplanState,
     InfeasibleError,
     TaskProfile,
+    default_order,
     shape_from_ar,
 )
 from .env import (
@@ -37,6 +38,7 @@ from .env import (
     EpisodeSummary,
     EpisodeTrace,
     PlacementEnv,
+    StepRecord,
     episode_summary,
     weighted_score,
     wire_greedy_baseline,   # noqa: F401  perfbench wraps solvers.wire_greedy_baseline
@@ -170,14 +172,51 @@ def _scan_ar(env: PlacementEnv, block_id: int, pending) -> float | None:
     return best_r
 
 
+def _pinned(circuit: Circuit, profile: TaskProfile) -> set[int]:
+    """The blocks an episode places at reset, before its first step."""
+    if not profile.uses("preplace"):
+        return set()
+    return {pp.block for pp in circuit.constraints.preplacements}
+
+
+def _shared_steps(circuit: Circuit, parent: SolveResult, slots: list[int],
+                  shape) -> tuple[float | None, list[StepRecord]]:
+    """The opening ratio of a fixed-ratio decode that fills the movable
+    `slots` in turn, and the leading steps it takes exactly as `parent`'s
+    decode did.  A slot's masks, and so its cell, depend only on the blocks
+    placed before it and on its own integer shape, so the steps are shared
+    up to the first slot whose block or shape differs.  Each shared record's
+    ar_next becomes this decode's ratio for the block after it, since the
+    trace records the value, not the shape.  `shape(block_id, pending)`
+    gives a slot's ratio (None keeps its shape), called once per slot up to
+    the first that differs."""
+    first_ar = r = shape(slots[0], None) if slots else None
+    shared = []
+    for i, (b, rec) in enumerate(zip(slots, parent.trace.steps)):
+        blk = circuit.blocks[b]
+        wh = (blk.w, blk.h) if r is None else shape_from_ar(
+            blk.area, r, blk.ar_min, blk.ar_max)
+        if b != rec.block or wh != (parent.state.w[b], parent.state.h[b]):
+            break
+        r = shape(slots[i + 1], None) if i + 1 < len(slots) else None
+        shared.append(dataclasses.replace(rec, ar_next=r))
+    return first_ar, shared
+
+
 def _rollout(kind: str, circuit: Circuit, profile: TaskProfile, pick, choose,
-             *, order, plugins) -> SolveResult:
+             *, order, plugins, resume: SolveResult | None = None) -> SolveResult:
     """One masked episode, shared by every solver.  `pick(masks)` returns
     the flat index of the cell for the block up next.  `choose(env,
     block_id, pending)` returns a soft block's ratio (None keeps its shape)
     before that block is observed: the opening block's right after reset,
     with nothing pending, and each later one's with its predecessor's cell
-    pending."""
+    pending.
+
+    `resume` is an earlier rollout of the same circuit, profile and
+    plug-ins, given only with a `choose` that reads neither env nor
+    pending.  The steps this episode shares with it are replayed, not
+    observed (`_shared_steps`); when it shares every step, the result
+    reuses `resume`'s state and summary and nothing is placed."""
     t_start = time.perf_counter()
     env = PlacementEnv(circuit, profile, order=order, plugins=plugins)
     chosen: dict[int, float] = {}
@@ -190,11 +229,33 @@ def _rollout(kind: str, circuit: Circuit, profile: TaskProfile, pick, choose,
             chosen[block_id] = r
         return r
 
-    obs = env.reset()
-    if obs is not None:
-        r = shape(obs.block, None)
-        if r is not None:
-            obs = env.reset(first_ar=r)
+    if resume is None:
+        obs = env.reset()
+        if obs is not None:
+            r = shape(obs.block, None)
+            if r is not None:
+                obs = env.reset(first_ar=r)
+    else:
+        if resume.state.circuit is not circuit:
+            raise ValueError("resume is a decode of another circuit")
+        full = list(order) if order is not None else default_order(circuit)
+        if sorted(full) != list(range(circuit.num_blocks)):
+            raise ValueError("order must be a permutation of all block ids")
+        pinned = _pinned(circuit, profile)
+        slots = [b for b in full if b not in pinned]
+        first_ar, shared = _shared_steps(circuit, resume, slots, shape)
+        if len(shared) == len(slots):
+            return SolveResult(
+                kind=kind,
+                state=resume.state,
+                trace=dataclasses.replace(resume.trace, steps=shared),
+                summary=resume.summary,
+                order=tuple([b for b in full if b in pinned] + slots),
+                ars=chosen,
+                cost=resume.cost,
+                runtime_s=time.perf_counter() - t_start,
+            )
+        obs = env.replay(shared, first_ar=first_ar)
     while obs is not None:
         x, y = divmod(pick(obs.masks), circuit.dims.height)
         nxt = env.state.cursor + 1
@@ -220,19 +281,33 @@ def _rollout(kind: str, circuit: Circuit, profile: TaskProfile, pick, choose,
 def greedy_place(circuit: Circuit, profile: TaskProfile, *,
                  order: list[int] | None = None,
                  ars: dict[int, float] | None = None,
-                 plugins: tuple = ()) -> SolveResult:
+                 plugins: tuple = (),
+                 resume: SolveResult | None = None) -> SolveResult:
     """Mask-guided greedy placement.
 
     Free mode (ars None) also chooses every soft block's ratio by the
     candidate scan.  With `ars` given the ratios are fixed and no scanning
-    happens, which is the decode path the annealer uses."""
+    happens, which is the decode path the annealer uses.
+
+    `resume`, allowed with fixed ratios only, is an earlier greedy result
+    for the same circuit, profile and plug-ins, free or fixed, of any order
+    and ratios.  Fixed-ratio decodes are causal: the leading slots that
+    hold the same block in the same integer shape as in `resume` land where
+    they did there, so they are replayed from its trace without compiling
+    masks or taking metrics, and only the rest is decoded.  The output does
+    not depend on `resume`: placement, trace, summary, ratios and cost equal
+    those of the decode without it, which raises InfeasibleError exactly
+    when this one does.  When no slot differs, the result shares `resume`'s
+    state and summary objects."""
     if ars is None:
+        if resume is not None:
+            raise ValueError("resume needs fixed ratios (ars)")
         choose = _scan_ar
     else:
         def choose(env, block_id, pending):
             return ars.get(block_id)
     return _rollout("greedy", circuit, profile, _pick_cell, choose,
-                    order=order, plugins=plugins)
+                    order=order, plugins=plugins, resume=resume)
 
 
 def random_place(circuit: Circuit, profile: TaskProfile,
@@ -308,16 +383,17 @@ def sa_place(circuit: Circuit, profile: TaskProfile,
 
     Starts from the free greedy solution, so the initial cost equals the
     greedy cost and the best-so-far curve never rises above it.  Decodes
-    that dead-end (a permutation can strand a block) count as rejected."""
+    that dead-end (a permutation can strand a block) count as rejected.
+    Each decode resumes from the current genome's (`greedy_place`'s
+    `resume`), so only the slots from the first one a move changes are
+    decoded afresh; the output is the same as without resuming."""
     config = config or SolverConfig(kind="sa")
     t_start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
 
     seed_result = greedy_place(circuit, profile, plugins=plugins)
 
-    pinned = set()
-    if profile.uses("preplace"):
-        pinned = {pp.block for pp in circuit.constraints.preplacements}
+    pinned = _pinned(circuit, profile)
     seed_order = list(seed_result.order)
     prefix = [b for b in seed_order if b in pinned]
     tail = [b for b in seed_order if b not in pinned]
@@ -326,12 +402,13 @@ def sa_place(circuit: Circuit, profile: TaskProfile,
 
     genome = _Genome(prefix, tail, ars)
     cur_cost = best_cost = initial_cost = seed_result.cost
-    best_result = seed_result
+    cur_result = best_result = seed_result
 
     def decode(g: _Genome):
+        # resumes from the current genome's decode, which g was proposed from
         try:
             return greedy_place(circuit, profile, order=g.order, ars=g.ars,
-                                plugins=plugins)
+                                plugins=plugins, resume=cur_result)
         except InfeasibleError:
             return None
 
@@ -352,7 +429,7 @@ def sa_place(circuit: Circuit, profile: TaskProfile,
         if res is not None:
             delta = res.cost - cur_cost
             if delta <= 0 or rng.random() < math.exp(-delta / max(temp, 1e-12)):
-                genome, cur_cost = cand, res.cost
+                genome, cur_cost, cur_result = cand, res.cost, res
                 accepted += 1
                 if res.cost < best_cost:
                     best_cost, best_result = res.cost, res

@@ -27,6 +27,8 @@ from stackfp import (
     wire_greedy_baseline,
 )
 
+from stackfp import env as envmod
+
 import oracles
 
 
@@ -184,6 +186,47 @@ class TestEnvMechanics:
         assert not done
         assert obs.step == 1 and obs.block == 1
         assert obs.canvas.sum() == 16               # block 0 footprint
+
+    def test_canvas_is_built_only_when_read(self, monkeypatch):
+        built = []
+        real = envmod.occupancy_grid
+        monkeypatch.setattr(envmod, "occupancy_grid",
+                            lambda state: built.append(1) or real(state))
+        env = PlacementEnv(four_block_circuit(), unit_profile())
+        env.reset()
+        env.step(Action(0, 0))
+        assert built == []
+        assert env.observation.canvas.sum() == 16
+        assert built == [1]
+
+    def test_canvas_of_a_stepped_past_observation_raises(self):
+        env = PlacementEnv(four_block_circuit(), unit_profile())
+        first = env.reset()
+        second, _, _ = env.step(Action(0, 0))
+        with pytest.raises(FloorplanError, match="stepped past block 0"):
+            first.canvas
+        assert second.canvas.sum() == 16
+        obs = second
+        while obs is not None:
+            flat = int(np.flatnonzero(obs.availability.mask)[0])
+            obs, _, _ = env.step(Action(*divmod(flat, env.circuit.dims.height)))
+        with pytest.raises(FloorplanError, match="stepped past"):
+            second.canvas
+
+    def test_replay_repeats_an_episode_unobserved(self):
+        env = run_random_episode(
+            PlacementEnv(four_block_circuit(), unit_profile()), seed=5)
+        done = env.trace
+        rects = [env.state.rect(b) for b in range(4)]
+        obs = env.replay(done.steps[:2])
+        assert obs.block == done.steps[2].block and obs.step == 2
+        assert env.trace.steps == done.steps[:2]
+        obs = env.replay(done.steps)
+        assert obs is None
+        assert [env.state.rect(b) for b in range(4)] == rects
+        assert env.trace.to_jsonl() == done.to_jsonl()
+        with pytest.raises(FloorplanError, match="out of order"):
+            env.replay(done.steps[1:])
 
     def test_first_ar_shapes_first_soft_block(self):
         env = PlacementEnv(four_block_circuit(), unit_profile())

@@ -131,6 +131,13 @@ class TestBookshelfParsing:
         blocks, _ = parse_blocks_text(BLOCKS_TEXT.replace("(60, 40)", "(1e3, 40)"))
         assert blocks["hb0"] == {"kind": "hard", "w": 1000, "h": 40}
 
+    @pytest.mark.parametrize("drop,line", [("sb1\n", 6), ("p1\n", 11)],
+                             ids=["first_net", "last_net"])
+    def test_short_net_names_its_header_line(self, drop, line):
+        # NetDegree headers sit on lines 6 and 11
+        with pytest.raises(ParseError, match=f"^line {line}: net has"):
+            parse_nets_text(NETS_TEXT.replace(drop, "", 1))
+
     def test_empty_nets_file(self):
         c = parse_circuit(BLOCKS_TEXT, "UCLA nets 1.0\nNumNets : 0\n",
                           PL_TEXT, dims=GridDims(24, 24, 2), name="t")

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stackfp import (
     AlignmentPair,
@@ -24,8 +26,11 @@ from stackfp import (
     total_overlap,
     wire_greedy_baseline,
 )
+from stackfp import solvers
 from stackfp.core import shape_from_ar
-from stackfp.solvers import ar_candidate_ladder
+from stackfp.fileio import synth_instance
+from stackfp.masks import BlockDistanceRule
+from stackfp.solvers import _Genome, _propose, ar_candidate_ladder
 
 
 def soft(bid, area, w, h, z=0):
@@ -155,6 +160,9 @@ class TestGreedyProperties:
         assert fixed.ars == free.ars
         for i in range(c.num_blocks):
             assert fixed.state.rect(i) == free.state.rect(i)
+        # the annealer's first decodes resume from the free run's trace
+        assert fixed.trace.to_jsonl() == free.trace.to_jsonl()
+        assert fixed.summary == free.summary
 
     def test_deterministic(self):
         a = greedy_place(demo_circuit(), TaskProfile.for_task(3))
@@ -242,6 +250,111 @@ class TestAnnealing:
         assert s.order[0] == 0
         assert s.state.rect(0) == (5, 5, 3, 3)
         assert 0 not in s.ars
+
+
+def _decode(c, p, g, plugins, resume=None):
+    try:
+        return greedy_place(c, p, order=g.order, ars=g.ars, plugins=plugins,
+                            resume=resume)
+    except InfeasibleError:
+        return None
+
+
+def _pinned_instance(seed, n, side, fill, pins):
+    """A synth circuit with up to `pins` blocks preplaced where a free
+    greedy solve of it put them."""
+    c, _ = synth_instance(f"r{seed}", seed, n_blocks=n, counts=(4, 3, 4),
+                          dims=GridDims(side, side, 2), fill=fill)
+    try:
+        free = greedy_place(c, TaskProfile.for_task(1))
+    except InfeasibleError:
+        return c
+    pre = tuple(Preplacement(b, *free.state.rect(b)[:2], c.blocks[b].z,
+                             *free.state.rect(b)[2:])
+                for b in free.order[::3][:pins])
+    return dataclasses.replace(c, constraints=dataclasses.replace(
+        c.constraints, preplacements=pre))
+
+
+class TestResume:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), n=st.integers(8, 14),
+           side=st.sampled_from([16, 20, 24]), fill=st.floats(0.35, 0.7),
+           pins=st.integers(0, 2), task=st.sampled_from([1, 2, 3]),
+           n_plugins=st.integers(0, 3), moves=st.integers(4, 10))
+    def test_resumed_decode_equals_full_decode(self, seed, n, side, fill, pins,
+                                               task, n_plugins, moves):
+        c = _pinned_instance(seed, n, side, fill, pins)
+        p = TaskProfile.for_task(task)
+        rng = np.random.default_rng(seed)
+        pairs = {tuple(sorted(rng.choice(n, 2, replace=False).tolist()))
+                 for _ in range(n_plugins)}
+        plugins = tuple(BlockDistanceRule(a, s, float(rng.uniform(2, side)))
+                        for a, s in sorted(pairs))
+        try:
+            parent = greedy_place(c, p, plugins=plugins)
+        except InfeasibleError:
+            return
+        pinned = set(parent.order[:n - len(parent.trace.steps)])
+        order = list(parent.order)
+        genome = _Genome([b for b in order if b in pinned],
+                         [b for b in order if b not in pinned],
+                         {b: r for b, r in parent.ars.items() if b not in pinned})
+        soft_ids = sorted(genome.ars)
+        for _ in range(moves):
+            if soft_ids and rng.random() < 0.25:
+                # a nudge too small to change the block's integer shape
+                cand = genome.clone()
+                cand.ars[int(rng.choice(soft_ids))] *= 1 + 1e-9
+            else:
+                cand = _propose(genome, soft_ids, rng)
+            full = _decode(c, p, cand, plugins)
+            res = _decode(c, p, cand, plugins, resume=parent)
+            assert (res is None) == (full is None)
+            if full is None:
+                continue
+            assert [res.state.rect(b) for b in range(n)] == \
+                [full.state.rect(b) for b in range(n)]
+            assert res.order == full.order
+            assert res.ars == full.ars
+            assert res.trace.to_jsonl() == full.trace.to_jsonl()
+            assert res.summary == full.summary
+            assert res.cost == full.cost
+            if rng.random() < 0.6:
+                genome, parent = cand, res
+
+    def test_unchanged_decode_places_nothing(self):
+        c = demo_circuit()
+        p = TaskProfile.for_task(3)
+        free = greedy_place(c, p)
+        ars = {b: r * (1 + 1e-9) for b, r in free.ars.items()}
+        res = greedy_place(c, p, order=list(free.order), ars=ars, resume=free)
+        assert res.state is free.state
+        assert [s.ar_next for s in res.trace.steps[:-1]] == \
+            [ars.get(b) for b in free.order[1:]]
+
+    def test_resume_needs_fixed_ratios(self):
+        c = demo_circuit()
+        p = TaskProfile.for_task(3)
+        free = greedy_place(c, p)
+        with pytest.raises(ValueError, match="ars"):
+            greedy_place(c, p, resume=free)
+
+    def test_annealing_output_does_not_depend_on_resume(self, monkeypatch):
+        c, _ = synth_instance("sa", 7, n_blocks=14, dims=GridDims(20, 20, 2))
+        p = TaskProfile.for_task(3)
+        cfg = SolverConfig(kind="sa", seed=3, sa_iterations=25,
+                           sa_calibration_moves=5)
+        resumed = sa_place(c, p, cfg)
+        full_decode = solvers.greedy_place
+        monkeypatch.setattr(solvers, "greedy_place",
+                            lambda *a, resume=None, **kw: full_decode(*a, **kw))
+        full = sa_place(c, p, cfg)
+        assert [resumed.state.rect(b) for b in range(14)] == \
+            [full.state.rect(b) for b in range(14)]
+        assert resumed.trace.to_jsonl() == full.trace.to_jsonl()
+        assert (resumed.cost, resumed.t0, resumed.accepted, resumed.cost_curve) \
+            == (full.cost, full.t0, full.accepted, full.cost_curve)
 
 
 class TestDispatchAndCost:
