@@ -345,19 +345,19 @@ def farthest_point_subset(points: list[tuple[int, int]], k: int,
     return chosen
 
 
-def synth_circuit(name: str, n_blocks: int, n_terminals: int, n_nets: int,
-                  seed: int, dims: GridDims = GridDims(32, 32, 2),
-                  fill: float = 0.45, soft_frac: float = 0.7,
-                  utilization: float = 0.80) -> Circuit:
-    """Seeded synthetic instance: lognormal block areas filling `fill` of
-    the grid, terminals spread along the boundary, small random nets."""
+def synth_circuit(name: str, n_blocks: int, n_terminals: int, seed: int,
+                  dims: GridDims = GridDims(32, 32, 2),
+                  fill: float = 0.45) -> Circuit:
+    """Seeded synthetic skeleton without nets: lognormal block areas
+    filling `fill` of the grid, about 70% of them soft, and terminals
+    spread along the boundary."""
     if n_blocks < 1:
         raise ValueError("need at least one block")
     rng = np.random.default_rng(seed)
     target = math.floor(fill * dims.width * dims.height * dims.num_layers)
     weights = rng.lognormal(mean=0.0, sigma=0.6, size=n_blocks)
     areas = apportion(target, list(weights))
-    is_soft = rng.random(n_blocks) < soft_frac
+    is_soft = rng.random(n_blocks) < 0.7
     layer = _assign_layers(areas, dims.num_layers)
 
     blocks = []
@@ -382,15 +382,4 @@ def synth_circuit(name: str, n_blocks: int, n_terminals: int, n_nets: int,
             x, y = rim[idx]
             terminals.append(Terminal(i, f"p{i}", x, y, 0))
 
-    nets = []
-    for _ in range(n_nets):
-        degree = int(rng.integers(2, min(5, n_blocks) + 1))
-        members = sorted(int(b) for b in
-                         rng.choice(n_blocks, size=degree, replace=False))
-        tids = ()
-        if terminals and rng.random() < 0.4:
-            tids = (int(rng.integers(len(terminals))),)
-        nets.append(Net(blocks=tuple(members), terminals=tids))
-
-    return Circuit(name, dims, tuple(blocks), tuple(terminals), tuple(nets),
-                   utilization=utilization)
+    return Circuit(name, dims, tuple(blocks), tuple(terminals), ())

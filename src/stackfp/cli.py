@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .bookshelf import ParseError, parse_circuit
 from .core import Circuit, GridDims, InfeasibleError, TaskProfile
-from .env import Action, PlacementEnv
+from .env import PlacementEnv
 from .fileio import (
     ConstraintFile,
     apply_constraints,
@@ -137,12 +137,14 @@ def _load_circuit(args) -> Circuit:
                 raise ParseError(
                     f"need exactly one *{suffix} in {path}, found {len(hits)}")
             texts.append(hits[0].read_text())
-        return parse_circuit(*texts, dims=dims, utilization=args.util,
+        util = 0.80 if args.util is None else args.util
+        return parse_circuit(*texts, dims=dims, utilization=util,
                              name=path.name)
     if path.suffix == ".json":
-        if args.dims:
-            raise UsageError("--dims applies to bookshelf input; JSON "
-                             "circuits carry their grid")
+        for flag, value in (("--dims", args.dims), ("--util", args.util)):
+            if value is not None:
+                raise UsageError(f"{flag} applies to bookshelf input; JSON "
+                                 f"circuits carry their grid and utilization")
         return circuit_from_json(path.read_text())
     raise UsageError(f"--circuit wants a bookshelf directory or a .json "
                      f"file, got {args.circuit!r}")
@@ -215,9 +217,8 @@ def _cmd_masks(args) -> int:
         raise UsageError(f"--at-step must be in [0, {total}), got {args.at_step}")
 
     env = PlacementEnv(circuit, profile)
-    obs = env.reset(first_ar=result.ars.get(result.trace.steps[0].block))
-    for step in result.trace.steps[:args.at_step]:
-        obs, _, _ = env.step(Action(step.x, step.y, step.ar_next))
+    obs = env.reset(result.ars.get(result.trace.steps[0].block),
+                    result.trace.steps[:args.at_step])
 
     block = args.block if args.block is not None else obs.block
     if block == obs.block:
@@ -327,8 +328,9 @@ def build_parser() -> _Parser:
         p.add_argument("--circuit", required=True,
                        help="bookshelf directory or circuit .json")
         p.add_argument("--dims", help="grid as WxHxL (bookshelf input only)")
-        p.add_argument("--util", type=_number(0, 1), default=0.80,
-                       help="area utilization for quantization")
+        p.add_argument("--util", type=_number(0, 1),
+                       help="area utilization for quantization (bookshelf "
+                       "input only, default 0.80)")
         if constraints:
             p.add_argument("--constraints", help="constraint .json to apply")
 

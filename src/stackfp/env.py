@@ -185,24 +185,37 @@ class PlacementEnv:
         self.trace: EpisodeTrace | None = None
         self.observation: Observation | None = None
 
-    def reset(self, first_ar: float | None = None) -> Observation | None:
-        """Start an episode: preplace fixed blocks when that rule is active,
-        optionally shape the first movable block, and observe it."""
-        self._start(first_ar)
-        self.observation = self._observe()
-        return self.observation
+    def begin(self) -> FloorplanState:
+        """Start an episode without observing it: a fresh state, with the
+        preplaced blocks pinned when that rule is active.  `reset` begins
+        every episode this way; a caller that must read the start state
+        first (to choose the opening block's ratio) begins, decides, and
+        then resets; `step` refuses a begun episode until it is reset."""
+        self.state = FloorplanState(self.circuit, self._order)
+        if self.profile.uses("preplace"):
+            self.state.apply_preplacements()
+        self.observation = None
+        return self.state
 
-    def replay(self, steps: list[StepRecord],
-               first_ar: float | None = None) -> Observation | None:
-        """Start an episode as `reset(first_ar)` does, then take `steps`
-        over: the leading records of an earlier episode of this circuit,
-        profile, order and plug-ins whose blocks had the shapes that
-        `first_ar` and the records' `ar_next` give them here.  Each block
-        goes down at its recorded cell without an availability check, and
-        the record joins the trace as is: nothing is observed or measured
-        until the block after the last record, whose observation is
-        returned."""
-        self._start(first_ar)
+    def reset(self, first_ar: float | None = None,
+              steps: list[StepRecord] | tuple = ()) -> Observation | None:
+        """Start an episode: preplace fixed blocks when that rule is active,
+        optionally shape the first movable block, take `steps` over, and
+        observe the block up next.
+
+        `steps` are the leading records of an earlier episode of this
+        circuit, profile, order and plug-ins whose blocks had the shapes
+        that `first_ar` and the records' `ar_next` give them here.  Each
+        block goes down at its recorded cell without an availability check,
+        and the record joins the trace as is: nothing is observed or
+        measured until the block after the last record."""
+        self.begin()
+        self.hpwl_baseline = wire_greedy_baseline(self.circuit)
+        self.trace = EpisodeTrace(hpwl_baseline=self.hpwl_baseline)
+        if not self.state.done and first_ar is not None:
+            blk = self.circuit.blocks[self.state.current_block]
+            if blk.is_soft:
+                self.state.set_shape(blk.id, first_ar)
         for rec in steps:
             if self.state.done or rec.block != self.state.current_block:
                 raise FloorplanError(
@@ -210,20 +223,9 @@ class PlacementEnv:
             self._advance(rec.block, rec.x, rec.y, rec.ar_next)
             self.trace.steps.append(rec)
         self.observation = self._observe()
-        if self.state.done:
+        if self.state.done and self.trace.steps:
             self.trace.finalize_rewards(self.profile)
         return self.observation
-
-    def _start(self, first_ar: float | None) -> None:
-        self.state = FloorplanState(self.circuit, self._order)
-        if self.profile.uses("preplace"):
-            self.state.apply_preplacements()
-        self.hpwl_baseline = wire_greedy_baseline(self.circuit)
-        self.trace = EpisodeTrace(hpwl_baseline=self.hpwl_baseline)
-        if not self.state.done and first_ar is not None:
-            blk = self.circuit.blocks[self.state.current_block]
-            if blk.is_soft:
-                self.state.set_shape(blk.id, first_ar)
 
     def _advance(self, block: int, x: int, y: int, ar_next: float | None) -> None:
         """Place the current block and shape the one after it."""
@@ -251,9 +253,9 @@ class PlacementEnv:
         """Place the current block at the action's cell.  The cell must be
         set in the current availability mask; the optional ratio reshapes the
         next block before it is observed."""
-        if self.state is None:
+        if self.state is None or (self.observation is None and not self.state.done):
             raise FloorplanError("reset() the environment before stepping")
-        if self.state.done or self.observation is None:
+        if self.state.done:
             raise InvalidActionError("episode is over; nothing left to place")
         dims = self.circuit.dims
         if not (0 <= action.x < dims.width and 0 <= action.y < dims.height):

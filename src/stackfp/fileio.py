@@ -344,7 +344,7 @@ def synth_instance(name: str, seed: int, *, n_blocks: int = 12,
     Returns the circuit with constraints already applied, and the
     constraint file itself.
     """
-    base = synth_circuit(name, n_blocks, n_terminals, 0, seed=seed, dims=dims,
+    base = synth_circuit(name, n_blocks, n_terminals, seed=seed, dims=dims,
                          fill=fill)
     cf = gen_constraints(base, counts, seed=seed + 1)
     bound = {b["block"]: tuple(b["terminals"]) for b in cf.boundary}

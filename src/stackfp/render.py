@@ -16,6 +16,9 @@ import xml.etree.ElementTree as ET
 from .core import FloorplanState
 from .metrics import alignment_passes
 
+MARGIN = 16             # pixels around the panels
+GAP = 24                # pixels between layer panels
+
 _STYLE = """
   .die { fill: #ffffff; stroke: #444444; }
   .block { fill: #c7d4e8; stroke: #333333; }
@@ -42,16 +45,16 @@ def _pair_classes(state: FloorplanState) -> dict[int, str]:
     return verdict
 
 
-def render_svg(state: FloorplanState, cell: int = 12, margin: int = 16,
-               gap: int = 24, labels: bool = True) -> str:
+def render_svg(state: FloorplanState, cell: int = 12,
+               labels: bool = True) -> str:
     """Serialize the state as a standalone SVG document, one panel per
     layer.  Partial states render whatever is placed."""
     circuit = state.circuit
     dims = circuit.dims
     pw, ph = dims.width * cell, dims.height * cell
     title_h = 16
-    width = 2 * margin + dims.num_layers * pw + (dims.num_layers - 1) * gap
-    height = 2 * margin + title_h + ph
+    width = 2 * MARGIN + dims.num_layers * pw + (dims.num_layers - 1) * GAP
+    height = 2 * MARGIN + title_h + ph
 
     svg = ET.Element("svg", {
         "xmlns": "http://www.w3.org/2000/svg",
@@ -64,8 +67,8 @@ def render_svg(state: FloorplanState, cell: int = 12, margin: int = 16,
     verdict = _pair_classes(state)
 
     for z in range(dims.num_layers):
-        ox = margin + z * (pw + gap)
-        oy = margin + title_h
+        ox = MARGIN + z * (pw + GAP)
+        oy = MARGIN + title_h
         panel = ET.SubElement(svg, "g", {"class": "layer", "data-layer": str(z)})
         title = ET.SubElement(panel, "text", {
             "class": "title", "x": str(ox), "y": str(oy - 5)})

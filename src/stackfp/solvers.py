@@ -30,7 +30,6 @@ from .core import (
     FloorplanState,
     InfeasibleError,
     TaskProfile,
-    default_order,
     shape_from_ar,
 )
 from .env import (
@@ -172,27 +171,21 @@ def _scan_ar(env: PlacementEnv, block_id: int, pending) -> float | None:
     return best_r
 
 
-def _pinned(circuit: Circuit, profile: TaskProfile) -> set[int]:
-    """The blocks an episode places at reset, before its first step."""
-    if not profile.uses("preplace"):
-        return set()
-    return {pp.block for pp in circuit.constraints.preplacements}
-
-
-def _shared_steps(circuit: Circuit, parent: SolveResult, slots: list[int],
-                  shape) -> tuple[float | None, list[StepRecord]]:
-    """The opening ratio of a fixed-ratio decode that fills the movable
-    `slots` in turn, and the leading steps it takes exactly as `parent`'s
-    decode did.  A slot's masks, and so its cell, depend only on the blocks
-    placed before it and on its own integer shape, so the steps are shared
-    up to the first slot whose block or shape differs.  Each shared record's
-    ar_next becomes this decode's ratio for the block after it, since the
-    trace records the value, not the shape.  `shape(block_id, pending)`
-    gives a slot's ratio (None keeps its shape), called once per slot up to
-    the first that differs."""
+def _shared_steps(circuit: Circuit, parent: SolveResult | None,
+                  slots: list[int], shape) -> tuple[float | None, list[StepRecord]]:
+    """The opening ratio of a decode that fills the movable `slots` in turn,
+    and the leading steps it takes exactly as `parent`'s fixed-ratio decode
+    did (none when `parent` is None).  A slot's masks, and so its cell,
+    depend only on the blocks placed before it and on its own integer
+    shape, so the steps are shared up to the first slot whose block or
+    shape differs.  Each shared record's ar_next becomes this decode's
+    ratio for the block after it, since the trace records the value, not
+    the shape.  `shape(block_id, pending)` gives a slot's ratio (None keeps
+    its shape), called once per slot up to the first that differs."""
     first_ar = r = shape(slots[0], None) if slots else None
     shared = []
-    for i, (b, rec) in enumerate(zip(slots, parent.trace.steps)):
+    done = parent.trace.steps if parent is not None else ()
+    for i, (b, rec) in enumerate(zip(slots, done)):
         blk = circuit.blocks[b]
         wh = (blk.w, blk.h) if r is None else shape_from_ar(
             blk.area, r, blk.ar_min, blk.ar_max)
@@ -208,16 +201,19 @@ def _rollout(kind: str, circuit: Circuit, profile: TaskProfile, pick, choose,
     """One masked episode, shared by every solver.  `pick(masks)` returns
     the flat index of the cell for the block up next.  `choose(env,
     block_id, pending)` returns a soft block's ratio (None keeps its shape)
-    before that block is observed: the opening block's right after reset,
-    with nothing pending, and each later one's with its predecessor's cell
-    pending.
+    before that block is observed: the opening block's on the begun,
+    unobserved episode (`PlacementEnv.begin`) with nothing pending, and
+    each later one's with its predecessor's cell pending.  The episode then
+    starts once, with `env.reset(first_ar, shared)`.
 
     `resume` is an earlier rollout of the same circuit, profile and
     plug-ins, given only with a `choose` that reads neither env nor
-    pending.  The steps this episode shares with it are replayed, not
-    observed (`_shared_steps`); when it shares every step, the result
-    reuses `resume`'s state and summary and nothing is placed."""
+    pending.  The steps this episode shares with it are replayed by
+    `reset`, not observed (`_shared_steps`); when it shares every step, the
+    result reuses `resume`'s state and summary and nothing is placed."""
     t_start = time.perf_counter()
+    if resume is not None and resume.state.circuit is not circuit:
+        raise ValueError("resume is a decode of another circuit")
     env = PlacementEnv(circuit, profile, order=order, plugins=plugins)
     chosen: dict[int, float] = {}
 
@@ -229,47 +225,27 @@ def _rollout(kind: str, circuit: Circuit, profile: TaskProfile, pick, choose,
             chosen[block_id] = r
         return r
 
-    if resume is None:
-        obs = env.reset()
-        if obs is not None:
-            r = shape(obs.block, None)
-            if r is not None:
-                obs = env.reset(first_ar=r)
+    env.begin()
+    slots = env.state.order[env.state.cursor:]
+    first_ar, shared = _shared_steps(circuit, resume, slots, shape)
+    if resume is not None and len(shared) == len(slots):
+        state, summary = resume.state, resume.summary
+        trace = dataclasses.replace(resume.trace, steps=shared)
     else:
-        if resume.state.circuit is not circuit:
-            raise ValueError("resume is a decode of another circuit")
-        full = list(order) if order is not None else default_order(circuit)
-        if sorted(full) != list(range(circuit.num_blocks)):
-            raise ValueError("order must be a permutation of all block ids")
-        pinned = _pinned(circuit, profile)
-        slots = [b for b in full if b not in pinned]
-        first_ar, shared = _shared_steps(circuit, resume, slots, shape)
-        if len(shared) == len(slots):
-            return SolveResult(
-                kind=kind,
-                state=resume.state,
-                trace=dataclasses.replace(resume.trace, steps=shared),
-                summary=resume.summary,
-                order=tuple([b for b in full if b in pinned] + slots),
-                ars=chosen,
-                cost=resume.cost,
-                runtime_s=time.perf_counter() - t_start,
-            )
-        obs = env.replay(shared, first_ar=first_ar)
-    while obs is not None:
-        x, y = divmod(pick(obs.masks), circuit.dims.height)
-        nxt = env.state.cursor + 1
-        ar_next = None
-        if nxt < len(env.state.order):
-            ar_next = shape(env.state.order[nxt], (x, y))
-        obs, _, _ = env.step(Action(x, y, ar_next=ar_next))
-
-    summary = episode_summary(env.state, env.trace, profile=profile,
-                              plugins=plugins)
+        obs = env.reset(first_ar, shared)
+        while obs is not None:
+            x, y = divmod(pick(obs.masks), circuit.dims.height)
+            nxt = env.state.cursor + 1
+            ar_next = None
+            if nxt < len(env.state.order):
+                ar_next = shape(env.state.order[nxt], (x, y))
+            obs, _, _ = env.step(Action(x, y, ar_next=ar_next))
+        state, trace = env.state, env.trace
+        summary = episode_summary(state, trace, profile=profile, plugins=plugins)
     return SolveResult(
         kind=kind,
-        state=env.state,
-        trace=env.trace,
+        state=state,
+        trace=trace,
         summary=summary,
         order=tuple(env.state.order),
         ars=chosen,
@@ -286,19 +262,21 @@ def greedy_place(circuit: Circuit, profile: TaskProfile, *,
     """Mask-guided greedy placement.
 
     Free mode (ars None) also chooses every soft block's ratio by the
-    candidate scan.  With `ars` given the ratios are fixed and no scanning
-    happens, which is the decode path the annealer uses.
+    candidate scan, the opening block's on the begun episode before its
+    first observation.  With `ars` given the ratios are fixed and no
+    scanning happens, which is the decode path the annealer uses.  Either
+    way the episode starts once, and each placed block is observed once.
 
     `resume`, allowed with fixed ratios only, is an earlier greedy result
     for the same circuit, profile and plug-ins, free or fixed, of any order
     and ratios.  Fixed-ratio decodes are causal: the leading slots that
     hold the same block in the same integer shape as in `resume` land where
-    they did there, so they are replayed from its trace without compiling
-    masks or taking metrics, and only the rest is decoded.  The output does
-    not depend on `resume`: placement, trace, summary, ratios and cost equal
-    those of the decode without it, which raises InfeasibleError exactly
-    when this one does.  When no slot differs, the result shares `resume`'s
-    state and summary objects."""
+    they did there, so `PlacementEnv.reset` replays them from its trace
+    without compiling masks or taking metrics, and only the rest is
+    decoded.  The output does not depend on `resume`: placement, trace,
+    summary, ratios and cost equal those of the decode without it, which
+    raises InfeasibleError exactly when this one does.  When no slot
+    differs, the result shares `resume`'s state and summary objects."""
     if ars is None:
         if resume is not None:
             raise ValueError("resume needs fixed ratios (ars)")
@@ -382,25 +360,25 @@ def sa_place(circuit: Circuit, profile: TaskProfile,
     calibrated from `sa_calibration_moves` sampled moves.
 
     Starts from the free greedy solution, so the initial cost equals the
-    greedy cost and the best-so-far curve never rises above it.  Decodes
-    that dead-end (a permutation can strand a block) count as rejected.
-    Each decode resumes from the current genome's (`greedy_place`'s
-    `resume`), so only the slots from the first one a move changes are
-    decoded afresh; the output is the same as without resuming."""
+    greedy cost and the best-so-far curve never rises above it.  The
+    genome's movable tail is the block order of that solution's trace (one
+    record per movable slot); the preplaced blocks stay pinned in front.
+    Decodes that dead-end (a permutation can strand a block) count as
+    rejected.  Each decode resumes from the current genome's
+    (`greedy_place`'s `resume`), so only the slots from the first one a
+    move changes are decoded afresh; the output is the same as without
+    resuming."""
     config = config or SolverConfig(kind="sa")
     t_start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
 
     seed_result = greedy_place(circuit, profile, plugins=plugins)
 
-    pinned = _pinned(circuit, profile)
-    seed_order = list(seed_result.order)
-    prefix = [b for b in seed_order if b in pinned]
-    tail = [b for b in seed_order if b not in pinned]
-    ars = {bid: r for bid, r in seed_result.ars.items() if bid not in pinned}
-    soft_ids = sorted(ars)
-
-    genome = _Genome(prefix, tail, ars)
+    # each step record is one movable slot; the pinned blocks lead the order
+    tail = [s.block for s in seed_result.trace.steps]
+    prefix = list(seed_result.order[:len(seed_result.order) - len(tail)])
+    genome = _Genome(prefix, tail, dict(seed_result.ars))
+    soft_ids = sorted(genome.ars)
     cur_cost = best_cost = initial_cost = seed_result.cost
     cur_result = best_result = seed_result
 

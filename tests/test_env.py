@@ -152,6 +152,9 @@ class TestEnvMechanics:
         env = PlacementEnv(four_block_circuit(), unit_profile())
         with pytest.raises(FloorplanError, match="reset"):
             env.step(Action(0, 0))
+        env.begin()                                 # begun, not observed
+        with pytest.raises(FloorplanError, match="reset"):
+            env.step(Action(0, 0))
 
     def test_out_of_grid_action_rejected(self):
         env = PlacementEnv(four_block_circuit(), unit_profile())
@@ -218,15 +221,15 @@ class TestEnvMechanics:
             PlacementEnv(four_block_circuit(), unit_profile()), seed=5)
         done = env.trace
         rects = [env.state.rect(b) for b in range(4)]
-        obs = env.replay(done.steps[:2])
+        obs = env.reset(steps=done.steps[:2])
         assert obs.block == done.steps[2].block and obs.step == 2
         assert env.trace.steps == done.steps[:2]
-        obs = env.replay(done.steps)
+        obs = env.reset(steps=done.steps)
         assert obs is None
         assert [env.state.rect(b) for b in range(4)] == rects
         assert env.trace.to_jsonl() == done.to_jsonl()
         with pytest.raises(FloorplanError, match="out of order"):
-            env.replay(done.steps[1:])
+            env.reset(steps=done.steps[1:])
 
     def test_first_ar_shapes_first_soft_block(self):
         env = PlacementEnv(four_block_circuit(), unit_profile())

@@ -18,6 +18,7 @@ from stackfp import (
     TaskProfile,
     Terminal,
     default_order,
+    render,
 )
 from stackfp.bookshelf import (
     ParseError,
@@ -228,26 +229,22 @@ class TestFarthestPoint:
 
 class TestSynthCircuit:
     def test_seeded_determinism(self):
-        a = synth_circuit("s", 8, 6, 5, seed=11)
-        b = synth_circuit("s", 8, 6, 5, seed=11)
+        a = synth_circuit("s", 8, 6, seed=11)
+        b = synth_circuit("s", 8, 6, seed=11)
         assert circuit_to_json(a) == circuit_to_json(b)
 
     def test_fill_target(self):
         dims = GridDims(32, 32, 2)
         target = math.floor(0.4 * 32 * 32 * 2)
-        # all-soft: apportioned areas land exactly on the budget
-        c = synth_circuit("s", 10, 4, 6, seed=3, dims=dims, fill=0.4,
-                          soft_frac=1.0)
-        assert sum(b.area for b in c.blocks) == target
         # hard blocks round their share up to a full w*h rectangle
-        c = synth_circuit("s", 10, 4, 6, seed=3, dims=dims, fill=0.4)
+        c = synth_circuit("s", 10, 4, seed=3, dims=dims, fill=0.4)
         hard = [b for b in c.blocks if not b.is_soft]
         assert all(b.area == b.w * b.h for b in hard)
         assert target <= sum(b.area for b in c.blocks) <= target + \
             sum(b.w + b.h for b in hard)
 
     def test_soft_shapes_inside_band(self):
-        c = synth_circuit("s", 12, 4, 6, seed=5)
+        c = synth_circuit("s", 12, 4, seed=5)
         for b in c.blocks:
             if b.is_soft:
                 assert b.ar_min - 1e-9 <= b.w / b.h <= b.ar_max + 1e-9
@@ -255,7 +252,7 @@ class TestSynthCircuit:
 
 class TestCircuitJson:
     def test_round_trip_fixed_point(self):
-        c = synth_circuit("rt", 6, 4, 5, seed=2)
+        c, _ = synth_instance("rt", 2)          # nets and constraints too
         text = circuit_to_json(c)
         again = circuit_to_json(circuit_from_json(text))
         assert text == again
@@ -279,7 +276,7 @@ class TestConstraintFiles:
         assert ConstraintFile.from_json(text).to_json() == text
 
     def test_apply_sets_layers_and_min_area(self):
-        c = synth_circuit("ap", 6, 6, 0, seed=1)
+        c = synth_circuit("ap", 6, 6, seed=1)
         cf = gen_constraints(c, (4, 2, 2), seed=7, min_area_frac=0.5)
         cc = apply_constraints(c, cf)
         for p_doc, p in zip(cf.alignment_pairs, cc.constraints.alignment_pairs):
@@ -291,46 +288,46 @@ class TestConstraintFiles:
 
 class TestGenConstraints:
     def test_counts_exact(self):
-        c = synth_circuit("g", 12, 12, 0, seed=4)
+        c = synth_circuit("g", 12, 12, seed=4)
         cf = gen_constraints(c, (10, 5, 10), seed=4)
         assert len(cf.alignment_pairs) == 5
         assert len(cf.boundary) == 5
         assert len(cf.groups) == 5 and all(len(g) == 2 for g in cf.groups)
 
     def test_seeded_determinism(self):
-        c = synth_circuit("g", 12, 12, 0, seed=4)
+        c = synth_circuit("g", 12, 12, seed=4)
         assert gen_constraints(c, (10, 5, 10), seed=9).to_json() == \
                gen_constraints(c, (10, 5, 10), seed=9).to_json()
 
     def test_zero_counts_empty_file(self):
-        c = synth_circuit("g", 6, 4, 0, seed=1)
+        c = synth_circuit("g", 6, 4, seed=1)
         cf = gen_constraints(c, (0, 0, 0), seed=0)
         assert cf.alignment_pairs == () and cf.boundary == () and cf.groups == ()
 
     def test_odd_counts_rejected(self):
-        c = synth_circuit("g", 6, 4, 0, seed=1)
+        c = synth_circuit("g", 6, 4, seed=1)
         with pytest.raises(InfeasibleError, match="even"):
             gen_constraints(c, (3, 0, 0), seed=0)
 
     def test_counts_beyond_blocks_rejected(self):
-        c = synth_circuit("g", 6, 4, 0, seed=1)
+        c = synth_circuit("g", 6, 4, seed=1)
         with pytest.raises(InfeasibleError, match="exceed"):
             gen_constraints(c, (8, 0, 0), seed=0)
 
     def test_bindings_outnumbering_terminals_rejected(self):
-        c = synth_circuit("g", 6, 2, 0, seed=1)
+        c = synth_circuit("g", 6, 2, seed=1)
         with pytest.raises(InfeasibleError, match="terminals"):
             gen_constraints(c, (0, 3, 0), seed=0)
 
     def test_layer_parity_cap(self):
         # ten blocks, all cross-paired, split 5/5 over two layers: same-layer
         # groups can cover at most 4+4 blocks, never 10
-        c = synth_circuit("g", 10, 12, 0, seed=2)
+        c = synth_circuit("g", 10, 12, seed=2)
         with pytest.raises(InfeasibleError, match="parity"):
             gen_constraints(c, (10, 5, 10), seed=0)
 
     def test_bound_pairs_share_a_terminal(self):
-        c = synth_circuit("g", 12, 12, 0, seed=4)
+        c = synth_circuit("g", 12, 12, seed=4)
         cf = gen_constraints(c, (10, 5, 10), seed=4)
         bound = {b["block"]: b["terminals"] for b in cf.boundary}
         for p in cf.alignment_pairs:
@@ -338,7 +335,7 @@ class TestGenConstraints:
                 assert bound[p["a"]] == bound[p["b"]]
 
     def test_output_validates(self):
-        c = synth_circuit("g", 12, 12, 0, seed=8)
+        c = synth_circuit("g", 12, 12, seed=8)
         cf = gen_constraints(c, (6, 4, 6), seed=8)
         cc = apply_constraints(c, cf)
         cc.constraints.validate(cc)
@@ -443,12 +440,12 @@ class TestRender:
         c = Circuit("one", GridDims(8, 8, 1), blocks, (), (), utilization=1.0)
         st = FloorplanState(c)
         st.place(0, 2, 1)
-        root = ET.fromstring(render_svg(st, cell=10, margin=0, gap=0))
+        root = ET.fromstring(render_svg(st, cell=10))
         rect = next(e for e in root.iter()
                     if "block" in (e.get("class") or ""))
-        # margin 0: panel origin sits at (0, title_h)
-        assert rect.get("x") == "20"
-        assert int(rect.get("y")) - 10 * 1 == 16
+        # the panel origin sits at (MARGIN, MARGIN + title_h)
+        assert int(rect.get("x")) == render.MARGIN + 2 * 10
+        assert int(rect.get("y")) == render.MARGIN + 16 + 1 * 10
         assert rect.get("width") == "30"
         assert rect.get("height") == "20"
 
@@ -711,13 +708,15 @@ class TestCli:
         ["gen-constraints", "--circuit", "JSON", "--counts=-2,0,0"],
         ["bench", "--tasks", "1,1", "--instances", "1", "--seeds", "1"],
         ["bench", "--solvers", "greedy,sa,greedy", "--instances", "1", "--seeds", "1"],
+        ["masks", "--circuit", "JSON", "--util", "0.3", "--task", "1"],
+        ["solve", "--circuit", "JSON", "--util", "0.8", "--task", "1"],
     ], ids=["block_beyond_circuit", "negative_block", "zero_width",
             "zero_layers", "util_zero", "util_negative", "util_nan",
             "util_above_one", "weights_nan", "weights_inf", "thresholds_nan",
             "min_area_frac_nan", "min_area_frac_zero", "counts_inf",
             "counts_nan", "seed_negative_random", "seed_negative_sa",
             "tasks_fraction", "counts_negative", "tasks_repeated",
-            "solvers_repeated"])
+            "solvers_repeated", "util_on_json_masks", "util_on_json_solve"])
     def test_out_of_range_value_is_usage(self, workdir, capsys, argv):
         paths = {"JSON": str(workdir / "cli.circuit.json"),
                  "GSRC": str(workdir / "gsrc")}

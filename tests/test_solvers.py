@@ -26,8 +26,10 @@ from stackfp import (
     total_overlap,
     wire_greedy_baseline,
 )
+from stackfp import env as envmod
 from stackfp import solvers
-from stackfp.core import shape_from_ar
+from stackfp.core import default_order, shape_from_ar
+from stackfp.env import PlacementEnv
 from stackfp.fileio import synth_instance
 from stackfp.masks import BlockDistanceRule
 from stackfp.solvers import _Genome, _propose, ar_candidate_ladder
@@ -173,6 +175,21 @@ class TestGreedyProperties:
     def test_runtime_recorded(self):
         g = greedy_place(demo_circuit(), TaskProfile.for_task(3))
         assert g.runtime_s > 0
+
+    def test_free_solve_observes_each_block_once(self, monkeypatch):
+        # the opening block is soft, so its ratio is chosen before the
+        # episode is observed; no observation is compiled and dropped
+        c = demo_circuit()
+        assert c.blocks[default_order(c)[0]].is_soft
+        compiles, resets = [], []
+        compile_masks, reset = envmod.compile_masks, PlacementEnv.reset
+        monkeypatch.setattr(envmod, "compile_masks", lambda *a, **kw:
+                            compiles.append(a[1]) or compile_masks(*a, **kw))
+        monkeypatch.setattr(PlacementEnv, "reset", lambda *a, **kw:
+                            resets.append(1) or reset(*a, **kw))
+        g = greedy_place(c, TaskProfile.for_task(3))
+        assert resets == [1]
+        assert compiles == [s.block for s in g.trace.steps] == list(g.order)
 
 
 class TestRandom:
