@@ -36,6 +36,8 @@ ALL_RULES = frozenset({
 })
 COMMON_RULES = frozenset({RULE_ALIGNMENT, RULE_OVERLAP, RULE_OUTLINE, RULE_SHAPE})
 
+AR_CANDIDATES = 8           # ratio ladder length per soft block (`Block.ar_ladder`)
+
 
 class FloorplanError(Exception):
     """Base class for package errors."""
@@ -49,8 +51,11 @@ def shape_from_ar(area: int, ar: float, ar_min: float, ar_max: float) -> tuple[i
     """Integer (w, h) realizing `area` at aspect ratio w/h as close to `ar` as
     the grid allows.  The ratio is clipped into [ar_min, ar_max] first, and to
     at most `area`, the ratio of a single row; the height is rounded up so w*h
-    covers the full area (slack is below one row).
+    covers the full area (slack is below one row).  A NaN ratio has no
+    place in the band and raises ValueError; infinite ones clip.
     """
+    if math.isnan(ar):
+        raise ValueError(f"aspect ratio is NaN (block area {area})")
     if area <= 0:
         raise ValueError(f"block area must be positive, got {area}")
     if not (0 < ar_min <= ar_max):
@@ -95,6 +100,22 @@ class Block:
             raise ValueError(f"block {self.name}: bad aspect band")
         if fault := shape_fault(self, self.w, self.h):
             raise ValueError(fault)
+
+    @functools.cached_property
+    def ar_ladder(self) -> tuple[tuple[float, tuple[int, int]], ...]:
+        """The candidate shapes greedy scans: AR_CANDIDATES geometrically
+        spaced ratios across the band, each with the (w, h) it quantizes
+        to, deduplicated by that shape; empty for a hard block.  Worked out
+        on first use and kept on the block."""
+        if not self.is_soft:
+            return ()
+        out, seen = [], set()
+        for r in np.geomspace(self.ar_min, self.ar_max, AR_CANDIDATES).tolist():
+            shape = shape_from_ar(self.area, r, self.ar_min, self.ar_max)
+            if shape not in seen:
+                seen.add(shape)
+                out.append((r, shape))
+        return tuple(out)
 
 
 def shape_fault(block: Block, w: int, h: int) -> str | None:

@@ -16,6 +16,7 @@ next-to-last metrics plus episode-length times the baseline.
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 
@@ -31,7 +32,8 @@ from .metrics import (
 
 
 class InvalidActionError(FloorplanError):
-    """Action outside the availability mask, or step on a finished episode."""
+    """Malformed action, action outside the availability mask, or step on a
+    finished episode.  A rejected action leaves the episode as it was."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -165,6 +167,10 @@ def wire_greedy_rollout(circuit: Circuit) -> float:
     return total if total > 0 else 1.0
 
 
+def _is_index(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 class PlacementEnv:
     """Single-episode driver around a FloorplanState.
 
@@ -184,6 +190,7 @@ class PlacementEnv:
         self.state: FloorplanState | None = None
         self.trace: EpisodeTrace | None = None
         self.observation: Observation | None = None
+        self._handed: MaskStack | None = None   # see _reset and _step
 
     def begin(self) -> FloorplanState:
         """Start an episode without observing it: a fresh state, with the
@@ -236,27 +243,60 @@ class PlacementEnv:
             if nxt.is_soft:
                 self.state.set_shape(nxt.id, ar_next)
 
+    def _reset(self, first_ar, steps, masks: MaskStack | None) -> Observation | None:
+        """`reset`, observing the block up next with `masks` when given: a
+        stack the caller compiled for it on the state this reset reaches,
+        which is then not compiled again.  `reset` itself runs, so whatever
+        wraps it sees every episode start."""
+        self._handed = masks
+        try:
+            return self.reset(first_ar, steps)
+        finally:
+            self._handed = None
+
+    def _step(self, action: Action,
+              masks: MaskStack | None) -> tuple[Observation | None, MetricTuple, bool]:
+        """`step`, observing the next block with `masks` as `_reset` does."""
+        self._handed = masks
+        try:
+            return self.step(action)
+        finally:
+            self._handed = None
+
     def _observe(self) -> Observation | None:
         if self.state.done:
             return None
         block = self.state.current_block
-        stack = compile_masks(self.state, block, self.profile, self.plugins)
+        masks = self._handed
+        if masks is None:
+            masks = compile_masks(self.state, block, self.profile, self.plugins)
+        elif masks.block != block:
+            raise ValueError(f"masks of block {masks.block} handed to block {block}")
         return Observation(
             step=len(self.trace.steps),
             block=block,
             order=tuple(self.state.order),
-            masks=stack,
+            masks=masks,
             _state=self.state,
         )
 
     def step(self, action: Action) -> tuple[Observation | None, MetricTuple, bool]:
-        """Place the current block at the action's cell.  The cell must be
-        set in the current availability mask; the optional ratio reshapes the
-        next block before it is observed."""
+        """Place the current block at the action's cell.  The cell, a pair
+        of integers, must be set in the current availability mask; the
+        optional ratio, which must not be NaN, reshapes the next block
+        before it is observed.  A rejected action raises InvalidActionError
+        and changes nothing."""
         if self.state is None or (self.observation is None and not self.state.done):
             raise FloorplanError("reset() the environment before stepping")
         if self.state.done:
             raise InvalidActionError("episode is over; nothing left to place")
+        if not (_is_index(action.x) and _is_index(action.y)):
+            raise InvalidActionError(
+                f"anchor ({action.x!r},{action.y!r}) is not a pair of integers")
+        ar = action.ar_next
+        if ar is not None and not (isinstance(ar, (float, int, np.floating, np.integer))
+                                   and not math.isnan(ar)):
+            raise InvalidActionError(f"ar_next {ar!r} is not a ratio")
         dims = self.circuit.dims
         if not (0 <= action.x < dims.width and 0 <= action.y < dims.height):
             raise InvalidActionError(
@@ -275,8 +315,8 @@ class PlacementEnv:
         self.trace.steps.append(StepRecord(
             step=len(self.trace.steps),
             block=block,
-            x=action.x,
-            y=action.y,
+            x=int(action.x),
+            y=int(action.y),
             ar_next=action.ar_next,
             raw=raw,
             norm=norm,

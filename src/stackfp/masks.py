@@ -22,9 +22,18 @@ over constraint instances, so a mask cell equals the metric of the forced
 placement by construction.  The position and wire masks read the state's
 incremental bookkeeping instead: window sums of its summed-area table and
 its live net boxes, so neither grows with the number of placed blocks.
+
+The wire mask is the sum of two per-axis profiles (`wire_profiles`).  A
+block of width w anchored at x has its centre at k / 2 with k = 2x + w, so
+the x profile is tabulated over these doubled centre coordinates, and the
+mask for a width is a strided slice of it; the y axis likewise.  One
+profile serves every shape of a candidate scan, since only the width and
+height change between candidates.  Halves of integers are exact, so the
+slices hold the same floats as a per-shape evaluation.
 """
 
 import dataclasses
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,17 +146,61 @@ def position_mask(state: FloorplanState, block_id: int) -> RuleMask:
     return RuleMask(vals)
 
 
-def wire_mask(state: FloorplanState, block_id: int) -> RuleMask:
-    """Wirelength increase if the block lands at each anchor: the sum over
-    its nets of how far the anchor's center falls outside the net's current
-    bounding box.  Zero inside every box."""
-    xs, ys = _anchors(state, block_id)
+class WireProfile(NamedTuple):
+    """One axis of a block's wire growth: `sums[i]` adds up, over its nets,
+    how far the doubled centre coordinate k = k0 + i * step, halved, falls
+    outside the net's span on this axis.  It covers a size s when it holds
+    k = 2a + s for every anchor a in [0, n)."""
+    k0: int
+    step: int
+    n: int
+    sums: np.ndarray
+
+    def at(self, size: int) -> np.ndarray:
+        """The growth at anchors 0..n-1 of a block of this size."""
+        stride = 2 // self.step
+        start, off = divmod(size - self.k0, self.step)
+        stop = start + (self.n - 1) * stride + 1
+        if start < 0 or off or stop > len(self.sums):
+            raise ValueError(f"the wire profile does not cover size {size}")
+        return self.sums[start:stop:stride]
+
+
+def _wire_profile(lo, hi, sizes, n: int) -> WireProfile:
+    # sizes of one parity only reach every other doubled coordinate
+    k0 = min(sizes)
+    step = 2 if len({s % 2 for s in sizes}) == 1 else 1
+    k = np.arange(k0, max(sizes) + 2 * n - 1, step)
+    return WireProfile(k0, step, n, span_gap(lo, hi, k / 2.0).sum(axis=0))
+
+
+def wire_profiles(state: FloorplanState, block_id: int, widths,
+                  heights) -> tuple[WireProfile, WireProfile]:
+    """The x and y profiles of the unplaced block's wire growth, covering
+    every width in `widths` and height in `heights`; nets with no other pin
+    down add nothing.  Valid for this state while nothing else is placed."""
+    _require_unplaced(state, block_id)
+    dims = state.circuit.dims
     lo, hi = state.net_boxes(block_id)
     fixed = np.isfinite(lo[0])          # nets with some other pin down
     lo, hi = lo[:, fixed, None], hi[:, fixed, None]
-    grow_x = span_gap(lo[0], hi[0], xs.T + state.w[block_id] / 2.0).sum(axis=0)
-    grow_y = span_gap(lo[1], hi[1], ys + state.h[block_id] / 2.0).sum(axis=0)
-    return RuleMask(grow_x[:, None] + grow_y[None, :])
+    return (_wire_profile(lo[0], hi[0], widths, dims.width),
+            _wire_profile(lo[1], hi[1], heights, dims.height))
+
+
+def wire_mask(state: FloorplanState, block_id: int,
+              profiles: tuple[WireProfile, WireProfile] | None = None) -> RuleMask:
+    """Wirelength increase if the block lands at each anchor: the sum over
+    its nets of how far the anchor's center falls outside the net's current
+    bounding box.  Zero inside every box.  `profiles` are this state's
+    `wire_profiles` for the block, covering its current shape; by default
+    those of that shape alone."""
+    _require_unplaced(state, block_id)
+    w, h = int(state.w[block_id]), int(state.h[block_id])
+    if profiles is None:
+        profiles = wire_profiles(state, block_id, (w,), (h,))
+    px, py = profiles
+    return RuleMask(px.at(w)[:, None] + py.at(h)[None, :])
 
 
 def block_distance_mask(state: FloorplanState, block_id: int, anchor_id: int) -> RuleMask:
@@ -249,7 +302,8 @@ class MaskStack:
 
 
 def compile_masks(state: FloorplanState, block_id: int, profile,
-                  plugins: tuple = ()) -> MaskStack:
+                  plugins: tuple = (),
+                  wire: tuple[WireProfile, WireProfile] | None = None) -> MaskStack:
     """Build every mask that binds one block, each with its binary form on
     the ladder (terminal, grouping, alignment, then the plug-ins from last
     to first), and form the availability conjunction.  Terminal keeps
@@ -258,9 +312,11 @@ def compile_masks(state: FloorplanState, block_id: int, profile,
     up; plug-ins binarize themselves.  An island's mask sums the abutment
     masks of its placed members.  An island with no placed member and a
     pair whose partner is unplaced constrain nothing yet and stay off the
-    ladder.  Two rules that bind one block must not share a name."""
+    ladder.  Two rules that bind one block must not share a name.  `wire`
+    passes on `wire_profiles` that cover the block's shape (see
+    `wire_mask`)."""
     index = state.circuit.index
-    rules = {"wire": wire_mask(state, block_id),
+    rules = {"wire": wire_mask(state, block_id, wire),
              "position": position_mask(state, block_id)}
     ladder = []
 

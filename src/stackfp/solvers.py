@@ -10,7 +10,10 @@ allowed cells and how they shape soft blocks:
   down, shared edge down, terminal distance up), final ties broken row-major;
   each soft block's ratio comes from a scan over a small candidate ladder on
   a copy of the state with the pending placement applied, the opening block
-  included (nothing is pending before it).
+  included (nothing is pending before it).  That copy is the state the
+  episode reaches once the pending block goes down, so the winning shape's
+  mask stack becomes the block's observation, and its best cell the one
+  greedy places it at: each candidate shape is compiled once.
 * annealing: reuses greedy as a decoder for a genome of placement order plus
   per-block ratios, starting from the greedy solution itself.
 * random: uniform over the allowed cells, ratios log-uniform in the band.
@@ -22,6 +25,7 @@ so lower is better and the annealer's objective agrees with the reward.
 import dataclasses
 import math
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,10 +46,9 @@ from .env import (
     weighted_score,
     wire_greedy_baseline,   # noqa: F401  perfbench wraps solvers.wire_greedy_baseline
 )
-from .masks import MaskStack, compile_masks
+from .masks import MaskStack, compile_masks, wire_profiles
 from .metrics import MetricTuple
 
-AR_CANDIDATES = 8                       # ratio ladder length per soft block
 # greedy's lexicographic keys: MaskStack.rules name and optimization sense
 TIE_KEYS = (("wire", "min"), ("alignment", "max"), ("grouping", "max"),
             ("terminal", "min"))
@@ -83,6 +86,8 @@ class SAResult(SolveResult):
     t0: float = 0.0
     accepted: int = 0
     cost_curve: list[float] = dataclasses.field(default_factory=list)
+    infeasible: int = 0     # decodes that dead-ended, calibration included
+    noops: int = 0          # decodes that placed nothing: no slot changed
 
 
 def objective_cost(norm: MetricTuple, profile: TaskProfile) -> float:
@@ -92,24 +97,10 @@ def objective_cost(norm: MetricTuple, profile: TaskProfile) -> float:
     return -weighted_score(norm, profile)
 
 
-def ar_candidate_ladder(block) -> list[float]:
-    """AR_CANDIDATES geometrically spaced ratios across the block's band,
-    deduplicated by the integer shape they quantize to."""
-    if not block.is_soft:
-        return []
-    out, seen = [], set()
-    for r in np.geomspace(block.ar_min, block.ar_max, AR_CANDIDATES).tolist():
-        shape = shape_from_ar(block.area, r, block.ar_min, block.ar_max)
-        if shape not in seen:
-            seen.add(shape)
-            out.append(r)
-    return out
-
-
 def _available_cells(stack: MaskStack) -> np.ndarray:
     """Flat indices of the cells the availability mask allows."""
     avail = stack.availability
-    cells = np.flatnonzero(avail.mask)
+    cells = np.flatnonzero(avail.mask.view(bool))
     if cells.size == 0:
         raise InfeasibleError(
             f"no cell available for block {stack.block} ({avail.rung})")
@@ -143,46 +134,60 @@ def _pick_cell(stack: MaskStack) -> int:
     return int(cells.min())
 
 
-def _stack_score(stack: MaskStack) -> tuple | None:
-    """Comparable quality of the best cell in a stack; None when the block
-    fits nowhere under this shape."""
-    try:
-        cells, score = _filter_cells(stack)
-    except InfeasibleError:
-        return None
-    return score + (float(cells.min()),)
+class _Lookahead(NamedTuple):
+    """A scanned block's winning mask stack, compiled on the state the
+    episode reaches when the block comes up, and greedy's cell on it."""
+    masks: MaskStack
+    cell: int
 
 
-def _scan_ar(env: PlacementEnv, block_id: int, pending) -> float | None:
+def _scan_ar(env: PlacementEnv, block_id: int,
+             pending) -> tuple[float | None, _Lookahead | None]:
     """Greedy's ratio: try each candidate shape of a soft block on a copy of
     the state, with the pending placement (the current block's chosen cell,
     None before the opening block) applied, and keep the shape whose best
-    cell scores lowest; None when no candidate fits."""
+    cell scores lowest.  The copy is the state the episode observes the
+    block on, so the winner's stack and best cell come back too, to become
+    that observation and its pick.  The wire profiles do not depend on the
+    shape and are built once for all candidates.  (None, None) when no
+    candidate fits."""
     sim = env.state.clone()
     if pending is not None:
         sim.place(env.observation.block, *pending)
-    best_r, best_s = None, None
-    for r in ar_candidate_ladder(env.circuit.blocks[block_id]):
+    ladder = env.circuit.blocks[block_id].ar_ladder
+    wire = wire_profiles(sim, block_id, [w for _, (w, _) in ladder],
+                         [h for _, (_, h) in ladder])
+
+    def scored(r: float):
         sim.set_shape(block_id, r)
-        stack = compile_masks(sim, block_id, env.profile, env.plugins)
-        s = _stack_score(stack)
-        if s is not None and (best_s is None or s < best_s):
-            best_r, best_s = r, s
-    return best_r
+        stack = compile_masks(sim, block_id, env.profile, env.plugins, wire)
+        try:
+            cells, score = _filter_cells(stack)
+        except InfeasibleError:
+            return None
+        cell = int(cells.min())
+        return score + (float(cell),), r, _Lookahead(stack, cell)
+
+    # min keeps the first of equal scores and lets each loser go before
+    # the next candidate is compiled
+    best = min(filter(None, (scored(r) for r, _ in ladder)),
+               key=lambda c: c[0], default=None)
+    return (None, None) if best is None else best[1:]
 
 
 def _shared_steps(circuit: Circuit, parent: SolveResult | None,
-                  slots: list[int], shape) -> tuple[float | None, list[StepRecord]]:
-    """The opening ratio of a decode that fills the movable `slots` in turn,
-    and the leading steps it takes exactly as `parent`'s fixed-ratio decode
-    did (none when `parent` is None).  A slot's masks, and so its cell,
-    depend only on the blocks placed before it and on its own integer
+                  slots: list[int], first_ar: float | None,
+                  shape) -> list[StepRecord]:
+    """The leading steps that a decode filling the movable `slots` in turn,
+    the first shaped by `first_ar`, takes exactly as `parent`'s fixed-ratio
+    decode did (none when `parent` is None).  A slot's masks, and so its
+    cell, depend only on the blocks placed before it and on its own integer
     shape, so the steps are shared up to the first slot whose block or
     shape differs.  Each shared record's ar_next becomes this decode's
     ratio for the block after it, since the trace records the value, not
-    the shape.  `shape(block_id, pending)` gives a slot's ratio (None keeps
-    its shape), called once per slot up to the first that differs."""
-    first_ar = r = shape(slots[0], None) if slots else None
+    the shape.  `shape(block_id)` gives a later slot's ratio (None keeps its
+    shape), called once per slot up to the first that differs."""
+    r = first_ar
     shared = []
     done = parent.trace.steps if parent is not None else ()
     for i, (b, rec) in enumerate(zip(slots, done)):
@@ -191,9 +196,9 @@ def _shared_steps(circuit: Circuit, parent: SolveResult | None,
             blk.area, r, blk.ar_min, blk.ar_max)
         if b != rec.block or wh != (parent.state.w[b], parent.state.h[b]):
             break
-        r = shape(slots[i + 1], None) if i + 1 < len(slots) else None
+        r = shape(slots[i + 1]) if i + 1 < len(slots) else None
         shared.append(dataclasses.replace(rec, ar_next=r))
-    return first_ar, shared
+    return shared
 
 
 def _rollout(kind: str, circuit: Circuit, profile: TaskProfile, pick, choose,
@@ -203,43 +208,50 @@ def _rollout(kind: str, circuit: Circuit, profile: TaskProfile, pick, choose,
     block_id, pending)` returns a soft block's ratio (None keeps its shape)
     before that block is observed: the opening block's on the begun,
     unobserved episode (`PlacementEnv.begin`) with nothing pending, and
-    each later one's with its predecessor's cell pending.  The episode then
-    starts once, with `env.reset(first_ar, shared)`.
+    each later one's with its predecessor's cell pending.  It returns a
+    `_Lookahead` or None along with the ratio; given one, the env observes
+    the block with its stack and the block goes down at its cell, so
+    neither is worked out twice.  The episode starts once, with a reset.
 
     `resume` is an earlier rollout of the same circuit, profile and
     plug-ins, given only with a `choose` that reads neither env nor
-    pending.  The steps this episode shares with it are replayed by
-    `reset`, not observed (`_shared_steps`); when it shares every step, the
-    result reuses `resume`'s state and summary and nothing is placed."""
+    pending, and so returns no lookahead.  The steps this episode shares
+    with it are replayed by `reset`, not observed (`_shared_steps`); when it
+    shares every step, the result reuses `resume`'s state and summary and
+    nothing is placed."""
     t_start = time.perf_counter()
     if resume is not None and resume.state.circuit is not circuit:
         raise ValueError("resume is a decode of another circuit")
     env = PlacementEnv(circuit, profile, order=order, plugins=plugins)
     chosen: dict[int, float] = {}
 
-    def shape(block_id: int, pending) -> float | None:
+    def shape(block_id: int, pending) -> tuple[float | None, _Lookahead | None]:
         if not circuit.blocks[block_id].is_soft:
-            return None
-        r = choose(env, block_id, pending)
+            return None, None
+        r, ahead = choose(env, block_id, pending)
         if r is not None:
             chosen[block_id] = r
-        return r
+        return r, ahead
 
     env.begin()
     slots = env.state.order[env.state.cursor:]
-    first_ar, shared = _shared_steps(circuit, resume, slots, shape)
+    first_ar, ahead = shape(slots[0], None) if slots else (None, None)
+    shared = _shared_steps(circuit, resume, slots, first_ar,
+                           lambda b: shape(b, None)[0])
     if resume is not None and len(shared) == len(slots):
         state, summary = resume.state, resume.summary
         trace = dataclasses.replace(resume.trace, steps=shared)
     else:
-        obs = env.reset(first_ar, shared)
+        obs = env._reset(first_ar, shared, ahead and ahead.masks)
         while obs is not None:
-            x, y = divmod(pick(obs.masks), circuit.dims.height)
+            cell = ahead.cell if ahead else pick(obs.masks)
+            x, y = divmod(cell, circuit.dims.height)
             nxt = env.state.cursor + 1
-            ar_next = None
+            ar_next, ahead = None, None
             if nxt < len(env.state.order):
-                ar_next = shape(env.state.order[nxt], (x, y))
-            obs, _, _ = env.step(Action(x, y, ar_next=ar_next))
+                ar_next, ahead = shape(env.state.order[nxt], (x, y))
+            obs, _, _ = env._step(Action(x, y, ar_next=ar_next),
+                                  ahead and ahead.masks)
         state, trace = env.state, env.trace
         summary = episode_summary(state, trace, profile=profile, plugins=plugins)
     return SolveResult(
@@ -283,7 +295,7 @@ def greedy_place(circuit: Circuit, profile: TaskProfile, *,
         choose = _scan_ar
     else:
         def choose(env, block_id, pending):
-            return ars.get(block_id)
+            return ars.get(block_id), None
     return _rollout("greedy", circuit, profile, _pick_cell, choose,
                     order=order, plugins=plugins, resume=resume)
 
@@ -297,10 +309,10 @@ def random_place(circuit: Circuit, profile: TaskProfile,
     def pick(stack: MaskStack) -> int:
         return int(rng.choice(_available_cells(stack)))
 
-    def sample_ar(env, block_id, pending) -> float:
+    def sample_ar(env, block_id, pending) -> tuple[float, None]:
         block = circuit.blocks[block_id]
         return math.exp(rng.uniform(math.log(block.ar_min),
-                                    math.log(block.ar_max)))
+                                    math.log(block.ar_max))), None
 
     return _rollout("random", circuit, profile, pick, sample_ar,
                     order=None, plugins=plugins)
@@ -367,7 +379,9 @@ def sa_place(circuit: Circuit, profile: TaskProfile,
     rejected.  Each decode resumes from the current genome's
     (`greedy_place`'s `resume`), so only the slots from the first one a
     move changes are decoded afresh; the output is the same as without
-    resuming."""
+    resuming.  The result counts the dead-ended decodes (`infeasible`) and
+    those that changed no slot and so placed nothing (`noops`), calibration
+    decodes included."""
     config = config or SolverConfig(kind="sa")
     t_start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
@@ -382,13 +396,19 @@ def sa_place(circuit: Circuit, profile: TaskProfile,
     cur_cost = best_cost = initial_cost = seed_result.cost
     cur_result = best_result = seed_result
 
+    infeasible = noops = 0
+
     def decode(g: _Genome):
         # resumes from the current genome's decode, which g was proposed from
+        nonlocal infeasible, noops
         try:
-            return greedy_place(circuit, profile, order=g.order, ars=g.ars,
-                                plugins=plugins, resume=cur_result)
+            res = greedy_place(circuit, profile, order=g.order, ars=g.ars,
+                               plugins=plugins, resume=cur_result)
         except InfeasibleError:
+            infeasible += 1
             return None
+        noops += res.state is cur_result.state
+        return res
 
     ups = []
     for _ in range(config.sa_calibration_moves):
@@ -427,6 +447,8 @@ def sa_place(circuit: Circuit, profile: TaskProfile,
         t0=t0,
         accepted=accepted,
         cost_curve=curve,
+        infeasible=infeasible,
+        noops=noops,
     )
 
 

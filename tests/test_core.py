@@ -64,6 +64,15 @@ class TestShapeFromAr:
         with pytest.raises(ValueError):
             shape_from_ar(0, 1.0, 0.5, 2.0)
 
+    def test_rejects_nan_ratio_by_name(self):
+        with pytest.raises(ValueError, match="aspect ratio is NaN"):
+            shape_from_ar(16, float("nan"), 0.5, 2.0)
+
+    def test_infinite_and_negative_ratios_clip(self):
+        assert shape_from_ar(16, math.inf, 0.5, 2.0) == shape_from_ar(16, 2.0, 0.5, 2.0)
+        assert shape_from_ar(16, -math.inf, 0.5, 2.0) == shape_from_ar(16, 0.5, 0.5, 2.0)
+        assert shape_from_ar(16, -3.0, 0.5, 2.0) == shape_from_ar(16, 0.5, 0.5, 2.0)
+
     @given(area=st.integers(1, 5000),
            ar=st.floats(0.05, 20.0),
            lo=st.floats(0.1, 1.0),

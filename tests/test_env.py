@@ -171,6 +171,51 @@ class TestEnvMechanics:
         with pytest.raises(InvalidActionError, match="not available"):
             env.step(Action(9, 0))
 
+    @pytest.mark.parametrize("bad", [
+        Action(4, 0, ar_next=float("nan")),         # (4, 0) is available
+        Action(4, 0, ar_next=np.float64("nan")),
+        Action(4, 0, ar_next="wide"),
+        Action(5.5, 0),
+        Action(4, 2.0),
+        Action(True, 0),
+        Action(4, np.bool_(False)),
+    ], ids=["nan", "np-nan", "str-ratio", "float-x", "float-y", "bool-x", "np-bool-y"])
+    def test_rejected_action_leaves_the_episode_as_it_was(self, bad):
+        env = PlacementEnv(four_block_circuit(), unit_profile())
+        env.reset()
+        env.step(Action(0, 0))                      # next up: soft block 1
+        before = env.state.clone()
+        trace, obs = env.trace.to_jsonl(), env.observation
+        with pytest.raises(InvalidActionError):
+            env.step(bad)
+        assert env.state.cursor == before.cursor
+        assert env.state.placed.tolist() == before.placed.tolist()
+        assert [env.state.rect(b) for b in range(4)] == \
+            [before.rect(b) for b in range(4)]
+        assert np.array_equal(env.state.sat, before.sat)
+        assert env.state.overlap == before.overlap
+        assert env.trace.to_jsonl() == trace
+        assert env.observation is obs
+        obs, _, _ = env.step(Action(4, 0, ar_next=2.0))
+        assert obs.block == 2 and env.state.rect(1) == (4, 0, 3, 4)
+        assert len(env.trace.steps) == 2
+
+    def test_stack_handed_to_a_rejected_step_is_dropped(self):
+        env = PlacementEnv(four_block_circuit(), unit_profile())
+        first = env.reset()
+        with pytest.raises(InvalidActionError):
+            env._step(Action(9, 0), first.masks)
+        obs, _, _ = env.step(Action(0, 0))
+        assert obs.block == 1 and obs.masks is not first.masks
+
+    def test_numpy_integer_anchor_accepted(self):
+        env = PlacementEnv(four_block_circuit(), unit_profile())
+        env.reset()
+        env.step(Action(np.int64(0), np.int32(0), ar_next=np.float64(2.0)))
+        assert env.state.rect(0) == (0, 0, 4, 4)
+        assert env.state.rect(1)[2:] == (4, 3)
+        assert json.loads(env.trace.to_jsonl())["action"]["x"] == 0
+
     def test_step_after_done_rejected(self):
         env = run_random_episode(
             PlacementEnv(four_block_circuit(), unit_profile()), seed=5)

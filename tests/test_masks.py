@@ -24,7 +24,9 @@ from stackfp.masks import (
     compile_masks,
     position_mask,
     wire_mask,
+    wire_profiles,
 )
+from stackfp.fileio import synth_instance
 from stackfp.metrics import total_hpwl
 
 import oracles
@@ -252,6 +254,43 @@ class TestWireMask:
         s = make_state([hard(0, 2, 2), hard(1, 2, 2)], {}, dims=(6, 6, 1),
                        nets=(Net(blocks=(0, 1)),))
         assert not wire_mask(s, 0).values.any()
+
+
+class TestWireProfiles:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), side=st.sampled_from([10, 13, 16]),
+           placed=st.integers(0, 9), data=st.data())
+    def test_slices_equal_each_shape_on_its_own(self, seed, side, placed, data):
+        """Profiles built once for a set of widths and heights (mixed
+        parity, wider or taller than the grid included) give, for every
+        shape in the set, the same floats as the wire mask of that shape
+        alone and as the from-scratch wirelength growth."""
+        c, _ = synth_instance(f"w{seed}", seed, n_blocks=10, counts=(4, 3, 4),
+                              dims=GridDims(side, side, 2), fill=0.4)
+        s = FloorplanState(c)
+        rng = np.random.default_rng(seed)
+        for b in s.order[:placed]:
+            s.place(b, int(rng.integers(-2, side)), int(rng.integers(-2, side)),
+                    validate=False)
+        b = s.order[placed]
+        sizes = st.lists(st.integers(1, side + 5), min_size=1, max_size=5)
+        widths, heights = data.draw(sizes), data.draw(sizes)
+        profiles = wire_profiles(s, b, widths, heights)
+        for w in widths:
+            for h in heights:
+                s.w[b], s.h[b] = w, h
+                got = wire_mask(s, b, profiles).values
+                assert got.tobytes() == wire_mask(s, b).values.tobytes(), (w, h)
+            assert np.array_equal(got, oracles.wire_increase(s, b)), (w, h)
+
+    def test_shape_outside_the_profiles_rejected(self):
+        s = make_state([hard(0, 2, 2)], {}, dims=(6, 6, 1),
+                       terminals=(Terminal(0, "p", 0, 0, 0),),
+                       nets=(Net(blocks=(0,), terminals=(0,)),))
+        for w, h in ((2, 2), (1, 2), (3, 4), (5, 1)):
+            s.w[0], s.h[0] = w, h
+            with pytest.raises(ValueError, match="does not cover size"):
+                wire_mask(s, 0, wire_profiles(s, 0, (3, 5), (2, 3)))
 
 
 class TestBinarize:

@@ -31,8 +31,8 @@ from stackfp import solvers
 from stackfp.core import default_order, shape_from_ar
 from stackfp.env import PlacementEnv
 from stackfp.fileio import synth_instance
-from stackfp.masks import BlockDistanceRule
-from stackfp.solvers import _Genome, _propose, ar_candidate_ladder
+from stackfp.masks import BlockDistanceRule, compile_masks
+from stackfp.solvers import _Genome, _propose
 
 
 def soft(bid, area, w, h, z=0):
@@ -64,15 +64,23 @@ def demo_circuit():
 
 class TestArLadder:
     def test_hard_block_has_no_candidates(self):
-        assert ar_candidate_ladder(hard(0, 3, 3)) == []
+        assert hard(0, 3, 3).ar_ladder == ()
 
     def test_dedupes_to_distinct_shapes(self):
         b = soft(0, 16, 4, 4)
-        ladder = ar_candidate_ladder(b)
+        ladder = [r for r, _ in b.ar_ladder]
         shapes = [shape_from_ar(16, r, 0.5, 2.0) for r in ladder]
-        assert shapes == [(3, 6), (4, 4), (5, 4), (6, 3)]
+        assert shapes == [wh for _, wh in b.ar_ladder] == [(3, 6), (4, 4), (5, 4), (6, 3)]
         assert ladder == sorted(ladder)
         assert ladder[-1] == 2.0
+
+    def test_worked_out_once_per_block(self, monkeypatch):
+        b = soft(0, 16, 4, 4)
+        first = b.ar_ladder
+        monkeypatch.setattr(np, "geomspace", None)
+        assert b.ar_ladder is first and isinstance(first, tuple)
+        with pytest.raises(TypeError):          # a fresh block works it out
+            soft(0, 16, 4, 4).ar_ladder
 
 
 class TestGreedyFrozen:
@@ -178,18 +186,37 @@ class TestGreedyProperties:
 
     def test_free_solve_observes_each_block_once(self, monkeypatch):
         # the opening block is soft, so its ratio is chosen before the
-        # episode is observed; no observation is compiled and dropped
+        # episode is observed; no observation is compiled and dropped, and
+        # a scanned block's observation is the stack its scan compiled
         c = demo_circuit()
         assert c.blocks[default_order(c)[0]].is_soft
-        compiles, resets = [], []
-        compile_masks, reset = envmod.compile_masks, PlacementEnv.reset
-        monkeypatch.setattr(envmod, "compile_masks", lambda *a, **kw:
-                            compiles.append(a[1]) or compile_masks(*a, **kw))
+        by_env, by_scan, observed, resets = [], [], [], []
+
+        def counting(compile_masks, into):
+            return lambda *a, **kw: into.append(compile_masks(*a, **kw)) or into[-1]
+
+        monkeypatch.setattr(envmod, "compile_masks",
+                            counting(envmod.compile_masks, by_env))
+        monkeypatch.setattr(solvers, "compile_masks",
+                            counting(solvers.compile_masks, by_scan))
+        observe, reset = PlacementEnv._observe, PlacementEnv.reset
+        monkeypatch.setattr(PlacementEnv, "_observe", lambda *a: observed.append(
+            obs := observe(*a)) or obs)
         monkeypatch.setattr(PlacementEnv, "reset", lambda *a, **kw:
                             resets.append(1) or reset(*a, **kw))
         g = greedy_place(c, TaskProfile.for_task(3))
         assert resets == [1]
-        assert compiles == [s.block for s in g.trace.steps] == list(g.order)
+        stacks = [obs.masks for obs in observed if obs is not None]
+        assert [m.block for m in stacks] == [s.block for s in g.trace.steps] \
+            == list(g.order)
+        for m in stacks:
+            assert sum(m is k for k in by_env + by_scan) == 1
+        # the soft blocks' observations come from their scans, the rest
+        # from the env, which compiles nothing else
+        assert [m.block for m in stacks if any(m is k for k in by_scan)] == \
+            [b for b in g.order if c.blocks[b].is_soft]
+        assert [m.block for m in by_env] == \
+            [b for b in g.order if not c.blocks[b].is_soft]
 
 
 class TestRandom:
@@ -258,6 +285,31 @@ class TestAnnealing:
         assert total_overlap(s.state) == 0
         assert s.summary.satisfaction["outline"] == (4, 4)
 
+    def test_counts_dead_ends_and_no_op_decodes(self, monkeypatch):
+        c, _ = synth_instance("st", 3, n_blocks=12, dims=GridDims(16, 16, 2),
+                              fill=0.6)
+        cfg = self.cfg(sa_iterations=40, sa_calibration_moves=10)
+        decodes, dead, noops = [], [], []
+        greedy = solvers.greedy_place
+
+        def counted(*a, resume=None, **kw):
+            if resume is None:              # the free solve the search starts from
+                return greedy(*a, **kw)
+            decodes.append(1)
+            try:
+                res = greedy(*a, resume=resume, **kw)
+            except InfeasibleError:
+                dead.append(1)
+                raise
+            noops.append(res.state is resume.state)
+            return res
+
+        monkeypatch.setattr(solvers, "greedy_place", counted)
+        s = sa_place(c, TaskProfile.for_task(3), cfg)
+        assert len(decodes) == cfg.sa_calibration_moves + cfg.sa_iterations
+        assert (s.infeasible, s.noops) == (len(dead), sum(noops))
+        assert s.infeasible > 0 and s.noops > 0
+
     def test_preplaced_block_stays_pinned(self):
         blocks = (hard(0, 3, 3, 0), soft(1, 8, 2, 4, 0), hard(2, 2, 2, 0))
         cons = ConstraintSet(preplacements=(Preplacement(0, 5, 5, 0, 3, 3),))
@@ -291,6 +343,64 @@ def _pinned_instance(seed, n, side, fill, pins):
                 for b in free.order[::3][:pins])
     return dataclasses.replace(c, constraints=dataclasses.replace(
         c.constraints, preplacements=pre))
+
+
+def assert_same_stack(got, want):
+    assert got.block == want.block
+    assert list(got.rules) == list(want.rules)
+    for name, mask in want.rules.items():
+        a, b = got.rules[name].values, mask.values
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    a, b = got.availability, want.availability
+    assert (a.mask.dtype, a.mask.tobytes()) == (b.mask.dtype, b.mask.tobytes())
+    assert (a.dropped, a.feasible) == (b.dropped, b.feasible)
+
+
+class TestLookaheadHandOver:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), n=st.integers(8, 14),
+           side=st.sampled_from([16, 20, 24]), fill=st.floats(0.35, 0.7),
+           pins=st.integers(0, 2), task=st.sampled_from([1, 2, 3]),
+           n_plugins=st.integers(0, 3))
+    def test_handed_stack_equals_a_fresh_compile(self, seed, n, side, fill, pins,
+                                                 task, n_plugins):
+        """Each stack a scan hands to the env equals `compile_masks` on the
+        state the env observes, and greedy's cell on it is the one the
+        trace records."""
+        c = _pinned_instance(seed, n, side, fill, pins)
+        p = TaskProfile.for_task(task)
+        rng = np.random.default_rng(seed)
+        pairs = {tuple(sorted(rng.choice(n, 2, replace=False).tolist()))
+                 for _ in range(n_plugins)}
+        plugins = tuple(BlockDistanceRule(a, s, float(rng.uniform(2, side)))
+                        for a, s in sorted(pairs))
+        fresh = {}
+
+        def checked(call):
+            def handing_over(env, *args):
+                out = call(env, *args)
+                masks = args[-1]
+                if masks is not None:
+                    assert env.observation.masks is masks
+                    block = env.observation.block
+                    fresh[block] = compile_masks(env.state, block, env.profile,
+                                                 env.plugins)
+                    assert_same_stack(masks, fresh[block])
+                return out
+            return handing_over
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(PlacementEnv, "_reset", checked(PlacementEnv._reset))
+            m.setattr(PlacementEnv, "_step", checked(PlacementEnv._step))
+            try:
+                g = greedy_place(c, p, plugins=plugins)
+            except InfeasibleError:
+                return
+        assert sorted(fresh) == sorted(g.ars)
+        for rec in g.trace.steps:
+            if rec.block in fresh:
+                cell = solvers._pick_cell(fresh[rec.block])
+                assert divmod(cell, side) == (rec.x, rec.y)
 
 
 class TestResume:
