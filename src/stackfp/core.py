@@ -36,8 +36,6 @@ ALL_RULES = frozenset({
 })
 COMMON_RULES = frozenset({RULE_ALIGNMENT, RULE_OVERLAP, RULE_OUTLINE, RULE_SHAPE})
 
-AR_CANDIDATES = 8           # ratio ladder length per soft block (`Block.ar_ladder`)
-
 
 class FloorplanError(Exception):
     """Base class for package errors."""
@@ -100,22 +98,6 @@ class Block:
             raise ValueError(f"block {self.name}: bad aspect band")
         if fault := shape_fault(self, self.w, self.h):
             raise ValueError(fault)
-
-    @functools.cached_property
-    def ar_ladder(self) -> tuple[tuple[float, tuple[int, int]], ...]:
-        """The candidate shapes greedy scans: AR_CANDIDATES geometrically
-        spaced ratios across the band, each with the (w, h) it quantizes
-        to, deduplicated by that shape; empty for a hard block.  Worked out
-        on first use and kept on the block."""
-        if not self.is_soft:
-            return ()
-        out, seen = [], set()
-        for r in np.geomspace(self.ar_min, self.ar_max, AR_CANDIDATES).tolist():
-            shape = shape_from_ar(self.area, r, self.ar_min, self.ar_max)
-            if shape not in seen:
-                seen.add(shape)
-                out.append((r, shape))
-        return tuple(out)
 
 
 def shape_fault(block: Block, w: int, h: int) -> str | None:

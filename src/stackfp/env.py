@@ -283,9 +283,9 @@ class PlacementEnv:
     def step(self, action: Action) -> tuple[Observation | None, MetricTuple, bool]:
         """Place the current block at the action's cell.  The cell, a pair
         of integers, must be set in the current availability mask; the
-        optional ratio, which must not be NaN, reshapes the next block
-        before it is observed.  A rejected action raises InvalidActionError
-        and changes nothing."""
+        optional ratio, a number other than a bool or NaN, reshapes the
+        next block before it is observed and is recorded as a float.  A
+        rejected action raises InvalidActionError and changes nothing."""
         if self.state is None or (self.observation is None and not self.state.done):
             raise FloorplanError("reset() the environment before stepping")
         if self.state.done:
@@ -294,9 +294,11 @@ class PlacementEnv:
             raise InvalidActionError(
                 f"anchor ({action.x!r},{action.y!r}) is not a pair of integers")
         ar = action.ar_next
-        if ar is not None and not (isinstance(ar, (float, int, np.floating, np.integer))
-                                   and not math.isnan(ar)):
-            raise InvalidActionError(f"ar_next {ar!r} is not a ratio")
+        if ar is not None:
+            if not (isinstance(ar, (float, int, np.floating, np.integer))
+                    and not isinstance(ar, bool) and not math.isnan(ar)):
+                raise InvalidActionError(f"ar_next {ar!r} is not a ratio")
+            ar = float(ar)
         dims = self.circuit.dims
         if not (0 <= action.x < dims.width and 0 <= action.y < dims.height):
             raise InvalidActionError(
@@ -308,7 +310,7 @@ class PlacementEnv:
                 f"block {self.observation.block} (rung {avail.rung})")
 
         block = self.observation.block
-        self._advance(block, action.x, action.y, action.ar_next)
+        self._advance(block, action.x, action.y, ar)
 
         raw = metric_snapshot(self.state)
         norm = normalize(raw, self.circuit, self.hpwl_baseline)
@@ -317,7 +319,7 @@ class PlacementEnv:
             block=block,
             x=int(action.x),
             y=int(action.y),
-            ar_next=action.ar_next,
+            ar_next=ar,
             raw=raw,
             norm=norm,
             rung=avail.rung,

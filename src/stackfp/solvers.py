@@ -49,6 +49,7 @@ from .env import (
 from .masks import MaskStack, compile_masks, wire_profiles
 from .metrics import MetricTuple
 
+AR_CANDIDATES = 8                       # ratio ladder length per soft block
 # greedy's lexicographic keys: MaskStack.rules name and optimization sense
 TIE_KEYS = (("wire", "min"), ("alignment", "max"), ("grouping", "max"),
             ("terminal", "min"))
@@ -95,6 +96,20 @@ def objective_cost(norm: MetricTuple, profile: TaskProfile) -> float:
     if not norm.normalized:
         raise ValueError("cost is defined over normalized metrics")
     return -weighted_score(norm, profile)
+
+
+def ar_candidate_ladder(block) -> list[tuple[float, tuple[int, int]]]:
+    """AR_CANDIDATES geometrically spaced ratios across the block's band,
+    each with the (w, h) it quantizes to, deduplicated by that shape."""
+    if not block.is_soft:
+        return []
+    out, seen = [], set()
+    for r in np.geomspace(block.ar_min, block.ar_max, AR_CANDIDATES).tolist():
+        shape = shape_from_ar(block.area, r, block.ar_min, block.ar_max)
+        if shape not in seen:
+            seen.add(shape)
+            out.append((r, shape))
+    return out
 
 
 def _available_cells(stack: MaskStack) -> np.ndarray:
@@ -154,7 +169,7 @@ def _scan_ar(env: PlacementEnv, block_id: int,
     sim = env.state.clone()
     if pending is not None:
         sim.place(env.observation.block, *pending)
-    ladder = env.circuit.blocks[block_id].ar_ladder
+    ladder = ar_candidate_ladder(env.circuit.blocks[block_id])
     wire = wire_profiles(sim, block_id, [w for _, (w, _) in ladder],
                          [h for _, (_, h) in ladder])
 

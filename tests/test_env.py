@@ -175,11 +175,12 @@ class TestEnvMechanics:
         Action(4, 0, ar_next=float("nan")),         # (4, 0) is available
         Action(4, 0, ar_next=np.float64("nan")),
         Action(4, 0, ar_next="wide"),
+        Action(4, 0, ar_next=True),
         Action(5.5, 0),
         Action(4, 2.0),
         Action(True, 0),
         Action(4, np.bool_(False)),
-    ], ids=["nan", "np-nan", "str-ratio", "float-x", "float-y", "bool-x", "np-bool-y"])
+    ], ids=["nan", "np-nan", "str-ratio", "bool-ratio", "float-x", "float-y", "bool-x", "np-bool-y"])
     def test_rejected_action_leaves_the_episode_as_it_was(self, bad):
         env = PlacementEnv(four_block_circuit(), unit_profile())
         env.reset()
@@ -208,13 +209,17 @@ class TestEnvMechanics:
         obs, _, _ = env.step(Action(0, 0))
         assert obs.block == 1 and obs.masks is not first.masks
 
-    def test_numpy_integer_anchor_accepted(self):
+    @pytest.mark.parametrize("ratio", [np.float64(2.0), np.float32(2.0),
+                                       np.int64(2), 2],
+                             ids=["np-float64", "np-float32", "np-int64", "int"])
+    def test_numpy_integer_anchor_accepted(self, ratio):
         env = PlacementEnv(four_block_circuit(), unit_profile())
         env.reset()
-        env.step(Action(np.int64(0), np.int32(0), ar_next=np.float64(2.0)))
+        env.step(Action(np.int64(0), np.int32(0), ar_next=ratio))
         assert env.state.rect(0) == (0, 0, 4, 4)
         assert env.state.rect(1)[2:] == (4, 3)
-        assert json.loads(env.trace.to_jsonl())["action"]["x"] == 0
+        action = json.loads(env.trace.to_jsonl())["action"]
+        assert action == {"x": 0, "y": 0, "ar_next": 2.0}
 
     def test_step_after_done_rejected(self):
         env = run_random_episode(

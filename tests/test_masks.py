@@ -281,7 +281,7 @@ class TestWireProfiles:
                 s.w[b], s.h[b] = w, h
                 got = wire_mask(s, b, profiles).values
                 assert got.tobytes() == wire_mask(s, b).values.tobytes(), (w, h)
-            assert np.array_equal(got, oracles.wire_increase(s, b)), (w, h)
+                assert np.array_equal(got, oracles.wire_increase(s, b)), (w, h)
 
     def test_shape_outside_the_profiles_rejected(self):
         s = make_state([hard(0, 2, 2)], {}, dims=(6, 6, 1),

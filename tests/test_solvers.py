@@ -32,7 +32,7 @@ from stackfp.core import default_order, shape_from_ar
 from stackfp.env import PlacementEnv
 from stackfp.fileio import synth_instance
 from stackfp.masks import BlockDistanceRule, compile_masks
-from stackfp.solvers import _Genome, _propose
+from stackfp.solvers import _Genome, _propose, ar_candidate_ladder
 
 
 def soft(bid, area, w, h, z=0):
@@ -64,23 +64,16 @@ def demo_circuit():
 
 class TestArLadder:
     def test_hard_block_has_no_candidates(self):
-        assert hard(0, 3, 3).ar_ladder == ()
+        assert ar_candidate_ladder(hard(0, 3, 3)) == []
 
     def test_dedupes_to_distinct_shapes(self):
         b = soft(0, 16, 4, 4)
-        ladder = [r for r, _ in b.ar_ladder]
+        pairs = ar_candidate_ladder(b)
+        ladder = [r for r, _ in pairs]
         shapes = [shape_from_ar(16, r, 0.5, 2.0) for r in ladder]
-        assert shapes == [wh for _, wh in b.ar_ladder] == [(3, 6), (4, 4), (5, 4), (6, 3)]
+        assert shapes == [wh for _, wh in pairs] == [(3, 6), (4, 4), (5, 4), (6, 3)]
         assert ladder == sorted(ladder)
         assert ladder[-1] == 2.0
-
-    def test_worked_out_once_per_block(self, monkeypatch):
-        b = soft(0, 16, 4, 4)
-        first = b.ar_ladder
-        monkeypatch.setattr(np, "geomspace", None)
-        assert b.ar_ladder is first and isinstance(first, tuple)
-        with pytest.raises(TypeError):          # a fresh block works it out
-            soft(0, 16, 4, 4).ar_ladder
 
 
 class TestGreedyFrozen:
