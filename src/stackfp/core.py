@@ -9,8 +9,10 @@ anchor coordinate equals the other block's far edge.  Layers are indexed
 no step recomputes it from the placed blocks: a per-layer summed-area table
 of cell cover (Crow, SIGGRAPH 1984), whose window sums give the position
 mask and whose double difference is the occupancy canvas; each net's live
-bounding box, which wirelength and the wire mask read; and the running
-footprint overlap.  Blocks are only ever added, never removed.
+bounding box, which wirelength and the wire mask read; the running
+footprint overlap; and the constraint terms (alignment scores, abutment
+and binding distance) that the per-step metrics sum.  Blocks are only ever
+added, never removed.
 """
 
 import dataclasses
@@ -19,7 +21,13 @@ import math
 
 import numpy as np
 
-from .geometry import rect_overlap
+from .geometry import (
+    abutment,
+    alignment_ratio,
+    merge_terminals,
+    rect_overlap,
+    rim_distance,
+)
 
 # Rule identifiers.  The last four are structural and can never be disabled.
 RULE_BOUNDARY = "boundary"      # block must touch bound terminals
@@ -300,10 +308,13 @@ class CircuitIndex:
     # without terminals gets the empty box lo = inf, hi = -inf
     terminal_boxes: tuple[np.ndarray, np.ndarray]
     # per block, where it has one: its abutment group, its alignment pair
-    # and its boundary binding (validate allows at most one of each)
+    # and its boundary binding (validate allows at most one of each), and
+    # the pair's column in `pairs` and the binding's in `bound`
     group_of: dict[int, tuple[int, ...]]
     pair_of: dict[int, AlignmentPair]
     binding_of: dict[int, BoundaryBinding]
+    pair_col: dict[int, int]
+    binding_col: dict[int, int]
 
     @classmethod
     def build(cls, circuit: "Circuit") -> "CircuitIndex":
@@ -340,6 +351,8 @@ class CircuitIndex:
             group_of={b: g for g in cons.groups for b in g},
             pair_of={b: p for p in pairs for b in (p.a, p.b)},
             binding_of={bb.block: bb for bb in bindings},
+            pair_col={b: k for k, p in enumerate(pairs) for b in (p.a, p.b)},
+            binding_col={bb.block: k for k, bb in enumerate(bindings)},
         )
 
 
@@ -420,15 +433,21 @@ class FloorplanState:
     `order` is a permutation of all block ids and `cursor` the index of the
     next block to place; everything before the cursor is already down.
 
-    `place` keeps three things current for the placed blocks: `sat`, the
+    `place` keeps these current for the placed blocks: `sat`, the
     per-layer summed-area table of cell cover, shape (L, W+1, H+1), where
     sat[z, i, j] counts the covered cells [0, i) x [0, j) of layer z with
     multiplicity, off-grid parts clipped; `net_lo` and `net_hi`, each net's
     (2, nets) box over its terminal cells and its placed blocks' centers;
-    and `overlap`, the summed pairwise footprint overlap of same-layer
-    placed blocks, exact for forced placements too.  The table is int32 to
-    keep clones small; it is exact while a layer's summed cover stays below
-    2**31 cells.
+    `overlap`, the summed pairwise footprint overlap of same-layer placed
+    blocks, exact for forced placements too; and the constraint terms,
+    each updated only for the instances that hold the placed block:
+    `alignment`, every alignment pair's score in constraint order as a
+    Python float, 0.0 until both of its blocks are down; `adjacency`, the
+    summed shared edge of the group pairs that are down; and `distance`,
+    the summed merged distance of the bindings whose block is down.  A
+    placed block never changes shape, so a term stays valid once set.  The
+    table is int32 to keep clones small; it is exact while a layer's
+    summed cover stays below 2**31 cells.
     """
 
     def __init__(self, circuit: Circuit, order: list[int] | None = None):
@@ -452,6 +471,9 @@ class FloorplanState:
         self.net_lo = lo.copy()
         self.net_hi = hi.copy()
         self.overlap = 0
+        self.alignment = [0.0] * len(circuit.constraints.alignment_pairs)
+        self.adjacency = 0
+        self.distance = 0
 
     def clone(self) -> "FloorplanState":
         dup = object.__new__(FloorplanState)
@@ -467,6 +489,9 @@ class FloorplanState:
         dup.net_lo = self.net_lo.copy()
         dup.net_hi = self.net_hi.copy()
         dup.overlap = self.overlap
+        dup.alignment = list(self.alignment)
+        dup.adjacency = self.adjacency
+        dup.distance = self.distance
         return dup
 
     @property
@@ -537,11 +562,27 @@ class FloorplanState:
                 np.minimum(np.arange(1, dims.width + 1 - x0, dtype=np.int32), x1 - x0),
                 np.minimum(np.arange(1, dims.height + 1 - y0, dtype=np.int32), y1 - y0))
 
-        ids = self.circuit.index.net_ids[block_id]
+        index = self.circuit.index
+        ids = index.net_ids[block_id]
         if len(ids):
             center = np.array([[x + w / 2.0], [y + h / 2.0]])
             self.net_lo[:, ids] = np.minimum(self.net_lo[:, ids], center)
             self.net_hi[:, ids] = np.maximum(self.net_hi[:, ids], center)
+
+        rect = self.rect(block_id)
+        k = index.pair_col.get(block_id)
+        if k is not None:
+            mate = index.pair_of[block_id].other(block_id)
+            if self.placed[mate]:
+                self.alignment[k] = float(
+                    alignment_ratio(*rect, *self.rect(mate), index.min_area[k]))
+        for m in index.group_of.get(block_id, ()):
+            if m != block_id and self.placed[m]:
+                self.adjacency += int(abutment(*rect, *self.rect(m)))
+        k = index.binding_col.get(block_id)
+        if k is not None:
+            self.distance += int(merge_terminals(
+                rim_distance(*rect, *index.terms[:, :, k]), index.every[k]))
 
     def apply_preplacements(self) -> None:
         """Pin every preplaced block at its fixed spot and move those blocks

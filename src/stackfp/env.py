@@ -32,8 +32,9 @@ from .metrics import (
 
 
 class InvalidActionError(FloorplanError):
-    """Malformed action, action outside the availability mask, or step on a
-    finished episode.  A rejected action leaves the episode as it was."""
+    """Malformed action or reset ratio, action outside the availability
+    mask, or step on a finished episode.  A rejected action or reset leaves
+    the episode as it was."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,11 +85,8 @@ class EpisodeTrace:
     steps: list[StepRecord] = dataclasses.field(default_factory=list)
     rewards: list[float] | None = None
 
-    def norm_metrics(self) -> list[MetricTuple]:
-        return [s.norm for s in self.steps]
-
     def finalize_rewards(self, profile) -> list[float]:
-        self.rewards = compute_rewards(self.norm_metrics(), profile)
+        self.rewards = compute_rewards([s.norm for s in self.steps], profile)
         return self.rewards
 
     def to_jsonl(self) -> str:
@@ -171,6 +169,17 @@ def _is_index(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def _checked_ratio(ar, name: str) -> float | None:
+    """An aspect-ratio argument as a float, None passing through; anything
+    but a number other than a bool or NaN raises InvalidActionError."""
+    if ar is None:
+        return None
+    if not (isinstance(ar, (float, int, np.floating, np.integer))
+            and not isinstance(ar, bool) and not math.isnan(ar)):
+        raise InvalidActionError(f"{name} {ar!r} is not a ratio")
+    return float(ar)
+
+
 class PlacementEnv:
     """Single-episode driver around a FloorplanState.
 
@@ -215,7 +224,9 @@ class PlacementEnv:
         that `first_ar` and the records' `ar_next` give them here.  Each
         block goes down at its recorded cell without an availability check,
         and the record joins the trace as is: nothing is observed or
-        measured until the block after the last record."""
+        measured until the block after the last record.  `first_ar` is
+        checked as `step` checks a ratio, before anything changes."""
+        first_ar = _checked_ratio(first_ar, "first_ar")
         self.begin()
         self.hpwl_baseline = wire_greedy_baseline(self.circuit)
         self.trace = EpisodeTrace(hpwl_baseline=self.hpwl_baseline)
@@ -293,12 +304,7 @@ class PlacementEnv:
         if not (_is_index(action.x) and _is_index(action.y)):
             raise InvalidActionError(
                 f"anchor ({action.x!r},{action.y!r}) is not a pair of integers")
-        ar = action.ar_next
-        if ar is not None:
-            if not (isinstance(ar, (float, int, np.floating, np.integer))
-                    and not isinstance(ar, bool) and not math.isnan(ar)):
-                raise InvalidActionError(f"ar_next {ar!r} is not a ratio")
-            ar = float(ar)
+        ar = _checked_ratio(action.ar_next, "ar_next")
         dims = self.circuit.dims
         if not (0 <= action.x < dims.width and 0 <= action.y < dims.height):
             raise InvalidActionError(

@@ -6,10 +6,13 @@ is cross-layer) and are otherwise ignored, so terminal distance and
 wirelength see the stack in projection.
 
 The geometry itself lives in `geometry`, shared with the mask builders in
-`masks`: a metric here calls the same kernel that scores a mask cell, once
-over all instances of its rule (`Circuit.index`).  Wirelength and total
-overlap read what `FloorplanState` keeps up to date as blocks go down (live
-net boxes, the running overlap), so they cost the same at every step.
+`masks`: a metric scores a placement with the same kernel that scores a
+mask cell.  `satisfaction_counts` calls it once over all instances of its
+rule (`Circuit.index`).  The per-step metrics read what `FloorplanState`
+keeps up to date as blocks go down, where `place` calls those kernels on
+just the instances that hold the placed block: live net boxes, the running
+overlap and the constraint terms.  So `metric_snapshot` only sums them, and
+costs the same at every step.
 """
 
 import dataclasses
@@ -19,7 +22,6 @@ import numpy as np
 from .core import Circuit, FloorplanState, shape_from_ar
 from .geometry import (
     abutment,
-    alignment_ratio,
     merge_terminals,
     rect_overlap,
     rim_distance,
@@ -113,34 +115,20 @@ def metric_snapshot(state: FloorplanState) -> MetricTuple:
     Constraint terms average over every constraint instance; instances whose
     blocks are not yet placed contribute zero, so alignment and adjacency only
     grow as the episode completes and distance only counts realized bindings.
-    Each term is one kernel call over all of its rule's instances.
+    The state keeps every instance's term as its blocks go down, so this
+    only sums them.
     """
-    index = state.circuit.index
-    placed = state.placed
-
-    aln = 0.0
-    if index.pairs.size:
-        scores = alignment_ratio(*_pair_rects(state, index.pairs), index.min_area)
-        got = scores * placed[index.pairs].all(axis=0)
-        # summed in constraint order: np.sum may reorder float additions
-        aln = sum(got.tolist()) / len(got)
-
-    adj = 0.0
-    if index.abut.size:
-        got = _group_abutments(state) * placed[index.abut].all(axis=0)
-        adj = int(got.sum()) / len(got)
-
-    dist = 0.0
-    if len(index.bound):
-        got = _binding_distances(state) * placed[index.bound]
-        dist = int(got.sum()) / len(index.bound)
-
+    aln = state.alignment
+    pairs = state.circuit.index.abut.shape[1]
+    bindings = len(state.circuit.index.bound)
     return MetricTuple(
-        alignment=aln,
+        # summed in constraint order: the bytes must not depend on the
+        # order the pairs were completed in
+        alignment=sum(aln) / len(aln) if aln else 0.0,
         hpwl=total_hpwl(state),
         overlap=float(state.overlap),
-        adjacency=adj,
-        distance=dist,
+        adjacency=state.adjacency / pairs if pairs else 0.0,
+        distance=state.distance / bindings if bindings else 0.0,
         normalized=False,
     )
 

@@ -236,12 +236,19 @@ class TestOrderAndState:
             s.set_shape(0, 1.0)
 
     def test_clone_is_independent(self):
-        c = circuit([hard(0, 2, 2), hard(1, 2, 2)])
+        cs = ConstraintSet(alignment_pairs=(AlignmentPair(0, 2, 4.0),),
+                           groups=((0, 1),),
+                           boundary_bindings=(BoundaryBinding(1, (0,)),))
+        c = circuit([hard(0, 2, 2), hard(1, 2, 2), hard(2, 2, 2, z=1)],
+                    terminals=[Terminal(0, "p", 7, 7, 0)], constraints=cs)
         s = FloorplanState(c)
         s.place(0, 0, 0)
         d = s.clone()
-        d.place(1, 4, 4)
+        d.place(1, 2, 0)
+        d.place(2, 1, 0)
         assert not s.placed[1] and d.placed[1]
+        assert (s.alignment, s.adjacency, s.distance) == ([0.0], 0, 0)
+        assert (d.alignment, d.adjacency, d.distance) == ([0.5], 2, 10)
 
     def test_apply_preplacements_sets_cursor(self):
         cs = ConstraintSet(preplacements=(Preplacement(1, 4, 4, 0, 3, 3),))
@@ -286,7 +293,8 @@ class TestOccupancy:
 @st.composite
 def small_circuits(draw):
     """Up to six hard or soft blocks on a small grid of one or two layers,
-    with random terminals and nets."""
+    with random terminals and nets, cross-layer alignment pairs, one
+    abutment group per layer and ALL or ANY boundary bindings."""
     dims = (draw(st.integers(3, 9)), draw(st.integers(3, 9)), draw(st.integers(1, 2)))
     blocks = []
     for i in range(draw(st.integers(1, 6))):
@@ -307,7 +315,29 @@ def small_circuits(draw):
         net_terms = draw(pins) if terms else []
         if net_blocks or net_terms:
             nets.append(Net(tuple(net_blocks), tuple(net_terms)))
-    return circuit(blocks, terms, nets, dims=dims)
+    by_layer = [[b.id for b in blocks if b.z == z] for z in range(dims[2])]
+    pairs = []
+    if dims[2] == 2:
+        most = min(map(len, by_layer))
+        k = draw(st.integers(min(most, 1), most))
+        lower, upper = (draw(st.permutations(ids))[:k] for ids in by_layer)
+        pairs = [AlignmentPair(a, b, draw(st.floats(0.5, 8.0)))
+                 for a, b in zip(lower, upper)]
+    groups = []
+    for ids in by_layer:
+        size = draw(st.integers(0, len(ids)))
+        if size >= 2:
+            groups.append(tuple(draw(st.permutations(ids))[:size]))
+    bindings = []
+    for b in blocks:
+        if terms and draw(st.booleans()):
+            bound = st.lists(st.integers(0, len(terms) - 1), unique=True,
+                             min_size=1, max_size=3)
+            bindings.append(BoundaryBinding(b.id, tuple(draw(bound)),
+                                            draw(st.sampled_from(["ALL", "ANY"]))))
+    cons = ConstraintSet(alignment_pairs=tuple(pairs), groups=tuple(groups),
+                         boundary_bindings=tuple(bindings))
+    return circuit(blocks, terms, nets, dims=dims, constraints=cons)
 
 
 def assert_matches_scratch(s, window):
@@ -330,6 +360,17 @@ def assert_matches_scratch(s, window):
     assert total_hpwl(s) == oracles.hpwl([oracles.net_pins(s, k) for k in nets])
     for got, want in zip(s.net_boxes(), oracles.pin_net_boxes(s)):
         assert np.array_equal(got, want)
+    cons, placed = s.circuit.constraints, s.placed
+    assert all(type(v) is float for v in s.alignment)
+    assert s.alignment == [
+        oracles.alignment_fraction(s.rect(p.a), s.rect(p.b), p.min_area)
+        if placed[p.a] and placed[p.b] else 0.0 for p in cons.alignment_pairs]
+    assert s.adjacency == sum(
+        oracles.adjacency_length(s.rect(a), s.rect(b))
+        for g in cons.groups for i, a in enumerate(g) for b in g[i + 1:]
+        if placed[a] and placed[b])
+    assert s.distance == sum(oracles.binding_distance(s, bb)
+                             for bb in cons.boundary_bindings if placed[bb.block])
 
 
 class TestIncrementalState:
@@ -343,7 +384,7 @@ class TestIncrementalState:
         states = [FloorplanState(c)]
         dims = c.dims
         window = st.tuples(st.integers(1, 4), st.integers(1, 4))
-        for _ in range(data.draw(st.integers(1, 10))):
+        for _ in range(data.draw(st.integers(3, 12))):
             s = states[-1]
             unplaced = [b for b in range(c.num_blocks) if not s.placed[b]]
             op = data.draw(st.sampled_from(["place", "place", "shape", "clone"]))

@@ -201,6 +201,23 @@ class TestEnvMechanics:
         assert obs.block == 2 and env.state.rect(1) == (4, 0, 3, 4)
         assert len(env.trace.steps) == 2
 
+    @pytest.mark.parametrize("bad", [float("nan"), np.float64("nan"), True, "wide"],
+                             ids=["nan", "np-nan", "bool", "str"])
+    def test_rejected_first_ar_leaves_the_episode_as_it_was(self, bad):
+        env = PlacementEnv(four_block_circuit(), unit_profile())
+        env.reset()                                 # opens with soft block 0
+        env.step(Action(0, 0))
+        state, trace, obs = env.state, env.trace, env.observation
+        before, jsonl = state.clone(), trace.to_jsonl()
+        with pytest.raises(InvalidActionError, match="first_ar"):
+            env.reset(first_ar=bad)
+        assert env.state is state and env.trace is trace and env.observation is obs
+        assert state.cursor == before.cursor
+        assert [state.rect(b) for b in range(4)] == [before.rect(b) for b in range(4)]
+        assert trace.to_jsonl() == jsonl
+        env.step(Action(4, 0))
+        assert len(env.trace.steps) == 2
+
     def test_stack_handed_to_a_rejected_step_is_dropped(self):
         env = PlacementEnv(four_block_circuit(), unit_profile())
         first = env.reset()
