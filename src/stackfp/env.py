@@ -32,9 +32,9 @@ from .metrics import (
 
 
 class InvalidActionError(FloorplanError):
-    """Malformed action or reset ratio, action outside the availability
-    mask, or step on a finished episode.  A rejected action or reset leaves
-    the episode as it was."""
+    """Malformed action, reset ratio or reset record, action outside the
+    availability mask, or step on a finished episode.  A rejected action or
+    reset leaves the episode as it was."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -201,16 +201,20 @@ class PlacementEnv:
         self.observation: Observation | None = None
         self._handed: MaskStack | None = None   # see _reset and _step
 
-    def begin(self) -> FloorplanState:
-        """Start an episode without observing it: a fresh state, with the
-        preplaced blocks pinned when that rule is active.  `reset` begins
-        every episode this way; a caller that must read the start state
-        first (to choose the opening block's ratio) begins, decides, and
-        then resets; `step` refuses a begun episode until it is reset."""
-        self.state = FloorplanState(self.circuit, self._order)
+    def _start_state(self) -> FloorplanState:
+        """A fresh state, with the preplaced blocks pinned when that rule
+        is active."""
+        state = FloorplanState(self.circuit, self._order)
         if self.profile.uses("preplace"):
-            self.state.apply_preplacements()
-        self.observation = None
+            state.apply_preplacements()
+        return state
+
+    def begin(self) -> FloorplanState:
+        """Start an episode without observing it, on the state every
+        `reset` starts from; a caller that must read the start state first
+        (to choose the opening block's ratio) begins, decides, and then
+        resets; `step` refuses a begun episode until it is reset."""
+        self.state, self.observation = self._start_state(), None
         return self.state
 
     def reset(self, first_ar: float | None = None,
@@ -225,9 +229,17 @@ class PlacementEnv:
         block goes down at its recorded cell without an availability check,
         and the record joins the trace as is: nothing is observed or
         measured until the block after the last record.  `first_ar` is
-        checked as `step` checks a ratio, before anything changes."""
+        checked as `step` checks a ratio, and the records' blocks against
+        the start state's order, before anything changes: a record out of
+        order raises InvalidActionError."""
         first_ar = _checked_ratio(first_ar, "first_ar")
-        self.begin()
+        state = self._start_state()
+        slots = state.order[state.cursor:]
+        for i, rec in enumerate(steps):
+            if i >= len(slots) or rec.block != slots[i]:
+                raise InvalidActionError(
+                    f"step {rec.step} places block {rec.block} out of order")
+        self.state, self.observation = state, None
         self.hpwl_baseline = wire_greedy_baseline(self.circuit)
         self.trace = EpisodeTrace(hpwl_baseline=self.hpwl_baseline)
         if not self.state.done and first_ar is not None:
@@ -235,9 +247,6 @@ class PlacementEnv:
             if blk.is_soft:
                 self.state.set_shape(blk.id, first_ar)
         for rec in steps:
-            if self.state.done or rec.block != self.state.current_block:
-                raise FloorplanError(
-                    f"step {rec.step} places block {rec.block} out of order")
             self._advance(rec.block, rec.x, rec.y, rec.ar_next)
             self.trace.steps.append(rec)
         self.observation = self._observe()

@@ -29,10 +29,13 @@ the x profile is tabulated over these doubled centre coordinates, and the
 mask for a width is a strided slice of it; the y axis likewise.  One
 profile serves every shape of a candidate scan, since only the width and
 height change between candidates.  Halves of integers are exact, so the
-slices hold the same floats as a per-shape evaluation.
+slices hold the same floats as a per-shape evaluation.  `wire_floor` adds
+the same slices over the anchors where the block fits, so the least wire
+value a shape can reach is known without compiling its stack.
 """
 
 import dataclasses
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -130,19 +133,34 @@ def alignment_mask(state: FloorplanState, block_id: int, partner_id: int,
     return RuleMask(vals)
 
 
-def position_mask(state: FloorplanState, block_id: int) -> RuleMask:
-    """1 where the block fits fully on its layer without touching any placed
-    footprint, 0 elsewhere: the anchors whose window of the layer's
-    summed-area table sums to zero."""
+def _fits(state: FloorplanState, block_id: int, xs: tuple[int, int] | None = None,
+          ys: tuple[int, int] | None = None) -> np.ndarray | None:
+    """The fit test behind the position mask: True where the block's window
+    of the layer's summed-area table sums to zero.  It covers the anchors
+    that keep the block on the grid, [0, W-w] x [0, H-h], or the half-open
+    ranges `xs` x `ys` of them.  None when the block's shape is larger than
+    the grid."""
     _require_unplaced(state, block_id)
     dims = state.circuit.dims
     w = int(state.w[block_id])
     h = int(state.h[block_id])
+    if w > dims.width or h > dims.height:
+        return None
+    x0, x1 = xs or (0, dims.width - w + 1)
+    y0, y1 = ys or (0, dims.height - h + 1)
+    sat = state.sat[state.circuit.blocks[block_id].z]
+    return window_sums(sat[x0:x1 + w, y0:y1 + h], w, h) == 0
+
+
+def position_mask(state: FloorplanState, block_id: int) -> RuleMask:
+    """1 where the block fits fully on its layer without touching any placed
+    footprint, 0 elsewhere: the anchors whose window of the layer's
+    summed-area table sums to zero."""
+    fits = _fits(state, block_id)
+    dims = state.circuit.dims
     vals = np.zeros((dims.width, dims.height), dtype=np.float64)
-    if w <= dims.width and h <= dims.height:
-        z = state.circuit.blocks[block_id].z
-        vals[:dims.width - w + 1, :dims.height - h + 1] = \
-            window_sums(state.sat[z], w, h) == 0
+    if fits is not None:
+        vals[:fits.shape[0], :fits.shape[1]] = fits
     return RuleMask(vals)
 
 
@@ -201,6 +219,61 @@ def wire_mask(state: FloorplanState, block_id: int,
         profiles = wire_profiles(state, block_id, (w,), (h,))
     px, py = profiles
     return RuleMask(px.at(w)[:, None] + py.at(h)[None, :])
+
+
+# anchor count up to which wire_floor tests the whole grid at once: about
+# where the box search starts to pay (measured between 64² and 128² grids)
+FLOOR_BOX_MIN_ANCHORS = 64 * 64
+
+
+def wire_floor(state: FloorplanState, block_id: int,
+               profiles: tuple[WireProfile, WireProfile]) -> float:
+    """The least wire-mask value over the anchors the position mask sets,
+    inf when the block fits nowhere.  `profiles` are as for `wire_mask`.
+    The floor comes from the same profile adds as the mask, so it is a
+    value the mask holds, not an estimate: no available cell of the block
+    in this shape scores below it.
+
+    The search looks at a box of anchors around the wire minimum first.
+    With gx and gy the two profiles' growth, an anchor outside the box
+    {gx <= t - min gy} x {gy <= t - min gx} scores above t, so the least
+    fitting value in the box is the floor once it is at most t.  Profile
+    values are sums of halves of integers, exact in floats, so these
+    comparisons are exact too.  The first box spans about a quarter of
+    each axis, and it mostly holds the floor; otherwise one more box does.
+    Up to FLOOR_BOX_MIN_ANCHORS anchors the whole grid is tested at once,
+    which costs less there than the box's extra steps."""
+    _require_unplaced(state, block_id)
+    dims = state.circuit.dims
+    w, h = int(state.w[block_id]), int(state.h[block_id])
+    if w > dims.width or h > dims.height:
+        return math.inf
+    nx, ny = dims.width - w + 1, dims.height - h + 1
+    gx = profiles[0].at(w)[:nx]
+    gy = profiles[1].at(h)[:ny]
+
+    def least_in(xs: tuple[int, int], ys: tuple[int, int]) -> float:
+        # the least fitting value over the anchors xs x ys
+        vals = (gx[slice(*xs), None] + gy[None, slice(*ys)])[
+            _fits(state, block_id, xs, ys)]
+        return float(vals.min()) if vals.size else math.inf
+
+    if nx * ny <= FLOOR_BOX_MIN_ANCHORS:
+        return least_in((0, nx), (0, ny))
+    low_x, low_y = gx.min(), gy.min()
+
+    def least_within(t: float) -> float:
+        # the box of anchors that can score t
+        bx = np.flatnonzero(gx <= t - low_y)
+        by = np.flatnonzero(gy <= t - low_x)
+        return least_in((bx[0], bx[-1] + 1), (by[0], by[-1] + 1))
+
+    t = low_x + low_y + min(np.partition(gx, nx // 4)[nx // 4] - low_x,
+                            np.partition(gy, ny // 4)[ny // 4] - low_y)
+    least = least_within(t)
+    # past t, the least fitting value found sets the box that holds the
+    # floor; with none found, that box is the whole grid
+    return least if least <= t else least_within(least)
 
 
 def block_distance_mask(state: FloorplanState, block_id: int, anchor_id: int) -> RuleMask:

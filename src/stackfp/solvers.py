@@ -13,7 +13,9 @@ allowed cells and how they shape soft blocks:
   included (nothing is pending before it).  That copy is the state the
   episode reaches once the pending block goes down, so the winning shape's
   mask stack becomes the block's observation, and its best cell the one
-  greedy places it at: each candidate shape is compiled once.
+  greedy places it at.  Candidates are compiled at most once each, in the
+  order of their wire floor (the least wire value a shape can reach where
+  it fits), and only until no remaining candidate can win.
 * annealing: reuses greedy as a decoder for a genome of placement order plus
   per-block ratios, starting from the greedy solution itself.
 * random: uniform over the allowed cells, ratios log-uniform in the band.
@@ -46,7 +48,7 @@ from .env import (
     weighted_score,
     wire_greedy_baseline,   # noqa: F401  perfbench wraps solvers.wire_greedy_baseline
 )
-from .masks import MaskStack, compile_masks, wire_profiles
+from .masks import MaskStack, compile_masks, wire_floor, wire_profiles
 from .metrics import MetricTuple
 
 AR_CANDIDATES = 8                       # ratio ladder length per soft block
@@ -158,35 +160,51 @@ class _Lookahead(NamedTuple):
 
 def _scan_ar(env: PlacementEnv, block_id: int,
              pending) -> tuple[float | None, _Lookahead | None]:
-    """Greedy's ratio: try each candidate shape of a soft block on a copy of
+    """Greedy's ratio: try the candidate shapes of a soft block on a copy of
     the state, with the pending placement (the current block's chosen cell,
     None before the opening block) applied, and keep the shape whose best
-    cell scores lowest.  The copy is the state the episode observes the
-    block on, so the winner's stack and best cell come back too, to become
-    that observation and its pick.  The wire profiles do not depend on the
-    shape and are built once for all candidates.  (None, None) when no
-    candidate fits."""
+    cell scores lowest, ties going to the earlier ladder entry.  The copy is
+    the state the episode observes the block on, so the winner's stack and
+    best cell come back too, to become that observation and its pick.  The
+    wire profiles do not depend on the shape and are built once for all
+    candidates.  (None, None) when no candidate fits.
+
+    The scan is a branch-and-bound.  A shape's score leads with its dropped
+    rules and then its least wire value over the available cells, which lie
+    inside the position mask, so its `wire_floor` bounds that value from
+    below.  Candidates are visited in (floor, ladder index) order and each
+    is compiled at most once, until the next floor exceeds the wire value
+    of the best candidate that dropped no rule: neither it nor any later
+    candidate can win.  An infinite floor means no later candidate fits."""
     sim = env.state.clone()
     if pending is not None:
         sim.place(env.observation.block, *pending)
     ladder = ar_candidate_ladder(env.circuit.blocks[block_id])
     wire = wire_profiles(sim, block_id, [w for _, (w, _) in ladder],
                          [h for _, (_, h) in ladder])
+    floors = []
+    for i, (r, _) in enumerate(ladder):
+        sim.set_shape(block_id, r)
+        floors.append((wire_floor(sim, block_id, wire), i))
 
-    def scored(r: float):
+    def scored(i: int):
+        r = ladder[i][0]
         sim.set_shape(block_id, r)
         stack = compile_masks(sim, block_id, env.profile, env.plugins, wire)
-        try:
-            cells, score = _filter_cells(stack)
-        except InfeasibleError:
-            return None
+        cells, score = _filter_cells(stack)
         cell = int(cells.min())
-        return score + (float(cell),), r, _Lookahead(stack, cell)
+        # the ladder index breaks ties as the first of equal scores in
+        # ladder order would
+        return score + (float(cell), i), r, _Lookahead(stack, cell)
 
-    # min keeps the first of equal scores and lets each loser go before
-    # the next candidate is compiled
-    best = min(filter(None, (scored(r) for r, _ in ladder)),
-               key=lambda c: c[0], default=None)
+    best = None
+    for floor, i in sorted(floors):
+        # a score is (dropped rules, least wire, ...)
+        if floor == math.inf or (best is not None and best[0][0] == 0
+                                 and floor > best[0][1]):
+            break
+        # min lets the loser go before the next candidate is compiled
+        best = min(filter(None, (best, scored(i))), key=lambda c: c[0])
     return (None, None) if best is None else best[1:]
 
 

@@ -218,6 +218,28 @@ class TestEnvMechanics:
         env.step(Action(4, 0))
         assert len(env.trace.steps) == 2
 
+    @pytest.mark.parametrize("pick", [lambda done: done[1:2],
+                                      lambda done: done + done[:1]],
+                             ids=["skips-a-block", "overfills"])
+    def test_rejected_steps_leave_the_episode_as_it_was(self, pick):
+        done = run_random_episode(
+            PlacementEnv(four_block_circuit(), unit_profile()), seed=5).trace.steps
+        env = PlacementEnv(four_block_circuit(), unit_profile())
+        env.reset()
+        env.step(Action(0, 0))
+        env.step(Action(4, 0))
+        state, trace, obs = env.state, env.trace, env.observation
+        before, jsonl = state.clone(), trace.to_jsonl()
+        with pytest.raises(InvalidActionError, match="out of order"):
+            env.reset(steps=pick(done))
+        assert env.state is state and env.trace is trace and env.observation is obs
+        assert state.cursor == before.cursor == 2
+        assert [state.rect(b) for b in range(4)] == [before.rect(b) for b in range(4)]
+        assert trace.to_jsonl() == jsonl
+        flat = int(np.flatnonzero(obs.availability.mask)[0])
+        env.step(Action(*divmod(flat, env.circuit.dims.height)))
+        assert len(env.trace.steps) == 3
+
     def test_stack_handed_to_a_rejected_step_is_dropped(self):
         env = PlacementEnv(four_block_circuit(), unit_profile())
         first = env.reset()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from stackfp import (
     TaskProfile,
     Terminal,
 )
+from stackfp import masks
 from stackfp.masks import (
     BlockDistanceRule,
     adjacent_block_mask,
@@ -23,6 +26,7 @@ from stackfp.masks import (
     block_distance_mask,
     compile_masks,
     position_mask,
+    wire_floor,
     wire_mask,
     wire_profiles,
 )
@@ -291,6 +295,79 @@ class TestWireProfiles:
             s.w[0], s.h[0] = w, h
             with pytest.raises(ValueError, match="does not cover size"):
                 wire_mask(s, 0, wire_profiles(s, 0, (3, 5), (2, 3)))
+
+
+def floors(s, b, profiles):
+    """`wire_floor` testing the whole grid at once and by the box search,
+    which the small grids here would not reach on their own."""
+    whole = wire_floor(s, b, profiles)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(masks, "FLOOR_BOX_MIN_ANCHORS", 0)
+        return whole, wire_floor(s, b, profiles)
+
+
+class TestWireFloor:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), side=st.sampled_from([8, 11, 14]),
+           placed=st.integers(0, 9), data=st.data())
+    def test_least_wire_where_the_block_fits(self, seed, side, placed, data):
+        """For every shape the profiles cover (larger than the grid
+        included), the floor is the least from-scratch wirelength growth
+        over the anchors where the block fits clear of the placed blocks,
+        inf when there is none, and the position mask over the shared fit
+        test is byte for byte the rect-by-rect one."""
+        c, _ = synth_instance(f"f{seed}", seed, n_blocks=10, counts=(4, 3, 4),
+                              dims=GridDims(side, side, 2), fill=0.6)
+        s = FloorplanState(c)
+        rng = np.random.default_rng(seed)
+        for b in s.order[:placed]:
+            s.place(b, int(rng.integers(-2, side)), int(rng.integers(-2, side)),
+                    validate=False)
+        b = s.order[placed]
+        sizes = st.lists(st.integers(1, side + 2), min_size=1, max_size=3)
+        widths, heights = data.draw(sizes), data.draw(sizes)
+        profiles = wire_profiles(s, b, widths, heights)
+        for w in widths:
+            for h in heights:
+                s.w[b], s.h[b] = w, h
+                fits = oracles.looped_position_mask(s, b)
+                assert position_mask(s, b).values.tobytes() == fits.tobytes(), (w, h)
+                grow = oracles.wire_increase(s, b)[fits > 0]
+                want = grow.min() if grow.size else math.inf
+                assert floors(s, b, profiles) == (want, want), (w, h)
+
+    def test_frozen_example(self):
+        s = make_state([hard(0, 2, 2), hard(1, 1, 1)], {0: (0, 0)}, dims=(6, 6, 1),
+                       terminals=(Terminal(0, "p", 0, 0, 0),),
+                       nets=(Net(blocks=(1,), terminals=(0,)),))
+        # growth (x + 0.5) + (y + 0.5); the cheapest free anchors are (2, 0), (0, 2)
+        assert floors(s, 1, wire_profiles(s, 1, (1,), (1,))) == (3.0, 3.0)
+
+    def test_floor_past_the_first_box(self):
+        # growth (x + 0.5) + (y + 0.5); the first box, x and y up to 2,
+        # fits only at (2, 2), growth 5, and the floor 4 lies outside it
+        blockers = {0: (0, 0), 1: (0, 2), 2: (2, 0), 3: (1, 2), 4: (2, 1)}
+        s = make_state([hard(0, 2, 2)] + [hard(b, 1, 1) for b in range(1, 6)],
+                       blockers, dims=(8, 8, 1),
+                       terminals=(Terminal(0, "p", 0, 0, 0),),
+                       nets=(Net(blocks=(5,), terminals=(0,)),))
+        pos = oracles.looped_position_mask(s, 5)
+        want = oracles.wire_increase(s, 5)[pos > 0].min()
+        assert floors(s, 5, wire_profiles(s, 5, (1,), (1,))) == (want, want)
+        assert want == 4.0
+
+    def test_block_that_fits_nowhere_is_inf(self):
+        # one free row left, and the block is two cells tall
+        s = make_state([hard(0, 4, 3), hard(1, 1, 2)], {0: (0, 1)}, dims=(4, 4, 1),
+                       terminals=(Terminal(0, "p", 0, 0, 0),),
+                       nets=(Net(blocks=(1,), terminals=(0,)),))
+        assert floors(s, 1, wire_profiles(s, 1, (1,), (2,))) == (math.inf, math.inf)
+
+    def test_shape_larger_than_the_grid_is_inf(self):
+        s = make_state([hard(0, 5, 2)], {}, dims=(4, 4, 1),
+                       terminals=(Terminal(0, "p", 0, 0, 0),),
+                       nets=(Net(blocks=(0,), terminals=(0,)),))
+        assert floors(s, 0, wire_profiles(s, 0, (5,), (2,))) == (math.inf, math.inf)
 
 
 class TestBinarize:

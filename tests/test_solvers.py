@@ -31,7 +31,7 @@ from stackfp import solvers
 from stackfp.core import default_order, shape_from_ar
 from stackfp.env import PlacementEnv
 from stackfp.fileio import synth_instance
-from stackfp.masks import BlockDistanceRule, compile_masks
+from stackfp.masks import BlockDistanceRule, compile_masks, wire_profiles
 from stackfp.solvers import _Genome, _propose, ar_candidate_ladder
 
 
@@ -338,6 +338,14 @@ def _pinned_instance(seed, n, side, fill, pins):
         c.constraints, preplacements=pre))
 
 
+def _distance_plugins(rng, n, side, count):
+    """Up to `count` distance plug-ins between random block pairs."""
+    pairs = {tuple(sorted(rng.choice(n, 2, replace=False).tolist()))
+             for _ in range(count)}
+    return tuple(BlockDistanceRule(a, s, float(rng.uniform(2, side)))
+                 for a, s in sorted(pairs))
+
+
 def assert_same_stack(got, want):
     assert got.block == want.block
     assert list(got.rules) == list(want.rules)
@@ -363,10 +371,7 @@ class TestLookaheadHandOver:
         c = _pinned_instance(seed, n, side, fill, pins)
         p = TaskProfile.for_task(task)
         rng = np.random.default_rng(seed)
-        pairs = {tuple(sorted(rng.choice(n, 2, replace=False).tolist()))
-                 for _ in range(n_plugins)}
-        plugins = tuple(BlockDistanceRule(a, s, float(rng.uniform(2, side)))
-                        for a, s in sorted(pairs))
+        plugins = _distance_plugins(rng, n, side, n_plugins)
         fresh = {}
 
         def checked(call):
@@ -396,6 +401,110 @@ class TestLookaheadHandOver:
                 assert divmod(cell, side) == (rec.x, rec.y)
 
 
+def _exhaustive_scan(env, block_id, pending):
+    """The ratio scan without a bound: every candidate shape compiled, in
+    ladder order, and the first of the lowest (score, cell) kept.  Returns
+    (ratio, stack, cell), or None when no candidate fits."""
+    sim = env.state.clone()
+    if pending is not None:
+        sim.place(env.observation.block, *pending)
+    ladder = ar_candidate_ladder(env.circuit.blocks[block_id])
+    wire = wire_profiles(sim, block_id, [w for _, (w, _) in ladder],
+                         [h for _, (_, h) in ladder])
+
+    def scored(r):
+        sim.set_shape(block_id, r)
+        stack = compile_masks(sim, block_id, env.profile, env.plugins, wire)
+        try:
+            cells, score = solvers._filter_cells(stack)
+        except InfeasibleError:
+            return None
+        cell = int(cells.min())
+        return score + (float(cell),), r, stack, cell
+
+    best = min(filter(None, (scored(r) for r, _ in ladder)),
+               key=lambda c: c[0], default=None)
+    return None if best is None else best[1:]
+
+
+class TestBoundedScan:
+    def checked_scans(self, monkeypatch):
+        """Route free greedy's scans through a check against the exhaustive
+        scan; returns the list that collects, per scan, its ladder length
+        and the shapes it compiled."""
+        scans, compiled = [], []
+
+        def recording(state, block_id, *args):
+            compiled.append((int(state.w[block_id]), int(state.h[block_id])))
+            return compile_masks(state, block_id, *args)
+
+        def checked(env, block_id, pending, bounded=solvers._scan_ar):
+            compiled.clear()
+            r, ahead = bounded(env, block_id, pending)
+            shapes = list(compiled)
+            assert len(set(shapes)) == len(shapes), "a shape compiled twice"
+            scans.append((len(ar_candidate_ladder(env.circuit.blocks[block_id])),
+                          shapes))
+            want = _exhaustive_scan(env, block_id, pending)
+            if want is None:
+                assert (r, ahead) == (None, None)
+            else:
+                assert r == want[0] and ahead.cell == want[2]
+                assert_same_stack(ahead.masks, want[1])
+            return r, ahead
+
+        monkeypatch.setattr(solvers, "compile_masks", recording)
+        monkeypatch.setattr(solvers, "_scan_ar", checked)
+        return scans
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), n=st.integers(8, 14),
+           side=st.sampled_from([16, 20, 24]), fill=st.floats(0.35, 0.7),
+           pins=st.integers(0, 2), task=st.sampled_from([1, 2, 3]),
+           n_plugins=st.integers(0, 3))
+    def test_bounded_scan_equals_the_exhaustive_one(self, seed, n, side, fill,
+                                                    pins, task, n_plugins):
+        """Each scan picks the ratio, stack and cell that compiling every
+        candidate in ladder order picks, and compiles no shape twice."""
+        c = _pinned_instance(seed, n, side, fill, pins)
+        p = TaskProfile.for_task(task)
+        plugins = _distance_plugins(np.random.default_rng(seed), n, side, n_plugins)
+        with pytest.MonkeyPatch.context() as m:
+            scans = self.checked_scans(m)
+            try:
+                greedy_place(c, p, plugins=plugins)
+            except InfeasibleError:
+                pass
+        assert all(len(shapes) <= size for size, shapes in scans)
+
+    def test_bound_skips_candidates(self, monkeypatch):
+        c, _ = synth_instance("bound", 3, n_blocks=20, dims=GridDims(24, 24, 2))
+        scans = self.checked_scans(monkeypatch)
+        greedy_place(c, TaskProfile.for_task(3))
+        assert sum(len(shapes) for _, shapes in scans) \
+            < sum(size for size, _ in scans)
+
+
+    def test_ties_go_to_the_earlier_ladder_entry(self, monkeypatch):
+        """Candidates visited out of ladder order (later shapes given lower
+        floors) that tie on score and cell resolve as the ladder-order scan
+        does."""
+        env = PlacementEnv(demo_circuit(), TaskProfile.for_task(1))
+        env.begin()
+        b = env.state.current_block
+        ladder = ar_candidate_ladder(env.circuit.blocks[b])
+        widths = [w for _, (w, _) in ladder]
+        assert len(ladder) > 1 and widths == sorted(set(widths))
+        compiled = []
+        monkeypatch.setattr(solvers, "wire_floor",
+                            lambda state, block, wire: -float(state.w[block]))
+        monkeypatch.setattr(solvers, "_filter_cells", lambda stack: (
+            compiled.append(stack) or np.array([0]), (0.0, 0.0)))
+        r, ahead = solvers._scan_ar(env, b, None)
+        assert len(compiled) == len(ladder)
+        assert r == ladder[0][0] and ahead.masks is compiled[-1]
+
+
 class TestResume:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10_000), n=st.integers(8, 14),
@@ -407,10 +516,7 @@ class TestResume:
         c = _pinned_instance(seed, n, side, fill, pins)
         p = TaskProfile.for_task(task)
         rng = np.random.default_rng(seed)
-        pairs = {tuple(sorted(rng.choice(n, 2, replace=False).tolist()))
-                 for _ in range(n_plugins)}
-        plugins = tuple(BlockDistanceRule(a, s, float(rng.uniform(2, side)))
-                        for a, s in sorted(pairs))
+        plugins = _distance_plugins(rng, n, side, n_plugins)
         try:
             parent = greedy_place(c, p, plugins=plugins)
         except InfeasibleError:
