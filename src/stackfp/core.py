@@ -10,7 +10,9 @@ no step recomputes it from the placed blocks: a per-layer summed-area table
 of cell cover (Crow, SIGGRAPH 1984), whose window sums give the position
 mask and whose double difference is the occupancy canvas; each net's live
 bounding box, which wirelength and the wire mask read; the running
-footprint overlap; and the constraint terms (alignment scores, abutment
+footprint overlap, which a rect on the grid reads as its window sum of the
+table (four corners) and a forced rect off the grid by scanning the placed
+rects of its layer; and the constraint terms (alignment scores, abutment
 and binding distance) that the per-step metrics sum.  Blocks are only ever
 added, never removed.
 """
@@ -439,7 +441,10 @@ class FloorplanState:
     multiplicity, off-grid parts clipped; `net_lo` and `net_hi`, each net's
     (2, nets) box over its terminal cells and its placed blocks' centers;
     `overlap`, the summed pairwise footprint overlap of same-layer placed
-    blocks, exact for forced placements too; and the constraint terms,
+    blocks, exact for forced placements too: a rect that lies on the grid
+    adds the window sum of its layer's table, read before the table takes
+    it in, and only a forced one that leaves the grid (`validate=False`)
+    scans the layer's placed rects; and the constraint terms,
     each updated only for the instances that hold the placed block:
     `alignment`, every alignment pair's score in constraint order as a
     Python float, 0.0 until both of its blocks are down; `adjacency`, the
@@ -547,7 +552,14 @@ class FloorplanState:
                 f"block {block_id} at ({x},{y}) leaves the "
                 f"{dims.width}x{dims.height} outline")
         z = self.circuit.blocks[block_id].z
-        self.overlap += int(rect_overlap(*self.layer_rects(z), x, y, w, h).sum())
+        if 0 <= x and 0 <= y and x + w <= dims.width and y + h <= dims.height:
+            # the rect lies on the grid, where the table counts every placed
+            # cell, so its window sum before the update is its overlap
+            sat = self.sat[z]
+            self.overlap += (int(sat[x + w, y + h]) - int(sat[x, y + h])
+                             - int(sat[x + w, y]) + int(sat[x, y]))
+        else:
+            self.overlap += int(rect_overlap(*self.layer_rects(z), x, y, w, h).sum())
         self.x[block_id] = x
         self.y[block_id] = y
         self.placed[block_id] = True

@@ -229,16 +229,19 @@ class PlacementEnv:
         block goes down at its recorded cell without an availability check,
         and the record joins the trace as is: nothing is observed or
         measured until the block after the last record.  `first_ar` is
-        checked as `step` checks a ratio, and the records' blocks against
-        the start state's order, before anything changes: a record out of
+        checked as `step` checks a ratio, and so is each record's
+        `ar_next`, and the records' blocks against the start state's order,
+        all before anything changes: a malformed ratio or a record out of
         order raises InvalidActionError."""
         first_ar = _checked_ratio(first_ar, "first_ar")
         state = self._start_state()
         slots = state.order[state.cursor:]
+        ars = []
         for i, rec in enumerate(steps):
             if i >= len(slots) or rec.block != slots[i]:
                 raise InvalidActionError(
                     f"step {rec.step} places block {rec.block} out of order")
+            ars.append(_checked_ratio(rec.ar_next, f"step {rec.step} ar_next"))
         self.state, self.observation = state, None
         self.hpwl_baseline = wire_greedy_baseline(self.circuit)
         self.trace = EpisodeTrace(hpwl_baseline=self.hpwl_baseline)
@@ -246,8 +249,8 @@ class PlacementEnv:
             blk = self.circuit.blocks[self.state.current_block]
             if blk.is_soft:
                 self.state.set_shape(blk.id, first_ar)
-        for rec in steps:
-            self._advance(rec.block, rec.x, rec.y, rec.ar_next)
+        for rec, ar in zip(steps, ars):
+            self._advance(rec.block, rec.x, rec.y, ar)
             self.trace.steps.append(rec)
         self.observation = self._observe()
         if self.state.done and self.trace.steps:

@@ -3,7 +3,7 @@
 All three solvers draw every anchor from the availability mask, so whatever
 that mask encodes (non-overlap, outline, and any enabled rule that survived
 relaxation) holds for their output by construction.  They share one rollout
-(reset, step loop, summary) and differ only in how they pick among the
+(reset, step loop, cost) and differ only in how they pick among the
 allowed cells and how they shape soft blocks:
 
 * greedy: lexicographic scan of the value masks (wirelength up, alignment
@@ -25,9 +25,10 @@ so lower is better and the annealer's objective agrees with the reward.
 """
 
 import dataclasses
+import functools
 import math
 import time
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from .env import (
     EpisodeTrace,
     PlacementEnv,
     StepRecord,
+    _checked_ratio,
     episode_summary,
     weighted_score,
     wire_greedy_baseline,   # noqa: F401  perfbench wraps solvers.wire_greedy_baseline
@@ -73,14 +75,22 @@ class SolverConfig:
 
 @dataclasses.dataclass
 class SolveResult:
+    """A finished placement.  Its `summary` is built when first read and
+    then kept, so a decode whose caller needs only the cost (each of the
+    annealer's candidate decodes) builds none."""
     kind: str
     state: FloorplanState
     trace: EpisodeTrace
-    summary: EpisodeSummary
     order: tuple[int, ...]
     ars: dict[int, float]
     cost: float
     runtime_s: float
+    _summarize: Callable[[], EpisodeSummary] = dataclasses.field(
+        repr=False, compare=False)
+
+    @property
+    def summary(self) -> EpisodeSummary:
+        return self._summarize()
 
 
 @dataclasses.dataclass
@@ -100,13 +110,20 @@ def objective_cost(norm: MetricTuple, profile: TaskProfile) -> float:
     return -weighted_score(norm, profile)
 
 
+@functools.lru_cache(maxsize=1024, typed=True)
+def _ladder_ratios(ar_min: float, ar_max: float) -> tuple[float, ...]:
+    """AR_CANDIDATES geometrically spaced ratios across [ar_min, ar_max],
+    kept per band: blocks commonly share one."""
+    return tuple(np.geomspace(ar_min, ar_max, AR_CANDIDATES).tolist())
+
+
 def ar_candidate_ladder(block) -> list[tuple[float, tuple[int, int]]]:
     """AR_CANDIDATES geometrically spaced ratios across the block's band,
     each with the (w, h) it quantizes to, deduplicated by that shape."""
     if not block.is_soft:
         return []
     out, seen = [], set()
-    for r in np.geomspace(block.ar_min, block.ar_max, AR_CANDIDATES).tolist():
+    for r in _ladder_ratios(block.ar_min, block.ar_max):
         shape = shape_from_ar(block.area, r, block.ar_min, block.ar_max)
         if shape not in seen:
             seen.add(shape)
@@ -217,10 +234,13 @@ def _shared_steps(circuit: Circuit, parent: SolveResult | None,
     cell, depend only on the blocks placed before it and on its own integer
     shape, so the steps are shared up to the first slot whose block or
     shape differs.  Each shared record's ar_next becomes this decode's
-    ratio for the block after it, since the trace records the value, not
-    the shape.  `shape(block_id)` gives a later slot's ratio (None keeps its
-    shape), called once per slot up to the first that differs."""
-    r = first_ar
+    ratio for the block after it, as the float `PlacementEnv.step` would
+    record, since the trace records the value, not the shape; a parent
+    record that holds that float already is shared as it is.
+    `shape(block_id)` gives a later slot's ratio (None keeps its shape),
+    called once per slot up to the first that differs; a ratio that
+    `step` would reject raises its InvalidActionError."""
+    r = _checked_ratio(first_ar, "first_ar")
     shared = []
     done = parent.trace.steps if parent is not None else ()
     for i, (b, rec) in enumerate(zip(slots, done)):
@@ -229,8 +249,12 @@ def _shared_steps(circuit: Circuit, parent: SolveResult | None,
             blk.area, r, blk.ar_min, blk.ar_max)
         if b != rec.block or wh != (parent.state.w[b], parent.state.h[b]):
             break
-        r = shape(slots[i + 1]) if i + 1 < len(slots) else None
-        shared.append(dataclasses.replace(rec, ar_next=r))
+        r = None
+        if i + 1 < len(slots):
+            r = _checked_ratio(shape(slots[i + 1]), "ar_next")
+        # kept as it is when the trace would write its ratio the same way
+        shared.append(rec if repr(rec.ar_next) == repr(r)
+                      else dataclasses.replace(rec, ar_next=r))
     return shared
 
 
@@ -251,7 +275,10 @@ def _rollout(kind: str, circuit: Circuit, profile: TaskProfile, pick, choose,
     pending, and so returns no lookahead.  The steps this episode shares
     with it are replayed by `reset`, not observed (`_shared_steps`); when it
     shares every step, the result reuses `resume`'s state and summary and
-    nothing is placed."""
+    nothing is placed.
+
+    The cost comes from the last step record, whose metrics are the final
+    state's; the summary is left to the result to build when read."""
     t_start = time.perf_counter()
     if resume is not None and resume.state.circuit is not circuit:
         raise ValueError("resume is a decode of another circuit")
@@ -272,8 +299,9 @@ def _rollout(kind: str, circuit: Circuit, profile: TaskProfile, pick, choose,
     shared = _shared_steps(circuit, resume, slots, first_ar,
                            lambda b: shape(b, None)[0])
     if resume is not None and len(shared) == len(slots):
-        state, summary = resume.state, resume.summary
+        state = resume.state
         trace = dataclasses.replace(resume.trace, steps=shared)
+        summarize = resume._summarize
     else:
         obs = env._reset(first_ar, shared, ahead and ahead.masks)
         while obs is not None:
@@ -286,16 +314,19 @@ def _rollout(kind: str, circuit: Circuit, profile: TaskProfile, pick, choose,
             obs, _, _ = env._step(Action(x, y, ar_next=ar_next),
                                   ahead and ahead.masks)
         state, trace = env.state, env.trace
-        summary = episode_summary(state, trace, profile=profile, plugins=plugins)
+        summarize = functools.cache(lambda: episode_summary(
+            state, trace, profile=profile, plugins=plugins))
+    # an episode with no step placed nothing but pinned blocks
+    norm = trace.steps[-1].norm if trace.steps else summarize().norm
     return SolveResult(
         kind=kind,
         state=state,
         trace=trace,
-        summary=summary,
         order=tuple(env.state.order),
         ars=chosen,
-        cost=objective_cost(summary.norm, profile),
+        cost=objective_cost(norm, profile),
         runtime_s=time.perf_counter() - t_start,
+        _summarize=summarize,
     )
 
 
@@ -414,7 +445,8 @@ def sa_place(circuit: Circuit, profile: TaskProfile,
     move changes are decoded afresh; the output is the same as without
     resuming.  The result counts the dead-ended decodes (`infeasible`) and
     those that changed no slot and so placed nothing (`noops`), calibration
-    decodes included."""
+    decodes included.  Each decode is costed from its last step record and
+    builds no summary; the result's summary is built when first read."""
     config = config or SolverConfig(kind="sa")
     t_start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
@@ -471,7 +503,7 @@ def sa_place(circuit: Circuit, profile: TaskProfile,
         kind="sa",
         state=best_result.state,
         trace=best_result.trace,
-        summary=best_result.summary,
+        _summarize=best_result._summarize,
         order=tuple(best_result.order),
         ars=dict(best_result.ars),
         cost=best_cost,

@@ -225,6 +225,22 @@ class TestOrderAndState:
         s.place(0, 6, 6, validate=False)   # oracle paths may force-place
         assert s.rect(0) == (6, 6, 3, 3)
 
+    def test_overlap_on_the_grid_reads_the_table(self, monkeypatch):
+        """A rect on the grid takes its overlap from the summed-area table;
+        only a forced rect off the grid scans the layer's placed rects."""
+        c = circuit([hard(0, 3, 3), hard(1, 3, 3), hard(2, 2, 2), hard(3, 2, 2)])
+        s = FloorplanState(c)
+        s.place(0, 6, 6, validate=False)    # clipped to a 2x2 corner
+        scan = FloorplanState.layer_rects
+        monkeypatch.setattr(FloorplanState, "layer_rects", lambda *a: pytest.fail(
+            "a rect on the grid scanned the layer"))
+        s.place(1, 5, 5)
+        s.place(2, 6, 5)
+        assert s.overlap == 4 + (2 + 4)
+        monkeypatch.setattr(FloorplanState, "layer_rects", scan)
+        s.place(3, 7, 7, validate=False)    # 1x1 of it on the grid
+        assert s.overlap == oracles.pairwise_overlap(s) == 10 + (4 + 1 + 0)
+
     def test_set_shape_soft_only_and_unplaced_only(self):
         c = circuit([soft(0, 16), hard(1, 2, 2)])
         s = FloorplanState(c)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -134,6 +135,10 @@ def four_block_circuit():
                    utilization=1.0)
 
 
+def _with_ar(rec, ar):
+    return dataclasses.replace(rec, ar_next=ar)
+
+
 def run_random_episode(env, seed, first_ar=None):
     rng = np.random.default_rng(seed)
     obs = env.reset(first_ar=first_ar)
@@ -218,10 +223,16 @@ class TestEnvMechanics:
         env.step(Action(4, 0))
         assert len(env.trace.steps) == 2
 
-    @pytest.mark.parametrize("pick", [lambda done: done[1:2],
-                                      lambda done: done + done[:1]],
-                             ids=["skips-a-block", "overfills"])
-    def test_rejected_steps_leave_the_episode_as_it_was(self, pick):
+    @pytest.mark.parametrize("pick, match", [
+        (lambda done: done[1:2], "out of order"),
+        (lambda done: done + done[:1], "out of order"),
+        (lambda done: [_with_ar(done[0], float("nan"))] + done[1:], "ar_next"),
+        (lambda done: [_with_ar(done[0], "wide")], "ar_next"),
+        (lambda done: [_with_ar(done[0], True)], "ar_next"),
+        (lambda done: done[:2] + [_with_ar(done[2], np.float64("nan"))], "ar_next"),
+    ], ids=["skips-a-block", "overfills", "nan-ratio", "str-ratio", "bool-ratio",
+            "late-nan-ratio"])
+    def test_rejected_steps_leave_the_episode_as_it_was(self, pick, match):
         done = run_random_episode(
             PlacementEnv(four_block_circuit(), unit_profile()), seed=5).trace.steps
         env = PlacementEnv(four_block_circuit(), unit_profile())
@@ -230,7 +241,7 @@ class TestEnvMechanics:
         env.step(Action(4, 0))
         state, trace, obs = env.state, env.trace, env.observation
         before, jsonl = state.clone(), trace.to_jsonl()
-        with pytest.raises(InvalidActionError, match="out of order"):
+        with pytest.raises(InvalidActionError, match=match):
             env.reset(steps=pick(done))
         assert env.state is state and env.trace is trace and env.observation is obs
         assert state.cursor == before.cursor == 2

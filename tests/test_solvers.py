@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -32,6 +33,7 @@ from stackfp.core import default_order, shape_from_ar
 from stackfp.env import PlacementEnv
 from stackfp.fileio import synth_instance
 from stackfp.masks import BlockDistanceRule, compile_masks, wire_profiles
+from stackfp.metrics import metric_snapshot, normalize
 from stackfp.solvers import _Genome, _propose, ar_candidate_ladder
 
 
@@ -65,6 +67,23 @@ def demo_circuit():
 class TestArLadder:
     def test_hard_block_has_no_candidates(self):
         assert ar_candidate_ladder(hard(0, 3, 3)) == []
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(lo=st.floats(0.05, 20.0), span=st.floats(1.0, 40.0),
+           area=st.integers(1, 400))
+    def test_memoized_ratios_equal_geomspace(self, lo, span, area):
+        """The memo holds the floats np.geomspace gives for the band, for
+        every call and every argument type, and the ladder keeps them."""
+        hi = lo * span
+        want = np.geomspace(lo, hi, solvers.AR_CANDIDATES).tolist()
+        for _ in range(2):
+            assert list(solvers._ladder_ratios(lo, hi)) == want
+        lo32, hi32 = np.float32(lo), np.float32(hi)
+        assert list(solvers._ladder_ratios(lo32, hi32)) == \
+            np.geomspace(lo32, hi32, solvers.AR_CANDIDATES).tolist()
+        w, h = shape_from_ar(area, lo, lo, hi)
+        blk = Block(0, "b", area, w, h, lo, hi, True, 0)
+        assert all(r in want for r, _ in ar_candidate_ladder(blk))
 
     def test_dedupes_to_distinct_shapes(self):
         b = soft(0, 16, 4, 4)
@@ -303,6 +322,45 @@ class TestAnnealing:
         assert (s.infeasible, s.noops) == (len(dead), sum(noops))
         assert s.infeasible > 0 and s.noops > 0
 
+    def test_candidate_decodes_build_no_summary(self, monkeypatch):
+        """Skipping the candidates' summaries changes nothing: the result
+        equals that of a run that summarizes every decode, and only the
+        returned result's summary is built, once, when read."""
+        c, _ = synth_instance("sum", 5, n_blocks=14, dims=GridDims(20, 20, 2))
+        p = TaskProfile.for_task(3)
+        cfg = self.cfg(sa_iterations=25, sa_calibration_moves=5)
+        built = []
+        summarize = solvers.episode_summary
+        monkeypatch.setattr(solvers, "episode_summary",
+                            lambda *a, **kw: built.append(1) or summarize(*a, **kw))
+        lean = sa_place(c, p, cfg)
+        assert built == []
+        summary = lean.summary
+        assert lean.summary is summary and built == [1]
+
+        greedy = solvers.greedy_place
+
+        def summarized(*a, **kw):
+            res = greedy(*a, **kw)
+            res.summary
+            return res
+
+        monkeypatch.setattr(solvers, "greedy_place", summarized)
+        built.clear()
+        full = sa_place(c, p, cfg)
+        # the start and every decode that placed something; a no-op shares
+        # the summary of the decode it resumed
+        assert len(built) == 1 + cfg.sa_calibration_moves + cfg.sa_iterations \
+            - full.noops - full.infeasible
+        assert [lean.state.rect(b) for b in range(14)] == \
+            [full.state.rect(b) for b in range(14)]
+        assert lean.trace.to_jsonl() == full.trace.to_jsonl()
+        assert lean.summary == full.summary
+        assert (lean.cost, lean.cost_curve, lean.t0, lean.accepted,
+                lean.infeasible, lean.noops) == \
+            (full.cost, full.cost_curve, full.t0, full.accepted,
+             full.infeasible, full.noops)
+
     def test_preplaced_block_stays_pinned(self):
         blocks = (hard(0, 3, 3, 0), soft(1, 8, 2, 4, 0), hard(2, 2, 2, 0))
         cons = ConstraintSet(preplacements=(Preplacement(0, 5, 5, 0, 3, 3),))
@@ -534,6 +592,13 @@ class TestResume:
                 cand.ars[int(rng.choice(soft_ids))] *= 1 + 1e-9
             else:
                 cand = _propose(genome, soft_ids, rng)
+            # ratios of other numeric types, recorded as floats either way
+            for b in soft_ids:
+                kind = rng.choice(["float", "float32", "int"], p=[0.6, 0.2, 0.2])
+                if kind == "float32":
+                    cand.ars[b] = np.float32(cand.ars[b])
+                elif kind == "int":
+                    cand.ars[b] = max(1, round(float(cand.ars[b])))
             full = _decode(c, p, cand, plugins)
             res = _decode(c, p, cand, plugins, resume=parent)
             assert (res is None) == (full is None)
@@ -558,6 +623,40 @@ class TestResume:
         assert res.state is free.state
         assert [s.ar_next for s in res.trace.steps[:-1]] == \
             [ars.get(b) for b in free.order[1:]]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), n=st.integers(6, 12),
+           side=st.sampled_from([16, 20]), fill=st.floats(0.35, 0.7),
+           pins=st.integers(0, 2), task=st.sampled_from([1, 2, 3]),
+           n_plugins=st.integers(0, 2))
+    def test_last_record_holds_the_final_metrics(self, seed, n, side, fill,
+                                                pins, task, n_plugins):
+        """The final record's raw and normalized metrics are the final
+        state's, byte for byte, after a stepped episode, a reset whose
+        records fill the episode and a resumed decode that places nothing,
+        so a decode's cost needs no summary."""
+        c = _pinned_instance(seed, n, side, fill, pins)
+        p = TaskProfile.for_task(task)
+        plugins = _distance_plugins(np.random.default_rng(seed), n, side, n_plugins)
+        try:
+            free = greedy_place(c, p, plugins=plugins)
+        except InfeasibleError:
+            return
+        env = PlacementEnv(c, p, order=list(free.order), plugins=plugins)
+        env.reset(free.ars.get(free.trace.steps[0].block), free.trace.steps)
+        res = greedy_place(c, p, order=list(free.order), ars=free.ars,
+                           plugins=plugins, resume=free)
+        assert res.state is free.state
+        for state, trace in ((free.state, free.trace), (env.state, env.trace),
+                             (res.state, res.trace)):
+            assert state.done
+            raw = metric_snapshot(state)
+            norm = normalize(raw, c, trace.hpwl_baseline)
+            last = trace.steps[-1]
+            assert json.dumps(last.raw.as_dict()) == json.dumps(raw.as_dict())
+            assert json.dumps(last.norm.as_dict()) == json.dumps(norm.as_dict())
+        for r in (free, res):
+            assert r.cost == objective_cost(r.summary.norm, p)
 
     def test_resume_needs_fixed_ratios(self):
         c = demo_circuit()
