@@ -9,12 +9,12 @@ anchor coordinate equals the other block's far edge.  Layers are indexed
 no step recomputes it from the placed blocks: a per-layer summed-area table
 of cell cover (Crow, SIGGRAPH 1984), whose window sums give the position
 mask and whose double difference is the occupancy canvas; each net's live
-bounding box, which wirelength and the wire mask read; the running
-footprint overlap, which a rect on the grid reads as its window sum of the
-table (four corners) and a forced rect off the grid by scanning the placed
-rects of its layer; and the constraint terms (alignment scores, abutment
-and binding distance) that the per-step metrics sum.  Blocks are only ever
-added, never removed.
+bounding box, which the wire mask reads, and the running wirelength, the
+summed span of those boxes; the running footprint overlap, which a rect
+on the grid reads as its window sum of the table (four corners) and a
+forced rect off the grid by scanning the placed rects of its layer; and
+the constraint terms (alignment scores, abutment and binding distance)
+that the per-step metrics sum.  Blocks are only ever added, never removed.
 """
 
 import dataclasses
@@ -309,6 +309,7 @@ class CircuitIndex:
     # (2, nets) lo and hi of each net's box over its terminal cells; a net
     # without terminals gets the empty box lo = inf, hi = -inf
     terminal_boxes: tuple[np.ndarray, np.ndarray]
+    terminal_hpwl: float        # summed span of those boxes, empty ones left out
     # per block, where it has one: its abutment group, its alignment pair
     # and its boundary binding (validate allows at most one of each), and
     # the pair's column in `pairs` and the binding's in `bound`
@@ -337,6 +338,7 @@ class CircuitIndex:
             if cells:
                 lo[:, k] = np.min(cells, axis=0)
                 hi[:, k] = np.max(cells, axis=0)
+        span = (hi - lo).sum(axis=0)
         return cls(
             layers=ints([b.z for b in circuit.blocks]),
             pairs=ints([(p.a, p.b) for p in pairs]).reshape(-1, 2).T,
@@ -350,6 +352,7 @@ class CircuitIndex:
             terms=ints(terms).reshape(len(bindings), width, 2).transpose(2, 1, 0),
             net_ids=tuple(ints(ks) for ks in net_ids),
             terminal_boxes=(lo, hi),
+            terminal_hpwl=float(span[np.isfinite(span)].sum()),
             group_of={b: g for g in cons.groups for b in g},
             pair_of={b: p for p in pairs for b in (p.a, p.b)},
             binding_of={bb.block: bb for bb in bindings},
@@ -440,6 +443,9 @@ class FloorplanState:
     sat[z, i, j] counts the covered cells [0, i) x [0, j) of layer z with
     multiplicity, off-grid parts clipped; `net_lo` and `net_hi`, each net's
     (2, nets) box over its terminal cells and its placed blocks' centers;
+    `hpwl`, the summed span of the boxes that are not empty, a Python float
+    that a placement moves by the change in its nets' spans only (every
+    span is a multiple of 0.5, so the running sum is exact);
     `overlap`, the summed pairwise footprint overlap of same-layer placed
     blocks, exact for forced placements too: a rect that lies on the grid
     adds the window sum of its layer's table, read before the table takes
@@ -475,6 +481,7 @@ class FloorplanState:
         lo, hi = circuit.index.terminal_boxes
         self.net_lo = lo.copy()
         self.net_hi = hi.copy()
+        self.hpwl = circuit.index.terminal_hpwl
         self.overlap = 0
         self.alignment = [0.0] * len(circuit.constraints.alignment_pairs)
         self.adjacency = 0
@@ -493,6 +500,7 @@ class FloorplanState:
         dup.sat = self.sat.copy()
         dup.net_lo = self.net_lo.copy()
         dup.net_hi = self.net_hi.copy()
+        dup.hpwl = self.hpwl
         dup.overlap = self.overlap
         dup.alignment = list(self.alignment)
         dup.adjacency = self.adjacency
@@ -516,13 +524,11 @@ class FloorplanState:
     def placed_ids(self) -> list[int]:
         return [int(i) for i in np.flatnonzero(self.placed)]
 
-    def net_boxes(self, block: int | None = None):
-        """(lo, hi), each (2, nets): the box of every net over its terminal
-        cells and its placed blocks' centers, the empty box lo = inf,
-        hi = -inf where there is none; given an unplaced block, of its nets
-        only, so the block itself is left out.  Read-only."""
-        if block is None:
-            return self.net_lo, self.net_hi
+    def net_boxes(self, block: int):
+        """(lo, hi), each (2, k): the boxes of an unplaced block's k nets
+        over their terminal cells and placed blocks' centers, so the block
+        itself is left out, the empty box lo = inf, hi = -inf where there
+        is none."""
         ids = self.circuit.index.net_ids[block]
         return self.net_lo[:, ids], self.net_hi[:, ids]
 
@@ -574,12 +580,17 @@ class FloorplanState:
                 np.minimum(np.arange(1, dims.width + 1 - x0, dtype=np.int32), x1 - x0),
                 np.minimum(np.arange(1, dims.height + 1 - y0, dtype=np.int32), y1 - y0))
 
+        # a block sits on few nets: update their boxes on Python floats
         index = self.circuit.index
-        ids = index.net_ids[block_id]
-        if len(ids):
-            center = np.array([[x + w / 2.0], [y + h / 2.0]])
-            self.net_lo[:, ids] = np.minimum(self.net_lo[:, ids], center)
-            self.net_hi[:, ids] = np.maximum(self.net_hi[:, ids], center)
+        cx, cy = float(x + w / 2.0), float(y + h / 2.0)
+        lo, hi = self.net_lo, self.net_hi
+        for k in index.net_ids[block_id].tolist():
+            lx, ly, hx, hy = lo.item(0, k), lo.item(1, k), hi.item(0, k), hi.item(1, k)
+            if lx <= hx:            # the box is live: its old span goes
+                self.hpwl -= (hx - lx) + (hy - ly)
+            lx, ly, hx, hy = min(lx, cx), min(ly, cy), max(hx, cx), max(hy, cy)
+            lo[0, k], lo[1, k], hi[0, k], hi[1, k] = lx, ly, hx, hy
+            self.hpwl += (hx - lx) + (hy - ly)
 
         rect = self.rect(block_id)
         k = index.pair_col.get(block_id)

@@ -180,6 +180,12 @@ def _checked_ratio(ar, name: str) -> float | None:
     return float(ar)
 
 
+def _with_ratio(rec: StepRecord, ar: float | None) -> StepRecord:
+    """`rec` with ar_next `ar`, a checked ratio; `rec` itself when its
+    ratio is written the same way already, so traces can share it."""
+    return rec if repr(rec.ar_next) == repr(ar) else dataclasses.replace(rec, ar_next=ar)
+
+
 class PlacementEnv:
     """Single-episode driver around a FloorplanState.
 
@@ -227,8 +233,10 @@ class PlacementEnv:
         circuit, profile, order and plug-ins whose blocks had the shapes
         that `first_ar` and the records' `ar_next` give them here.  Each
         block goes down at its recorded cell without an availability check,
-        and the record joins the trace as is: nothing is observed or
-        measured until the block after the last record.  `first_ar` is
+        and the record joins the trace with its ratio as the float `step`
+        would record (the record itself when its ratio is written that way
+        already): nothing is observed or measured until the block after
+        the last record.  `first_ar` is
         checked as `step` checks a ratio, and so is each record's
         `ar_next`, and the records' blocks against the start state's order,
         all before anything changes: a malformed ratio or a record out of
@@ -251,7 +259,7 @@ class PlacementEnv:
                 self.state.set_shape(blk.id, first_ar)
         for rec, ar in zip(steps, ars):
             self._advance(rec.block, rec.x, rec.y, ar)
-            self.trace.steps.append(rec)
+            self.trace.steps.append(_with_ratio(rec, ar))
         self.observation = self._observe()
         if self.state.done and self.trace.steps:
             self.trace.finalize_rewards(self.profile)

@@ -10,9 +10,10 @@ The geometry itself lives in `geometry`, shared with the mask builders in
 mask cell.  `satisfaction_counts` calls it once over all instances of its
 rule (`Circuit.index`).  The per-step metrics read what `FloorplanState`
 keeps up to date as blocks go down, where `place` calls those kernels on
-just the instances that hold the placed block: live net boxes, the running
-overlap and the constraint terms.  So `metric_snapshot` only sums them, and
-costs the same at every step.
+just the instances that hold the placed block: live net boxes and the
+running wirelength over them, the running overlap and the constraint
+terms.  So `metric_snapshot` only sums them, and costs the same at every
+step.
 """
 
 import dataclasses
@@ -75,12 +76,11 @@ def _pair_rects(state: FloorplanState, pairs: np.ndarray):
 
 def total_hpwl(state: FloorplanState) -> float:
     """Half-perimeter wirelength over all nets: block centers and terminal
-    positions, unplaced blocks skipped, from the state's live net boxes.
-    Placing a block never shrinks it."""
-    lo, hi = state.net_boxes()
-    span = (hi - lo).sum(axis=0)
-    # spans are multiples of 0.5, so the sum is exact in any order
-    return float(span[np.isfinite(span)].sum())
+    positions, unplaced blocks skipped, as the state keeps it running over
+    its live net boxes.  Spans are multiples of 0.5, so the total is exact
+    whatever the order the blocks went down in.  Placing a block never
+    shrinks it."""
+    return state.hpwl
 
 
 def total_overlap(state: FloorplanState) -> int:

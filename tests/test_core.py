@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -374,7 +375,8 @@ def assert_matches_scratch(s, window):
     assert total_overlap(s) == oracles.pairwise_overlap(s)
     nets = range(len(s.circuit.nets))
     assert total_hpwl(s) == oracles.hpwl([oracles.net_pins(s, k) for k in nets])
-    for got, want in zip(s.net_boxes(), oracles.pin_net_boxes(s)):
+    assert type(total_hpwl(s)) is float
+    for got, want in zip((s.net_lo, s.net_hi), oracles.pin_net_boxes(s)):
         assert np.array_equal(got, want)
     cons, placed = s.circuit.constraints, s.placed
     assert all(type(v) is float for v in s.alignment)
@@ -390,15 +392,40 @@ def assert_matches_scratch(s, window):
 
 
 class TestIncrementalState:
+    def test_running_hpwl_by_hand(self):
+        """`total_hpwl` is the total that `place` keeps running, from the
+        terminal boxes on, through preplacements, clones and forced
+        placements off the grid."""
+        terms = [Terminal(0, "p", 0, 0, 0), Terminal(1, "q", 7, 3, 0)]
+        # terminals only, blocks only, and both
+        nets = [Net((), (0, 1)), Net((0, 1)), Net((1,), (0,))]
+        cs = ConstraintSet(preplacements=(Preplacement(1, 4, 4, 0, 2, 2),))
+        c = circuit([hard(0, 2, 2), hard(1, 2, 2)], terms, nets, constraints=cs)
+        s = FloorplanState(c)
+        assert total_hpwl(s) == 7 + 3
+        s.apply_preplacements()         # block 1's center (5, 5)
+        assert total_hpwl(s) == 10 + 0 + 10
+        d = s.clone()
+        d.place(0, -3, 9, validate=False)   # off the grid, center (-2, 10)
+        assert total_hpwl(d) == 10 + 12 + 10 and total_hpwl(s) == 20
+
     @given(small_circuits(), st.data())
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_matches_from_scratch_after_every_operation(self, c, data):
         """Random place (forced anywhere, overlaps included), set_shape and
-        clone sequences; every state made along the way is checked after
-        each operation, so clones stay independent, and the current state's
-        masks are checked for one of its unplaced blocks."""
-        states = [FloorplanState(c)]
+        clone sequences, after a preplacement or not; every state made
+        along the way is checked after each operation, so clones stay
+        independent, and the current state's masks are checked for one of
+        its unplaced blocks."""
         dims = c.dims
+        b = c.blocks[0]
+        if b.w <= dims.width and b.h <= dims.height and data.draw(st.booleans()):
+            pre = Preplacement(0, data.draw(st.integers(0, dims.width - b.w)),
+                               data.draw(st.integers(0, dims.height - b.h)), b.z, b.w, b.h)
+            c = dataclasses.replace(c, constraints=dataclasses.replace(
+                c.constraints, preplacements=(pre,)))
+        states = [FloorplanState(c)]
+        states[0].apply_preplacements()
         window = st.tuples(st.integers(1, 4), st.integers(1, 4))
         for _ in range(data.draw(st.integers(3, 12))):
             s = states[-1]

@@ -251,6 +251,22 @@ class TestEnvMechanics:
         env.step(Action(*divmod(flat, env.circuit.dims.height)))
         assert len(env.trace.steps) == 3
 
+    @pytest.mark.parametrize("ar", [np.float32(1.5), 2], ids=["float32", "int"])
+    def test_reset_records_ratios_as_floats(self, ar):
+        """A record's ratio joins the trace as the float `step` records, so
+        the trace writes as that of the same records with float ratios;
+        records whose ratio is a float already join as they are."""
+        done = run_random_episode(
+            PlacementEnv(four_block_circuit(), unit_profile()), seed=5).trace.steps
+        env, floats = (PlacementEnv(four_block_circuit(), unit_profile()) for _ in range(2))
+        env.reset(steps=[done[0], _with_ar(done[1], ar)] + done[2:])
+        floats.reset(steps=[done[0], _with_ar(done[1], float(ar))] + done[2:])
+        got = env.trace.steps
+        assert type(got[1].ar_next) is float and got[1].ar_next == float(ar)
+        assert env.trace.to_jsonl() == floats.trace.to_jsonl()
+        assert f'"ar_next": {float(ar)!r}' in env.trace.to_jsonl().splitlines()[1]
+        assert got[0] is done[0] and all(a is b for a, b in zip(got[2:], done[2:]))
+
     def test_stack_handed_to_a_rejected_step_is_dropped(self):
         env = PlacementEnv(four_block_circuit(), unit_profile())
         first = env.reset()

@@ -380,6 +380,55 @@ def _decode(c, p, g, plugins, resume=None):
         return None
 
 
+def assert_same_decode(got, want):
+    """Two decodes of one circuit agree on placement, order, ratios in
+    insertion order, trace, summary and cost."""
+    n = want.state.circuit.num_blocks
+    assert [got.state.rect(b) for b in range(n)] == [want.state.rect(b) for b in range(n)]
+    assert got.state.order == want.state.order
+    assert got.order == want.order
+    assert list(got.ars.items()) == list(want.ars.items())
+    assert got.trace.to_jsonl() == want.trace.to_jsonl()
+    assert got.summary == want.summary
+    assert got.cost == want.cost
+
+
+def _local_move(genome, soft_ids, rng):
+    """A neighbor near the genome: swap two slots at most three apart, move
+    one slot by at most three, or nudge a ratio."""
+    cand = genome.clone()
+    tail = cand.tail
+    move = rng.choice(["swap", "relocate", "ar"])
+    if move == "ar" or len(tail) < 2:
+        if soft_ids:
+            b = int(rng.choice(soft_ids))
+            cand.ars[b] *= math.exp(rng.uniform(-0.35, 0.35))
+        return cand
+    i = int(rng.integers(len(tail) - 1))
+    j = min(len(tail) - 1, i + int(rng.integers(1, 4)))
+    if rng.random() < 0.5:
+        i, j = j, i
+    if move == "swap":
+        tail[i], tail[j] = tail[j], tail[i]
+    else:
+        tail.insert(j, tail.pop(i))
+    return cand
+
+
+def _counted_rejoins(monkeypatch):
+    """Slots at which resumed decodes rejoin their parent, as they happen."""
+    slots = []
+    at = solvers._Rejoin.at
+
+    def counted(self, env, *rest):
+        hit = at(self, env, *rest)
+        if hit:
+            slots.append(len(env.trace.steps))
+        return hit
+    monkeypatch.setattr(solvers._Rejoin, "at", counted)
+    return slots
+
+
 def _pinned_instance(seed, n, side, fill, pins):
     """A synth circuit with up to `pins` blocks preplaced where a free
     greedy solve of it put them."""
@@ -657,6 +706,77 @@ class TestResume:
             assert json.dumps(last.norm.as_dict()) == json.dumps(norm.as_dict())
         for r in (free, res):
             assert r.cost == objective_cost(r.summary.norm, p)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), n=st.integers(8, 14),
+           side=st.sampled_from([16, 20, 24]), fill=st.floats(0.35, 0.7),
+           pins=st.integers(0, 2), task=st.sampled_from([1, 2, 3]),
+           n_plugins=st.integers(0, 2), moves=st.integers(4, 12))
+    def test_rejoined_decode_equals_full_decode(self, seed, n, side, fill,
+                                                pins, task, n_plugins, moves):
+        """Chains of swaps and relocations over a few slots, which often
+        put the moved blocks back where the parent had them so the decode
+        rejoins it, and ratio nudges, each decoded from the last accepted
+        one as the annealer does."""
+        c = _pinned_instance(seed, n, side, fill, pins)
+        p = TaskProfile.for_task(task)
+        rng = np.random.default_rng(seed)
+        plugins = _distance_plugins(rng, n, side, n_plugins)
+        try:
+            parent = greedy_place(c, p, plugins=plugins)
+        except InfeasibleError:
+            return
+        tail = [s.block for s in parent.trace.steps]
+        genome = _Genome(list(parent.order[:n - len(tail)]), tail,
+                         dict(parent.ars))
+        soft_ids = sorted(genome.ars)
+        for _ in range(moves):
+            cand = _local_move(genome, soft_ids, rng)
+            full = _decode(c, p, cand, plugins)
+            res = _decode(c, p, cand, plugins, resume=parent)
+            assert (res is None) == (full is None)
+            if full is None:
+                continue
+            assert_same_decode(res, full)
+            if rng.random() < 0.6:
+                genome, parent = cand, res
+
+    def test_decode_rejoins_where_the_parent_placed_the_same_blocks(self, monkeypatch):
+        """Swapping the demo solve's first two slots, blocks on different
+        layers, lands both where the parent put them: the decode steps slot
+        0, rejoins at slot 1 without stepping it, and takes the rest from
+        the parent, with the full decode's output."""
+        c = demo_circuit()
+        p = TaskProfile.for_task(3)
+        free = greedy_place(c, p)
+        order = list(free.order)
+        order[0], order[1] = order[1], order[0]
+        full = greedy_place(c, p, order=order, ars=free.ars)
+        rejoins = _counted_rejoins(monkeypatch)
+        stepped = []
+        step = PlacementEnv._step
+        monkeypatch.setattr(PlacementEnv, "_step",
+                            lambda self, *a: stepped.append(1) or step(self, *a))
+        res = greedy_place(c, p, order=order, ars=free.ars, resume=free)
+        assert rejoins == [1] and len(stepped) == 1
+        assert res.state is not free.state and res.state.order == order
+        assert res.trace.steps[2:] == free.trace.steps[2:]
+        assert_same_decode(res, full)
+
+    def test_annealing_output_does_not_depend_on_rejoining(self, monkeypatch):
+        c, _ = synth_instance("sa", 7, n_blocks=14, dims=GridDims(20, 20, 2))
+        p = TaskProfile.for_task(3)
+        cfg = SolverConfig(kind="sa", seed=3, sa_iterations=40,
+                           sa_calibration_moves=5)
+        rejoins = _counted_rejoins(monkeypatch)
+        joined = sa_place(c, p, cfg)
+        assert rejoins
+        monkeypatch.setattr(solvers._Rejoin, "at", lambda self, *a: False)
+        apart = sa_place(c, p, cfg)
+        assert_same_decode(joined, apart)
+        for f in dataclasses.fields(solvers.SAResult):
+            if f.name not in ("state", "trace", "_summarize", "runtime_s"):
+                assert getattr(joined, f.name) == getattr(apart, f.name), f.name
 
     def test_resume_needs_fixed_ratios(self):
         c = demo_circuit()
