@@ -78,6 +78,8 @@ def parse_blocks_text(text: str):
             continue                      # NumSoftRectangularBlocks : 3 etc.
         tokens = line.split()
         name = tokens[0]
+        if not name.isprintable():          # as the JSON readers require
+            raise ParseError(f"name {name!r} is not printable", ln)
         if name in blocks or name in terminals:
             raise ParseError(f"duplicate declaration of {name!r}", ln)
         if len(tokens) < 2:

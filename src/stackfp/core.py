@@ -310,12 +310,11 @@ class CircuitIndex:
     # without terminals gets the empty box lo = inf, hi = -inf
     terminal_boxes: tuple[np.ndarray, np.ndarray]
     terminal_hpwl: float        # summed span of those boxes, empty ones left out
-    # per block, where it has one: its abutment group, its alignment pair
-    # and its boundary binding (validate allows at most one of each), and
-    # the pair's column in `pairs` and the binding's in `bound`
+    # per block, where it has one (validate allows at most one of each):
+    # its abutment group, its alignment pair's column in `pairs` and its
+    # boundary binding's in `bound`, each also the constraint's index in
+    # the circuit's alignment pairs and boundary bindings
     group_of: dict[int, tuple[int, ...]]
-    pair_of: dict[int, AlignmentPair]
-    binding_of: dict[int, BoundaryBinding]
     pair_col: dict[int, int]
     binding_col: dict[int, int]
 
@@ -354,8 +353,6 @@ class CircuitIndex:
             terminal_boxes=(lo, hi),
             terminal_hpwl=float(span[np.isfinite(span)].sum()),
             group_of={b: g for g in cons.groups for b in g},
-            pair_of={b: p for p in pairs for b in (p.a, p.b)},
-            binding_of={bb.block: bb for bb in bindings},
             pair_col={b: k for k, p in enumerate(pairs) for b in (p.a, p.b)},
             binding_col={bb.block: k for k, bb in enumerate(bindings)},
         )
@@ -595,7 +592,7 @@ class FloorplanState:
         rect = self.rect(block_id)
         k = index.pair_col.get(block_id)
         if k is not None:
-            mate = index.pair_of[block_id].other(block_id)
+            mate = self.circuit.constraints.alignment_pairs[k].other(block_id)
             if self.placed[mate]:
                 self.alignment[k] = float(
                     alignment_ratio(*rect, *self.rect(mate), index.min_area[k]))

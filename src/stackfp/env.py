@@ -180,6 +180,17 @@ def _checked_ratio(ar, name: str) -> float | None:
     return float(ar)
 
 
+def _advance(state: FloorplanState, block: int, x: int, y: int,
+             ar_next: float | None) -> None:
+    """Place the current block and shape the one after it."""
+    state.place(block, x, y)
+    state.cursor += 1
+    if not state.done and ar_next is not None:
+        nxt = state.circuit.blocks[state.current_block]
+        if nxt.is_soft:
+            state.set_shape(nxt.id, ar_next)
+
+
 def _with_ratio(rec: StepRecord, ar: float | None) -> StepRecord:
     """`rec` with ar_next `ar`, a checked ratio; `rec` itself when its
     ratio is written the same way already, so traces can share it."""
@@ -236,43 +247,41 @@ class PlacementEnv:
         and the record joins the trace with its ratio as the float `step`
         would record (the record itself when its ratio is written that way
         already): nothing is observed or measured until the block after
-        the last record.  `first_ar` is
-        checked as `step` checks a ratio, and so is each record's
-        `ar_next`, and the records' blocks against the start state's order,
-        all before anything changes: a malformed ratio or a record out of
-        order raises InvalidActionError."""
+        the last record.  `first_ar` is checked as `step` checks a ratio,
+        and so is each record's `ar_next`; each record's block must be the
+        one up next, and its anchor a pair of integers that keeps the block,
+        in the shape it has then, inside the outline.  The episode is
+        replaced only once every record has gone down: a malformed ratio,
+        a record out of order or a bad anchor raises InvalidActionError
+        and leaves the episode as it was."""
         first_ar = _checked_ratio(first_ar, "first_ar")
         state = self._start_state()
-        slots = state.order[state.cursor:]
-        ars = []
-        for i, rec in enumerate(steps):
-            if i >= len(slots) or rec.block != slots[i]:
+        if not state.done and first_ar is not None:
+            blk = self.circuit.blocks[state.current_block]
+            if blk.is_soft:
+                state.set_shape(blk.id, first_ar)
+        dims = self.circuit.dims
+        records = []
+        for rec in steps:
+            if state.done or rec.block != state.current_block:
                 raise InvalidActionError(
                     f"step {rec.step} places block {rec.block} out of order")
-            ars.append(_checked_ratio(rec.ar_next, f"step {rec.step} ar_next"))
+            x, y, w, h = rec.x, rec.y, state.w[rec.block], state.h[rec.block]
+            if not (_is_index(x) and _is_index(y) and 0 <= x and 0 <= y
+                    and x + w <= dims.width and y + h <= dims.height):
+                raise InvalidActionError(
+                    f"step {rec.step} anchor ({x!r},{y!r}) is not an integer cell keeping "
+                    f"block {rec.block} ({w}x{h}) inside the {dims.width}x{dims.height} outline")
+            ar = _checked_ratio(rec.ar_next, f"step {rec.step} ar_next")
+            _advance(state, rec.block, x, y, ar)
+            records.append(_with_ratio(rec, ar))
         self.state, self.observation = state, None
         self.hpwl_baseline = wire_greedy_baseline(self.circuit)
-        self.trace = EpisodeTrace(hpwl_baseline=self.hpwl_baseline)
-        if not self.state.done and first_ar is not None:
-            blk = self.circuit.blocks[self.state.current_block]
-            if blk.is_soft:
-                self.state.set_shape(blk.id, first_ar)
-        for rec, ar in zip(steps, ars):
-            self._advance(rec.block, rec.x, rec.y, ar)
-            self.trace.steps.append(_with_ratio(rec, ar))
+        self.trace = EpisodeTrace(self.hpwl_baseline, records)
         self.observation = self._observe()
         if self.state.done and self.trace.steps:
             self.trace.finalize_rewards(self.profile)
         return self.observation
-
-    def _advance(self, block: int, x: int, y: int, ar_next: float | None) -> None:
-        """Place the current block and shape the one after it."""
-        self.state.place(block, x, y)
-        self.state.cursor += 1
-        if not self.state.done and ar_next is not None:
-            nxt = self.circuit.blocks[self.state.current_block]
-            if nxt.is_soft:
-                self.state.set_shape(nxt.id, ar_next)
 
     def _reset(self, first_ar, steps, masks: MaskStack | None) -> Observation | None:
         """`reset`, observing the block up next with `masks` when given: a
@@ -336,7 +345,7 @@ class PlacementEnv:
                 f"block {self.observation.block} (rung {avail.rung})")
 
         block = self.observation.block
-        self._advance(block, action.x, action.y, ar)
+        _advance(self.state, block, action.x, action.y, ar)
 
         raw = metric_snapshot(self.state)
         norm = normalize(raw, self.circuit, self.hpwl_baseline)

@@ -393,9 +393,10 @@ def compile_masks(state: FloorplanState, block_id: int, profile,
              "position": position_mask(state, block_id)}
     ladder = []
 
-    binding = index.binding_of.get(block_id) if profile.uses("boundary") else None
-    if binding is not None:
-        rules["terminal"] = adjacent_terminal_mask(state, binding)
+    cons = state.circuit.constraints
+    k = index.binding_col.get(block_id) if profile.uses("boundary") else None
+    if k is not None:
+        rules["terminal"] = adjacent_terminal_mask(state, cons.boundary_bindings[k])
         ladder.append(("terminal",
                        rules["terminal"].values <= profile.terminal_mask_threshold))
 
@@ -410,13 +411,12 @@ def compile_masks(state: FloorplanState, block_id: int, profile,
             floor = profile.block_mask_threshold
             ladder.append(("grouping", vals > 0 if floor <= 0 else vals >= floor))
 
-    pair = index.pair_of.get(block_id) if profile.uses("alignment") else None
+    k = index.pair_col.get(block_id) if profile.uses("alignment") else None
+    pair = None if k is None else cons.alignment_pairs[k]
     if pair is not None and state.placed[pair.other(block_id)]:
         rules["alignment"] = alignment_mask(state, block_id, pair.other(block_id),
                                             pair.min_area)
-        blocks = state.circuit.blocks
-        floor_area = profile.alignment_mask_frac * min(blocks[pair.a].area,
-                                                       blocks[pair.b].area)
+        floor_area = profile.alignment_mask_frac * index.small_area[k]
         ladder.append(("alignment",
                        rules["alignment"].values >= floor_area / pair.min_area))
 

@@ -227,108 +227,17 @@ def _scan_ar(env: PlacementEnv, block_id: int,
     return (None, None) if best is None else best[1:]
 
 
-def _slot_differs(circuit: Circuit, parent: SolveResult, b: int,
-                  r: float | None, rec: StepRecord) -> bool:
-    """Whether a slot that places block `b`, shaped by the checked ratio `r`
-    (None keeps its shape), differs from `parent`'s slot that `rec`
-    records: another block, or another integer shape."""
+def _slot_key(circuit: Circuit, b: int, r) -> tuple[int, int, int] | None:
+    """The key of a slot that places block `b` shaped by the ratio `r`
+    (None keeps its shape): the block and its integer (w, h).  None for a
+    ratio that `step` would reject, so that the slot differs from any."""
+    try:
+        r = _checked_ratio(r, "ar_next")
+    except InvalidActionError:
+        return None
     blk = circuit.blocks[b]
-    wh = (blk.w, blk.h) if r is None else shape_from_ar(
-        blk.area, r, blk.ar_min, blk.ar_max)
-    return b != rec.block or wh != (parent.state.w[b], parent.state.h[b])
-
-
-def _shared_steps(circuit: Circuit, parent: SolveResult | None,
-                  slots: list[int], first_ar: float | None,
-                  shape, start: int = 0) -> list[StepRecord]:
-    """The steps from slot `start` on that a decode filling the movable
-    `slots` in turn, slot `start` shaped by `first_ar`, takes exactly as
-    `parent`'s fixed-ratio decode did (none when `parent` is None), given
-    that the blocks placed before `start` are the parent's, at the same
-    cells in the same shapes.  A slot's masks, and so its cell, depend
-    only on the blocks placed before it and on its own integer shape, so
-    the steps are shared up to the first slot that differs
-    (`_slot_differs`).  Each shared record's ar_next becomes this decode's
-    ratio for the block after it, as the float `PlacementEnv.step` would
-    record, since the trace records the value, not the shape
-    (`env._with_ratio`).  `shape(block_id)` gives a later slot's ratio
-    (None keeps its shape), called once per slot up to the first that
-    differs; a ratio that `step` would reject raises its
-    InvalidActionError."""
-    r = _checked_ratio(first_ar, "first_ar")
-    shared = []
-    done = parent.trace.steps if parent is not None else ()
-    for i in range(start, min(len(slots), len(done))):
-        if _slot_differs(circuit, parent, slots[i], r, done[i]):
-            break
-        r = None
-        if i + 1 < len(slots):
-            r = _checked_ratio(shape(slots[i + 1]), "ar_next")
-        shared.append(_with_ratio(done[i], r))
-    return shared
-
-
-class _Rejoin:
-    """Where an episode resumed from `parent` rejoins it.  The steps from a
-    slot on depend only on the blocks placed before it, their cells and
-    shapes, and on the blocks and integer shapes of the slots left.  So
-    once the blocks an episode has placed are exactly the parent's at the
-    same slot (same blocks, cells and shapes, in any order), on or after
-    its last slot that differs from the parent's (`_slot_differs`), every
-    later step is the parent's.  `ratio(i)` gives slot i's ratio; it is
-    read from the last slot back to the last that differs, and a ratio
-    that `step` would reject counts as a difference, so that the episode
-    reaches it and raises as a full decode does."""
-
-    def __init__(self, circuit: Circuit, parent: SolveResult,
-                 slots: list[int], ratio):
-        self.circuit, self.parent, self.slots = circuit, parent, slots
-        done = parent.trace.steps
-        for i in reversed(range(len(slots))):
-            try:
-                r = _checked_ratio(ratio(i), "ar_next")
-            except InvalidActionError:
-                break
-            if _slot_differs(circuit, parent, slots[i], r, done[i]):
-                break
-        else:
-            i = -1
-        self.last = i
-        # (block, x, y, w, h) placed by one episode but not yet by the other
-        self.apart: set[tuple[int, ...]] = set()
-
-    def at(self, env: PlacementEnv, x: int, y: int) -> bool:
-        """Whether `env`'s episode rejoins once its current block goes down
-        at (x, y), with slots left after it."""
-        i, b = len(env.trace.steps), env.state.current_block
-        rec, done = self.parent.trace.steps[i], self.parent.state
-        mine = (b, x, y, int(env.state.w[b]), int(env.state.h[b]))
-        theirs = (rec.block, rec.x, rec.y,
-                  int(done.w[rec.block]), int(done.h[rec.block]))
-        if mine != theirs:
-            self.apart ^= {mine, theirs}
-        return not self.apart and self.last <= i < len(self.slots) - 1
-
-    def take_over(self, env: PlacementEnv, x: int, y: int,
-                  ar_next: float | None, later) -> tuple[FloorplanState, EpisodeTrace]:
-        """The final state and trace of `env`'s episode, which rejoins where
-        `at` says, its current block going down at (x, y) with the next
-        one shaped by `ar_next`; `later` is `_shared_steps`' `shape`.  The
-        current block is not placed: its record takes this episode's
-        action and relaxation rung and the parent's metrics for the slot,
-        and the records after it are the parent's."""
-        i, avail = len(env.trace.steps), env.observation.availability
-        here = dataclasses.replace(
-            self.parent.trace.steps[i], block=env.observation.block, x=x, y=y,
-            ar_next=_checked_ratio(ar_next, "ar_next"),
-            rung=avail.rung, dropped=avail.dropped)
-        rest = _shared_steps(self.circuit, self.parent, self.slots, ar_next,
-                             later, start=i + 1)
-        state = self.parent.state.clone()
-        state.order = list(env.state.order)
-        trace = EpisodeTrace(env.hpwl_baseline, env.trace.steps + [here] + rest)
-        trace.finalize_rewards(env.profile)
-        return state, trace
+    return (b, blk.w, blk.h) if r is None else (
+        b, *shape_from_ar(blk.area, r, blk.ar_min, blk.ar_max))
 
 
 def _rollout(kind: str, circuit: Circuit, profile: TaskProfile, pick, choose,
@@ -345,16 +254,24 @@ def _rollout(kind: str, circuit: Circuit, profile: TaskProfile, pick, choose,
 
     `resume` is an earlier rollout of the same circuit, profile and
     plug-ins, given only with a `choose` that reads neither env nor
-    pending, and so returns no lookahead.  The steps this episode shares
-    with it are replayed by `reset`, not observed (`_shared_steps`); when it
-    shares every step, the result reuses `resume`'s state and summary and
-    nothing is placed.  Past them the episode steps until it rejoins
-    `resume` with slots left (`_Rejoin`).  The slot that rejoins is not
-    stepped: its record is this episode's action and relaxation rung with
-    `resume`'s metrics, and the rest of the trace is `resume`'s
-    (`_shared_steps` from the next slot on), the rewards finalized afresh;
-    the state is a clone of `resume`'s final one, in this episode's
-    order, and the rest of the ratios join the result's in slot order.
+    pending, and so returns no lookahead.  Every slot's ratio is then
+    taken up front, in slot order, and each slot's key (`_slot_key`) is
+    compared once with the same slot's in `resume`: a slot's cell depends
+    only on the blocks placed before it, their cells and shapes, and on
+    its own key.  When no slot differs, the result shares `resume`'s state
+    and summary.  Otherwise `reset` replays `resume`'s records of the
+    slots before the first that differs, unobserved, and the episode steps
+    from there until, at or past the last slot that differs and with
+    slots left, the blocks it has placed are exactly `resume`'s at the
+    same slot (same blocks, cells and shapes, in any order).  Every later
+    step is `resume`'s, so that slot is not stepped: its record takes this
+    episode's action and relaxation rung with `resume`'s metrics, the rest
+    of the trace is `resume`'s, the rewards finalized afresh, and the
+    state is a clone of `resume`'s final one in this episode's order.
+    Each record taken from `resume` gets this episode's ratio for the slot
+    after it, as the float `step` would record (`env._with_ratio`).  A
+    ratio that `step` would reject makes its slot differ, so the episode
+    reaches it and raises as it would without `resume`.
 
     The cost comes from the last step record, whose metrics are the final
     state's; the summary is left to the result to build when read."""
@@ -364,33 +281,39 @@ def _rollout(kind: str, circuit: Circuit, profile: TaskProfile, pick, choose,
     env = PlacementEnv(circuit, profile, order=order, plugins=plugins)
     chosen: dict[int, float] = {}
 
-    def ratio(block_id: int, pending) -> tuple[float | None, _Lookahead | None]:
+    def shape(block_id: int, pending) -> tuple[float | None, _Lookahead | None]:
         if not circuit.blocks[block_id].is_soft:
             return None, None
-        return choose(env, block_id, pending)
-
-    def shape(block_id: int, pending) -> tuple[float | None, _Lookahead | None]:
-        r, ahead = ratio(block_id, pending)
+        r, ahead = choose(env, block_id, pending)
         if r is not None:
             chosen[block_id] = r
         return r, ahead
 
-    def later(block_id: int) -> float | None:
-        return shape(block_id, None)[0]
-
     env.begin()
     slots = env.state.order[env.state.cursor:]
     first_ar, ahead = shape(slots[0], None) if slots else (None, None)
-    shared = _shared_steps(circuit, resume, slots, first_ar, later)
-    if resume is not None and len(shared) == len(slots):
-        state = resume.state
-        trace = dataclasses.replace(resume.trace, steps=shared)
-        summarize = resume._summarize
+    replayed = []
+    if resume is not None:
+        # fixed ratios, taken in slot order as the steps would take them
+        ratios = [first_ar] + [shape(b, None)[0] for b in slots[1:]]
+        done, final = resume.trace.steps, resume.state
+        pw, ph = final.w.tolist(), final.h.tolist()
+        theirs = [(s.block, pw[s.block], ph[s.block]) for s in done]
+        differ = [i for i, key in enumerate(theirs)
+                  if _slot_key(circuit, slots[i], ratios[i]) != key]
+        nexts = ratios[1:] + [None]
+
+        def taken(lo: int, hi: int) -> list[StepRecord]:
+            # resume's records of slots lo..hi-1, with this episode's ratios
+            return [_with_ratio(done[i], _checked_ratio(nexts[i], "ar_next"))
+                    for i in range(lo, hi)]
+        replayed = taken(0, differ[0] if differ else len(slots))
+    if resume is not None and not differ:
+        state, summarize = resume.state, resume._summarize
+        trace = dataclasses.replace(resume.trace, steps=replayed)
     else:
-        rejoin = None if resume is None else _Rejoin(
-            circuit, resume, slots,
-            lambda i: first_ar if i == 0 else ratio(slots[i], None)[0])
-        obs = env._reset(first_ar, shared, ahead and ahead.masks)
+        obs = env._reset(first_ar, replayed, ahead and ahead.masks)
+        apart: set[tuple[int, ...]] = set()   # placed by one episode only
         while obs is not None:
             cell = ahead.cell if ahead else pick(obs.masks)
             x, y = divmod(cell, circuit.dims.height)
@@ -398,9 +321,21 @@ def _rollout(kind: str, circuit: Circuit, profile: TaskProfile, pick, choose,
             ar_next, ahead = None, None
             if nxt < len(env.state.order):
                 ar_next, ahead = shape(env.state.order[nxt], (x, y))
-            if rejoin is not None and rejoin.at(env, x, y):
-                state, trace = rejoin.take_over(env, x, y, ar_next, later)
-                break
+            if resume is not None:
+                i, b = len(env.trace.steps), obs.block
+                mine = (b, int(env.state.w[b]), int(env.state.h[b]), x, y)
+                apart ^= {mine} ^ {theirs[i] + (done[i].x, done[i].y)}
+                if not apart and differ[-1] <= i < len(slots) - 1:
+                    here, *rest = taken(i, len(slots))
+                    avail = obs.availability
+                    here = dataclasses.replace(here, block=b, x=x, y=y,
+                                               rung=avail.rung, dropped=avail.dropped)
+                    state = final.clone()
+                    state.order = list(env.state.order)
+                    trace = EpisodeTrace(env.hpwl_baseline,
+                                         env.trace.steps + [here] + rest)
+                    trace.finalize_rewards(profile)
+                    break
             obs, _, _ = env._step(Action(x, y, ar_next=ar_next),
                                   ahead and ahead.masks)
         else:
@@ -436,16 +371,14 @@ def greedy_place(circuit: Circuit, profile: TaskProfile, *,
 
     `resume`, allowed with fixed ratios only, is an earlier greedy result
     for the same circuit, profile and plug-ins, free or fixed, of any order
-    and ratios.  Fixed-ratio decodes are causal: the leading slots that
-    hold the same block in the same integer shape as in `resume` land where
-    they did there, so `PlacementEnv.reset` replays them from its trace
-    without compiling masks or taking metrics, and only the rest is
-    decoded, up to the slot where the decode rejoins `resume`: on or after
-    its last slot that differs, the blocks placed are exactly `resume`'s
-    at the same slot, so the rest of `resume`'s trace and final state are
-    taken over (see `_rollout`).  The output does not depend on `resume`:
-    placement, trace, summary, ratios and cost equal those of the decode
-    without it, which raises InfeasibleError exactly when this one does.  When no slot
+    and ratios.  Fixed-ratio decodes are causal, so `PlacementEnv.reset`
+    replays `resume`'s records of the slots before the first whose block
+    or integer shape differs, without compiling masks or taking metrics,
+    and the decode steps only until its placed blocks rejoin `resume`'s,
+    whose remaining records and final state it then takes over (see
+    `_rollout`).  The output does not depend on `resume`: placement,
+    trace, summary, ratios and cost equal those of the decode without it,
+    which raises the same error exactly when this one does.  When no slot
     differs, the result shares `resume`'s state and summary objects."""
     if ars is None:
         if resume is not None:
@@ -535,8 +468,8 @@ def sa_place(circuit: Circuit, profile: TaskProfile,
     record per movable slot); the preplaced blocks stay pinned in front.
     Decodes that dead-end (a permutation can strand a block) count as
     rejected.  Each decode resumes from the current genome's
-    (`greedy_place`'s `resume`), so only the slots from the first one a
-    move changes are decoded afresh, and only until the decode rejoins the
+    (`greedy_place`'s `resume`): it replays the slots before the first one
+    a move changes, and steps only until its placed blocks rejoin the
     current genome's, as a swap or relocation whose blocks land where they
     were before does; the output is the same as without resuming.  The
     result counts the dead-ended decodes (`infeasible`) and those that

@@ -139,6 +139,10 @@ def _with_ar(rec, ar):
     return dataclasses.replace(rec, ar_next=ar)
 
 
+def _at(rec, **anchor):
+    return dataclasses.replace(rec, **anchor)
+
+
 def run_random_episode(env, seed, first_ar=None):
     rng = np.random.default_rng(seed)
     obs = env.reset(first_ar=first_ar)
@@ -230,8 +234,19 @@ class TestEnvMechanics:
         (lambda done: [_with_ar(done[0], "wide")], "ar_next"),
         (lambda done: [_with_ar(done[0], True)], "ar_next"),
         (lambda done: done[:2] + [_with_ar(done[2], np.float64("nan"))], "ar_next"),
+        (lambda done: [_at(done[0], x=-1)], "step 0 anchor"),
+        (lambda done: [_at(done[0], x=12)], "step 0 anchor"),
+        (lambda done: [_at(done[0], x=1.5)], "step 0 anchor"),
+        (lambda done: [_at(done[0], y="3")], "step 0 anchor"),
+        (lambda done: [_at(done[0], x=True)], "step 0 anchor"),
+        (lambda done: [_at(done[0], x=9)], "step 0 anchor"),       # 4x4 past x=12
+        (lambda done: done[:2] + [_at(done[2], y=10)], "step 2 anchor"),  # 3x3
+        # block 1 (area 10) is 4x3 at ratio 2, so x=9 leaves the outline
+        (lambda done: [_with_ar(done[0], 2.0), _at(done[1], x=9, y=0)],
+         r"step 1 anchor .* \(4x3\)"),
     ], ids=["skips-a-block", "overfills", "nan-ratio", "str-ratio", "bool-ratio",
-            "late-nan-ratio"])
+            "late-nan-ratio", "x-negative", "x-at-width", "float-x", "str-y", "bool-x",
+            "past-the-outline", "late-past-the-outline", "reshaped-past-the-outline"])
     def test_rejected_steps_leave_the_episode_as_it_was(self, pick, match):
         done = run_random_episode(
             PlacementEnv(four_block_circuit(), unit_profile()), seed=5).trace.steps

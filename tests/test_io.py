@@ -128,6 +128,16 @@ class TestBookshelfParsing:
         with pytest.raises(ParseError, match="line 9"):
             parse_blocks_text(bad)
 
+    @pytest.mark.parametrize("old, new, line", [
+        ("sb1 soft", "b\x01 soft", 8),
+        ("p0 terminal", "p\u200b terminal", 11),
+    ], ids=["control-block", "zero-width-terminal"])
+    def test_unprintable_name(self, old, new, line):
+        """Names the JSON readers would refuse are refused here, with
+        their line."""
+        with pytest.raises(ParseError, match=f"^line {line}: name .* is not printable"):
+            parse_blocks_text(BLOCKS_TEXT.replace(old, new))
+
     def test_vertex_in_exponent_notation(self):
         blocks, _ = parse_blocks_text(BLOCKS_TEXT.replace("(60, 40)", "(1e3, 40)"))
         assert blocks["hb0"] == {"kind": "hard", "w": 1000, "h": 40}
@@ -641,6 +651,16 @@ class TestCli:
         self.assert_io(capsys, ["solve", "--circuit", str(workdir / "gsrc"),
                                 "--dims", "24x24x2", "--task", "1",
                                 "--out", str(workdir / "o")], "'6O'")
+
+    def test_unprintable_bookshelf_name_is_io(self, workdir, capsys):
+        blocks = workdir / "gsrc" / "toy.blocks"
+        blocks.write_text(blocks.read_text().replace("sb1", "b\x01"))
+        nets = workdir / "gsrc" / "toy.nets"
+        nets.write_text(nets.read_text().replace("sb1", "b\x01"))
+        self.assert_io(capsys, ["solve", "--circuit", str(workdir / "gsrc"),
+                                "--dims", "32x32x2", "--util", "0.45",
+                                "--task", "1", "--out", str(workdir / "o")],
+                       "line 8: name 'b\\x01' is not printable")
 
     def test_infeasible_counts_exit_two(self, workdir, capsys):
         rc = cli_main(["gen-constraints", "--circuit",

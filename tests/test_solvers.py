@@ -12,8 +12,10 @@ from stackfp import (
     BoundaryBinding,
     Circuit,
     ConstraintSet,
+    FloorplanError,
     GridDims,
     InfeasibleError,
+    InvalidActionError,
     Net,
     Preplacement,
     SolverConfig,
@@ -415,20 +417,6 @@ def _local_move(genome, soft_ids, rng):
     return cand
 
 
-def _counted_rejoins(monkeypatch):
-    """Slots at which resumed decodes rejoin their parent, as they happen."""
-    slots = []
-    at = solvers._Rejoin.at
-
-    def counted(self, env, *rest):
-        hit = at(self, env, *rest)
-        if hit:
-            slots.append(len(env.trace.steps))
-        return hit
-    monkeypatch.setattr(solvers._Rejoin, "at", counted)
-    return slots
-
-
 def _pinned_instance(seed, n, side, fill, pins):
     """A synth circuit with up to `pins` blocks preplaced where a free
     greedy solve of it put them."""
@@ -744,39 +732,52 @@ class TestResume:
     def test_decode_rejoins_where_the_parent_placed_the_same_blocks(self, monkeypatch):
         """Swapping the demo solve's first two slots, blocks on different
         layers, lands both where the parent put them: the decode steps slot
-        0, rejoins at slot 1 without stepping it, and takes the rest from
-        the parent, with the full decode's output."""
+        0, takes slot 1 over without stepping it, and shares the parent's
+        records after it, with the full decode's output."""
         c = demo_circuit()
         p = TaskProfile.for_task(3)
         free = greedy_place(c, p)
         order = list(free.order)
         order[0], order[1] = order[1], order[0]
         full = greedy_place(c, p, order=order, ars=free.ars)
-        rejoins = _counted_rejoins(monkeypatch)
         stepped = []
         step = PlacementEnv._step
         monkeypatch.setattr(PlacementEnv, "_step",
                             lambda self, *a: stepped.append(1) or step(self, *a))
         res = greedy_place(c, p, order=order, ars=free.ars, resume=free)
-        assert rejoins == [1] and len(stepped) == 1
+        assert len(stepped) == 1
         assert res.state is not free.state and res.state.order == order
-        assert res.trace.steps[2:] == free.trace.steps[2:]
+        tail, theirs = res.trace.steps[2:], free.trace.steps[2:]
+        assert len(tail) == len(theirs) == 2
+        assert all(a is b for a, b in zip(tail, theirs))
         assert_same_decode(res, full)
 
-    def test_annealing_output_does_not_depend_on_rejoining(self, monkeypatch):
-        c, _ = synth_instance("sa", 7, n_blocks=14, dims=GridDims(20, 20, 2))
+    @pytest.mark.parametrize("bad", [float("nan"), "wide", True],
+                             ids=["nan", "str", "bool"])
+    @pytest.mark.parametrize("block, order", [
+        (0, [0, 2, 1, 3]),          # the opening slot, the parent's order
+        (1, [0, 2, 1, 3]),          # a later slot, replayed up to it
+        (0, [0, 2, 3, 1]),          # the opening slot, two later slots swapped
+        (1, [2, 0, 1, 3]),          # a later slot, stepped up to it
+    ], ids=["opening", "later", "opening-swapped", "later-swapped"])
+    def test_rejected_ratio_raises_as_the_full_decode_does(self, bad, block, order):
+        """The parent keeps the block's own shape, so the resumed decode
+        raises only if the rejected ratio makes its slot differ."""
+        c = demo_circuit()
         p = TaskProfile.for_task(3)
-        cfg = SolverConfig(kind="sa", seed=3, sa_iterations=40,
-                           sa_calibration_moves=5)
-        rejoins = _counted_rejoins(monkeypatch)
-        joined = sa_place(c, p, cfg)
-        assert rejoins
-        monkeypatch.setattr(solvers._Rejoin, "at", lambda self, *a: False)
-        apart = sa_place(c, p, cfg)
-        assert_same_decode(joined, apart)
-        for f in dataclasses.fields(solvers.SAResult):
-            if f.name not in ("state", "trace", "_summarize", "runtime_s"):
-                assert getattr(joined, f.name) == getattr(apart, f.name), f.name
+        free = greedy_place(c, p)
+        assert list(free.order) == [0, 2, 1, 3]
+        ars = {b: r for b, r in free.ars.items() if b != block}
+        parent = greedy_place(c, p, order=list(free.order), ars=ars)
+        ars[block] = bad
+
+        def raised(**kw):
+            with pytest.raises(FloorplanError) as err:
+                greedy_place(c, p, order=order, ars=ars, **kw)
+            return type(err.value), str(err.value)
+        full = raised()
+        assert full[0] is InvalidActionError
+        assert raised(resume=parent) == full
 
     def test_resume_needs_fixed_ratios(self):
         c = demo_circuit()
@@ -785,22 +786,55 @@ class TestResume:
         with pytest.raises(ValueError, match="ars"):
             greedy_place(c, p, resume=free)
 
-    def test_annealing_output_does_not_depend_on_resume(self, monkeypatch):
+    def test_annealing_output_does_not_depend_on_rejoining(self, monkeypatch):
+        """Some decodes of an annealing run rejoin their parent: their last
+        record is the parent's, their state is not.  Redoing each of those
+        as a full decode, every other decode still resumed, changes no
+        field of the result."""
         c, _ = synth_instance("sa", 7, n_blocks=14, dims=GridDims(20, 20, 2))
         p = TaskProfile.for_task(3)
-        cfg = SolverConfig(kind="sa", seed=3, sa_iterations=25,
+        cfg = SolverConfig(kind="sa", seed=3, sa_iterations=40,
+                           sa_calibration_moves=5)
+        decode, rejoined = solvers.greedy_place, []
+
+        def rejoins(res, resume):
+            return (resume is not None and res.state is not resume.state
+                    and res.trace.steps[-1] is resume.trace.steps[-1])
+
+        def watched(*a, resume=None, **kw):
+            res = decode(*a, resume=resume, **kw)
+            rejoined.append(rejoins(res, resume))
+            return res
+        monkeypatch.setattr(solvers, "greedy_place", watched)
+        joined = sa_place(c, p, cfg)
+        assert any(rejoined)
+
+        def apart_decode(*a, resume=None, **kw):
+            res = decode(*a, resume=resume, **kw)
+            return decode(*a, **kw) if rejoins(res, resume) else res
+        monkeypatch.setattr(solvers, "greedy_place", apart_decode)
+        apart = sa_place(c, p, cfg)
+        assert_same_decode(joined, apart)
+        for f in dataclasses.fields(solvers.SAResult):
+            if f.name not in ("state", "trace", "_summarize", "runtime_s"):
+                assert getattr(joined, f.name) == getattr(apart, f.name), f.name
+
+    def test_annealing_output_does_not_depend_on_resume(self, monkeypatch):
+        """An annealing run equals the same run with full decodes on every
+        field but the count of no-op decodes, which only resuming skips."""
+        c, _ = synth_instance("sa", 7, n_blocks=14, dims=GridDims(20, 20, 2))
+        p = TaskProfile.for_task(3)
+        cfg = SolverConfig(kind="sa", seed=3, sa_iterations=40,
                            sa_calibration_moves=5)
         resumed = sa_place(c, p, cfg)
-        full_decode = solvers.greedy_place
+        decode = solvers.greedy_place
         monkeypatch.setattr(solvers, "greedy_place",
-                            lambda *a, resume=None, **kw: full_decode(*a, **kw))
+                            lambda *a, resume=None, **kw: decode(*a, **kw))
         full = sa_place(c, p, cfg)
-        assert [resumed.state.rect(b) for b in range(14)] == \
-            [full.state.rect(b) for b in range(14)]
-        assert resumed.trace.to_jsonl() == full.trace.to_jsonl()
-        assert (resumed.cost, resumed.t0, resumed.accepted, resumed.cost_curve) \
-            == (full.cost, full.t0, full.accepted, full.cost_curve)
-
+        assert_same_decode(resumed, full)
+        for f in dataclasses.fields(solvers.SAResult):
+            if f.name not in ("state", "trace", "_summarize", "runtime_s", "noops"):
+                assert getattr(resumed, f.name) == getattr(full, f.name), f.name
 
 class TestDispatchAndCost:
     def test_solve_routes_by_kind(self):
