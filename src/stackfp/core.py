@@ -10,11 +10,11 @@ no step recomputes it from the placed blocks: a per-layer summed-area table
 of cell cover (Crow, SIGGRAPH 1984), whose window sums give the position
 mask and whose double difference is the occupancy canvas; each net's live
 bounding box, which the wire mask reads, and the running wirelength, the
-summed span of those boxes; the running footprint overlap, which a rect
-on the grid reads as its window sum of the table (four corners) and a
-forced rect off the grid by scanning the placed rects of its layer; and
-the constraint terms (alignment scores, abutment and binding distance)
-that the per-step metrics sum.  Blocks are only ever added, never removed.
+summed span of those boxes; the running footprint overlap, which each
+rect reads as its window sum of the table (four corners); and the
+constraint terms (alignment scores, abutment and binding distance) that
+the per-step metrics sum.  Blocks are only ever added, never removed, and
+every placed block lies inside the outline (`GridDims.holds`).
 """
 
 import dataclasses
@@ -87,6 +87,11 @@ class GridDims:
     @property
     def cells_per_layer(self) -> int:
         return self.width * self.height
+
+    def holds(self, x, y, w, h):
+        """Whether the w x h rect anchored at (x, y) lies inside the outline,
+        elementwise over arrays: the outline rule, written once."""
+        return (0 <= x) & (0 <= y) & (x + w <= self.width) & (y + h <= self.height)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -239,7 +244,7 @@ class ConstraintSet:
             if pp.block in pre_ids:
                 raise ValueError(f"block {pp.block} preplaced twice")
             pre_ids.add(pp.block)
-            if pp.x < 0 or pp.y < 0 or pp.x + pp.w > dims.width or pp.y + pp.h > dims.height:
+            if not dims.holds(pp.x, pp.y, pp.w, pp.h):
                 raise ValueError(f"preplacement of block {pp.block} leaves the outline")
             if not (0 <= pp.z < dims.num_layers):
                 raise ValueError(f"preplacement of block {pp.block} on missing layer {pp.z}")
@@ -435,19 +440,19 @@ class FloorplanState:
     `order` is a permutation of all block ids and `cursor` the index of the
     next block to place; everything before the cursor is already down.
 
-    `place` keeps these current for the placed blocks: `sat`, the
-    per-layer summed-area table of cell cover, shape (L, W+1, H+1), where
-    sat[z, i, j] counts the covered cells [0, i) x [0, j) of layer z with
-    multiplicity, off-grid parts clipped; `net_lo` and `net_hi`, each net's
-    (2, nets) box over its terminal cells and its placed blocks' centers;
+    `place` puts a block down inside the outline, and raises ValueError
+    for a rect that leaves it.  It keeps these current for the placed
+    blocks: `sat`, the per-layer summed-area table of cell cover, shape
+    (L, W+1, H+1), where sat[z, i, j] counts the covered cells
+    [0, i) x [0, j) of layer z with multiplicity; `net_lo` and `net_hi`,
+    each net's (2, nets) box over its terminal cells and its placed
+    blocks' centers;
     `hpwl`, the summed span of the boxes that are not empty, a Python float
     that a placement moves by the change in its nets' spans only (every
     span is a multiple of 0.5, so the running sum is exact);
     `overlap`, the summed pairwise footprint overlap of same-layer placed
-    blocks, exact for forced placements too: a rect that lies on the grid
-    adds the window sum of its layer's table, read before the table takes
-    it in, and only a forced one that leaves the grid (`validate=False`)
-    scans the layer's placed rects; and the constraint terms,
+    blocks, to which each rect adds the window sum of its layer's table,
+    read before the table takes it in; and the constraint terms,
     each updated only for the instances that hold the placed block:
     `alignment`, every alignment pair's score in constraint order as a
     Python float, 0.0 until both of its blocks are down; `adjacency`, the
@@ -545,37 +550,29 @@ class FloorplanState:
         self.h[block_id] = h
         return w, h
 
-    def place(self, block_id: int, x: int, y: int, validate: bool = True) -> None:
+    def place(self, block_id: int, x: int, y: int) -> None:
         if self.placed[block_id]:
             raise ValueError(f"block {block_id} is already placed")
         dims = self.circuit.dims
         w, h = int(self.w[block_id]), int(self.h[block_id])
-        if validate and (x < 0 or y < 0 or x + w > dims.width or y + h > dims.height):
+        if not dims.holds(x, y, w, h):
             raise ValueError(
                 f"block {block_id} at ({x},{y}) leaves the "
                 f"{dims.width}x{dims.height} outline")
-        z = self.circuit.blocks[block_id].z
-        if 0 <= x and 0 <= y and x + w <= dims.width and y + h <= dims.height:
-            # the rect lies on the grid, where the table counts every placed
-            # cell, so its window sum before the update is its overlap
-            sat = self.sat[z]
-            self.overlap += (int(sat[x + w, y + h]) - int(sat[x, y + h])
-                             - int(sat[x + w, y]) + int(sat[x, y]))
-        else:
-            self.overlap += int(rect_overlap(*self.layer_rects(z), x, y, w, h).sum())
+        # the table counts every placed cell, so the rect's window sum
+        # before the update is its overlap
+        sat = self.sat[self.circuit.blocks[block_id].z]
+        self.overlap += (int(sat[x + w, y + h]) - int(sat[x, y + h])
+                         - int(sat[x + w, y]) + int(sat[x, y]))
         self.x[block_id] = x
         self.y[block_id] = y
         self.placed[block_id] = True
 
-        # the rect clipped to the grid, [x0, x1) x [y0, y1), has
-        # min(i - x0, x1 - x0) * min(j - y0, y1 - y0) cells below and left
-        # of (i, j) once i > x0 and j > y0, and none before
-        x0, x1 = max(x, 0), min(x + w, dims.width)
-        y0, y1 = max(y, 0), min(y + h, dims.height)
-        if x0 < x1 and y0 < y1:
-            self.sat[z, x0 + 1:, y0 + 1:] += np.multiply.outer(
-                np.minimum(np.arange(1, dims.width + 1 - x0, dtype=np.int32), x1 - x0),
-                np.minimum(np.arange(1, dims.height + 1 - y0, dtype=np.int32), y1 - y0))
+        # the rect [x, x+w) x [y, y+h) has min(i - x, w) * min(j - y, h)
+        # cells below and left of (i, j) once i > x and j > y, and none before
+        sat[x + 1:, y + 1:] += np.multiply.outer(
+            np.minimum(np.arange(1, dims.width + 1 - x, dtype=np.int32), w),
+            np.minimum(np.arange(1, dims.height + 1 - y, dtype=np.int32), h))
 
         # a block sits on few nets: update their boxes on Python floats
         index = self.circuit.index

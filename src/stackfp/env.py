@@ -68,7 +68,8 @@ class Observation:
 
 @dataclasses.dataclass(frozen=True)
 class StepRecord:
-    step: int
+    """One step of an episode; its step number is its index in
+    `EpisodeTrace.steps`."""
     block: int
     x: int
     y: int
@@ -94,7 +95,7 @@ class EpisodeTrace:
         lines = []
         for i, s in enumerate(self.steps):
             rec = {
-                "step": s.step,
+                "step": i,
                 "block": s.block,
                 "action": {"x": s.x, "y": s.y, "ar_next": s.ar_next},
                 "raw": s.raw.as_dict(),
@@ -262,17 +263,16 @@ class PlacementEnv:
                 state.set_shape(blk.id, first_ar)
         dims = self.circuit.dims
         records = []
-        for rec in steps:
+        for i, rec in enumerate(steps):
             if state.done or rec.block != state.current_block:
                 raise InvalidActionError(
-                    f"step {rec.step} places block {rec.block} out of order")
+                    f"step {i} places block {rec.block} out of order")
             x, y, w, h = rec.x, rec.y, state.w[rec.block], state.h[rec.block]
-            if not (_is_index(x) and _is_index(y) and 0 <= x and 0 <= y
-                    and x + w <= dims.width and y + h <= dims.height):
+            if not (_is_index(x) and _is_index(y) and dims.holds(x, y, w, h)):
                 raise InvalidActionError(
-                    f"step {rec.step} anchor ({x!r},{y!r}) is not an integer cell keeping "
+                    f"step {i} anchor ({x!r},{y!r}) is not an integer cell keeping "
                     f"block {rec.block} ({w}x{h}) inside the {dims.width}x{dims.height} outline")
-            ar = _checked_ratio(rec.ar_next, f"step {rec.step} ar_next")
+            ar = _checked_ratio(rec.ar_next, f"step {i} ar_next")
             _advance(state, rec.block, x, y, ar)
             records.append(_with_ratio(rec, ar))
         self.state, self.observation = state, None
@@ -350,7 +350,6 @@ class PlacementEnv:
         raw = metric_snapshot(self.state)
         norm = normalize(raw, self.circuit, self.hpwl_baseline)
         self.trace.steps.append(StepRecord(
-            step=len(self.trace.steps),
             block=block,
             x=int(action.x),
             y=int(action.y),

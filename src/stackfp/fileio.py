@@ -495,7 +495,7 @@ def state_from_placement(circuit: Circuit, rows) -> FloorplanState:
             raise ParseError(f"placement lists block {bid} twice")
         if row["z"] != circuit.blocks[bid].z:
             raise ParseError(f"placement moves block {bid} off layer {circuit.blocks[bid].z}")
-        if x < 0 or y < 0 or x + w > dims.width or y + h > dims.height:
+        if not dims.holds(x, y, w, h):
             raise ParseError(f"placement block {bid} leaves the {dims.width}x{dims.height} outline")
         if fault := shape_fault(circuit.blocks[bid], w, h):
             raise ParseError(f"placement block {bid}: {fault}")

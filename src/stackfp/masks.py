@@ -144,7 +144,7 @@ def _fits(state: FloorplanState, block_id: int, xs: tuple[int, int] | None = Non
     dims = state.circuit.dims
     w = int(state.w[block_id])
     h = int(state.h[block_id])
-    if w > dims.width or h > dims.height:
+    if not dims.holds(0, 0, w, h):
         return None
     x0, x1 = xs or (0, dims.width - w + 1)
     y0, y1 = ys or (0, dims.height - h + 1)
@@ -246,7 +246,7 @@ def wire_floor(state: FloorplanState, block_id: int,
     _require_unplaced(state, block_id)
     dims = state.circuit.dims
     w, h = int(state.w[block_id]), int(state.h[block_id])
-    if w > dims.width or h > dims.height:
+    if not dims.holds(0, 0, w, h):
         return math.inf
     nx, ny = dims.width - w + 1, dims.height - h + 1
     gx = profiles[0].at(w)[:nx]

@@ -206,10 +206,8 @@ def satisfaction_counts(state: FloorplanState) -> dict[str, tuple[int, int]]:
             rect_overlap(x, y, w, h, x.T, y.T, w.T, h.T), k=1)))
     counts["overlap"] = (ok, total)
 
-    dims = state.circuit.dims
-    x, y, w, h = _rects(state, state.placed)
-    inside = (x >= 0) & (y >= 0) & (x + w <= dims.width) & (y + h <= dims.height)
-    counts["outline"] = (int(inside.sum()), len(x))
+    inside = state.circuit.dims.holds(*_rects(state, state.placed))
+    counts["outline"] = (int(inside.sum()), len(inside))
 
     ok = total = 0
     for b in state.circuit.blocks:

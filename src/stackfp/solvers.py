@@ -409,49 +409,34 @@ def random_place(circuit: Circuit, profile: TaskProfile,
                     order=None, plugins=plugins)
 
 
-class _Genome:
-    """Annealing state: placement order of the movable tail plus one ratio
-    per reshapeable soft block.  Preplaced blocks stay pinned in front."""
-
-    def __init__(self, prefix: list[int], tail: list[int], ars: dict[int, float]):
-        self.prefix = prefix
-        self.tail = tail
-        self.ars = ars
-
-    def clone(self) -> "_Genome":
-        return _Genome(self.prefix, list(self.tail), dict(self.ars))
-
-    @property
-    def order(self) -> list[int]:
-        return self.prefix + self.tail
-
-
-def _propose(genome: _Genome, soft_ids: list[int], rng) -> _Genome:
-    """One neighbor: swap two order slots, relocate one, or nudge a ratio."""
-    cand = genome.clone()
+def _propose(tail: list[int], ars: dict[int, float], soft_ids: list[int],
+             rng) -> tuple[list[int], dict[int, float]]:
+    """One neighbor of the movable tail of the order and the soft blocks'
+    ratios, as copies: swap two order slots, relocate one, or nudge a
+    ratio."""
+    tail, ars = list(tail), dict(ars)
     moves = ["swap", "relocate", "ar"]
     w = np.asarray(SA_MOVE_WEIGHTS, dtype=float)
-    if len(cand.tail) < 2:
+    if len(tail) < 2:
         w[0] = w[1] = 0.0
     if not soft_ids:
         w[2] = 0.0
     if w.sum() == 0:
-        return cand
+        return tail, ars
     move = rng.choice(moves, p=w / w.sum())
     if move == "swap":
-        i, j = rng.choice(len(cand.tail), size=2, replace=False)
-        cand.tail[i], cand.tail[j] = cand.tail[j], cand.tail[i]
+        i, j = rng.choice(len(tail), size=2, replace=False)
+        tail[i], tail[j] = tail[j], tail[i]
     elif move == "relocate":
-        i = int(rng.integers(len(cand.tail)))
-        b = cand.tail.pop(i)
-        j = int(rng.integers(len(cand.tail) + 1))
-        cand.tail.insert(j, b)
+        i = int(rng.integers(len(tail)))
+        b = tail.pop(i)
+        j = int(rng.integers(len(tail) + 1))
+        tail.insert(j, b)
     else:
         bid = int(rng.choice(soft_ids))
-        blk_ar = cand.ars[bid]
         factor = math.exp(rng.uniform(-0.35, 0.35))
-        cand.ars[bid] = blk_ar * factor     # decode clips to the band
-    return cand
+        ars[bid] *= factor      # decode clips to the band
+    return tail, ars
 
 
 def sa_place(circuit: Circuit, profile: TaskProfile,
@@ -464,18 +449,19 @@ def sa_place(circuit: Circuit, profile: TaskProfile,
 
     Starts from the free greedy solution, so the initial cost equals the
     greedy cost and the best-so-far curve never rises above it.  The
-    genome's movable tail is the block order of that solution's trace (one
-    record per movable slot); the preplaced blocks stay pinned in front.
+    genome is the current decode's movable tail of the order (one step
+    record per movable slot; the preplaced blocks stay pinned in front) and
+    its ratios, which a fixed-ratio decode keeps exactly as it was given.
     Decodes that dead-end (a permutation can strand a block) count as
-    rejected.  Each decode resumes from the current genome's
-    (`greedy_place`'s `resume`): it replays the slots before the first one
-    a move changes, and steps only until its placed blocks rejoin the
-    current genome's, as a swap or relocation whose blocks land where they
-    were before does; the output is the same as without resuming.  The
-    result counts the dead-ended decodes (`infeasible`) and those that
-    changed no slot and so placed nothing (`noops`), calibration decodes
-    included.  Each decode is costed from its last step record and
-    builds no summary; the result's summary is built when first read."""
+    rejected.  Each decode resumes from the current one (`greedy_place`'s
+    `resume`): it replays the slots before the first one a move changes,
+    and steps only until its placed blocks rejoin the current decode's, as
+    a swap or relocation whose blocks land where they were before does;
+    the output is the same as without resuming.  The result counts the
+    dead-ended decodes (`infeasible`) and those that changed no slot and so
+    placed nothing (`noops`), calibration decodes included.  Each decode is
+    costed from its last step record and builds no summary; the result's
+    summary is built when first read."""
     config = config or SolverConfig(kind="sa")
     t_start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
@@ -483,61 +469,58 @@ def sa_place(circuit: Circuit, profile: TaskProfile,
     seed_result = greedy_place(circuit, profile, plugins=plugins)
 
     # each step record is one movable slot; the pinned blocks lead the order
-    tail = [s.block for s in seed_result.trace.steps]
-    prefix = list(seed_result.order[:len(seed_result.order) - len(tail)])
-    genome = _Genome(prefix, tail, dict(seed_result.ars))
-    soft_ids = sorted(genome.ars)
-    cur_cost = best_cost = initial_cost = seed_result.cost
-    cur_result = best_result = seed_result
+    pinned = len(seed_result.order) - len(seed_result.trace.steps)
+    prefix = list(seed_result.order[:pinned])
+    soft_ids = sorted(seed_result.ars)
+    cur = best = seed_result
 
     infeasible = noops = 0
 
-    def decode(g: _Genome):
-        # resumes from the current genome's decode, which g was proposed from
+    def decode(tail: list[int], ars: dict[int, float]):
+        # resumes from the current decode, which the genome was proposed from
         nonlocal infeasible, noops
         try:
-            res = greedy_place(circuit, profile, order=g.order, ars=g.ars,
-                               plugins=plugins, resume=cur_result)
+            res = greedy_place(circuit, profile, order=prefix + tail, ars=ars,
+                               plugins=plugins, resume=cur)
         except InfeasibleError:
             infeasible += 1
             return None
-        noops += res.state is cur_result.state
+        noops += res.state is cur.state
         return res
 
     ups = []
     for _ in range(config.sa_calibration_moves):
-        res = decode(_propose(genome, soft_ids, rng))
-        if res is not None and res.cost > cur_cost:
-            ups.append(res.cost - cur_cost)
+        res = decode(*_propose(cur.order[pinned:], cur.ars, soft_ids, rng))
+        if res is not None and res.cost > cur.cost:
+            ups.append(res.cost - cur.cost)
     # mean uphill move accepted with probability ~0.8 at the start
     t0 = (sum(ups) / len(ups)) / math.log(1 / 0.8) if ups else 1.0
 
     temp = t0
     accepted = 0
-    curve = [best_cost]
+    curve = [best.cost]
     for _ in range(config.sa_iterations):
-        cand = _propose(genome, soft_ids, rng)
-        res = decode(cand)
+        res = decode(*_propose(cur.order[pinned:], cur.ars, soft_ids, rng))
         if res is not None:
-            delta = res.cost - cur_cost
+            delta = res.cost - cur.cost
             if delta <= 0 or rng.random() < math.exp(-delta / max(temp, 1e-12)):
-                genome, cur_cost, cur_result = cand, res.cost, res
+                cur = res
                 accepted += 1
-                if res.cost < best_cost:
-                    best_cost, best_result = res.cost, res
+                if res.cost < best.cost:
+                    best = res
         temp *= SA_ALPHA
-        curve.append(best_cost)
+        curve.append(best.cost)
 
     return SAResult(
         kind="sa",
-        state=best_result.state,
-        trace=best_result.trace,
-        _summarize=best_result._summarize,
-        order=tuple(best_result.order),
-        ars=dict(best_result.ars),
-        cost=best_cost,
+        state=best.state,
+        trace=best.trace,
+        _summarize=best._summarize,
+        order=tuple(best.order),
+        ars=dict(best.ars),
+        cost=best.cost,
         runtime_s=time.perf_counter() - t_start,
-        initial_cost=initial_cost,
+        initial_cost=seed_result.cost,
         t0=t0,
         accepted=accepted,
         cost_curve=curve,

@@ -73,7 +73,7 @@ def test_c1_mask_cells_equal_forced_placement_metrics():
                           utilization=1.0)
         state = FloorplanState(circuit)
         for bid, (x, y) in placements.items():
-            state.place(bid, x, y, validate=False)
+            state.place(bid, x, y)
 
         rect = {i: state.rect(i) for i in placements}
         same = [i for i in placements if circuit.blocks[i].z == 0]

@@ -223,23 +223,23 @@ class TestOrderAndState:
         s = FloorplanState(c)
         with pytest.raises(ValueError, match="outline"):
             s.place(0, 6, 6)
-        s.place(0, 6, 6, validate=False)   # oracle paths may force-place
-        assert s.rect(0) == (6, 6, 3, 3)
+        assert not s.placed[0]
+        s.place(0, 5, 5)                    # flush with the far corner
+        assert s.rect(0) == (5, 5, 3, 3)
 
     def test_overlap_on_the_grid_reads_the_table(self, monkeypatch):
-        """A rect on the grid takes its overlap from the summed-area table;
-        only a forced rect off the grid scans the layer's placed rects."""
+        """Every rect takes its overlap from the summed-area table; no
+        placement scans the layer's placed rects."""
         c = circuit([hard(0, 3, 3), hard(1, 3, 3), hard(2, 2, 2), hard(3, 2, 2)])
         s = FloorplanState(c)
-        s.place(0, 6, 6, validate=False)    # clipped to a 2x2 corner
-        scan = FloorplanState.layer_rects
         monkeypatch.setattr(FloorplanState, "layer_rects", lambda *a: pytest.fail(
-            "a rect on the grid scanned the layer"))
-        s.place(1, 5, 5)
-        s.place(2, 6, 5)
+            "a placement scanned the layer"))
+        s.place(0, 5, 5)
+        s.place(1, 4, 4)
+        s.place(2, 5, 4)
         assert s.overlap == 4 + (2 + 4)
-        monkeypatch.setattr(FloorplanState, "layer_rects", scan)
-        s.place(3, 7, 7, validate=False)    # 1x1 of it on the grid
+        s.place(3, 6, 6)
+        monkeypatch.undo()
         assert s.overlap == oracles.pairwise_overlap(s) == 10 + (4 + 1 + 0)
 
     def test_set_shape_soft_only_and_unplaced_only(self):
@@ -391,11 +391,55 @@ def assert_matches_scratch(s, window):
                              for bb in cons.boundary_bindings if placed[bb.block])
 
 
+def _kept(s):
+    """What a placement updates, as bytes and values."""
+    return (s.sat.tobytes(), s.overlap, s.hpwl, s.net_lo.tobytes(),
+            s.net_hi.tobytes(), list(s.alignment), s.adjacency, s.distance,
+            s.placed.tobytes(), s.x.tobytes(), s.y.tobytes())
+
+
+class TestOutline:
+    @given(small_circuits(), st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_place_rejects_exactly_the_rects_the_outline_does_not_hold(self, c, data):
+        """Anchors up to one cell past every side, shapes larger than the
+        grid included: `place` raises ValueError exactly where
+        `GridDims.holds` is false, and a rejected place leaves the state
+        as it was."""
+        dims = c.dims
+        s = FloorplanState(c)
+        for b in data.draw(st.permutations(range(c.num_blocks))):
+            if c.blocks[b].is_soft and data.draw(st.booleans()):
+                s.set_shape(b, data.draw(st.floats(0.05, 20.0)))
+            w, h = int(s.w[b]), int(s.h[b])
+            x = data.draw(st.integers(-w - 1, dims.width + 1))
+            y = data.draw(st.integers(-h - 1, dims.height + 1))
+            if dims.holds(x, y, w, h):
+                s.place(b, x, y)
+                continue
+            before = _kept(s)
+            with pytest.raises(ValueError, match="outline"):
+                s.place(b, x, y)
+            assert _kept(s) == before
+
+    @given(st.integers(1, 9), st.integers(1, 9),
+           st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12),
+                              st.integers(1, 12), st.integers(1, 12)),
+                    min_size=1, max_size=20))
+    def test_holds_over_arrays_is_holds_per_rect(self, width, height, rects):
+        dims = GridDims(width, height, 1)
+        for x, y, w, h in rects:
+            assert dims.holds(x, y, w, h) == (
+                x >= 0 and y >= 0 and x + w <= width and y + h <= height)
+        got = dims.holds(*(np.array(v) for v in zip(*rects)))
+        assert got.dtype == bool
+        assert got.tolist() == [dims.holds(*r) for r in rects]
+
+
 class TestIncrementalState:
     def test_running_hpwl_by_hand(self):
         """`total_hpwl` is the total that `place` keeps running, from the
-        terminal boxes on, through preplacements, clones and forced
-        placements off the grid."""
+        terminal boxes on, through preplacements and clones."""
         terms = [Terminal(0, "p", 0, 0, 0), Terminal(1, "q", 7, 3, 0)]
         # terminals only, blocks only, and both
         nets = [Net((), (0, 1)), Net((0, 1)), Net((1,), (0,))]
@@ -406,14 +450,14 @@ class TestIncrementalState:
         s.apply_preplacements()         # block 1's center (5, 5)
         assert total_hpwl(s) == 10 + 0 + 10
         d = s.clone()
-        d.place(0, -3, 9, validate=False)   # off the grid, center (-2, 10)
-        assert total_hpwl(d) == 10 + 12 + 10 and total_hpwl(s) == 20
+        d.place(0, 0, 6)                # center (1, 7)
+        assert total_hpwl(d) == 10 + 6 + 10 and total_hpwl(s) == 20
 
     @given(small_circuits(), st.data())
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_matches_from_scratch_after_every_operation(self, c, data):
-        """Random place (forced anywhere, overlaps included), set_shape and
-        clone sequences, after a preplacement or not; every state made
+        """Random place (anywhere on the grid, overlaps included), set_shape
+        and clone sequences, after a preplacement or not; every state made
         along the way is checked after each operation, so clones stay
         independent, and the current state's masks are checked for one of
         its unplaced blocks."""
@@ -435,10 +479,12 @@ class TestIncrementalState:
                 states.append(s.clone())
             elif unplaced:
                 b = data.draw(st.sampled_from(unplaced))
+                w, h = int(s.w[b]), int(s.h[b])
                 if op == "place":
-                    s.place(b, data.draw(st.integers(-2, dims.width)),
-                            data.draw(st.integers(-2, dims.height)), validate=False)
-                    unplaced.remove(b)
+                    if dims.holds(0, 0, w, h):     # else it fits nowhere
+                        s.place(b, data.draw(st.integers(0, dims.width - w)),
+                                data.draw(st.integers(0, dims.height - h)))
+                        unplaced.remove(b)
                 elif c.blocks[b].is_soft:
                     s.set_shape(b, data.draw(st.floats(0.25, 4.0)))
             for t in states:

@@ -362,6 +362,20 @@ class TestEnvMechanics:
         with pytest.raises(FloorplanError, match="out of order"):
             env.reset(steps=done.steps[1:])
 
+    def test_replayed_records_are_numbered_by_position(self):
+        """A record holds no step number that could disagree with its
+        place: the trace numbers each record by its index in it."""
+        done = run_random_episode(
+            PlacementEnv(four_block_circuit(), unit_profile()), seed=5).trace.steps
+        with pytest.raises(TypeError):
+            dataclasses.replace(done[0], step=7)
+        env = PlacementEnv(four_block_circuit(), unit_profile())
+        obs = env.reset(steps=done[:1])
+        obs, _, _ = env.step(Action(done[1].x, done[1].y))
+        lines = env.trace.to_jsonl().splitlines()
+        assert [json.loads(line)["step"] for line in lines] == [0, 1]
+        assert obs.step == 2
+
     def test_first_ar_shapes_first_soft_block(self):
         env = PlacementEnv(four_block_circuit(), unit_profile())
         env.reset(first_ar=4.0)                     # clips to 2.0 -> 6x3

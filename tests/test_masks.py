@@ -46,7 +46,7 @@ def make_state(blocks, placements, terminals=(), nets=(), dims=(8, 8, 2),
                 tuple(nets), constraints, utilization=1.0)
     s = FloorplanState(c)
     for bid, (x, y) in placements.items():
-        s.place(bid, x, y, validate=False)
+        s.place(bid, x, y)
     return s
 
 
@@ -248,10 +248,14 @@ class TestWireMask:
                        terminals=terms, nets=nets)
         m = wire_mask(s, 0)
         before = total_hpwl(s)
+        over = oracles.wire_increase(s, 0)      # where the block overhangs
         for x in range(8):
             for y in range(8):
+                if not s.circuit.dims.holds(x, y, 2, 2):
+                    assert m.values[x, y] == over[x, y], (x, y)
+                    continue
                 probe = s.clone()
-                probe.place(0, x, y, validate=False)
+                probe.place(0, x, y)
                 assert m.values[x, y] == total_hpwl(probe) - before, (x, y)
 
     def test_nets_without_fixed_points_contribute_nothing(self):
@@ -274,8 +278,8 @@ class TestWireProfiles:
         s = FloorplanState(c)
         rng = np.random.default_rng(seed)
         for b in s.order[:placed]:
-            s.place(b, int(rng.integers(-2, side)), int(rng.integers(-2, side)),
-                    validate=False)
+            s.place(b, int(rng.integers(side - s.w[b] + 1)),
+                    int(rng.integers(side - s.h[b] + 1)))
         b = s.order[placed]
         sizes = st.lists(st.integers(1, side + 5), min_size=1, max_size=5)
         widths, heights = data.draw(sizes), data.draw(sizes)
@@ -321,8 +325,8 @@ class TestWireFloor:
         s = FloorplanState(c)
         rng = np.random.default_rng(seed)
         for b in s.order[:placed]:
-            s.place(b, int(rng.integers(-2, side)), int(rng.integers(-2, side)),
-                    validate=False)
+            s.place(b, int(rng.integers(side - s.w[b] + 1)),
+                    int(rng.integers(side - s.h[b] + 1)))
         b = s.order[placed]
         sizes = st.lists(st.integers(1, side + 2), min_size=1, max_size=3)
         widths, heights = data.draw(sizes), data.draw(sizes)

@@ -42,7 +42,7 @@ def make_state(blocks, placements, terminals=(), nets=(), dims=(8, 8, 2),
                 tuple(nets), constraints, utilization=1.0)
     s = FloorplanState(c)
     for bid, (x, y) in placements.items():
-        s.place(bid, x, y, validate=False)
+        s.place(bid, x, y)
     return s
 
 
@@ -160,8 +160,7 @@ class TestHpwl:
                            terminals=(Terminal(0, "p", 9, 9, 0),), nets=nets)
             prev = total_hpwl(s)
             for b in blocks:
-                s.place(b.id, int(rng.integers(0, 8)), int(rng.integers(0, 8)),
-                        validate=False)
+                s.place(b.id, int(rng.integers(0, 8)), int(rng.integers(0, 8)))
                 cur = total_hpwl(s)
                 assert cur >= prev - 1e-12
                 prev = cur
@@ -319,8 +318,8 @@ class TestSnapshotAndSatisfaction:
         s.place(0, 0, 0)
         assert satisfaction_counts(s)["shape"] == (1, 1)
         s2 = FloorplanState(c)
-        s2.w[0], s2.h[0] = 16, 1       # flat strip far outside the band
-        s2.place(0, 0, 0, validate=False)
+        s2.w[0], s2.h[0] = 8, 2        # flat strip outside the band
+        s2.place(0, 0, 0)
         assert satisfaction_counts(s2)["shape"] == (0, 1)
 
 
@@ -334,7 +333,8 @@ def test_terminal_distance_property(x, y, w, h, tx, ty):
 @st.composite
 def _partial_instances(draw):
     """A random 2-layer circuit with random pairs, groups and ALL/ANY
-    bindings, some of its blocks placed anywhere (overlaps allowed)."""
+    bindings, some of its blocks placed anywhere on the grid (overlaps
+    allowed)."""
     side = 10
     n = draw(st.integers(2, 8))
     blocks = [Block(i, f"b{i}", 1, 1, 1, 1.0, 1.0, False, draw(st.integers(0, 1)))
@@ -368,8 +368,8 @@ def _partial_instances(draw):
                  for t in range(len(terminals)))
     cons = ConstraintSet(alignment_pairs=tuple(pairs), groups=tuple(groups),
                          boundary_bindings=bindings)
-    placements = {b: (draw(st.integers(0, side - 1)), draw(st.integers(0, side - 1)))
-                  for b in range(n) if draw(st.booleans())}
+    placements = {b: (draw(st.integers(0, side - w)), draw(st.integers(0, side - h)))
+                  for b, (w, h) in enumerate(shapes) if draw(st.booleans())}
     return make_state(blocks, placements, terminals=terminals, nets=nets,
                       dims=(side, side, 2), constraints=cons)
 

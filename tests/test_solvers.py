@@ -36,7 +36,7 @@ from stackfp.env import PlacementEnv
 from stackfp.fileio import synth_instance
 from stackfp.masks import BlockDistanceRule, compile_masks, wire_profiles
 from stackfp.metrics import metric_snapshot, normalize
-from stackfp.solvers import _Genome, _propose, ar_candidate_ladder
+from stackfp.solvers import _propose, ar_candidate_ladder
 
 
 def soft(bid, area, w, h, z=0):
@@ -374,9 +374,9 @@ class TestAnnealing:
         assert 0 not in s.ars
 
 
-def _decode(c, p, g, plugins, resume=None):
+def _decode(c, p, order, ars, plugins, resume=None):
     try:
-        return greedy_place(c, p, order=g.order, ars=g.ars, plugins=plugins,
+        return greedy_place(c, p, order=order, ars=ars, plugins=plugins,
                             resume=resume)
     except InfeasibleError:
         return None
@@ -395,17 +395,16 @@ def assert_same_decode(got, want):
     assert got.cost == want.cost
 
 
-def _local_move(genome, soft_ids, rng):
-    """A neighbor near the genome: swap two slots at most three apart, move
-    one slot by at most three, or nudge a ratio."""
-    cand = genome.clone()
-    tail = cand.tail
+def _local_move(tail, ars, soft_ids, rng):
+    """A neighbor near the genome (tail, ars), as copies: swap two slots at
+    most three apart, move one slot by at most three, or nudge a ratio."""
+    tail, ars = list(tail), dict(ars)
     move = rng.choice(["swap", "relocate", "ar"])
     if move == "ar" or len(tail) < 2:
         if soft_ids:
             b = int(rng.choice(soft_ids))
-            cand.ars[b] *= math.exp(rng.uniform(-0.35, 0.35))
-        return cand
+            ars[b] *= math.exp(rng.uniform(-0.35, 0.35))
+        return tail, ars
     i = int(rng.integers(len(tail) - 1))
     j = min(len(tail) - 1, i + int(rng.integers(1, 4)))
     if rng.random() < 0.5:
@@ -414,7 +413,7 @@ def _local_move(genome, soft_ids, rng):
         tail[i], tail[j] = tail[j], tail[i]
     else:
         tail.insert(j, tail.pop(i))
-    return cand
+    return tail, ars
 
 
 def _pinned_instance(seed, n, side, fill, pins):
@@ -618,26 +617,26 @@ class TestResume:
             return
         pinned = set(parent.order[:n - len(parent.trace.steps)])
         order = list(parent.order)
-        genome = _Genome([b for b in order if b in pinned],
-                         [b for b in order if b not in pinned],
-                         {b: r for b, r in parent.ars.items() if b not in pinned})
-        soft_ids = sorted(genome.ars)
+        prefix = [b for b in order if b in pinned]
+        tail = [b for b in order if b not in pinned]
+        ars = {b: r for b, r in parent.ars.items() if b not in pinned}
+        soft_ids = sorted(ars)
         for _ in range(moves):
             if soft_ids and rng.random() < 0.25:
                 # a nudge too small to change the block's integer shape
-                cand = genome.clone()
-                cand.ars[int(rng.choice(soft_ids))] *= 1 + 1e-9
+                cand_tail, cand_ars = list(tail), dict(ars)
+                cand_ars[int(rng.choice(soft_ids))] *= 1 + 1e-9
             else:
-                cand = _propose(genome, soft_ids, rng)
+                cand_tail, cand_ars = _propose(tail, ars, soft_ids, rng)
             # ratios of other numeric types, recorded as floats either way
             for b in soft_ids:
                 kind = rng.choice(["float", "float32", "int"], p=[0.6, 0.2, 0.2])
                 if kind == "float32":
-                    cand.ars[b] = np.float32(cand.ars[b])
+                    cand_ars[b] = np.float32(cand_ars[b])
                 elif kind == "int":
-                    cand.ars[b] = max(1, round(float(cand.ars[b])))
-            full = _decode(c, p, cand, plugins)
-            res = _decode(c, p, cand, plugins, resume=parent)
+                    cand_ars[b] = max(1, round(float(cand_ars[b])))
+            full = _decode(c, p, prefix + cand_tail, cand_ars, plugins)
+            res = _decode(c, p, prefix + cand_tail, cand_ars, plugins, resume=parent)
             assert (res is None) == (full is None)
             if full is None:
                 continue
@@ -649,7 +648,7 @@ class TestResume:
             assert res.summary == full.summary
             assert res.cost == full.cost
             if rng.random() < 0.6:
-                genome, parent = cand, res
+                tail, ars, parent = cand_tail, cand_ars, res
 
     def test_unchanged_decode_places_nothing(self):
         c = demo_circuit()
@@ -714,20 +713,19 @@ class TestResume:
             parent = greedy_place(c, p, plugins=plugins)
         except InfeasibleError:
             return
-        tail = [s.block for s in parent.trace.steps]
-        genome = _Genome(list(parent.order[:n - len(tail)]), tail,
-                         dict(parent.ars))
-        soft_ids = sorted(genome.ars)
+        tail, ars = [s.block for s in parent.trace.steps], dict(parent.ars)
+        prefix = list(parent.order[:n - len(tail)])
+        soft_ids = sorted(ars)
         for _ in range(moves):
-            cand = _local_move(genome, soft_ids, rng)
-            full = _decode(c, p, cand, plugins)
-            res = _decode(c, p, cand, plugins, resume=parent)
+            cand_tail, cand_ars = _local_move(tail, ars, soft_ids, rng)
+            full = _decode(c, p, prefix + cand_tail, cand_ars, plugins)
+            res = _decode(c, p, prefix + cand_tail, cand_ars, plugins, resume=parent)
             assert (res is None) == (full is None)
             if full is None:
                 continue
             assert_same_decode(res, full)
             if rng.random() < 0.6:
-                genome, parent = cand, res
+                tail, ars, parent = cand_tail, cand_ars, res
 
     def test_decode_rejoins_where_the_parent_placed_the_same_blocks(self, monkeypatch):
         """Swapping the demo solve's first two slots, blocks on different
