@@ -384,8 +384,7 @@ class Circuit:
         for i, t in enumerate(self.terminals):
             if t.id != i:
                 raise ValueError(f"terminal ids must be 0..n-1 in order, found {t.id} at {i}")
-            if not (0 <= t.x < self.dims.width and 0 <= t.y < self.dims.height
-                    and 0 <= t.z < self.dims.num_layers):
+            if not (self.dims.holds(t.x, t.y, 1, 1) and 0 <= t.z < self.dims.num_layers):
                 raise ValueError(f"terminal {t.name} at ({t.x},{t.y},{t.z}) lies off the grid")
         for net in self.nets:
             for b in net.blocks:
@@ -562,8 +561,7 @@ class FloorplanState:
         # the table counts every placed cell, so the rect's window sum
         # before the update is its overlap
         sat = self.sat[self.circuit.blocks[block_id].z]
-        self.overlap += (int(sat[x + w, y + h]) - int(sat[x, y + h])
-                         - int(sat[x + w, y]) + int(sat[x, y]))
+        self.overlap += window_sum(sat, x, y, w, h)
         self.x[block_id] = x
         self.y[block_id] = y
         self.placed[block_id] = True
@@ -623,6 +621,12 @@ def window_sums(sat: np.ndarray, w: int, h: int) -> np.ndarray:
     summed-area tables over the last two axes: entry [..., x, y] counts the
     covered cells of [x, x+w) x [y, y+h), shape (..., W-w+1, H-h+1)."""
     return sat[..., w:, h:] - sat[..., :-w, h:] - sat[..., w:, :-h] + sat[..., :-w, :-h]
+
+
+def window_sum(sat: np.ndarray, x: int, y: int, w: int, h: int) -> int:
+    """Cover of the one w x h window anchored at (x, y), read at four
+    corners of a layer's summed-area table: `window_sums` at one anchor."""
+    return sat.item(x + w, y + h) - sat.item(x, y + h) - sat.item(x + w, y) + sat.item(x, y)
 
 
 def occupancy_grid(state: FloorplanState) -> np.ndarray:

@@ -1,11 +1,14 @@
 """Sequential placement environment.
 
 Blocks go down one per step in a fixed order.  Each step's observation
-carries the mask stack for the block about to be placed; the action gives
-that block's anchor cell, which must be available, plus optionally the aspect
-ratio for the block after it (the next observation already needs that shape,
-so the ratio is decided one step early; the first block's ratio is a reset
-argument for the same reason).
+names the block about to be placed and compiles its mask stack when first
+read; the action gives that block's anchor cell, which must be available,
+plus optionally the aspect ratio for the block after it (the next
+observation already needs that shape, so the ratio is decided one step
+early; the first block's ratio is a reset argument for the same reason).
+A block that no rule on the ladder binds is available wherever it fits, so
+a step on it whose stack nobody read checks the anchor's fit and compiles
+nothing.
 
 Rewards are dense: the terminal reward is the weighted final metric score,
 and every earlier step receives its metric improvement plus that terminal
@@ -15,13 +18,14 @@ next-to-last metrics plus episode-length times the baseline.
 """
 
 import dataclasses
+import functools
 import json
 import math
 
 import numpy as np
 
 from .core import Circuit, FloorplanError, FloorplanState, occupancy_grid
-from .masks import MaskStack, compile_masks, position_mask, wire_mask
+from .masks import MaskStack, compile_masks, fits_at, rule_free, wire_floor
 from .metrics import (
     MetricTuple,
     metric_snapshot,
@@ -46,24 +50,62 @@ class Action:
 
 @dataclasses.dataclass(frozen=True)
 class Observation:
+    """The block up next.  Its mask stack is compiled when `masks` (or
+    `availability`) is first read, and kept; the canvas is built each time
+    it is read.  Both describe the live state before the block goes down,
+    so an unread stack, like the canvas, can be had only until the episode
+    steps past the block."""
     step: int
     block: int
     order: tuple[int, ...]
-    masks: MaskStack
     _state: FloorplanState = dataclasses.field(repr=False)  # the live episode state
+    _rules: tuple = dataclasses.field(repr=False)            # (profile, plug-ins)
+    # the stack once compiled or handed over by the caller
+    _stack: list[MaskStack] = dataclasses.field(repr=False)
+
+    def _require_current(self, what: str) -> None:
+        if self._state.done or self._state.current_block != self.block:
+            raise FloorplanError(
+                f"the episode has stepped past block {self.block}; its {what} is gone")
+
+    @property
+    def masks(self) -> MaskStack:
+        if not self._stack:
+            self._require_current("mask stack")
+            self._stack.append(compile_masks(self._state, self.block, *self._rules))
+        return self._stack[0]
 
     @property
     def availability(self):
         return self.masks.availability
 
+    @functools.cached_property
+    def rule_free(self) -> bool:
+        """Whether no rule on the ladder binds the block (`masks.rule_free`):
+        its availability is then the anchors where it fits."""
+        self._require_current("ladder")
+        return rule_free(self._state, self.block, *self._rules)
+
     @property
     def canvas(self) -> np.ndarray:
-        """(num_layers, W, H) occupancy before this block goes down, built
-        when read; readable only until the episode steps past it."""
-        if self._state.done or self._state.current_block != self.block:
-            raise FloorplanError(
-                f"the episode has stepped past block {self.block}; its canvas is gone")
+        """(num_layers, W, H) occupancy before this block goes down."""
+        self._require_current("canvas")
         return occupancy_grid(self._state)
+
+    def _audit(self, x: int, y: int) -> tuple[str, tuple[str, ...]]:
+        """The relaxation rung and dropped rules of placing the block at the
+        grid cell (x, y); InvalidActionError when the cell is not available.
+        With the stack unread and no rule on the ladder, the block's fit at
+        the cell, the whole availability of an empty ladder, decides alone;
+        a rejected cell compiles the stack to name its rung."""
+        if not self._stack and self.rule_free and fits_at(self._state, self.block, x, y):
+            return "none", ()
+        avail = self.availability
+        if not avail.allows(x, y):
+            raise InvalidActionError(
+                f"anchor ({x},{y}) is not available for "
+                f"block {self.block} (rung {avail.rung})")
+        return avail.rung, avail.dropped
 
 
 @dataclasses.dataclass(frozen=True)
@@ -151,17 +193,13 @@ def wire_greedy_baseline(circuit: Circuit) -> float:
 
 
 def wire_greedy_rollout(circuit: Circuit) -> float:
-    """The rollout behind `wire_greedy_baseline`, run afresh."""
+    """The rollout behind `wire_greedy_baseline`, run afresh: each block
+    goes to the cell `wire_floor` names, the least wire where it fits."""
     state = FloorplanState(circuit)
     for block_id in state.order:
-        pos = position_mask(state, block_id).values
-        if not pos.any():
-            continue
-        wire = wire_mask(state, block_id).values
-        scored = np.where(pos > 0, wire, np.inf)
-        flat = int(np.argmin(scored))
-        x, y = divmod(flat, circuit.dims.height)
-        state.place(block_id, x, y)
+        _, cell = wire_floor(state, block_id)
+        if cell is not None:
+            state.place(block_id, *divmod(cell, circuit.dims.height))
     total = total_hpwl(state)
     return total if total > 0 else 1.0
 
@@ -308,24 +346,25 @@ class PlacementEnv:
             return None
         block = self.state.current_block
         masks = self._handed
-        if masks is None:
-            masks = compile_masks(self.state, block, self.profile, self.plugins)
-        elif masks.block != block:
+        if masks is not None and masks.block != block:
             raise ValueError(f"masks of block {masks.block} handed to block {block}")
         return Observation(
             step=len(self.trace.steps),
             block=block,
             order=tuple(self.state.order),
-            masks=masks,
             _state=self.state,
+            _rules=(self.profile, self.plugins),
+            _stack=[] if masks is None else [masks],
         )
 
     def step(self, action: Action) -> tuple[Observation | None, MetricTuple, bool]:
         """Place the current block at the action's cell.  The cell, a pair
-        of integers, must be set in the current availability mask; the
-        optional ratio, a number other than a bool or NaN, reshapes the
-        next block before it is observed and is recorded as a float.  A
-        rejected action raises InvalidActionError and changes nothing."""
+        of integers, must be set in the current availability mask, which is
+        compiled for the check unless the observation's block is rule-free
+        (see `Observation._audit`); the optional ratio, a number other than
+        a bool or NaN, reshapes the next block before it is observed and is
+        recorded as a float.  A rejected action raises InvalidActionError
+        and changes nothing."""
         if self.state is None or (self.observation is None and not self.state.done):
             raise FloorplanError("reset() the environment before stepping")
         if self.state.done:
@@ -334,17 +373,11 @@ class PlacementEnv:
             raise InvalidActionError(
                 f"anchor ({action.x!r},{action.y!r}) is not a pair of integers")
         ar = _checked_ratio(action.ar_next, "ar_next")
-        dims = self.circuit.dims
-        if not (0 <= action.x < dims.width and 0 <= action.y < dims.height):
+        if not self.circuit.dims.holds(action.x, action.y, 1, 1):
             raise InvalidActionError(
                 f"anchor ({action.x},{action.y}) is outside the grid")
-        avail = self.observation.availability
-        if not avail.allows(action.x, action.y):
-            raise InvalidActionError(
-                f"anchor ({action.x},{action.y}) is not available for "
-                f"block {self.observation.block} (rung {avail.rung})")
-
         block = self.observation.block
+        rung, dropped = self.observation._audit(action.x, action.y)
         _advance(self.state, block, action.x, action.y, ar)
 
         raw = metric_snapshot(self.state)
@@ -356,8 +389,8 @@ class PlacementEnv:
             ar_next=ar,
             raw=raw,
             norm=norm,
-            rung=avail.rung,
-            dropped=avail.dropped,
+            rung=rung,
+            dropped=dropped,
         ))
         done = self.state.done
         self.observation = self._observe()

@@ -31,7 +31,9 @@ profile serves every shape of a candidate scan, since only the width and
 height change between candidates.  Halves of integers are exact, so the
 slices hold the same floats as a per-shape evaluation.  `wire_floor` adds
 the same slices over the anchors where the block fits, so the least wire
-value a shape can reach is known without compiling its stack.
+value a shape can reach, and the least cell reaching it, are known without
+compiling its stack.  When no rule binds the block (`rule_free`), that
+cell is greedy's pick, since the availability is the position mask alone.
 """
 
 import dataclasses
@@ -40,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BoundaryBinding, FloorplanState, window_sums
+from .core import BoundaryBinding, FloorplanState, window_sum, window_sums
 from .geometry import (
     abutment,
     alignment_ratio,
@@ -227,42 +229,53 @@ FLOOR_BOX_MIN_ANCHORS = 64 * 64
 
 
 def wire_floor(state: FloorplanState, block_id: int,
-               profiles: tuple[WireProfile, WireProfile]) -> float:
+               profiles: tuple[WireProfile, WireProfile] | None = None
+               ) -> tuple[float, int | None]:
     """The least wire-mask value over the anchors the position mask sets,
-    inf when the block fits nowhere.  `profiles` are as for `wire_mask`.
-    The floor comes from the same profile adds as the mask, so it is a
-    value the mask holds, not an estimate: no available cell of the block
-    in this shape scores below it.
+    and its cell: the least flat index (x * H + y, row-major) of an anchor
+    that reaches it; (inf, None) when the block fits nowhere.  `profiles`
+    are as for `wire_mask`.  The floor comes from the same profile adds as
+    the mask, so it is a value the mask holds, not an estimate: no
+    available cell of the block in this shape scores below it.  With no
+    rule on the ladder the cell is greedy's pick (see `rule_free`).
 
     The search looks at a box of anchors around the wire minimum first.
     With gx and gy the two profiles' growth, an anchor outside the box
     {gx <= t - min gy} x {gy <= t - min gx} scores above t, so the least
-    fitting value in the box is the floor once it is at most t.  Profile
-    values are sums of halves of integers, exact in floats, so these
-    comparisons are exact too.  The first box spans about a quarter of
-    each axis, and it mostly holds the floor; otherwise one more box does.
-    Up to FLOOR_BOX_MIN_ANCHORS anchors the whole grid is tested at once,
-    which costs less there than the box's extra steps."""
+    fitting value in the box is the floor once it is at most t, and every
+    anchor that reaches it lies in the box.  Profile values are sums of
+    halves of integers, exact in floats, so these comparisons are exact
+    too.  The first box spans about a quarter of each axis, and it mostly
+    holds the floor; otherwise one more box does.  Up to
+    FLOOR_BOX_MIN_ANCHORS anchors the whole grid is tested at once, which
+    costs less there than the box's extra steps."""
     _require_unplaced(state, block_id)
     dims = state.circuit.dims
     w, h = int(state.w[block_id]), int(state.h[block_id])
     if not dims.holds(0, 0, w, h):
-        return math.inf
+        return math.inf, None
+    if profiles is None:
+        profiles = wire_profiles(state, block_id, (w,), (h,))
     nx, ny = dims.width - w + 1, dims.height - h + 1
     gx = profiles[0].at(w)[:nx]
     gy = profiles[1].at(h)[:ny]
 
-    def least_in(xs: tuple[int, int], ys: tuple[int, int]) -> float:
-        # the least fitting value over the anchors xs x ys
-        vals = (gx[slice(*xs), None] + gy[None, slice(*ys)])[
-            _fits(state, block_id, xs, ys)]
-        return float(vals.min()) if vals.size else math.inf
+    def least_in(xs: tuple[int, int], ys: tuple[int, int]) -> tuple[float, int | None]:
+        # the least fitting value over the anchors xs x ys; a box keeps the
+        # grid's row-major order, so argmin finds the least flat index
+        vals = np.where(_fits(state, block_id, xs, ys),
+                        gx[slice(*xs), None] + gy[None, slice(*ys)], math.inf)
+        x, y = divmod(int(vals.argmin()), vals.shape[1])
+        least = float(vals[x, y])
+        if least == math.inf:
+            return least, None
+        return least, (xs[0] + x) * dims.height + ys[0] + y
 
     if nx * ny <= FLOOR_BOX_MIN_ANCHORS:
         return least_in((0, nx), (0, ny))
     low_x, low_y = gx.min(), gy.min()
 
-    def least_within(t: float) -> float:
+    def least_within(t: float) -> tuple[float, int | None]:
         # the box of anchors that can score t
         bx = np.flatnonzero(gx <= t - low_y)
         by = np.flatnonzero(gy <= t - low_x)
@@ -273,7 +286,17 @@ def wire_floor(state: FloorplanState, block_id: int,
     least = least_within(t)
     # past t, the least fitting value found sets the box that holds the
     # floor; with none found, that box is the whole grid
-    return least if least <= t else least_within(least)
+    return least if least[0] <= t else least_within(least[0])
+
+
+def fits_at(state: FloorplanState, block_id: int, x: int, y: int) -> bool:
+    """Whether the position mask sets the anchor (x, y), without building
+    it: the block lies inside the outline there, and its window of the
+    layer's summed-area table sums to zero."""
+    _require_unplaced(state, block_id)
+    w, h = int(state.w[block_id]), int(state.h[block_id])
+    return bool(state.circuit.dims.holds(x, y, w, h)) and window_sum(
+        state.sat[state.circuit.blocks[block_id].z], x, y, w, h) == 0
 
 
 def block_distance_mask(state: FloorplanState, block_id: int, anchor_id: int) -> RuleMask:
@@ -374,6 +397,33 @@ class MaskStack:
         return list(self.rules.items())
 
 
+def _bindings(state: FloorplanState, block_id: int, profile, plugins: tuple):
+    """What puts rules on the block's ladder now: its terminal binding, its
+    island (whose value mask is built even with no member placed) and the
+    island's placed members, the index of its alignment pair once the
+    partner is placed, and the plug-ins that apply."""
+    index, cons = state.circuit.index, state.circuit.constraints
+    k = index.binding_col.get(block_id) if profile.uses("boundary") else None
+    terminal = None if k is None else cons.boundary_bindings[k]
+    island = index.group_of.get(block_id) if profile.uses("grouping") else None
+    mates = [m for m in island or () if m != block_id and state.placed[m]]
+    k = index.pair_col.get(block_id) if profile.uses("alignment") else None
+    if k is not None and not state.placed[cons.alignment_pairs[k].other(block_id)]:
+        k = None
+    return terminal, island, mates, k, [p for p in plugins if p.applies_to(state, block_id)]
+
+
+def rule_free(state: FloorplanState, block_id: int, profile,
+              plugins: tuple = ()) -> bool:
+    """Whether no rule on `compile_masks`' ladder binds the block now: no
+    terminal binding under the profile, no placed island mate, no placed
+    alignment partner and no plug-in that applies.  The availability is
+    then the position mask alone, so greedy's cell is the one `wire_floor`
+    returns, and the stack need not be compiled to find it."""
+    terminal, _, mates, pair, plugged = _bindings(state, block_id, profile, plugins)
+    return terminal is None and not mates and pair is None and not plugged
+
+
 def compile_masks(state: FloorplanState, block_id: int, profile,
                   plugins: tuple = (),
                   wire: tuple[WireProfile, WireProfile] | None = None) -> MaskStack:
@@ -385,25 +435,21 @@ def compile_masks(state: FloorplanState, block_id: int, profile,
     up; plug-ins binarize themselves.  An island's mask sums the abutment
     masks of its placed members.  An island with no placed member and a
     pair whose partner is unplaced constrain nothing yet and stay off the
-    ladder.  Two rules that bind one block must not share a name.  `wire`
-    passes on `wire_profiles` that cover the block's shape (see
-    `wire_mask`)."""
-    index = state.circuit.index
+    ladder (see `rule_free`).  Two rules that bind one block must not share
+    a name.  `wire` passes on `wire_profiles` that cover the block's shape
+    (see `wire_mask`)."""
+    terminal, island, mates, k, plugged = _bindings(state, block_id, profile, plugins)
     rules = {"wire": wire_mask(state, block_id, wire),
              "position": position_mask(state, block_id)}
     ladder = []
 
-    cons = state.circuit.constraints
-    k = index.binding_col.get(block_id) if profile.uses("boundary") else None
-    if k is not None:
-        rules["terminal"] = adjacent_terminal_mask(state, cons.boundary_bindings[k])
+    if terminal is not None:
+        rules["terminal"] = adjacent_terminal_mask(state, terminal)
         ladder.append(("terminal",
                        rules["terminal"].values <= profile.terminal_mask_threshold))
 
-    island = index.group_of.get(block_id) if profile.uses("grouping") else None
     if island is not None:
         vals = np.zeros_like(rules["position"].values)
-        mates = [m for m in island if m != block_id and state.placed[m]]
         for m in mates:
             vals = vals + adjacent_block_mask(state, block_id, m).values
         rules["grouping"] = RuleMask(vals)
@@ -411,24 +457,21 @@ def compile_masks(state: FloorplanState, block_id: int, profile,
             floor = profile.block_mask_threshold
             ladder.append(("grouping", vals > 0 if floor <= 0 else vals >= floor))
 
-    k = index.pair_col.get(block_id) if profile.uses("alignment") else None
-    pair = None if k is None else cons.alignment_pairs[k]
-    if pair is not None and state.placed[pair.other(block_id)]:
+    if k is not None:
+        pair = state.circuit.constraints.alignment_pairs[k]
         rules["alignment"] = alignment_mask(state, block_id, pair.other(block_id),
                                             pair.min_area)
-        floor_area = profile.alignment_mask_frac * index.small_area[k]
+        floor_area = profile.alignment_mask_frac * state.circuit.index.small_area[k]
         ladder.append(("alignment",
                        rules["alignment"].values >= floor_area / pair.min_area))
 
-    plugged = []
-    for plugin in plugins:
-        if not plugin.applies_to(state, block_id):
-            continue
+    binarized = []
+    for plugin in plugged:
         if plugin.name in rules:
             raise ValueError(f"two rules named {plugin.name!r} bind block {block_id}")
         rules[plugin.name] = plugin.build(state, block_id)
-        plugged.append((plugin.name, plugin.binarize(rules[plugin.name])))
-    ladder.extend(reversed(plugged))
+        binarized.append((plugin.name, plugin.binarize(rules[plugin.name])))
+    ladder.extend(reversed(binarized))
 
     return MaskStack(block_id, rules,
                      availability_mask(rules["position"].values, ladder))

@@ -12,10 +12,14 @@ allowed cells and how they shape soft blocks:
   a copy of the state with the pending placement applied, the opening block
   included (nothing is pending before it).  That copy is the state the
   episode reaches once the pending block goes down, so the winning shape's
-  mask stack becomes the block's observation, and its best cell the one
-  greedy places it at.  Candidates are compiled at most once each, in the
-  order of their wire floor (the least wire value a shape can reach where
-  it fits), and only until no remaining candidate can win.
+  best cell is the one greedy places it at, and its mask stack, when it
+  compiled one, becomes the block's observation.  Candidates are visited in
+  the order of their wire floor (the least wire value a shape can reach
+  where it fits, and the least cell that reaches it), and only until no
+  remaining candidate can win; each is compiled at most once, and a block
+  that no rule on the ladder binds (`masks.rule_free`) not at all, since
+  its floor and that cell are its whole score.  Blocks placed without a
+  scan take the same shortcut.
 * annealing: reuses greedy as a decoder for a genome of placement order plus
   per-block ratios, starting from the greedy solution itself.
 * random: uniform over the allowed cells, ratios log-uniform in the band.
@@ -44,6 +48,7 @@ from .env import (
     EpisodeSummary,
     EpisodeTrace,
     InvalidActionError,
+    Observation,
     PlacementEnv,
     StepRecord,
     _checked_ratio,
@@ -52,7 +57,7 @@ from .env import (
     weighted_score,
     wire_greedy_baseline,   # noqa: F401  perfbench wraps solvers.wire_greedy_baseline
 )
-from .masks import MaskStack, compile_masks, wire_floor, wire_profiles
+from .masks import MaskStack, compile_masks, rule_free, wire_floor, wire_profiles
 from .metrics import MetricTuple
 
 AR_CANDIDATES = 8                       # ratio ladder length per soft block
@@ -119,18 +124,25 @@ def _ladder_ratios(ar_min: float, ar_max: float) -> tuple[float, ...]:
     return tuple(np.geomspace(ar_min, ar_max, AR_CANDIDATES).tolist())
 
 
+@functools.lru_cache(maxsize=4096, typed=True)
+def _ladder_shapes(area: int, ar_min: float,
+                   ar_max: float) -> tuple[tuple[float, tuple[int, int]], ...]:
+    """The ladder's (ratio, shape) pairs, kept per area and band."""
+    out, seen = [], set()
+    for r in _ladder_ratios(ar_min, ar_max):
+        shape = shape_from_ar(area, r, ar_min, ar_max)
+        if shape not in seen:
+            seen.add(shape)
+            out.append((r, shape))
+    return tuple(out)
+
+
 def ar_candidate_ladder(block) -> list[tuple[float, tuple[int, int]]]:
     """AR_CANDIDATES geometrically spaced ratios across the block's band,
     each with the (w, h) it quantizes to, deduplicated by that shape."""
     if not block.is_soft:
         return []
-    out, seen = [], set()
-    for r in _ladder_ratios(block.ar_min, block.ar_max):
-        shape = shape_from_ar(block.area, r, block.ar_min, block.ar_max)
-        if shape not in seen:
-            seen.add(shape)
-            out.append((r, shape))
-    return out
+    return list(_ladder_shapes(block.area, block.ar_min, block.ar_max))
 
 
 def _available_cells(stack: MaskStack) -> np.ndarray:
@@ -170,10 +182,25 @@ def _pick_cell(stack: MaskStack) -> int:
     return int(cells.min())
 
 
+def _greedy_pick(obs: Observation) -> int:
+    """Greedy's cell for the observed block.  When no rule binds it
+    (`rule_free`), its available cells are those where it fits and of the
+    tie keys only wire varies over them (an island with no placed member
+    scores zero everywhere), so `wire_floor` names the cell and no stack
+    is compiled."""
+    if not obs.rule_free:
+        return _pick_cell(obs.masks)
+    _, cell = wire_floor(obs._state, obs.block)
+    if cell is None:
+        raise InfeasibleError(f"no cell available for block {obs.block} (infeasible)")
+    return cell
+
+
 class _Lookahead(NamedTuple):
-    """A scanned block's winning mask stack, compiled on the state the
-    episode reaches when the block comes up, and greedy's cell on it."""
-    masks: MaskStack
+    """A scanned block's winning shape: greedy's cell on the state the
+    episode reaches when the block comes up, and its mask stack there,
+    None when no rule binds it (none was compiled)."""
+    masks: MaskStack | None
     cell: int
 
 
@@ -183,17 +210,20 @@ def _scan_ar(env: PlacementEnv, block_id: int,
     the state, with the pending placement (the current block's chosen cell,
     None before the opening block) applied, and keep the shape whose best
     cell scores lowest, ties going to the earlier ladder entry.  The copy is
-    the state the episode observes the block on, so the winner's stack and
-    best cell come back too, to become that observation and its pick.  The
-    wire profiles do not depend on the shape and are built once for all
+    the state the episode observes the block on, so the winner's best cell
+    and stack come back too, to become that observation's pick and stack.
+    The wire profiles do not depend on the shape and are built once for all
     candidates.  (None, None) when no candidate fits.
 
     The scan is a branch-and-bound.  A shape's score leads with its dropped
     rules and then its least wire value over the available cells, which lie
     inside the position mask, so its `wire_floor` bounds that value from
-    below.  Candidates are visited in (floor, ladder index) order and each
-    is compiled at most once, until the next floor exceeds the wire value
-    of the best candidate that dropped no rule: neither it nor any later
+    below.  A shape that no rule binds drops none, and its floor and the
+    least cell reaching it are its wire value and greedy's cell, so its
+    score is (0, floor, cell, ladder index) with no stack compiled.
+    Candidates are visited in (floor, ladder index) order and each is
+    scored at most once, until the next floor exceeds the wire value of
+    the best candidate that dropped no rule: neither it nor any later
     candidate can win.  An infinite floor means no later candidate fits."""
     sim = env.state.clone()
     if pending is not None:
@@ -204,26 +234,29 @@ def _scan_ar(env: PlacementEnv, block_id: int,
     floors = []
     for i, (r, _) in enumerate(ladder):
         sim.set_shape(block_id, r)
-        floors.append((wire_floor(sim, block_id, wire), i))
+        floor, cell = wire_floor(sim, block_id, wire)
+        floors.append((floor, i, cell))
 
-    def scored(i: int):
+    def scored(floor: float, i: int, cell: int):
+        # the ladder index breaks ties as the first of equal scores in
+        # ladder order would
         r = ladder[i][0]
         sim.set_shape(block_id, r)
+        if rule_free(sim, block_id, env.profile, env.plugins):
+            return (0.0, floor, float(cell), i), r, _Lookahead(None, cell)
         stack = compile_masks(sim, block_id, env.profile, env.plugins, wire)
         cells, score = _filter_cells(stack)
         cell = int(cells.min())
-        # the ladder index breaks ties as the first of equal scores in
-        # ladder order would
         return score + (float(cell), i), r, _Lookahead(stack, cell)
 
     best = None
-    for floor, i in sorted(floors):
+    for floor, i, cell in sorted(floors):
         # a score is (dropped rules, least wire, ...)
         if floor == math.inf or (best is not None and best[0][0] == 0
                                  and floor > best[0][1]):
             break
         # min lets the loser go before the next candidate is compiled
-        best = min(filter(None, (best, scored(i))), key=lambda c: c[0])
+        best = min(filter(None, (best, scored(floor, i, cell))), key=lambda c: c[0])
     return (None, None) if best is None else best[1:]
 
 
@@ -242,14 +275,14 @@ def _slot_key(circuit: Circuit, b: int, r) -> tuple[int, int, int] | None:
 
 def _rollout(kind: str, circuit: Circuit, profile: TaskProfile, pick, choose,
              *, order, plugins, resume: SolveResult | None = None) -> SolveResult:
-    """One masked episode, shared by every solver.  `pick(masks)` returns
-    the flat index of the cell for the block up next.  `choose(env,
+    """One masked episode, shared by every solver.  `pick(obs)` returns
+    the flat index of the cell for the observed block.  `choose(env,
     block_id, pending)` returns a soft block's ratio (None keeps its shape)
     before that block is observed: the opening block's on the begun,
     unobserved episode (`PlacementEnv.begin`) with nothing pending, and
     each later one's with its predecessor's cell pending.  It returns a
-    `_Lookahead` or None along with the ratio; given one, the env observes
-    the block with its stack and the block goes down at its cell, so
+    `_Lookahead` or None along with the ratio; given one, the block goes
+    down at its cell and the env observes it with its stack, if any, so
     neither is worked out twice.  The episode starts once, with a reset.
 
     `resume` is an earlier rollout of the same circuit, profile and
@@ -315,7 +348,7 @@ def _rollout(kind: str, circuit: Circuit, profile: TaskProfile, pick, choose,
         obs = env._reset(first_ar, replayed, ahead and ahead.masks)
         apart: set[tuple[int, ...]] = set()   # placed by one episode only
         while obs is not None:
-            cell = ahead.cell if ahead else pick(obs.masks)
+            cell = ahead.cell if ahead else pick(obs)
             x, y = divmod(cell, circuit.dims.height)
             nxt = env.state.cursor + 1
             ar_next, ahead = None, None
@@ -327,9 +360,9 @@ def _rollout(kind: str, circuit: Circuit, profile: TaskProfile, pick, choose,
                 apart ^= {mine} ^ {theirs[i] + (done[i].x, done[i].y)}
                 if not apart and differ[-1] <= i < len(slots) - 1:
                     here, *rest = taken(i, len(slots))
-                    avail = obs.availability
+                    rung, dropped = obs._audit(x, y)
                     here = dataclasses.replace(here, block=b, x=x, y=y,
-                                               rung=avail.rung, dropped=avail.dropped)
+                                               rung=rung, dropped=dropped)
                     state = final.clone()
                     state.order = list(env.state.order)
                     trace = EpisodeTrace(env.hpwl_baseline,
@@ -387,7 +420,7 @@ def greedy_place(circuit: Circuit, profile: TaskProfile, *,
     else:
         def choose(env, block_id, pending):
             return ars.get(block_id), None
-    return _rollout("greedy", circuit, profile, _pick_cell, choose,
+    return _rollout("greedy", circuit, profile, _greedy_pick, choose,
                     order=order, plugins=plugins, resume=resume)
 
 
@@ -397,8 +430,8 @@ def random_place(circuit: Circuit, profile: TaskProfile,
     """Uniform choice over the allowed cells; ratios log-uniform in band."""
     rng = np.random.default_rng(config.seed if config else 0)
 
-    def pick(stack: MaskStack) -> int:
-        return int(rng.choice(_available_cells(stack)))
+    def pick(obs: Observation) -> int:
+        return int(rng.choice(_available_cells(obs.masks)))
 
     def sample_ar(env, block_id, pending) -> tuple[float, None]:
         block = circuit.blocks[block_id]

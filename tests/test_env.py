@@ -29,6 +29,7 @@ from stackfp import (
 )
 
 from stackfp import env as envmod
+from stackfp.masks import BlockDistanceRule
 
 import oracles
 
@@ -346,6 +347,80 @@ class TestEnvMechanics:
             obs, _, _ = env.step(Action(*divmod(flat, env.circuit.dims.height)))
         with pytest.raises(FloorplanError, match="stepped past"):
             second.canvas
+
+    def test_masks_are_compiled_only_when_read(self, monkeypatch):
+        built = []
+        real = envmod.compile_masks
+        monkeypatch.setattr(envmod, "compile_masks",
+                            lambda state, block, *a: built.append(block)
+                            or real(state, block, *a))
+        # no rule binds block 0 or 2; a distance plug-in binds block 1
+        env = PlacementEnv(four_block_circuit(), unit_profile(),
+                           plugins=(BlockDistanceRule(0, 1, 20.0),))
+        env.reset()
+        env.step(Action(0, 0))          # checked by the block's fit alone
+        assert built == []
+        second = env.observation
+        assert second.masks is second.masks
+        assert built == [1]
+        third, _, _ = env.step(Action(4, 0))    # the read stack checks it
+        assert built == [1]
+        env.step(Action(0, 0))
+        assert built == [1]
+        assert third._stack == []
+        assert [s.rung for s in env.trace.steps] == ["none"] * 3
+        # a ruled block's unread stack is compiled by the step that checks it
+        env.reset()
+        env.step(Action(0, 0))
+        env.step(Action(4, 0))
+        assert built == [1, 1]
+
+    def test_masks_of_a_stepped_past_observation_raises(self):
+        env = PlacementEnv(four_block_circuit(), unit_profile())
+        first = env.reset()
+        second, _, _ = env.step(Action(0, 0))
+        with pytest.raises(FloorplanError, match="stepped past block 0"):
+            first.masks
+        with pytest.raises(FloorplanError, match="stepped past block 0"):
+            first.availability
+        kept = second.masks                 # read in time, so kept
+        third, _, _ = env.step(Action(4, 0))
+        assert second.masks is kept
+        env.step(Action(0, 0))
+        last, _, _ = env.step(Action(4, 0))
+        assert last is None
+        with pytest.raises(FloorplanError, match="stepped past block 2"):
+            third.masks
+
+    @pytest.mark.parametrize("anchor, match", [
+        ((10, 0), "not available"),                 # block 1 is 3 wide
+        ((0, 12), "outside the grid"),
+        ((1, 1), "not available"),                  # block 0 covers it
+    ], ids=["overhangs", "off-grid", "occupied"])
+    def test_unread_rule_free_observation_rejects_as_its_stack_does(self, anchor,
+                                                                   match):
+        env, read = (PlacementEnv(four_block_circuit(), unit_profile()) for _ in range(2))
+        for e in (env, read):
+            e.reset()
+            e.step(Action(0, 0))                    # next up: soft block 1
+        obs = env.observation
+        assert obs.rule_free and obs._stack == []
+        before, jsonl = env.state.clone(), env.trace.to_jsonl()
+        with pytest.raises(InvalidActionError, match=match) as unread:
+            env.step(Action(*anchor))
+        read.observation.masks
+        with pytest.raises(InvalidActionError) as compiled:
+            read.step(Action(*anchor))
+        assert str(unread.value) == str(compiled.value)
+        assert env.observation is obs and env.state.cursor == before.cursor
+        assert [env.state.rect(b) for b in range(4)] == \
+            [before.rect(b) for b in range(4)]
+        assert np.array_equal(env.state.sat, before.sat)
+        assert env.state.overlap == before.overlap
+        assert env.trace.to_jsonl() == jsonl
+        env.step(Action(4, 0))
+        read.step(Action(4, 0))
+        assert env.trace.to_jsonl() == read.trace.to_jsonl()
 
     def test_replay_repeats_an_episode_unobserved(self):
         env = run_random_episode(

@@ -26,12 +26,14 @@ from stackfp.masks import (
     block_distance_mask,
     compile_masks,
     position_mask,
+    rule_free,
     wire_floor,
     wire_mask,
     wire_profiles,
 )
 from stackfp.fileio import synth_instance
 from stackfp.metrics import total_hpwl
+from stackfp.solvers import _pick_cell
 
 import oracles
 
@@ -310,6 +312,18 @@ def floors(s, b, profiles):
         return whole, wire_floor(s, b, profiles)
 
 
+def least_wire(s, b):
+    """The floor and its cell from scratch: the least wirelength growth
+    over the anchors where the block fits, and the least flat index of a
+    fitting anchor that reaches it; (inf, None) when it fits nowhere."""
+    fits = oracles.looped_position_mask(s, b) > 0
+    if not fits.any():
+        return math.inf, None
+    grow = oracles.wire_increase(s, b)
+    want = grow[fits].min()
+    return want, int(np.flatnonzero(fits & (grow == want))[0])
+
+
 class TestWireFloor:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10_000), side=st.sampled_from([8, 11, 14]),
@@ -318,8 +332,9 @@ class TestWireFloor:
         """For every shape the profiles cover (larger than the grid
         included), the floor is the least from-scratch wirelength growth
         over the anchors where the block fits clear of the placed blocks,
-        inf when there is none, and the position mask over the shared fit
-        test is byte for byte the rect-by-rect one."""
+        and its cell the least flat index reaching it, (inf, None) when
+        there is none; and the position mask over the shared fit test is
+        byte for byte the rect-by-rect one."""
         c, _ = synth_instance(f"f{seed}", seed, n_blocks=10, counts=(4, 3, 4),
                               dims=GridDims(side, side, 2), fill=0.6)
         s = FloorplanState(c)
@@ -336,42 +351,44 @@ class TestWireFloor:
                 s.w[b], s.h[b] = w, h
                 fits = oracles.looped_position_mask(s, b)
                 assert position_mask(s, b).values.tobytes() == fits.tobytes(), (w, h)
-                grow = oracles.wire_increase(s, b)[fits > 0]
-                want = grow.min() if grow.size else math.inf
+                want = least_wire(s, b)
                 assert floors(s, b, profiles) == (want, want), (w, h)
 
     def test_frozen_example(self):
         s = make_state([hard(0, 2, 2), hard(1, 1, 1)], {0: (0, 0)}, dims=(6, 6, 1),
                        terminals=(Terminal(0, "p", 0, 0, 0),),
                        nets=(Net(blocks=(1,), terminals=(0,)),))
-        # growth (x + 0.5) + (y + 0.5); the cheapest free anchors are (2, 0), (0, 2)
-        assert floors(s, 1, wire_profiles(s, 1, (1,), (1,))) == (3.0, 3.0)
+        # growth (x + 0.5) + (y + 0.5); the cheapest free anchors are (2, 0)
+        # and (0, 2), flat indices 12 and 2
+        assert floors(s, 1, wire_profiles(s, 1, (1,), (1,))) == ((3.0, 2), (3.0, 2))
 
     def test_floor_past_the_first_box(self):
         # growth (x + 0.5) + (y + 0.5); the first box, x and y up to 2,
-        # fits only at (2, 2), growth 5, and the floor 4 lies outside it
+        # fits only at (2, 2), growth 5, and the floor 4 lies outside it,
+        # at (0, 3) and (3, 0), flat indices 3 and 24
         blockers = {0: (0, 0), 1: (0, 2), 2: (2, 0), 3: (1, 2), 4: (2, 1)}
         s = make_state([hard(0, 2, 2)] + [hard(b, 1, 1) for b in range(1, 6)],
                        blockers, dims=(8, 8, 1),
                        terminals=(Terminal(0, "p", 0, 0, 0),),
                        nets=(Net(blocks=(5,), terminals=(0,)),))
-        pos = oracles.looped_position_mask(s, 5)
-        want = oracles.wire_increase(s, 5)[pos > 0].min()
+        want = least_wire(s, 5)
         assert floors(s, 5, wire_profiles(s, 5, (1,), (1,))) == (want, want)
-        assert want == 4.0
+        assert want == (4.0, 3)
 
     def test_block_that_fits_nowhere_is_inf(self):
         # one free row left, and the block is two cells tall
         s = make_state([hard(0, 4, 3), hard(1, 1, 2)], {0: (0, 1)}, dims=(4, 4, 1),
                        terminals=(Terminal(0, "p", 0, 0, 0),),
                        nets=(Net(blocks=(1,), terminals=(0,)),))
-        assert floors(s, 1, wire_profiles(s, 1, (1,), (2,))) == (math.inf, math.inf)
+        nowhere = (math.inf, None)
+        assert floors(s, 1, wire_profiles(s, 1, (1,), (2,))) == (nowhere, nowhere)
 
     def test_shape_larger_than_the_grid_is_inf(self):
         s = make_state([hard(0, 5, 2)], {}, dims=(4, 4, 1),
                        terminals=(Terminal(0, "p", 0, 0, 0),),
                        nets=(Net(blocks=(0,), terminals=(0,)),))
-        assert floors(s, 0, wire_profiles(s, 0, (5,), (2,))) == (math.inf, math.inf)
+        nowhere = (math.inf, None)
+        assert floors(s, 0, wire_profiles(s, 0, (5,), (2,))) == (nowhere, nowhere)
 
 
 class TestBinarize:
@@ -626,3 +643,42 @@ class TestCompileMasks:
         other.name = twice[0].name
         stack = compile_masks(s, 0, TaskProfile.for_task(3), plugins=(twice[0], other))
         assert twice[0].name in stack.rules
+
+
+class TestRuleFree:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), side=st.sampled_from([10, 14, 18]),
+           placed=st.integers(0, 12), task=st.sampled_from([1, 2, 3]),
+           n_plugins=st.integers(0, 3))
+    def test_rule_free_exactly_when_the_ladder_is_empty(self, seed, side, placed,
+                                                        task, n_plugins):
+        """For every unplaced block of a random state, the predicate holds
+        exactly when `compile_masks` puts no rule on the ladder, and then
+        `wire_floor`'s cell is greedy's pick on the compiled stack (None
+        when the block fits nowhere)."""
+        c, _ = synth_instance(f"r{seed}", seed, n_blocks=14, counts=(4, 3, 4),
+                              dims=GridDims(side, side, 2), fill=0.5)
+        s = FloorplanState(c)
+        rng = np.random.default_rng(seed)
+        for b in s.order[:placed]:
+            cells = np.flatnonzero(position_mask(s, b).values)
+            if cells.size:
+                s.place(b, *divmod(int(rng.choice(cells)), side))
+        pairs = {tuple(rng.choice(14, 2, replace=False).tolist())
+                 for _ in range(n_plugins)}
+        plugins = tuple(BlockDistanceRule(a, b, float(rng.uniform(2, side)))
+                        for a, b in sorted(pairs))
+        profile = TaskProfile.for_task(task)
+        ladders = []
+        real = masks.availability_mask
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(masks, "availability_mask",
+                      lambda pos, ladder: ladders.append(ladder) or real(pos, ladder))
+            for b in np.flatnonzero(~s.placed).tolist():
+                free = rule_free(s, b, profile, plugins)
+                stack = compile_masks(s, b, profile, plugins)
+                assert free == (len(ladders[-1]) == 0), b
+                if free:
+                    _, cell = wire_floor(s, b)
+                    want = _pick_cell(stack) if stack.availability.feasible else None
+                    assert cell == want, b

@@ -34,7 +34,7 @@ from stackfp import solvers
 from stackfp.core import default_order, shape_from_ar
 from stackfp.env import PlacementEnv
 from stackfp.fileio import synth_instance
-from stackfp.masks import BlockDistanceRule, compile_masks, wire_profiles
+from stackfp.masks import BlockDistanceRule, compile_masks, rule_free, wire_profiles
 from stackfp.metrics import metric_snapshot, normalize
 from stackfp.solvers import _propose, ar_candidate_ladder
 
@@ -200,37 +200,53 @@ class TestGreedyProperties:
 
     def test_free_solve_observes_each_block_once(self, monkeypatch):
         # the opening block is soft, so its ratio is chosen before the
-        # episode is observed; no observation is compiled and dropped, and
-        # a scanned block's observation is the stack its scan compiled
+        # episode is observed: one reset.  No observation's stack is
+        # compiled twice: a scanned block's observation holds the stack its
+        # scan compiled, and a block that no rule binds compiles none
         c = demo_circuit()
         assert c.blocks[default_order(c)[0]].is_soft
-        by_env, by_scan, observed, resets = [], [], [], []
+        by_env, by_scan, observed, free, resets = [], [], [], {}, []
 
         def counting(compile_masks, into):
             return lambda *a, **kw: into.append(compile_masks(*a, **kw)) or into[-1]
+
+        def observing(env):
+            obs = observe(env)
+            if obs is not None:
+                observed.append(obs)
+                free[obs.block] = rule_free(env.state, obs.block, env.profile)
+            return obs
 
         monkeypatch.setattr(envmod, "compile_masks",
                             counting(envmod.compile_masks, by_env))
         monkeypatch.setattr(solvers, "compile_masks",
                             counting(solvers.compile_masks, by_scan))
         observe, reset = PlacementEnv._observe, PlacementEnv.reset
-        monkeypatch.setattr(PlacementEnv, "_observe", lambda *a: observed.append(
-            obs := observe(*a)) or obs)
+        monkeypatch.setattr(PlacementEnv, "_observe", observing)
         monkeypatch.setattr(PlacementEnv, "reset", lambda *a, **kw:
                             resets.append(1) or reset(*a, **kw))
         g = greedy_place(c, TaskProfile.for_task(3))
         assert resets == [1]
-        stacks = [obs.masks for obs in observed if obs is not None]
-        assert [m.block for m in stacks] == [s.block for s in g.trace.steps] \
+        assert [obs.block for obs in observed] == [s.block for s in g.trace.steps] \
             == list(g.order)
-        for m in stacks:
-            assert sum(m is k for k in by_env + by_scan) == 1
-        # the soft blocks' observations come from their scans, the rest
-        # from the env, which compiles nothing else
-        assert [m.block for m in stacks if any(m is k for k in by_scan)] == \
-            [b for b in g.order if c.blocks[b].is_soft]
+        # the terminal-bound opening block, its pair partner and its island
+        # mate are ruled; the last block is bound by nothing
+        assert [free[b] for b in g.order] == [False, False, False, True]
+        compiled = by_env + by_scan
+        for obs in observed:
+            if free[obs.block]:
+                assert obs._stack == []
+                assert obs.block not in [m.block for m in compiled]
+            else:
+                m, = obs._stack
+                assert sum(m is k for k in compiled) == 1
+        # the ruled soft blocks' stacks come from their scans, the ruled
+        # hard ones' from the env, which compiles nothing else
+        ruled = [obs._stack[0] for obs in observed if obs._stack]
+        assert [m.block for m in ruled if any(m is k for k in by_scan)] == \
+            [b for b in g.order if c.blocks[b].is_soft and not free[b]]
         assert [m.block for m in by_env] == \
-            [b for b in g.order if not c.blocks[b].is_soft]
+            [b for b in g.order if not c.blocks[b].is_soft and not free[b]]
 
 
 class TestRandom:
@@ -460,24 +476,29 @@ class TestLookaheadHandOver:
     def test_handed_stack_equals_a_fresh_compile(self, seed, n, side, fill, pins,
                                                  task, n_plugins):
         """Each stack a scan hands to the env equals `compile_masks` on the
-        state the env observes, and greedy's cell on it is the one the
-        trace records."""
+        state the env observes, a scan hands none exactly when no rule
+        binds the block there, and greedy's cell on the fresh stack is the
+        one the trace records, for every block."""
         c = _pinned_instance(seed, n, side, fill, pins)
         p = TaskProfile.for_task(task)
         rng = np.random.default_rng(seed)
         plugins = _distance_plugins(rng, n, side, n_plugins)
-        fresh = {}
+        fresh, handed, free = {}, {}, {}
 
         def checked(call):
             def handing_over(env, *args):
                 out = call(env, *args)
                 masks = args[-1]
-                if masks is not None:
-                    assert env.observation.masks is masks
+                if env.observation is not None:
                     block = env.observation.block
                     fresh[block] = compile_masks(env.state, block, env.profile,
                                                  env.plugins)
-                    assert_same_stack(masks, fresh[block])
+                    handed[block] = masks
+                    free[block] = rule_free(env.state, block, env.profile,
+                                            env.plugins)
+                    if masks is not None:
+                        assert env.observation.masks is masks
+                        assert_same_stack(masks, fresh[block])
                 return out
             return handing_over
 
@@ -488,20 +509,29 @@ class TestLookaheadHandOver:
                 g = greedy_place(c, p, plugins=plugins)
             except InfeasibleError:
                 return
-        assert sorted(fresh) == sorted(g.ars)
+        assert sorted(fresh) == sorted(s.block for s in g.trace.steps)
         for rec in g.trace.steps:
-            if rec.block in fresh:
-                cell = solvers._pick_cell(fresh[rec.block])
-                assert divmod(cell, side) == (rec.x, rec.y)
+            cell = solvers._pick_cell(fresh[rec.block])
+            assert divmod(cell, side) == (rec.x, rec.y)
+            assert rec.rung == fresh[rec.block].availability.rung
+        # a scan hands its stack over exactly when some rule binds the block
+        for b in g.ars:
+            assert (handed[b] is None) == free[b]
+
+
+def _scan_state(env, pending):
+    """The state a scan scores its candidates on."""
+    sim = env.state.clone()
+    if pending is not None:
+        sim.place(env.observation.block, *pending)
+    return sim
 
 
 def _exhaustive_scan(env, block_id, pending):
     """The ratio scan without a bound: every candidate shape compiled, in
     ladder order, and the first of the lowest (score, cell) kept.  Returns
     (ratio, stack, cell), or None when no candidate fits."""
-    sim = env.state.clone()
-    if pending is not None:
-        sim.place(env.observation.block, *pending)
+    sim = _scan_state(env, pending)
     ladder = ar_candidate_ladder(env.circuit.blocks[block_id])
     wire = wire_profiles(sim, block_id, [w for _, (w, _) in ladder],
                          [h for _, (_, h) in ladder])
@@ -544,7 +574,12 @@ class TestBoundedScan:
                 assert (r, ahead) == (None, None)
             else:
                 assert r == want[0] and ahead.cell == want[2]
-                assert_same_stack(ahead.masks, want[1])
+                if ahead.masks is None:
+                    sim = _scan_state(env, pending)
+                    sim.set_shape(block_id, r)
+                    assert rule_free(sim, block_id, env.profile, env.plugins)
+                else:
+                    assert_same_stack(ahead.masks, want[1])
             return r, ahead
 
         monkeypatch.setattr(solvers, "compile_masks", recording)
@@ -559,7 +594,8 @@ class TestBoundedScan:
     def test_bounded_scan_equals_the_exhaustive_one(self, seed, n, side, fill,
                                                     pins, task, n_plugins):
         """Each scan picks the ratio, stack and cell that compiling every
-        candidate in ladder order picks, and compiles no shape twice."""
+        candidate in ladder order picks, hands no stack over only for a
+        block that no rule binds, and compiles no shape twice."""
         c = _pinned_instance(seed, n, side, fill, pins)
         p = TaskProfile.for_task(task)
         plugins = _distance_plugins(np.random.default_rng(seed), n, side, n_plugins)
@@ -579,10 +615,12 @@ class TestBoundedScan:
             < sum(size for size, _ in scans)
 
 
-    def test_ties_go_to_the_earlier_ladder_entry(self, monkeypatch):
-        """Candidates visited out of ladder order (later shapes given lower
-        floors) that tie on score and cell resolve as the ladder-order scan
-        does."""
+    @staticmethod
+    def tied_scan(monkeypatch, free: bool):
+        """Scan the opening block of the demo circuit with every candidate
+        given cell 0 and the same score, and its floors set so that later
+        shapes come first unless `free`, when they all tie.  Returns the
+        ladder, the stacks compiled and the scan's result."""
         env = PlacementEnv(demo_circuit(), TaskProfile.for_task(1))
         env.begin()
         b = env.state.current_block
@@ -590,13 +628,27 @@ class TestBoundedScan:
         widths = [w for _, (w, _) in ladder]
         assert len(ladder) > 1 and widths == sorted(set(widths))
         compiled = []
-        monkeypatch.setattr(solvers, "wire_floor",
-                            lambda state, block, wire: -float(state.w[block]))
+        monkeypatch.setattr(solvers, "wire_floor", lambda state, block, wire: (
+            0.0 if free else -float(state.w[block]), 0))
+        monkeypatch.setattr(solvers, "rule_free", lambda *a: free)
         monkeypatch.setattr(solvers, "_filter_cells", lambda stack: (
             compiled.append(stack) or np.array([0]), (0.0, 0.0)))
-        r, ahead = solvers._scan_ar(env, b, None)
+        return ladder, compiled, solvers._scan_ar(env, b, None)
+
+    def test_ties_go_to_the_earlier_ladder_entry(self, monkeypatch):
+        """Candidates visited out of ladder order (later shapes given lower
+        floors) that tie on score and cell resolve as the ladder-order scan
+        does."""
+        ladder, compiled, (r, ahead) = self.tied_scan(monkeypatch, False)
         assert len(compiled) == len(ladder)
         assert r == ladder[0][0] and ahead.masks is compiled[-1]
+
+    def test_rule_free_ties_go_to_the_earlier_ladder_entry(self, monkeypatch):
+        """Candidates that no rule binds score by floor and cell alone,
+        compile nothing, and tie as the ladder-order scan does."""
+        ladder, compiled, (r, ahead) = self.tied_scan(monkeypatch, True)
+        assert compiled == [] and ahead.masks is None
+        assert r == ladder[0][0] and ahead.cell == 0
 
 
 class TestResume:
