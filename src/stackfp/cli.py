@@ -68,9 +68,10 @@ def _parse_dims(text: str) -> GridDims:
         w, h, l = (int(p) for p in parts)
     except ValueError:
         raise UsageError(f"--dims wants three integers, got {text!r}") from None
-    if min(w, h, l) < 1:
-        raise UsageError(f"--dims wants sides of at least 1, got {text!r}")
-    return GridDims(w, h, l)
+    try:
+        return GridDims(w, h, l)
+    except ValueError as e:     # a side below 1, or too many cells
+        raise UsageError(f"--dims {text!r}: {e}") from None
 
 
 def _number(low: float = -math.inf, high: float = math.inf):
@@ -300,8 +301,9 @@ def _cmd_bench(args) -> int:
              for t in args.tasks
              for s in solvers
              for seed in range(args.seeds)]
-    if args.jobs > 1:
-        with multiprocessing.Pool(args.jobs) as pool:
+    jobs = min(args.jobs, len(cells))
+    if jobs > 1:
+        with multiprocessing.Pool(jobs) as pool:
             results = pool.map(_bench_cell, cells)
     else:
         results = [_bench_cell(c) for c in cells]

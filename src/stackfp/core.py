@@ -81,8 +81,12 @@ class GridDims:
     num_layers: int
 
     def __post_init__(self):
+        name = f"{self.width}x{self.height}x{self.num_layers}"
         if self.width < 1 or self.height < 1 or self.num_layers < 1:
-            raise ValueError(f"degenerate grid {self.width}x{self.height}x{self.num_layers}")
+            raise ValueError(f"degenerate grid {name}")
+        # keeps each layer's int32 summed-area table exact (FloorplanState)
+        if self.width * self.height * self.num_layers > 2**30:
+            raise ValueError(f"grid {name} has more than 2**30 cells")
 
     @property
     def cells_per_layer(self) -> int:

@@ -51,17 +51,18 @@ class Action:
 @dataclasses.dataclass(frozen=True)
 class Observation:
     """The block up next.  Its mask stack is compiled when `masks` (or
-    `availability`) is first read, and kept; the canvas is built each time
-    it is read.  Both describe the live state before the block goes down,
-    so an unread stack, like the canvas, can be had only until the episode
-    steps past the block."""
+    `availability`) is first read, unless a solver that compiled it already
+    handed it over (`_hand`), and kept; the canvas is built each time it is
+    read.  Both describe the live state before the block goes down, so an
+    unread stack, like the canvas, can be had only until the episode steps
+    past the block."""
     step: int
     block: int
     order: tuple[int, ...]
     _state: FloorplanState = dataclasses.field(repr=False)  # the live episode state
     _rules: tuple = dataclasses.field(repr=False)            # (profile, plug-ins)
-    # the stack once compiled or handed over by the caller
-    _stack: list[MaskStack] = dataclasses.field(repr=False)
+    # the stack once compiled or handed over
+    _stack: list[MaskStack] = dataclasses.field(default_factory=list, repr=False)
 
     def _require_current(self, what: str) -> None:
         if self._state.done or self._state.current_block != self.block:
@@ -74,6 +75,14 @@ class Observation:
             self._require_current("mask stack")
             self._stack.append(compile_masks(self._state, self.block, *self._rules))
         return self._stack[0]
+
+    def _hand(self, masks: MaskStack | None) -> None:
+        """Keep `masks`, a stack compiled for the block on the live state,
+        as the one read, so it is not compiled again; None hands nothing."""
+        if masks is not None:
+            if masks.block != self.block:
+                raise ValueError(f"masks of block {masks.block} handed to block {self.block}")
+            self._stack[:] = [masks]
 
     @property
     def availability(self):
@@ -255,7 +264,6 @@ class PlacementEnv:
         self.state: FloorplanState | None = None
         self.trace: EpisodeTrace | None = None
         self.observation: Observation | None = None
-        self._handed: MaskStack | None = None   # see _reset and _step
 
     def _start_state(self) -> FloorplanState:
         """A fresh state, with the preplaced blocks pinned when that rule
@@ -321,40 +329,15 @@ class PlacementEnv:
             self.trace.finalize_rewards(self.profile)
         return self.observation
 
-    def _reset(self, first_ar, steps, masks: MaskStack | None) -> Observation | None:
-        """`reset`, observing the block up next with `masks` when given: a
-        stack the caller compiled for it on the state this reset reaches,
-        which is then not compiled again.  `reset` itself runs, so whatever
-        wraps it sees every episode start."""
-        self._handed = masks
-        try:
-            return self.reset(first_ar, steps)
-        finally:
-            self._handed = None
-
-    def _step(self, action: Action,
-              masks: MaskStack | None) -> tuple[Observation | None, MetricTuple, bool]:
-        """`step`, observing the next block with `masks` as `_reset` does."""
-        self._handed = masks
-        try:
-            return self.step(action)
-        finally:
-            self._handed = None
-
     def _observe(self) -> Observation | None:
         if self.state.done:
             return None
-        block = self.state.current_block
-        masks = self._handed
-        if masks is not None and masks.block != block:
-            raise ValueError(f"masks of block {masks.block} handed to block {block}")
         return Observation(
             step=len(self.trace.steps),
-            block=block,
+            block=self.state.current_block,
             order=tuple(self.state.order),
             _state=self.state,
             _rules=(self.profile, self.plugins),
-            _stack=[] if masks is None else [masks],
         )
 
     def step(self, action: Action) -> tuple[Observation | None, MetricTuple, bool]:

@@ -282,8 +282,9 @@ def _rollout(kind: str, circuit: Circuit, profile: TaskProfile, pick, choose,
     unobserved episode (`PlacementEnv.begin`) with nothing pending, and
     each later one's with its predecessor's cell pending.  It returns a
     `_Lookahead` or None along with the ratio; given one, the block goes
-    down at its cell and the env observes it with its stack, if any, so
-    neither is worked out twice.  The episode starts once, with a reset.
+    down at its cell and its stack, if any, is handed to the observation
+    that `reset` or `step` returns for it (`Observation._hand`), so neither
+    is worked out twice.  The episode starts once, with a reset.
 
     `resume` is an earlier rollout of the same circuit, profile and
     plug-ins, given only with a `choose` that reads neither env nor
@@ -345,9 +346,10 @@ def _rollout(kind: str, circuit: Circuit, profile: TaskProfile, pick, choose,
         state, summarize = resume.state, resume._summarize
         trace = dataclasses.replace(resume.trace, steps=replayed)
     else:
-        obs = env._reset(first_ar, replayed, ahead and ahead.masks)
+        obs = env.reset(first_ar, replayed)
         apart: set[tuple[int, ...]] = set()   # placed by one episode only
         while obs is not None:
+            obs._hand(ahead and ahead.masks)
             cell = ahead.cell if ahead else pick(obs)
             x, y = divmod(cell, circuit.dims.height)
             nxt = env.state.cursor + 1
@@ -369,8 +371,7 @@ def _rollout(kind: str, circuit: Circuit, profile: TaskProfile, pick, choose,
                                          env.trace.steps + [here] + rest)
                     trace.finalize_rewards(profile)
                     break
-            obs, _, _ = env._step(Action(x, y, ar_next=ar_next),
-                                  ahead and ahead.masks)
+            obs, _, _ = env.step(Action(x, y, ar_next=ar_next))
         else:
             state, trace = env.state, env.trace
         summarize = functools.cache(lambda: episode_summary(

@@ -399,6 +399,14 @@ def _kept(s):
 
 
 class TestOutline:
+    def test_grid_of_more_than_2_30_cells_is_refused(self):
+        """Every layer's int32 summed-area table stays exact: a grid holds
+        at most 2**30 cells in all, checked before any array is built."""
+        assert GridDims(2**15, 2**14, 2).cells_per_layer == 2**29
+        for dims in [(2**15, 2**14, 3), (2**15 + 1, 2**15, 1), (10**12, 10**12, 2)]:
+            with pytest.raises(ValueError, match=r"more than 2\*\*30 cells"):
+                GridDims(*dims)
+
     @given(small_circuits(), st.data())
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_place_rejects_exactly_the_rects_the_outline_does_not_hold(self, c, data):

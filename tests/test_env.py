@@ -283,13 +283,27 @@ class TestEnvMechanics:
         assert f'"ar_next": {float(ar)!r}' in env.trace.to_jsonl().splitlines()[1]
         assert got[0] is done[0] and all(a is b for a, b in zip(got[2:], done[2:]))
 
-    def test_stack_handed_to_a_rejected_step_is_dropped(self):
-        env = PlacementEnv(four_block_circuit(), unit_profile())
+    def test_stack_of_another_block_is_refused(self):
+        env, other = (PlacementEnv(four_block_circuit(), unit_profile()) for _ in range(2))
         first = env.reset()
+        other.reset()
+        second, _, _ = other.step(Action(0, 0))
+        with pytest.raises(ValueError, match="masks of block 1 handed to block 0"):
+            first._hand(second.masks)
+        assert first._stack == []
+        assert first.masks.block == 0 and first.masks is not second.masks
+
+    def test_rejected_step_keeps_the_handed_stack(self):
+        env, other = (PlacementEnv(four_block_circuit(), unit_profile()) for _ in range(2))
+        first = env.reset()
+        stack = other.reset().masks
+        first._hand(stack)
+        assert first.masks is stack
         with pytest.raises(InvalidActionError):
-            env._step(Action(9, 0), first.masks)
+            env.step(Action(9, 0))
+        assert env.observation is first and first._stack == [stack]
         obs, _, _ = env.step(Action(0, 0))
-        assert obs.block == 1 and obs.masks is not first.masks
+        assert obs.block == 1 and obs._stack == []
 
     @pytest.mark.parametrize("ratio", [np.float64(2.0), np.float32(2.0),
                                        np.int64(2), 2],

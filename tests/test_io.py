@@ -53,6 +53,7 @@ from stackfp.report import (
     write_report,
 )
 from stackfp.solvers import greedy_place
+from stackfp import cli
 from stackfp.cli import main as cli_main
 
 
@@ -746,6 +747,61 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:usage:") and len(err.splitlines()) == 1
         assert not (workdir / "x").exists()
+
+    @pytest.mark.parametrize("via, code, kind", [("circuit", 3, "io"),
+                                                 ("dims", 1, "usage")])
+    def test_oversized_grid_is_refused_before_any_array(self, workdir, capsys,
+                                                        monkeypatch, via, code, kind):
+        """A grid of 10**12 x 10**12 x 2 cells is refused as its dims are
+        read, from a circuit file or --dims, with one error line; no state,
+        and so no grid-sized array, is built for it."""
+        monkeypatch.setattr(FloorplanState, "__init__",
+                            lambda *a: pytest.fail("a state was built"))
+        huge = 10**12
+        if via == "circuit":
+            self.spoil(workdir / "cli.circuit.json",
+                       lambda d: d["dims"].update(width=huge, height=huge))
+            where = ["--circuit", str(workdir / "cli.circuit.json")]
+        else:
+            where = ["--circuit", str(workdir / "gsrc"), "--dims", f"{huge}x{huge}x2"]
+        rc = cli_main(["solve", *where, "--task", "1", "--out", str(workdir / "x")])
+        err = capsys.readouterr().err
+        assert rc == code
+        assert err.startswith(f"error:{kind}:") and len(err.splitlines()) == 1
+        assert "more than 2**30 cells" in err
+        assert not (workdir / "x").exists()
+
+    def test_bench_asks_for_no_more_workers_than_cells(self, workdir, monkeypatch):
+        """Two cells take two workers however many --jobs asks for, and
+        the bytes are those of the serial run."""
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, processes):
+                asked.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(cli.multiprocessing, "Pool", InProcessPool)
+        args = ["bench", "--instances", "1", "--seeds", "2", "--tasks", "1",
+                "--solvers", "greedy"]
+        outs = []
+        for jobs in (1, 2, 8):
+            outs.append(workdir / f"b{jobs}")
+            assert cli_main([*args, "--jobs", str(jobs), "--out", str(outs[-1])]) == 0
+        assert asked == [2, 2]
+        serial = sorted(outs[0].iterdir())
+        for out in outs[1:]:
+            got = sorted(out.iterdir())
+            assert [p.name for p in got] == [p.name for p in serial]
+            assert [p.read_bytes() for p in got] == [p.read_bytes() for p in serial]
 
     def test_bench_reproducible(self, workdir):
         args = ["bench", "--instances", "1", "--seeds", "2",

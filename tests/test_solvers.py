@@ -32,7 +32,7 @@ from stackfp import (
 from stackfp import env as envmod
 from stackfp import solvers
 from stackfp.core import default_order, shape_from_ar
-from stackfp.env import PlacementEnv
+from stackfp.env import Observation, PlacementEnv
 from stackfp.fileio import synth_instance
 from stackfp.masks import BlockDistanceRule, compile_masks, rule_free, wire_profiles
 from stackfp.metrics import metric_snapshot, normalize
@@ -484,27 +484,23 @@ class TestLookaheadHandOver:
         rng = np.random.default_rng(seed)
         plugins = _distance_plugins(rng, n, side, n_plugins)
         fresh, handed, free = {}, {}, {}
+        hand = Observation._hand
 
-        def checked(call):
-            def handing_over(env, *args):
-                out = call(env, *args)
-                masks = args[-1]
-                if env.observation is not None:
-                    block = env.observation.block
-                    fresh[block] = compile_masks(env.state, block, env.profile,
-                                                 env.plugins)
-                    handed[block] = masks
-                    free[block] = rule_free(env.state, block, env.profile,
-                                            env.plugins)
-                    if masks is not None:
-                        assert env.observation.masks is masks
-                        assert_same_stack(masks, fresh[block])
-                return out
-            return handing_over
+        def checked(obs, masks):
+            # handed to the observation the episode is on, before its pick
+            state, block = obs._state, obs.block
+            assert not state.done and state.current_block == block
+            assert obs._stack == []
+            fresh[block] = compile_masks(state, block, *obs._rules)
+            handed[block] = masks
+            free[block] = rule_free(state, block, *obs._rules)
+            hand(obs, masks)
+            if masks is not None:
+                assert obs.masks is masks
+                assert_same_stack(masks, fresh[block])
 
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(PlacementEnv, "_reset", checked(PlacementEnv._reset))
-            m.setattr(PlacementEnv, "_step", checked(PlacementEnv._step))
+            m.setattr(Observation, "_hand", checked)
             try:
                 g = greedy_place(c, p, plugins=plugins)
             except InfeasibleError:
@@ -791,8 +787,8 @@ class TestResume:
         order[0], order[1] = order[1], order[0]
         full = greedy_place(c, p, order=order, ars=free.ars)
         stepped = []
-        step = PlacementEnv._step
-        monkeypatch.setattr(PlacementEnv, "_step",
+        step = PlacementEnv.step
+        monkeypatch.setattr(PlacementEnv, "step",
                             lambda self, *a: stepped.append(1) or step(self, *a))
         res = greedy_place(c, p, order=order, ars=free.ars, resume=free)
         assert len(stepped) == 1
