@@ -53,6 +53,7 @@ from .masks import (
     MaskStack,
     RuleMask,
     RulePlugin,
+    Rung,
     availability_mask,
     compile_masks,
 )

@@ -285,6 +285,10 @@ class TaskProfile:
         unknown = self.enabled_rules - ALL_RULES
         if unknown:
             raise ValueError(f"unknown rules: {sorted(unknown)}")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.name != "enabled_rules" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
 
     @classmethod
     def for_task(cls, task: int, **overrides) -> "TaskProfile":

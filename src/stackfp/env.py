@@ -25,7 +25,14 @@ import math
 import numpy as np
 
 from .core import Circuit, FloorplanError, FloorplanState, occupancy_grid
-from .masks import MaskStack, compile_masks, fits_at, rule_free, wire_floor
+from .masks import (
+    MaskStack,
+    RuleBindings,
+    compile_masks,
+    fits_at,
+    rule_bindings,
+    wire_floor,
+)
 from .metrics import (
     MetricTuple,
     metric_snapshot,
@@ -73,7 +80,9 @@ class Observation:
     def masks(self) -> MaskStack:
         if not self._stack:
             self._require_current("mask stack")
-            self._stack.append(compile_masks(self._state, self.block, *self._rules))
+            # no wire profiles to pass on; the block's bindings, once worked out
+            self._stack.append(compile_masks(self._state, self.block, *self._rules,
+                                             None, self._bound))
         return self._stack[0]
 
     def _hand(self, masks: MaskStack | None) -> None:
@@ -89,11 +98,17 @@ class Observation:
         return self.masks.availability
 
     @functools.cached_property
+    def _bound(self) -> RuleBindings:
+        """What binds the block (`masks.rule_bindings`), worked out once for
+        `rule_free` and the compile."""
+        self._require_current("ladder")
+        return rule_bindings(self._state, self.block, *self._rules)
+
+    @property
     def rule_free(self) -> bool:
         """Whether no rule on the ladder binds the block (`masks.rule_free`):
         its availability is then the anchors where it fits."""
-        self._require_current("ladder")
-        return rule_free(self._state, self.block, *self._rules)
+        return self._bound.free
 
     @property
     def canvas(self) -> np.ndarray:

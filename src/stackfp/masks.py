@@ -3,8 +3,8 @@
 Every mask is a (W, H) float array indexed [x, y], where (x, y) is the anchor
 the subject block would be placed at.  The subject is a block not yet placed,
 and a placed one raises ValueError.  Value masks score each anchor under one
-rule.  `compile_masks` binarizes each rule's mask where it builds it, by that
-rule's threshold, into one list ordered by severity, the ladder; the
+rule.  `compile_masks` puts each rule that binds the block on one list ordered
+by severity, the ladder, with the threshold that binarizes it; the
 availability mask is the conjunction of the ladder with the position mask,
 so an action sampled from it cannot violate any masked rule.  Built-in rules
 and plug-ins take the same route.
@@ -16,11 +16,19 @@ mask that leaves the conjunction nonempty.  The position mask is never
 dropped; an empty position mask means the block simply does not fit
 anywhere.
 
-Each rule's geometry is a kernel in `geometry`, evaluated here over the
-whole anchor grid at once; the metrics in `metrics` call the same kernels
-over constraint instances, so a mask cell equals the metric of the forced
-placement by construction.  The position and wire masks read the state's
-incremental bookkeeping instead: window sums of its summed-area table and
+Each rule's geometry is a kernel in `geometry`; the metrics in `metrics`
+call the same kernels over constraint instances, so a mask cell equals the
+metric of the forced placement by construction.  A value mask holds its
+rule's kernel with the inputs it reads from the state, and builds its grid
+when first read (`RuleMask`).  The pass down the ladder evaluates each rule
+only over a box of anchors: where the rule can hold at all (its reach: near
+the bound terminals, touching a placed mate, over the alignment partner),
+inside the box of the conjunction so far.  Greedy reads the availability
+and the rule values at the few anchors that survive it, so on a large grid
+no rule's grid is built.  On a grid of at most WHOLE_GRID_MAX_ANCHORS
+anchors every box is the whole grid instead, and each grid the pass
+evaluates becomes the rule's values.  The position and wire masks read the
+state's incremental bookkeeping: window sums of its summed-area table and
 its live net boxes, so neither grows with the number of placed blocks.
 
 The wire mask is the sum of two per-axis profiles (`wire_profiles`).  A
@@ -37,8 +45,9 @@ cell is greedy's pick, since the availability is the position mask alone.
 """
 
 import dataclasses
+import functools
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,18 +61,103 @@ from .geometry import (
     span_gap,
 )
 
+# anchor count up to which a grid is worked whole: `wire_floor` tests every
+# fitting anchor at once instead of searching boxes, and the availability
+# pass evaluates each rule over the whole grid instead of over boxes (about
+# where boxes start to pay: measured between 64² and 128² grids)
+WHOLE_GRID_MAX_ANCHORS = 64 * 64
 
-@dataclasses.dataclass(frozen=True)
+
+@functools.lru_cache(maxsize=16)
+def _axis(n: int) -> np.ndarray:
+    """The anchors 0..n-1 of one grid axis, shared read-only by every box."""
+    axis = np.arange(n, dtype=np.int64)
+    axis.flags.writeable = False
+    return axis
+
+
 class RuleMask:
-    values: np.ndarray
+    """One rule's value mask: `values`, its score at every anchor, a (W, H)
+    float grid.
+
+    A plug-in may give the grid itself, `RuleMask(values)`.  The built-in
+    builders give their rule's elementwise kernel instead, `RuleMask(
+    kernel=k, shape=(W, H))`: k(xs, ys) scores the anchors of two
+    broadcastable integer arrays from inputs taken off the state when the
+    mask is built, so a mask read after its state has moved on still
+    scores the state it was built on.  (The position mask gives
+    `grid(x0, x1, y0, y1)`, which scores a box of anchors by window sums,
+    in place of a kernel.)  `values` evaluates the whole grid when first
+    read and keeps it.  `over` evaluates a box of anchors and keeps the
+    last box (as `values` when it is the whole grid); `at` scores given
+    anchors, read off the kept grid or box when it covers them, and
+    otherwise by the kernel.  The kernel scores each anchor on its own, so
+    all three agree bit for bit."""
+
+    __slots__ = ("shape", "_values", "_kernel", "_grid", "_corner", "_part")
+
+    def __init__(self, values: np.ndarray | None = None, *,
+                 kernel: Callable | None = None, grid: Callable | None = None,
+                 shape: tuple[int, int] | None = None):
+        self.shape = values.shape if values is not None else shape
+        self._values = values
+        self._kernel = kernel
+        self._grid = grid
+        self._corner = self._part = None
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self.over(0, self.shape[0], 0, self.shape[1])
+        return self._values
+
+    def over(self, x0: int, x1: int, y0: int, y1: int) -> np.ndarray:
+        """The values over the anchor box [x0, x1) x [y0, y1)."""
+        if self._values is not None:
+            return self._values[x0:x1, y0:y1]
+        if self._grid is not None:
+            part = self._grid(x0, x1, y0, y1)
+        else:
+            part = self._kernel(_axis(self.shape[0])[x0:x1, None],
+                                _axis(self.shape[1])[None, y0:y1])
+        if (x1 - x0, y1 - y0) == self.shape:
+            self._values = part
+        else:
+            self._corner, self._part = (x0, y0), part
+        return part
+
+    def at(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The values at the anchors (xs[i], ys[i])."""
+        part = self._part
+        if self._values is None and part is not None and xs.size:
+            x0, y0 = self._corner
+            if (x0 <= xs.min() and xs.max() < x0 + part.shape[0]
+                    and y0 <= ys.min() and ys.max() < y0 + part.shape[1]):
+                return part[xs - x0, ys - y0]
+        if self._values is None and self._kernel is not None:
+            return self._kernel(xs, ys)
+        return self.values[xs, ys]
 
 
-@dataclasses.dataclass(frozen=True)
 class AvailabilityResult:
-    """Conjunction of binarized masks plus the relaxation audit trail."""
-    mask: np.ndarray
-    dropped: tuple[str, ...]
-    feasible: bool
+    """Conjunction of binarized masks plus the relaxation audit trail.
+
+    The conjunction is held as `part`, a bool array over the anchor box
+    whose low corner is `corner`, on a grid of `shape`; no available anchor
+    lies outside the box.  `mask`, the conjunction as a (W, H) uint8 grid,
+    is built when first read; `allows`, `anchors` and `cells` read the
+    box."""
+
+    __slots__ = ("dropped", "feasible", "shape", "corner", "part", "_mask")
+
+    def __init__(self, dropped: tuple[str, ...], feasible: bool,
+                 shape: tuple[int, int], corner: tuple[int, int], part: np.ndarray):
+        self.dropped = dropped
+        self.feasible = feasible
+        self.shape = shape
+        self.corner = corner
+        self.part = part
+        self._mask = None
 
     @property
     def rung(self) -> str:
@@ -73,8 +167,37 @@ class AvailabilityResult:
             return "none"
         return "drop:" + "+".join(self.dropped)
 
+    @property
+    def mask(self) -> np.ndarray:
+        if self._mask is None:
+            (x0, y0), (n, m) = self.corner, self.part.shape
+            if (n, m) == self.shape:
+                self._mask = self.part.astype(np.uint8)
+            else:
+                self._mask = np.zeros(self.shape, dtype=np.uint8)
+                self._mask[x0:x0 + n, y0:y0 + m] = self.part
+        return self._mask
+
     def allows(self, x: int, y: int) -> bool:
-        return bool(self.mask[x, y])
+        (x0, y0), (n, m) = self.corner, self.part.shape
+        return x0 <= x < x0 + n and y0 <= y < y0 + m and bool(self.part[x - x0, y - y0])
+
+    def anchors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The available anchors, as arrays of x and of y in row-major
+        order (by x, then y)."""
+        # a 2-D nonzero runs several times slower than a flat one
+        xs, ys = np.divmod(self.part.ravel().nonzero()[0], self.part.shape[1])
+        x0, y0 = self.corner
+        if x0:
+            xs += x0
+        if y0:
+            ys += y0
+        return xs, ys
+
+    def cells(self) -> np.ndarray:
+        """The available anchors' flat indices x * H + y, ascending."""
+        xs, ys = self.anchors()
+        return xs * self.shape[1] + ys
 
 
 def _require_unplaced(state: FloorplanState, block_id: int) -> None:
@@ -82,13 +205,11 @@ def _require_unplaced(state: FloorplanState, block_id: int) -> None:
         raise ValueError(f"block {block_id} is placed; masks score unplaced blocks")
 
 
-def _anchors(state: FloorplanState, block_id: int):
-    """Every anchor of the grid for the unplaced subject block, as
-    broadcastable x (W, 1) and y (1, H)."""
+def _kernel_mask(state: FloorplanState, block_id: int, kernel: Callable) -> RuleMask:
+    """The value mask of the unplaced subject block scored by `kernel`."""
     _require_unplaced(state, block_id)
     dims = state.circuit.dims
-    return (np.arange(dims.width, dtype=np.int64)[:, None],
-            np.arange(dims.height, dtype=np.int64)[None, :])
+    return RuleMask(kernel=kernel, shape=(dims.width, dims.height))
 
 
 def adjacent_terminal_mask(state: FloorplanState, binding: BoundaryBinding) -> RuleMask:
@@ -97,12 +218,16 @@ def adjacent_terminal_mask(state: FloorplanState, binding: BoundaryBinding) -> R
     best for ANY.  Anchors that would overhang the outline are still scored;
     the position mask is what rules them out."""
     b = binding.block
-    xs, ys = _anchors(state, b)
-    # one grid per terminal: broadcasting a terminal axis too runs slower
-    dist = np.stack([rim_distance(xs, ys, state.w[b], state.h[b], t.x, t.y)
-                     for t in (state.circuit.terminals[k] for k in binding.terminals)])
-    vals = merge_terminals(dist, binding.mode == "ALL")
-    return RuleMask(vals.astype(np.float64))
+    w, h = state.w[b], state.h[b]
+    cells = [(t.x, t.y) for t in (state.circuit.terminals[k] for k in binding.terminals)]
+    every = binding.mode == "ALL"
+
+    def kernel(xs, ys):
+        # one grid per terminal: broadcasting a terminal axis too runs slower
+        dist = [rim_distance(xs, ys, w, h, tx, ty) for tx, ty in cells]
+        merged = dist[0] if len(dist) == 1 else merge_terminals(np.stack(dist), every)
+        return merged.astype(np.float64)
+    return _kernel_mask(state, b, kernel)
 
 
 def adjacent_block_mask(state: FloorplanState, block_id: int, other_id: int) -> RuleMask:
@@ -114,9 +239,9 @@ def adjacent_block_mask(state: FloorplanState, block_id: int, other_id: int) -> 
         raise ValueError(f"block {other_id} is not placed")
     if state.circuit.blocks[block_id].z != state.circuit.blocks[other_id].z:
         raise ValueError(f"blocks {block_id} and {other_id} sit on different layers")
-    xs, ys = _anchors(state, block_id)
-    vals = abutment(xs, ys, state.w[block_id], state.h[block_id], *state.rect(other_id))
-    return RuleMask(vals.astype(np.float64))
+    w, h, rect = state.w[block_id], state.h[block_id], state.rect(other_id)
+    return _kernel_mask(state, block_id, lambda xs, ys: abutment(
+        xs, ys, w, h, *rect).astype(np.float64))
 
 
 def alignment_mask(state: FloorplanState, block_id: int, partner_id: int,
@@ -129,41 +254,50 @@ def alignment_mask(state: FloorplanState, block_id: int, partner_id: int,
         raise ValueError(f"blocks {block_id} and {partner_id} share a layer")
     if min_area <= 0:
         raise ValueError("min_area must be positive")
-    xs, ys = _anchors(state, block_id)
-    vals = alignment_ratio(xs, ys, state.w[block_id], state.h[block_id],
-                           *state.rect(partner_id), float(min_area))
-    return RuleMask(vals)
+    w, h, rect = state.w[block_id], state.h[block_id], state.rect(partner_id)
+    min_area = float(min_area)
+    return _kernel_mask(state, block_id, lambda xs, ys: alignment_ratio(
+        xs, ys, w, h, *rect, min_area))
 
 
-def _fits(state: FloorplanState, block_id: int, xs: tuple[int, int] | None = None,
-          ys: tuple[int, int] | None = None) -> np.ndarray | None:
-    """The fit test behind the position mask: True where the block's window
-    of the layer's summed-area table sums to zero.  It covers the anchors
-    that keep the block on the grid, [0, W-w] x [0, H-h], or the half-open
-    ranges `xs` x `ys` of them.  None when the block's shape is larger than
-    the grid."""
-    _require_unplaced(state, block_id)
-    dims = state.circuit.dims
-    w = int(state.w[block_id])
-    h = int(state.h[block_id])
-    if not dims.holds(0, 0, w, h):
-        return None
-    x0, x1 = xs or (0, dims.width - w + 1)
-    y0, y1 = ys or (0, dims.height - h + 1)
-    sat = state.sat[state.circuit.blocks[block_id].z]
+def _fits(sat: np.ndarray, w: int, h: int, xs: tuple[int, int],
+          ys: tuple[int, int]) -> np.ndarray:
+    """The fit test behind the position mask: True where a w x h block's
+    window of a layer's summed-area table `sat` sums to zero, over the
+    half-open anchor ranges `xs` x `ys`, which keep the block on the grid
+    ([0, W-w] x [0, H-h] at most)."""
+    (x0, x1), (y0, y1) = xs, ys
     return window_sums(sat[x0:x1 + w, y0:y1 + h], w, h) == 0
 
 
 def position_mask(state: FloorplanState, block_id: int) -> RuleMask:
     """1 where the block fits fully on its layer without touching any placed
-    footprint, 0 elsewhere: the anchors whose window of the layer's
-    summed-area table sums to zero."""
-    fits = _fits(state, block_id)
+    footprint, 0 elsewhere: the anchors that keep it on the grid and whose
+    window of the layer's summed-area table sums to zero.  On a grid of at
+    most WHOLE_GRID_MAX_ANCHORS anchors the grid is built at once; on a
+    larger one the mask holds a copy of the table, and a box of it costs
+    window sums over that box only."""
+    _require_unplaced(state, block_id)
     dims = state.circuit.dims
-    vals = np.zeros((dims.width, dims.height), dtype=np.float64)
-    if fits is not None:
-        vals[:fits.shape[0], :fits.shape[1]] = fits
-    return RuleMask(vals)
+    shape = (dims.width, dims.height)
+    w, h = int(state.w[block_id]), int(state.h[block_id])
+    nx, ny = dims.width - w + 1, dims.height - h + 1     # fitting anchors per axis
+    whole = dims.width * dims.height <= WHOLE_GRID_MAX_ANCHORS
+    sat = state.sat[state.circuit.blocks[block_id].z]
+    if not whole:
+        sat = sat.copy()
+
+    def grid(x0, x1, y0, y1):
+        out = np.zeros((x1 - x0, y1 - y0))
+        if min(x1, nx) > x0 and min(y1, ny) > y0:
+            fits = _fits(sat, w, h, (x0, min(x1, nx)), (y0, min(y1, ny)))
+            out[:fits.shape[0], :fits.shape[1]] = fits
+        return out
+
+    mask = RuleMask(grid=grid, shape=shape)
+    if whole:
+        mask.over(0, dims.width, 0, dims.height)
+    return mask
 
 
 class WireProfile(NamedTuple):
@@ -219,13 +353,8 @@ def wire_mask(state: FloorplanState, block_id: int,
     w, h = int(state.w[block_id]), int(state.h[block_id])
     if profiles is None:
         profiles = wire_profiles(state, block_id, (w,), (h,))
-    px, py = profiles
-    return RuleMask(px.at(w)[:, None] + py.at(h)[None, :])
-
-
-# anchor count up to which wire_floor tests the whole grid at once: about
-# where the box search starts to pay (measured between 64² and 128² grids)
-FLOOR_BOX_MIN_ANCHORS = 64 * 64
+    gx, gy = profiles[0].at(w), profiles[1].at(h)
+    return _kernel_mask(state, block_id, lambda xs, ys: gx[xs] + gy[ys])
 
 
 def wire_floor(state: FloorplanState, block_id: int,
@@ -247,7 +376,7 @@ def wire_floor(state: FloorplanState, block_id: int,
     halves of integers, exact in floats, so these comparisons are exact
     too.  The first box spans about a quarter of each axis, and it mostly
     holds the floor; otherwise one more box does.  Up to
-    FLOOR_BOX_MIN_ANCHORS anchors the whole grid is tested at once, which
+    WHOLE_GRID_MAX_ANCHORS anchors the whole grid is tested at once, which
     costs less there than the box's extra steps."""
     _require_unplaced(state, block_id)
     dims = state.circuit.dims
@@ -259,11 +388,12 @@ def wire_floor(state: FloorplanState, block_id: int,
     nx, ny = dims.width - w + 1, dims.height - h + 1
     gx = profiles[0].at(w)[:nx]
     gy = profiles[1].at(h)[:ny]
+    sat = state.sat[state.circuit.blocks[block_id].z]
 
     def least_in(xs: tuple[int, int], ys: tuple[int, int]) -> tuple[float, int | None]:
         # the least fitting value over the anchors xs x ys; a box keeps the
         # grid's row-major order, so argmin finds the least flat index
-        vals = np.where(_fits(state, block_id, xs, ys),
+        vals = np.where(_fits(sat, w, h, xs, ys),
                         gx[slice(*xs), None] + gy[None, slice(*ys)], math.inf)
         x, y = divmod(int(vals.argmin()), vals.shape[1])
         least = float(vals[x, y])
@@ -271,7 +401,7 @@ def wire_floor(state: FloorplanState, block_id: int,
             return least, None
         return least, (xs[0] + x) * dims.height + ys[0] + y
 
-    if nx * ny <= FLOOR_BOX_MIN_ANCHORS:
+    if nx * ny <= WHOLE_GRID_MAX_ANCHORS:
         return least_in((0, nx), (0, ny))
     low_x, low_y = gx.min(), gy.min()
 
@@ -304,42 +434,94 @@ def block_distance_mask(state: FloorplanState, block_id: int, anchor_id: int) ->
     placed block's center; the demonstration plug-in rule."""
     if not state.placed[anchor_id]:
         raise ValueError(f"block {anchor_id} is not placed")
-    xs, ys = _anchors(state, block_id)
-    vals = center_distance(xs, ys, state.w[block_id], state.h[block_id],
-                           *state.rect(anchor_id))
-    return RuleMask(vals)
+    w, h, rect = state.w[block_id], state.h[block_id], state.rect(anchor_id)
+    return _kernel_mask(state, block_id, lambda xs, ys: center_distance(
+        xs, ys, w, h, *rect))
 
 
-def availability_mask(position: np.ndarray,
-                      ladder: list[tuple[str, np.ndarray]]) -> AvailabilityResult:
-    """Conjunction of the position mask with the ladder's (rule name, binary
-    mask) pairs, listed from the most severe rule to the least.  A mask that
-    would empty the conjunction is dropped instead, so one pass keeps the
-    most severe masks that can be kept together (k+1 conjunctions for k
-    masks); `dropped` names them least severe first.  The position mask is
-    never given up: if it is empty the block fits nowhere and the result is
-    infeasible."""
-    base = position > 0
-    if not base.any():
-        return AvailabilityResult(np.zeros(base.shape, dtype=np.uint8),
-                                  tuple(n for n, _ in reversed(ladder)), False)
-    mask = base
+class Rung(NamedTuple):
+    """One rule on the ladder: the anchors whose `mask` value passes
+    `test(value, threshold)` (`np.less_equal` and the like) satisfy it, and
+    none of them lies outside `reach`, the anchor box (x0, x1, y0, y1),
+    half-open, or None for the whole grid."""
+    name: str
+    mask: RuleMask
+    test: Callable
+    threshold: float
+    reach: tuple[int, int, int, int] | None = None
+
+
+def _meet(a: tuple, b: tuple) -> tuple:
+    """The intersection of two anchor boxes (x0, x1, y0, y1)."""
+    return max(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), min(a[3], b[3])
+
+
+def _join(a: tuple, b: tuple) -> tuple:
+    """The bounding box of two nonempty anchor boxes."""
+    return min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3])
+
+
+def availability_mask(position: RuleMask, ladder: list[Rung]) -> AvailabilityResult:
+    """Conjunction of the position mask with the ladder's rules, listed from
+    the most severe to the least.  A rule that would empty the conjunction
+    is dropped instead, so one pass keeps the most severe rules that can be
+    kept together (k+1 conjunctions for k rules); `dropped` names them
+    least severe first.  The position mask is never given up: if it is
+    empty the block fits nowhere and the result is infeasible.
+
+    The pass holds the conjunction over a box of anchors, at first the
+    whole grid.  It evaluates each rule, and the position mask while no
+    rule is kept, only over the part of the box inside the rule's reach: a
+    rule whose reach misses the box drops unevaluated, and a rule kept
+    shrinks the box to the bounding box of what is kept.  So the position
+    mask is evaluated over the whole grid only when every rule drops or
+    none binds.  On a grid of at most WHOLE_GRID_MAX_ANCHORS anchors reaches
+    are not read and the box stays the whole grid, so that each mask the
+    pass evaluates builds its values."""
+    width, height = position.shape
+    whole = width * height <= WHOLE_GRID_MAX_ANCHORS
+    box = (0, width, 0, height)
+    mask = None             # the conjunction over box; None while no rule is kept
     dropped = []
-    for name, comp in ladder:
-        kept = mask & (comp > 0)
-        if kept.any():
-            mask = kept
-        else:
+    for name, rule, test, threshold, reach in ladder:
+        x0, x1, y0, y1 = box if whole or reach is None else _meet(box, reach)
+        if x0 >= x1 or y0 >= y1:
             dropped.append(name)
-    return AvailabilityResult(mask.astype(np.uint8), tuple(reversed(dropped)), True)
+            continue
+        kept = test(rule.over(x0, x1, y0, y1), threshold)
+        if mask is None:
+            kept &= position.over(x0, x1, y0, y1) > 0
+        else:
+            kept &= mask[x0 - box[0]:x1 - box[0], y0 - box[2]:y1 - box[2]]
+        if whole:
+            if kept.any():
+                mask = kept
+            else:
+                dropped.append(name)
+            continue
+        rows = np.flatnonzero(kept.any(axis=1))
+        if rows.size == 0:
+            dropped.append(name)
+            continue
+        cols = np.flatnonzero(kept.any(axis=0))
+        i0, i1, j0, j1 = int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+        mask = kept[i0:i1, j0:j1]
+        box = (x0 + i0, x0 + i1, y0 + j0, y0 + j1)
+    feasible = True
+    if mask is None:
+        mask = position.over(*box) > 0
+        feasible = bool(mask.any())
+    return AvailabilityResult(tuple(reversed(dropped)), feasible, (width, height),
+                              (box[0], box[2]), mask)
 
 
 class RulePlugin:
     """Extension point for extra maskable rules.
 
-    A plug-in names itself, says which blocks it constrains, builds a value
-    mask, binarizes it (nonzero cells satisfy the rule), and reports a
-    scalar metric of the current state.  Its name keys its value mask in
+    A plug-in names itself, says which blocks it constrains given what is
+    placed (not the subject's shape, which a ratio scan varies), builds a
+    value mask, binarizes it (nonzero cells satisfy the rule), and reports
+    a scalar metric of the current state.  Its name keys its value mask in
     `MaskStack.rules`, so it must differ from every other rule that binds
     the same block.  Its binary mask joins the ladder below every built-in
     rule, so it is the first kind of mask the relaxation gives up."""
@@ -388,7 +570,9 @@ class MaskStack:
     """Everything the mask machinery knows about placing one block: the
     value mask of each rule that binds it, keyed by rule name (wire,
     position, terminal, grouping, alignment, then plug-ins by their own
-    names), and the availability conjunction."""
+    names), and the availability conjunction.  A value mask builds its grid
+    when first read (`RuleMask`); the availability is formed when the stack
+    is compiled."""
     block: int
     rules: dict[str, RuleMask]
     availability: AvailabilityResult
@@ -397,11 +581,29 @@ class MaskStack:
         return list(self.rules.items())
 
 
-def _bindings(state: FloorplanState, block_id: int, profile, plugins: tuple):
+class RuleBindings(NamedTuple):
+    """What puts rules on a block's ladder now (`rule_bindings`)."""
+    terminal: BoundaryBinding | None    # its terminal binding under the profile
+    island: tuple[int, ...] | None      # its island under the profile
+    mates: list[int]                    # the island's placed members
+    pair: int | None                    # its alignment pair's index, once the partner is placed
+    plugins: list                       # the plug-ins that apply
+
+    @property
+    def free(self) -> bool:
+        """Whether no rule on the ladder binds the block (see `rule_free`)."""
+        return (self.terminal is None and not self.mates and self.pair is None
+                and not self.plugins)
+
+
+def rule_bindings(state: FloorplanState, block_id: int, profile,
+                  plugins: tuple = ()) -> RuleBindings:
     """What puts rules on the block's ladder now: its terminal binding, its
     island (whose value mask is built even with no member placed) and the
     island's placed members, the index of its alignment pair once the
-    partner is placed, and the plug-ins that apply."""
+    partner is placed, and the plug-ins that apply.  They depend on what is
+    placed, not on the block's shape, so one result serves every shape of
+    a ratio scan; `compile_masks` takes it as `bound`."""
     index, cons = state.circuit.index, state.circuit.constraints
     k = index.binding_col.get(block_id) if profile.uses("boundary") else None
     terminal = None if k is None else cons.boundary_bindings[k]
@@ -410,7 +612,8 @@ def _bindings(state: FloorplanState, block_id: int, profile, plugins: tuple):
     k = index.pair_col.get(block_id) if profile.uses("alignment") else None
     if k is not None and not state.placed[cons.alignment_pairs[k].other(block_id)]:
         k = None
-    return terminal, island, mates, k, [p for p in plugins if p.applies_to(state, block_id)]
+    return RuleBindings(terminal, island, mates, k,
+                        [p for p in plugins if p.applies_to(state, block_id)])
 
 
 def rule_free(state: FloorplanState, block_id: int, profile,
@@ -420,58 +623,115 @@ def rule_free(state: FloorplanState, block_id: int, profile,
     alignment partner and no plug-in that applies.  The availability is
     then the position mask alone, so greedy's cell is the one `wire_floor`
     returns, and the stack need not be compiled to find it."""
-    terminal, _, mates, pair, plugged = _bindings(state, block_id, profile, plugins)
-    return terminal is None and not mates and pair is None and not plugged
+    return rule_bindings(state, block_id, profile, plugins).free
+
+
+def _terminal_reach(state: FloorplanState, binding: BoundaryBinding, w: int, h: int,
+                    threshold: float) -> tuple[int, int, int, int]:
+    """The anchors of a w x h block whose distance to the binding can be at
+    most `threshold`.  A rim distance is an integer no smaller than the
+    gap between terminal and rect on either axis, so each terminal reaches
+    the anchors within floor(threshold) of it on both axes: all of them for
+    ALL, the bounding box of any for ANY."""
+    t = math.floor(threshold)
+    if t < 0:
+        return 0, 0, 0, 0
+    terms = state.circuit.terminals
+    boxes = [(terms[k].x - w + 1 - t, terms[k].x + t + 1,
+              terms[k].y - h + 1 - t, terms[k].y + t + 1) for k in binding.terminals]
+    return functools.reduce(_meet if binding.mode == "ALL" else _join, boxes)
+
+
+def _contact_reach(state: FloorplanState, mates: list[int], w: int,
+                   h: int) -> tuple[int, int, int, int]:
+    """The anchors where a w x h block's rect touches or overlaps a placed
+    mate, which a nonzero abutment needs: the bounding box of each mate's."""
+    rects = [state.rect(m) for m in mates]
+    return functools.reduce(_join, [(x - w, x + mw + 1, y - h, y + mh + 1)
+                                     for x, y, mw, mh in rects])
 
 
 def compile_masks(state: FloorplanState, block_id: int, profile,
                   plugins: tuple = (),
-                  wire: tuple[WireProfile, WireProfile] | None = None) -> MaskStack:
-    """Build every mask that binds one block, each with its binary form on
-    the ladder (terminal, grouping, alignment, then the plug-ins from last
-    to first), and form the availability conjunction.  Terminal keeps
-    distances up to its threshold, grouping any contact at a zero threshold
-    and at least the threshold above zero, alignment scores from its floor
-    up; plug-ins binarize themselves.  An island's mask sums the abutment
-    masks of its placed members.  An island with no placed member and a
-    pair whose partner is unplaced constrain nothing yet and stay off the
-    ladder (see `rule_free`).  Two rules that bind one block must not share
-    a name.  `wire` passes on `wire_profiles` that cover the block's shape
-    (see `wire_mask`)."""
-    terminal, island, mates, k, plugged = _bindings(state, block_id, profile, plugins)
+                  wire: tuple[WireProfile, WireProfile] | None = None,
+                  bound: RuleBindings | None = None) -> MaskStack:
+    """Build every mask that binds one block, put each on the ladder with
+    the threshold that binarizes it (terminal, grouping, alignment, then
+    the plug-ins from last to first), and form the availability
+    conjunction.  Terminal keeps distances up to its threshold, grouping
+    any contact at a zero threshold and at least the threshold above zero,
+    alignment scores from its floor up; plug-ins binarize themselves.  An
+    island's mask sums the abutment masks of its placed members.  An
+    island with no placed member and a pair whose partner is unplaced
+    constrain nothing yet and stay off the ladder (see `rule_free`).  Two
+    rules that bind one block must not share a name.  `wire` passes on
+    `wire_profiles` that cover the block's shape (see `wire_mask`), and
+    `bound` the block's `rule_bindings` on this state.
+
+    Each rule's reach bounds where the availability pass evaluates it:
+    near the terminals (`_terminal_reach`), where the block's rect touches
+    a placed mate, where it overlaps the partner's footprint when the
+    alignment floor is above zero, each clipped to the anchors that keep
+    the block on the grid.  An alignment floor at or below zero and the
+    plug-ins reach the whole grid, so a pass that starts with one of them
+    builds the position grid once, as `values`.  A kept rule's values at
+    the available anchors are then read off the box the pass evaluated."""
+    terminal, island, mates, k, plugged = bound or rule_bindings(
+        state, block_id, profile, plugins)
+    dims = state.circuit.dims
+    w, h = int(state.w[block_id]), int(state.h[block_id])
+    fit = (0, dims.width - w + 1, 0, dims.height - h + 1)
+    # the availability pass reads no reach on a grid it works whole
+    whole = dims.width * dims.height <= WHOLE_GRID_MAX_ANCHORS
     rules = {"wire": wire_mask(state, block_id, wire),
              "position": position_mask(state, block_id)}
     ladder = []
 
     if terminal is not None:
         rules["terminal"] = adjacent_terminal_mask(state, terminal)
-        ladder.append(("terminal",
-                       rules["terminal"].values <= profile.terminal_mask_threshold))
+        threshold = profile.terminal_mask_threshold
+        reach = None if whole else _meet(fit, _terminal_reach(state, terminal, w, h,
+                                                               threshold))
+        ladder.append(Rung("terminal", rules["terminal"], np.less_equal, threshold, reach))
 
     if island is not None:
-        vals = np.zeros_like(rules["position"].values)
-        for m in mates:
-            vals = vals + adjacent_block_mask(state, block_id, m).values
-        rules["grouping"] = RuleMask(vals)
+        parts = [adjacent_block_mask(state, block_id, m)._kernel for m in mates]
+
+        def grouping(xs, ys):
+            # abutments are never -0.0, so the sum may start from the first
+            if not parts:
+                return np.zeros(np.broadcast(xs, ys).shape)
+            vals = parts[0](xs, ys)
+            for part in parts[1:]:
+                vals = vals + part(xs, ys)
+            return vals
+        rules["grouping"] = _kernel_mask(state, block_id, grouping)
         if mates:
             floor = profile.block_mask_threshold
-            ladder.append(("grouping", vals > 0 if floor <= 0 else vals >= floor))
+            reach = None if whole else _meet(fit, _contact_reach(state, mates, w, h))
+            ladder.append(Rung("grouping", rules["grouping"],
+                               *((np.greater, 0) if floor <= 0 else (np.greater_equal, floor)),
+                               reach))
 
     if k is not None:
         pair = state.circuit.constraints.alignment_pairs[k]
-        rules["alignment"] = alignment_mask(state, block_id, pair.other(block_id),
-                                            pair.min_area)
-        floor_area = profile.alignment_mask_frac * state.circuit.index.small_area[k]
-        ladder.append(("alignment",
-                       rules["alignment"].values >= floor_area / pair.min_area))
+        partner = pair.other(block_id)
+        rules["alignment"] = alignment_mask(state, block_id, partner, pair.min_area)
+        floor = profile.alignment_mask_frac * state.circuit.index.small_area[k] / pair.min_area
+        reach = None
+        if floor > 0 and not whole:
+            # a score above zero needs the rects to overlap
+            x, y, pw, ph = state.rect(partner)
+            reach = _meet(fit, (x - w + 1, x + pw, y - h + 1, y + ph))
+        ladder.append(Rung("alignment", rules["alignment"], np.greater_equal, floor, reach))
 
     binarized = []
     for plugin in plugged:
         if plugin.name in rules:
             raise ValueError(f"two rules named {plugin.name!r} bind block {block_id}")
         rules[plugin.name] = plugin.build(state, block_id)
-        binarized.append((plugin.name, plugin.binarize(rules[plugin.name])))
+        bits = RuleMask(np.asarray(plugin.binarize(rules[plugin.name])))
+        binarized.append(Rung(plugin.name, bits, np.greater, 0))
     ladder.extend(reversed(binarized))
 
-    return MaskStack(block_id, rules,
-                     availability_mask(rules["position"].values, ladder))
+    return MaskStack(block_id, rules, availability_mask(rules["position"], ladder))

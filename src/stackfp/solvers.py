@@ -18,8 +18,9 @@ allowed cells and how they shape soft blocks:
   where it fits, and the least cell that reaches it), and only until no
   remaining candidate can win; each is compiled at most once, and a block
   that no rule on the ladder binds (`masks.rule_free`) not at all, since
-  its floor and that cell are its whole score.  Blocks placed without a
-  scan take the same shortcut.
+  its floor and that cell are its whole score.  What binds the block
+  (`masks.rule_bindings`) does not depend on its shape, so a scan works it
+  out once.  Blocks placed without a scan take the same shortcut.
 * annealing: reuses greedy as a decoder for a genome of placement order plus
   per-block ratios, starting from the greedy solution itself.
 * random: uniform over the allowed cells, ratios log-uniform in the band.
@@ -57,7 +58,7 @@ from .env import (
     weighted_score,
     wire_greedy_baseline,   # noqa: F401  perfbench wraps solvers.wire_greedy_baseline
 )
-from .masks import MaskStack, compile_masks, rule_free, wire_floor, wire_profiles
+from .masks import MaskStack, compile_masks, rule_bindings, wire_floor, wire_profiles
 from .metrics import MetricTuple
 
 AR_CANDIDATES = 8                       # ratio ladder length per soft block
@@ -145,34 +146,44 @@ def ar_candidate_ladder(block) -> list[tuple[float, tuple[int, int]]]:
     return list(_ladder_shapes(block.area, block.ar_min, block.ar_max))
 
 
-def _available_cells(stack: MaskStack) -> np.ndarray:
-    """Flat indices of the cells the availability mask allows."""
+def _available_anchors(stack: MaskStack) -> tuple[np.ndarray, np.ndarray]:
+    """The anchors the availability mask allows, as arrays of x and of y in
+    row-major order."""
     avail = stack.availability
-    cells = np.flatnonzero(avail.mask.view(bool))
-    if cells.size == 0:
+    xs, ys = avail.anchors()
+    if xs.size == 0:
         raise InfeasibleError(
             f"no cell available for block {stack.block} ({avail.rung})")
-    return cells
+    return xs, ys
+
+
+def _available_cells(stack: MaskStack) -> np.ndarray:
+    """Flat indices of the cells the availability mask allows, ascending."""
+    xs, ys = _available_anchors(stack)
+    return xs * stack.availability.shape[1] + ys
 
 
 def _filter_cells(stack: MaskStack) -> tuple[np.ndarray, tuple]:
     """Lexicographic filtering over the available cells.
 
-    Each key keeps only the cells optimal for its value mask; keys whose rule
-    does not bind this block are skipped.  Returns the surviving flat indices
-    and the score prefix (relaxation depth first, then one value per applied
+    Each key keeps only the cells optimal for its value mask, read at the
+    cells that are left (`RuleMask.at`); keys whose rule does not bind this
+    block are skipped.  Returns the surviving flat indices, ascending, and
+    the score prefix (relaxation depth first, then one value per applied
     key) used to compare placements across aspect ratio candidates."""
-    cells = _available_cells(stack)
+    xs, ys = _available_anchors(stack)
     score = [float(len(stack.availability.dropped))]
     for key, sense in TIE_KEYS:
         mask = stack.rules.get(key)
         if mask is None:
             continue
-        vals = mask.values.reshape(-1)[cells]
+        vals = mask.at(xs, ys)
         best = vals.max() if sense == "max" else vals.min()
         score.append(-float(best) if sense == "max" else float(best))
-        cells = cells[vals == best]
-    return cells, tuple(score)
+        if xs.size > 1:
+            keep = vals == best
+            xs, ys = xs[keep], ys[keep]
+    return xs * stack.availability.shape[1] + ys, tuple(score)
 
 
 def _pick_cell(stack: MaskStack) -> int:
@@ -212,8 +223,9 @@ def _scan_ar(env: PlacementEnv, block_id: int,
     cell scores lowest, ties going to the earlier ladder entry.  The copy is
     the state the episode observes the block on, so the winner's best cell
     and stack come back too, to become that observation's pick and stack.
-    The wire profiles do not depend on the shape and are built once for all
-    candidates.  (None, None) when no candidate fits.
+    The wire profiles and the rules that bind the block do not depend on
+    the shape and are worked out once for all candidates.  (None, None)
+    when no candidate fits.
 
     The scan is a branch-and-bound.  A shape's score leads with its dropped
     rules and then its least wire value over the available cells, which lie
@@ -231,6 +243,7 @@ def _scan_ar(env: PlacementEnv, block_id: int,
     ladder = ar_candidate_ladder(env.circuit.blocks[block_id])
     wire = wire_profiles(sim, block_id, [w for _, (w, _) in ladder],
                          [h for _, (_, h) in ladder])
+    bound = rule_bindings(sim, block_id, env.profile, env.plugins)
     floors = []
     for i, (r, _) in enumerate(ladder):
         sim.set_shape(block_id, r)
@@ -242,9 +255,9 @@ def _scan_ar(env: PlacementEnv, block_id: int,
         # ladder order would
         r = ladder[i][0]
         sim.set_shape(block_id, r)
-        if rule_free(sim, block_id, env.profile, env.plugins):
+        if bound.free:
             return (0.0, floor, float(cell), i), r, _Lookahead(None, cell)
-        stack = compile_masks(sim, block_id, env.profile, env.plugins, wire)
+        stack = compile_masks(sim, block_id, env.profile, env.plugins, wire, bound)
         cells, score = _filter_cells(stack)
         cell = int(cells.min())
         return score + (float(cell), i), r, _Lookahead(stack, cell)

@@ -193,6 +193,20 @@ class TestTaskProfile:
         assert p.block_mask_threshold == 0.0
         assert p.alignment_mask_frac == 0.1
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [
+        "terminal_mask_threshold", "block_mask_threshold", "alignment_mask_frac",
+        "w_alignment", "w_overlap", "w_hpwl", "w_adjacency", "w_distance"])
+    def test_non_finite_threshold_or_weight_is_refused(self, field, value):
+        """A NaN threshold would drop its rule on every bound block, and an
+        infinite one has no reach box; the error names the field."""
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            TaskProfile.for_task(1, **{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            dataclasses.replace(TaskProfile.for_task(3), **{field: value})
+        # finite values, negative and fractional ones included, still pass
+        assert getattr(TaskProfile.for_task(2, **{field: -1.5}), field) == -1.5
+
 
 class TestOrderAndState:
     def test_default_order_area_desc_ties_by_id(self):

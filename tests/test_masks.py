@@ -19,12 +19,15 @@ from stackfp import (
 from stackfp import masks
 from stackfp.masks import (
     BlockDistanceRule,
+    RuleMask,
+    Rung,
     adjacent_block_mask,
     adjacent_terminal_mask,
     alignment_mask,
     availability_mask,
     block_distance_mask,
     compile_masks,
+    fits_at,
     position_mask,
     rule_free,
     wire_floor,
@@ -308,7 +311,7 @@ def floors(s, b, profiles):
     which the small grids here would not reach on their own."""
     whole = wire_floor(s, b, profiles)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(masks, "FLOOR_BOX_MIN_ANCHORS", 0)
+        m.setattr(masks, "WHOLE_GRID_MAX_ANCHORS", 0)
         return whole, wire_floor(s, b, profiles)
 
 
@@ -440,19 +443,48 @@ class TestBinarize:
         assert stack.availability.mask.dtype == np.uint8
 
 
+def walk(position, ladder):
+    """`availability_mask` of a position array and (rule name, binary
+    array) pairs, each a rule that reaches every anchor: walked over the
+    whole grid, and by boxes as on a grid larger than
+    WHOLE_GRID_MAX_ANCHORS; the two must agree."""
+    def run():
+        return availability_mask(RuleMask(position), [
+            Rung(name, RuleMask(binary), np.greater, 0) for name, binary in ladder])
+    whole = run()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(masks, "WHOLE_GRID_MAX_ANCHORS", 0)
+        boxed = run()
+    assert_same_availability(boxed, whole)
+    return whole
+
+
+def assert_same_availability(got, want):
+    assert (got.feasible, got.dropped, got.rung) == (want.feasible, want.dropped, want.rung)
+    assert (got.mask.dtype, got.mask.shape) == (want.mask.dtype, want.mask.shape)
+    assert got.mask.tobytes() == want.mask.tobytes()
+    assert np.array_equal(got.cells(), want.cells())
+    assert np.array_equal(got.cells(), np.flatnonzero(want.mask))
+    for a, b in zip(got.anchors(), want.anchors()):
+        assert np.array_equal(a, b)
+    w, h = want.shape
+    assert [got.allows(x, y) for x in range(w) for y in range(h)] \
+        == (want.mask.reshape(-1) > 0).tolist()
+
+
 class TestAvailability:
     def test_plain_conjunction(self):
         pos = np.ones((4, 4), dtype=np.uint8)
         term = np.zeros((4, 4), dtype=np.uint8)
         term[1, 1] = 1
-        res = availability_mask(pos, [("terminal", term)])
+        res = walk(pos, [("terminal", term)])
         assert res.feasible and res.dropped == ()
         assert res.rung == "none"
         assert res.mask.sum() == 1 and res.allows(1, 1)
 
     def test_absent_rules_do_not_constrain(self):
         pos = np.ones((3, 3), dtype=np.uint8)
-        res = availability_mask(pos, [])
+        res = walk(pos, [])
         assert res.mask.sum() == 9
 
     def test_conflict_drops_grouping_keeps_others(self):
@@ -462,7 +494,7 @@ class TestAvailability:
         term = np.zeros_like(pos); term[0, :] = 1
         grp = np.zeros_like(pos); grp[5, :] = 1
         aln = np.zeros_like(pos); aln[0:2, :] = 1
-        res = availability_mask(pos, [("terminal", term), ("grouping", grp),
+        res = walk(pos, [("terminal", term), ("grouping", grp),
                                       ("alignment", aln)])
         assert res.feasible
         assert res.dropped == ("grouping",)
@@ -473,7 +505,7 @@ class TestAvailability:
         pos = np.ones((4, 4), dtype=np.uint8)
         grp = np.zeros_like(pos); grp[2, :] = 1
         aln = np.zeros_like(pos); aln[1, :] = 1
-        res = availability_mask(pos, [("grouping", grp), ("alignment", aln)])
+        res = walk(pos, [("grouping", grp), ("alignment", aln)])
         assert res.dropped == ("alignment",)
 
     def test_terminal_survives_longest(self):
@@ -481,7 +513,7 @@ class TestAvailability:
         term = np.zeros_like(pos); term[0, 0] = 1
         grp = np.zeros_like(pos); grp[3, 3] = 1
         aln = np.zeros_like(pos); aln[2, 2] = 1
-        res = availability_mask(pos, [("terminal", term), ("grouping", grp),
+        res = walk(pos, [("terminal", term), ("grouping", grp),
                                       ("alignment", aln)])
         assert res.feasible
         assert res.dropped == ("alignment", "grouping")
@@ -490,7 +522,7 @@ class TestAvailability:
     def test_empty_position_is_infeasible(self):
         pos = np.zeros((4, 4), dtype=np.uint8)
         term = np.ones_like(pos)
-        res = availability_mask(pos, [("terminal", term), ("grouping", term)])
+        res = walk(pos, [("terminal", term), ("grouping", term)])
         assert not res.feasible
         assert res.rung == "infeasible"
         assert res.dropped == ("grouping", "terminal")
@@ -500,7 +532,7 @@ class TestAvailability:
         pos = np.ones((4, 4), dtype=np.uint8)
         extra = np.zeros_like(pos); extra[0, 0] = 1
         aln = np.zeros_like(pos); aln[3, 3] = 1
-        res = availability_mask(pos, [("alignment", aln), ("keep_close", extra)])
+        res = walk(pos, [("alignment", aln), ("keep_close", extra)])
         assert res.dropped == ("keep_close",)
         assert res.mask[3, 3] == 1
 
@@ -523,7 +555,7 @@ def _availability_inputs(draw):
 @settings(max_examples=300, deadline=None)
 def test_availability_matches_subset_search(inputs):
     position, ladder = inputs
-    res = availability_mask(position, ladder)
+    res = walk(position, ladder)
     mask, dropped, feasible = oracles.relaxed_availability(position, ladder[::-1])
     assert res.feasible == feasible
     assert res.dropped == dropped
@@ -682,3 +714,154 @@ class TestRuleFree:
                     _, cell = wire_floor(s, b)
                     want = _pick_cell(stack) if stack.availability.feasible else None
                     assert cell == want, b
+
+
+def _random_state(seed, side, placed):
+    """A 14-block synth instance on a side x side grid with up to `placed`
+    random blocks put down at random anchors where they fit, and three
+    distance plug-ins between random blocks."""
+    c, _ = synth_instance(f"w{seed}", seed, n_blocks=14, counts=(4, 3, 4),
+                          dims=GridDims(side, side, 2), fill=0.5)
+    s = FloorplanState(c)
+    rng = np.random.default_rng(seed)
+    for b in rng.permutation(14)[:placed].tolist():
+        cells = np.flatnonzero(position_mask(s, b).values)
+        if cells.size:
+            s.place(b, *divmod(int(rng.choice(cells)), side))
+    pairs = {tuple(rng.choice(14, 2, replace=False).tolist()) for _ in range(3)}
+    plugins = tuple(BlockDistanceRule(a, b, float(rng.uniform(2, side)))
+                    for a, b in sorted(pairs))
+    return s, plugins, rng
+
+
+def full_grid_availability(state, stack, profile, plugins):
+    """The availability as the conjunction of fully built grids: the
+    position mask and each rule on the ladder binarized over the whole
+    grid from its `values`, relaxed by exhaustive subset search."""
+    rules, block = stack.rules, stack.block
+    bound = masks.rule_bindings(state, block, profile, plugins)
+    ladder = []
+    if "terminal" in rules:
+        ladder.append(("terminal",
+                       rules["terminal"].values <= profile.terminal_mask_threshold))
+    if bound.mates:
+        floor, vals = profile.block_mask_threshold, rules["grouping"].values
+        ladder.append(("grouping", vals > 0 if floor <= 0 else vals >= floor))
+    if "alignment" in rules:
+        k = state.circuit.index.pair_col[block]
+        pair = state.circuit.constraints.alignment_pairs[k]
+        floor_area = profile.alignment_mask_frac * state.circuit.index.small_area[k]
+        ladder.append(("alignment", rules["alignment"].values >= floor_area / pair.min_area))
+    ladder += [(p.name, p.binarize(rules[p.name])) for p in reversed(bound.plugins)]
+    return oracles.relaxed_availability(rules["position"].values, ladder[::-1])
+
+
+def assert_at_matches_values(stack, anchors):
+    """`at` on every rule of a stack whose grids are not built yet, at each
+    (xs, ys) of `anchors` and at the edges of the box the mask keeps from
+    the availability pass (the last row and column inside it, and the ones
+    just past it), equals the built grids there bit for bit."""
+    got = {}
+    for name, m in stack.rules.items():
+        probes = list(anchors)
+        if m._part is not None:
+            (x0, y0), (n, k), (w, h) = m._corner, m._part.shape, m.shape
+            ys = np.arange(y0, y0 + k)
+            xs = np.arange(x0, x0 + n)
+            probes += [(np.full(k, x0 + n - 1), ys), (xs, np.full(n, y0 + k - 1))]
+            if x0 + n < w:
+                probes.append((np.full(k, x0 + n), ys))
+            if y0 + k < h:
+                probes.append((xs, np.full(n, y0 + k)))
+        got[name] = [(xs, ys, m.at(xs, ys)) for xs, ys in probes]
+    for name, m in stack.rules.items():
+        for xs, ys, vals in got[name]:
+            want = m.values[xs, ys]
+            assert (vals.dtype, vals.tobytes()) == (want.dtype, want.tobytes()), name
+
+
+class TestWalkedAvailability:
+    """The availability pass evaluates each rule over a box of anchors only
+    (its reach inside the conjunction so far) and builds no grid it does
+    not need; none of that may change what it computes."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), side=st.sampled_from([12, 20, 66]),
+           boxes=st.booleans(), placed=st.integers(0, 12),
+           task=st.sampled_from([1, 2, 3]), n_plugins=st.integers(0, 3),
+           terminal=st.sampled_from([-1.5, -1.0, 0.0, 0.5, 1.0, 2.7, 6.0]),
+           block=st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.5]),
+           frac=st.sampled_from([-0.5, 0.0, 0.1, 0.5, 1.0, 1.2]))
+    def test_walk_equals_the_full_grid_conjunction(self, seed, side, boxes, placed,
+                                                   task, n_plugins, terminal,
+                                                   block, frac):
+        """Over random states, tasks, distance plug-ins and thresholds
+        (negative, fractional, a grouping floor above zero, an alignment
+        floor at or below zero), on grids both sides of
+        WHOLE_GRID_MAX_ANCHORS (66 x 66 is above it; `boxes` walks the
+        small ones by boxes too), the walked availability equals the
+        conjunction of the fully built grids: mask, dropped rules,
+        feasibility, rung, cells and `allows`.  `at` read before any grid
+        is built equals the grids, at the available anchors and at random
+        ones."""
+        s, plugins, rng = _random_state(seed, side, placed)
+        plugins = plugins[:n_plugins]
+        profile = TaskProfile.for_task(task, terminal_mask_threshold=terminal,
+                                       block_mask_threshold=block,
+                                       alignment_mask_frac=frac)
+        with pytest.MonkeyPatch.context() as m:
+            if boxes:
+                m.setattr(masks, "WHOLE_GRID_MAX_ANCHORS", 0)
+            for b in np.flatnonzero(~s.placed).tolist():
+                stack = compile_masks(s, b, profile, plugins)
+                res = stack.availability
+                assert_at_matches_values(stack, [
+                    res.anchors(), tuple(rng.integers(0, side, (2, 30)))])
+                mask, dropped, feasible = full_grid_availability(s, stack, profile, plugins)
+                assert (res.feasible, res.dropped) == (feasible, dropped), b
+                assert res.rung == ("infeasible" if not feasible else
+                                    "drop:" + "+".join(dropped) if dropped else "none")
+                assert (res.mask.dtype, res.mask.tobytes()) == (mask.dtype, mask.tobytes()), b
+                cells = res.cells()
+                assert np.array_equal(cells, np.flatnonzero(mask))
+                xs, ys = res.anchors()
+                assert np.array_equal(xs * side + ys, cells)
+                probe = np.concatenate([cells, rng.integers(0, side * side, 40)])
+                assert [res.allows(*divmod(int(c), side)) for c in probe] \
+                    == [bool(mask.reshape(-1)[c]) for c in probe]
+
+    @pytest.mark.parametrize("side", [20, 66])
+    def test_stack_read_after_the_state_moves_on(self, side):
+        """A stack compiled on a state and read only after another block
+        has gone down on it (same layer, over an anchor the stack allows)
+        gives the values and availability of the state it was compiled
+        on."""
+        s, plugins, _ = _random_state(9, side, 10)
+        profile = TaskProfile.for_task(3)
+        moved = unbuilt = 0
+        for b in np.flatnonzero(~s.placed).tolist():
+            stack = compile_masks(s, b, profile, plugins)
+            if not stack.availability.feasible:
+                continue
+            z = s.circuit.blocks[b].z
+            xs, ys = stack.availability.anchors()
+            other = next((o for o in np.flatnonzero(~s.placed).tolist()
+                          if o != b and s.circuit.blocks[o].z == z
+                          and fits_at(s, o, int(xs[0]), int(ys[0]))), None)
+            if other is None:
+                continue
+            # on the large grid, a stack whose pass kept a rule has not built
+            # its position grid: it must read the table as it was
+            unbuilt += stack.rules["position"]._values is None
+            before = s.clone()
+            s.place(other, int(xs[0]), int(ys[0]))
+            want = compile_masks(before, b, profile, plugins)
+            moved += compile_masks(s, b, profile, plugins).rules["position"].values.tobytes() \
+                != want.rules["position"].values.tobytes()
+            assert_at_matches_values(stack, [(xs, ys)])
+            for name, mask in want.rules.items():
+                got = stack.rules[name].values
+                assert (got.dtype, got.tobytes()) == (mask.values.dtype, mask.values.tobytes()), name
+            assert stack.availability.mask.tobytes() == want.availability.mask.tobytes()
+            s = before
+        assert moved and unbuilt >= (side * side > masks.WHOLE_GRID_MAX_ANCHORS)

@@ -30,11 +30,18 @@ from stackfp import (
     wire_greedy_baseline,
 )
 from stackfp import env as envmod
+from stackfp import masks
 from stackfp import solvers
 from stackfp.core import default_order, shape_from_ar
 from stackfp.env import Observation, PlacementEnv
 from stackfp.fileio import synth_instance
-from stackfp.masks import BlockDistanceRule, compile_masks, rule_free, wire_profiles
+from stackfp.masks import (
+    BlockDistanceRule,
+    RuleBindings,
+    compile_masks,
+    rule_free,
+    wire_profiles,
+)
 from stackfp.metrics import metric_snapshot, normalize
 from stackfp.solvers import _propose, ar_candidate_ladder
 
@@ -467,6 +474,35 @@ def assert_same_stack(got, want):
     assert (a.dropped, a.feasible) == (b.dropped, b.feasible)
 
 
+class TestBindingsOnce:
+    def test_each_compile_works_the_bindings_out_once(self, monkeypatch):
+        """What binds a block (`masks.rule_bindings`) is worked out once per
+        state and block: a ratio scan once for all its candidate shapes,
+        passed to each compile, and an observation once for `rule_free` and
+        its compile; no compile works it out again."""
+        c, _ = synth_instance("once", 5, n_blocks=14, dims=GridDims(24, 24, 2))
+        plugins = _distance_plugins(np.random.default_rng(5), 14, 24, 3)
+        states, seen, compiled = [], [], []
+
+        def key(state, block):
+            states.append(state)        # ids stay unique while the states live
+            return id(state), block, int(state.placed.sum())
+
+        def counting(real, into):
+            return lambda state, block, *a: into.append(key(state, block)) or real(
+                state, block, *a)
+        for mod in (masks, solvers, envmod):
+            monkeypatch.setattr(mod, "rule_bindings", counting(mod.rule_bindings, seen))
+        for mod in (solvers, envmod):
+            monkeypatch.setattr(mod, "compile_masks", counting(mod.compile_masks, compiled))
+        profile = TaskProfile.for_task(3)
+        free = greedy_place(c, profile, plugins=plugins)
+        greedy_place(c, profile, order=list(free.order), ars=dict(free.ars),
+                     plugins=plugins)
+        assert compiled and len(seen) == len(set(seen))
+        assert set(compiled) <= set(seen)
+
+
 class TestLookaheadHandOver:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10_000), n=st.integers(8, 14),
@@ -626,7 +662,7 @@ class TestBoundedScan:
         compiled = []
         monkeypatch.setattr(solvers, "wire_floor", lambda state, block, wire: (
             0.0 if free else -float(state.w[block]), 0))
-        monkeypatch.setattr(solvers, "rule_free", lambda *a: free)
+        monkeypatch.setattr(RuleBindings, "free", property(lambda bound: free))
         monkeypatch.setattr(solvers, "_filter_cells", lambda stack: (
             compiled.append(stack) or np.array([0]), (0.0, 0.0)))
         return ladder, compiled, solvers._scan_ar(env, b, None)
