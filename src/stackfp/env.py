@@ -27,10 +27,10 @@ import numpy as np
 from .core import Circuit, FloorplanError, FloorplanState, occupancy_grid
 from .masks import (
     MaskStack,
-    RuleBindings,
     compile_masks,
     fits_at,
     rule_bindings,
+    rule_free,
     wire_floor,
 )
 from .metrics import (
@@ -98,7 +98,7 @@ class Observation:
         return self.masks.availability
 
     @functools.cached_property
-    def _bound(self) -> RuleBindings:
+    def _bound(self) -> list:
         """What binds the block (`masks.rule_bindings`), worked out once for
         `rule_free` and the compile."""
         self._require_current("ladder")
@@ -108,7 +108,7 @@ class Observation:
     def rule_free(self) -> bool:
         """Whether no rule on the ladder binds the block (`masks.rule_free`):
         its availability is then the anchors where it fits."""
-        return self._bound.free
+        return rule_free(self._bound)
 
     @property
     def canvas(self) -> np.ndarray:

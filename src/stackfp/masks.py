@@ -3,11 +3,12 @@
 Every mask is a (W, H) float array indexed [x, y], where (x, y) is the anchor
 the subject block would be placed at.  The subject is a block not yet placed,
 and a placed one raises ValueError.  Value masks score each anchor under one
-rule.  `compile_masks` puts each rule that binds the block on one list ordered
-by severity, the ladder, with the threshold that binarizes it; the
-availability mask is the conjunction of the ladder with the position mask,
-so an action sampled from it cannot violate any masked rule.  Built-in rules
-and plug-ins take the same route.
+rule.  `rule_bindings` gives each rule that binds the block with the builder
+of its value mask and of its rung (the test and threshold that binarize it),
+and `compile_masks` runs one loop over them, built-in rules and plug-ins
+alike, putting the rungs on one list ordered by severity, the ladder; the
+availability mask is its conjunction with the position mask, so an action
+sampled from it cannot violate any masked rule.
 
 When the conjunction is empty, rules are relaxed by severity: dropping the
 terminal mask costs the most, the grouping mask less, the alignment mask less
@@ -545,6 +546,12 @@ class BlockDistanceRule(RulePlugin):
     """Keep one block's center within max_distance of another's."""
 
     def __init__(self, anchor: int, subject: int, max_distance: float):
+        # a NaN or negative bound never holds, an infinite one always does,
+        # and an anchor that is its own subject never applies
+        if not 0 <= float(max_distance) < math.inf:
+            raise ValueError(f"max_distance must be finite and >= 0, got {max_distance!r}")
+        if anchor == subject:
+            raise ValueError(f"anchor must differ from subject, both are block {subject}")
         self.anchor = anchor
         self.subject = subject
         self.max_distance = float(max_distance)
@@ -581,157 +588,140 @@ class MaskStack:
         return list(self.rules.items())
 
 
-class RuleBindings(NamedTuple):
-    """What puts rules on a block's ladder now (`rule_bindings`)."""
-    terminal: BoundaryBinding | None    # its terminal binding under the profile
-    island: tuple[int, ...] | None      # its island under the profile
-    mates: list[int]                    # the island's placed members
-    pair: int | None                    # its alignment pair's index, once the partner is placed
-    plugins: list                       # the plug-ins that apply
+def _island_mask(state: FloorplanState, block_id: int, mates: list[int]) -> RuleMask:
+    """The grouping mask: the sum of the placed island members' abutment masks."""
+    parts = [adjacent_block_mask(state, block_id, m)._kernel for m in mates]
 
-    @property
-    def free(self) -> bool:
-        """Whether no rule on the ladder binds the block (see `rule_free`)."""
-        return (self.terminal is None and not self.mates and self.pair is None
-                and not self.plugins)
+    def grouping(xs, ys):
+        # abutments are never -0.0, so the sum may start from the first
+        if not parts:
+            return np.zeros(np.broadcast(xs, ys).shape)
+        vals = parts[0](xs, ys)
+        for part in parts[1:]:
+            vals = vals + part(xs, ys)
+        return vals
+    return _kernel_mask(state, block_id, grouping)
+
+
+def _terminal_rung(state, binding: BoundaryBinding, threshold, mask, w, h, fit) -> Rung:
+    """Terminal keeps distances up to its threshold.  A rim distance is an
+    integer at least the terminal-rect gap on either axis, so each terminal
+    reaches the anchors within floor(threshold) of it on both axes: all of
+    them for ALL, the bounding box of any for ANY."""
+    reach = None
+    if fit is not None:
+        t = math.floor(threshold)
+        terms = state.circuit.terminals
+        reach = (0, 0, 0, 0) if t < 0 else _meet(fit, functools.reduce(
+            _meet if binding.mode == "ALL" else _join,
+            [(terms[k].x - w + 1 - t, terms[k].x + t + 1, terms[k].y - h + 1 - t,
+              terms[k].y + t + 1) for k in binding.terminals]))
+    return Rung("terminal", mask, np.less_equal, threshold, reach)
+
+
+def _grouping_rung(state, mates: list[int], floor, mask, w, h, fit) -> Rung:
+    """Grouping keeps any contact at a zero floor, at least the floor above
+    zero; a nonzero abutment needs the rects to touch or overlap, so it
+    reaches the bounding box of each placed mate's such anchors."""
+    reach = None if fit is None else _meet(fit, functools.reduce(_join, [
+        (x - w, x + mw + 1, y - h, y + mh + 1) for x, y, mw, mh in map(state.rect, mates)]))
+    test, threshold = (np.greater, 0) if floor <= 0 else (np.greater_equal, floor)
+    return Rung("grouping", mask, test, threshold, reach)
+
+
+def _alignment_rung(state, partner: int, floor, mask, w, h, fit) -> Rung:
+    """Alignment keeps scores from its floor up; a score above zero needs
+    the rects to overlap, so a floor above zero reaches the anchors over the
+    partner's footprint, and one at or below zero the whole grid."""
+    reach = None
+    if floor > 0 and fit is not None:
+        x, y, pw, ph = state.rect(partner)
+        reach = _meet(fit, (x - w + 1, x + pw, y - h + 1, y + ph))
+    return Rung("alignment", mask, np.greater_equal, floor, reach)
+
+
+def _plugin_rung(plugin: RulePlugin, mask, w, h, fit) -> Rung:
+    """A plug-in's rung: the nonzero cells of its own binarized grid."""
+    return Rung(plugin.name, RuleMask(np.asarray(plugin.binarize(mask))), np.greater, 0)
 
 
 def rule_bindings(state: FloorplanState, block_id: int, profile,
-                  plugins: tuple = ()) -> RuleBindings:
-    """What puts rules on the block's ladder now: its terminal binding, its
-    island (whose value mask is built even with no member placed) and the
-    island's placed members, the index of its alignment pair once the
-    partner is placed, and the plug-ins that apply.  They depend on what is
-    placed, not on the block's shape, so one result serves every shape of
-    a ratio scan; `compile_masks` takes it as `bound`."""
+                  plugins: tuple = ()) -> list[tuple[str, Callable, Callable | None]]:
+    """One (name, build, rung) per rule with a value mask on the block's
+    stack now, in the order `MaskStack.rules` lists them: terminal,
+    grouping, alignment, then the plug-ins that apply in the order given.
+    `build()` gives the value mask for the block's current shape, `rung(
+    mask, w, h, fit)` its `Rung` for a w x h block fitting in the anchor
+    box `fit` (None on a grid worked whole), or None for an island with no
+    placed member.  What binds does not depend on the block's shape."""
     index, cons = state.circuit.index, state.circuit.constraints
+    bound = []
     k = index.binding_col.get(block_id) if profile.uses("boundary") else None
-    terminal = None if k is None else cons.boundary_bindings[k]
+    if k is not None:
+        binding = cons.boundary_bindings[k]
+        bound.append(("terminal", functools.partial(adjacent_terminal_mask, state, binding),
+                      functools.partial(_terminal_rung, state, binding,
+                                        profile.terminal_mask_threshold)))
     island = index.group_of.get(block_id) if profile.uses("grouping") else None
-    mates = [m for m in island or () if m != block_id and state.placed[m]]
+    if island is not None:
+        mates = [m for m in island if m != block_id and state.placed[m]]
+        bound.append(("grouping", functools.partial(_island_mask, state, block_id, mates),
+                      functools.partial(_grouping_rung, state, mates,
+                                        profile.block_mask_threshold) if mates else None))
     k = index.pair_col.get(block_id) if profile.uses("alignment") else None
-    if k is not None and not state.placed[cons.alignment_pairs[k].other(block_id)]:
-        k = None
-    return RuleBindings(terminal, island, mates, k,
-                        [p for p in plugins if p.applies_to(state, block_id)])
+    pair = None if k is None else cons.alignment_pairs[k]
+    if pair is not None and state.placed[pair.other(block_id)]:
+        partner = pair.other(block_id)
+        # in Python floats, so that a huge fraction makes the floor inf
+        # (which no score reaches) instead of overflowing in numpy
+        floor = profile.alignment_mask_frac * float(index.small_area[k]) / pair.min_area
+        bound.append(("alignment", functools.partial(alignment_mask, state, block_id,
+                                                     partner, pair.min_area),
+                      functools.partial(_alignment_rung, state, partner, floor)))
+    for plugin in plugins:
+        if plugin.applies_to(state, block_id):
+            bound.append((plugin.name, functools.partial(plugin.build, state, block_id),
+                          functools.partial(_plugin_rung, plugin)))
+    return bound
 
 
-def rule_free(state: FloorplanState, block_id: int, profile,
-              plugins: tuple = ()) -> bool:
-    """Whether no rule on `compile_masks`' ladder binds the block now: no
-    terminal binding under the profile, no placed island mate, no placed
-    alignment partner and no plug-in that applies.  The availability is
-    then the position mask alone, so greedy's cell is the one `wire_floor`
-    returns, and the stack need not be compiled to find it."""
-    return rule_bindings(state, block_id, profile, plugins).free
-
-
-def _terminal_reach(state: FloorplanState, binding: BoundaryBinding, w: int, h: int,
-                    threshold: float) -> tuple[int, int, int, int]:
-    """The anchors of a w x h block whose distance to the binding can be at
-    most `threshold`.  A rim distance is an integer no smaller than the
-    gap between terminal and rect on either axis, so each terminal reaches
-    the anchors within floor(threshold) of it on both axes: all of them for
-    ALL, the bounding box of any for ANY."""
-    t = math.floor(threshold)
-    if t < 0:
-        return 0, 0, 0, 0
-    terms = state.circuit.terminals
-    boxes = [(terms[k].x - w + 1 - t, terms[k].x + t + 1,
-              terms[k].y - h + 1 - t, terms[k].y + t + 1) for k in binding.terminals]
-    return functools.reduce(_meet if binding.mode == "ALL" else _join, boxes)
-
-
-def _contact_reach(state: FloorplanState, mates: list[int], w: int,
-                   h: int) -> tuple[int, int, int, int]:
-    """The anchors where a w x h block's rect touches or overlaps a placed
-    mate, which a nonzero abutment needs: the bounding box of each mate's."""
-    rects = [state.rect(m) for m in mates]
-    return functools.reduce(_join, [(x - w, x + mw + 1, y - h, y + mh + 1)
-                                     for x, y, mw, mh in rects])
+def rule_free(bound: list) -> bool:
+    """Whether no rule on the ladder binds the block (no entry of its
+    `rule_bindings` has a rung): its availability is then the position mask
+    alone, and greedy's cell the one `wire_floor` returns."""
+    for _, _, rung in bound:
+        if rung is not None:
+            return False
+    return True
 
 
 def compile_masks(state: FloorplanState, block_id: int, profile,
                   plugins: tuple = (),
                   wire: tuple[WireProfile, WireProfile] | None = None,
-                  bound: RuleBindings | None = None) -> MaskStack:
-    """Build every mask that binds one block, put each on the ladder with
-    the threshold that binarizes it (terminal, grouping, alignment, then
-    the plug-ins from last to first), and form the availability
-    conjunction.  Terminal keeps distances up to its threshold, grouping
-    any contact at a zero threshold and at least the threshold above zero,
-    alignment scores from its floor up; plug-ins binarize themselves.  An
-    island's mask sums the abutment masks of its placed members.  An
-    island with no placed member and a pair whose partner is unplaced
-    constrain nothing yet and stay off the ladder (see `rule_free`).  Two
-    rules that bind one block must not share a name.  `wire` passes on
-    `wire_profiles` that cover the block's shape (see `wire_mask`), and
-    `bound` the block's `rule_bindings` on this state.
-
-    Each rule's reach bounds where the availability pass evaluates it:
-    near the terminals (`_terminal_reach`), where the block's rect touches
-    a placed mate, where it overlaps the partner's footprint when the
-    alignment floor is above zero, each clipped to the anchors that keep
-    the block on the grid.  An alignment floor at or below zero and the
-    plug-ins reach the whole grid, so a pass that starts with one of them
-    builds the position grid once, as `values`.  A kept rule's values at
-    the available anchors are then read off the box the pass evaluated."""
-    terminal, island, mates, k, plugged = bound or rule_bindings(
-        state, block_id, profile, plugins)
+                  bound: list | None = None) -> MaskStack:
+    """Build the value mask of each rule in `bound` (the block's
+    `rule_bindings` on this state, worked out when None) into `rules` in
+    that order, put the built-in rules' rungs on the ladder in that order
+    and the plug-ins' below them from last to first, and form the
+    availability conjunction.  Two rules that bind one block must not share
+    a name.  `wire` passes on `wire_profiles` that cover the block's shape."""
+    if bound is None:
+        bound = rule_bindings(state, block_id, profile, plugins)
     dims = state.circuit.dims
     w, h = int(state.w[block_id]), int(state.h[block_id])
-    fit = (0, dims.width - w + 1, 0, dims.height - h + 1)
     # the availability pass reads no reach on a grid it works whole
-    whole = dims.width * dims.height <= WHOLE_GRID_MAX_ANCHORS
+    fit = None if dims.width * dims.height <= WHOLE_GRID_MAX_ANCHORS else (
+        0, dims.width - w + 1, 0, dims.height - h + 1)
     rules = {"wire": wire_mask(state, block_id, wire),
              "position": position_mask(state, block_id)}
-    ladder = []
-
-    if terminal is not None:
-        rules["terminal"] = adjacent_terminal_mask(state, terminal)
-        threshold = profile.terminal_mask_threshold
-        reach = None if whole else _meet(fit, _terminal_reach(state, terminal, w, h,
-                                                               threshold))
-        ladder.append(Rung("terminal", rules["terminal"], np.less_equal, threshold, reach))
-
-    if island is not None:
-        parts = [adjacent_block_mask(state, block_id, m)._kernel for m in mates]
-
-        def grouping(xs, ys):
-            # abutments are never -0.0, so the sum may start from the first
-            if not parts:
-                return np.zeros(np.broadcast(xs, ys).shape)
-            vals = parts[0](xs, ys)
-            for part in parts[1:]:
-                vals = vals + part(xs, ys)
-            return vals
-        rules["grouping"] = _kernel_mask(state, block_id, grouping)
-        if mates:
-            floor = profile.block_mask_threshold
-            reach = None if whole else _meet(fit, _contact_reach(state, mates, w, h))
-            ladder.append(Rung("grouping", rules["grouping"],
-                               *((np.greater, 0) if floor <= 0 else (np.greater_equal, floor)),
-                               reach))
-
-    if k is not None:
-        pair = state.circuit.constraints.alignment_pairs[k]
-        partner = pair.other(block_id)
-        rules["alignment"] = alignment_mask(state, block_id, partner, pair.min_area)
-        floor = profile.alignment_mask_frac * state.circuit.index.small_area[k] / pair.min_area
-        reach = None
-        if floor > 0 and not whole:
-            # a score above zero needs the rects to overlap
-            x, y, pw, ph = state.rect(partner)
-            reach = _meet(fit, (x - w + 1, x + pw, y - h + 1, y + ph))
-        ladder.append(Rung("alignment", rules["alignment"], np.greater_equal, floor, reach))
-
-    binarized = []
-    for plugin in plugged:
-        if plugin.name in rules:
-            raise ValueError(f"two rules named {plugin.name!r} bind block {block_id}")
-        rules[plugin.name] = plugin.build(state, block_id)
-        bits = RuleMask(np.asarray(plugin.binarize(rules[plugin.name])))
-        binarized.append(Rung(plugin.name, bits, np.greater, 0))
-    ladder.extend(reversed(binarized))
-
+    ladder, top = [], 0
+    for name, build, rung in bound:
+        if name in rules:
+            raise ValueError(f"two rules named {name!r} bind block {block_id}")
+        rules[name] = build()
+        if rung is not None:
+            # a plug-in's rung goes below the built-in rules' and above the
+            # rungs of the plug-ins listed before it
+            ladder.insert(top, rung(rules[name], w, h, fit))
+            top += rung.func is not _plugin_rung
     return MaskStack(block_id, rules, availability_mask(rules["position"], ladder))

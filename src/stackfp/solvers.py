@@ -18,9 +18,9 @@ allowed cells and how they shape soft blocks:
   where it fits, and the least cell that reaches it), and only until no
   remaining candidate can win; each is compiled at most once, and a block
   that no rule on the ladder binds (`masks.rule_free`) not at all, since
-  its floor and that cell are its whole score.  What binds the block
-  (`masks.rule_bindings`) does not depend on its shape, so a scan works it
-  out once.  Blocks placed without a scan take the same shortcut.
+  its floor and that cell are its whole score.  The rules that bind the
+  block (`masks.rule_bindings`) do not depend on its shape, so a scan
+  lists them once.  Blocks placed without a scan take the same shortcut.
 * annealing: reuses greedy as a decoder for a genome of placement order plus
   per-block ratios, starting from the greedy solution itself.
 * random: uniform over the allowed cells, ratios log-uniform in the band.
@@ -58,7 +58,14 @@ from .env import (
     weighted_score,
     wire_greedy_baseline,   # noqa: F401  perfbench wraps solvers.wire_greedy_baseline
 )
-from .masks import MaskStack, compile_masks, rule_bindings, wire_floor, wire_profiles
+from .masks import (
+    MaskStack,
+    compile_masks,
+    rule_bindings,
+    rule_free,
+    wire_floor,
+    wire_profiles,
+)
 from .metrics import MetricTuple
 
 AR_CANDIDATES = 8                       # ratio ladder length per soft block
@@ -244,6 +251,7 @@ def _scan_ar(env: PlacementEnv, block_id: int,
     wire = wire_profiles(sim, block_id, [w for _, (w, _) in ladder],
                          [h for _, (_, h) in ladder])
     bound = rule_bindings(sim, block_id, env.profile, env.plugins)
+    free = rule_free(bound)
     floors = []
     for i, (r, _) in enumerate(ladder):
         sim.set_shape(block_id, r)
@@ -255,7 +263,7 @@ def _scan_ar(env: PlacementEnv, block_id: int,
         # ladder order would
         r = ladder[i][0]
         sim.set_shape(block_id, r)
-        if bound.free:
+        if free:
             return (0.0, floor, float(cell), i), r, _Lookahead(None, cell)
         stack = compile_masks(sim, block_id, env.profile, env.plugins, wire, bound)
         cells, score = _filter_cells(stack)

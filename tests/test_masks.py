@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from stackfp import masks
 from stackfp.masks import (
     BlockDistanceRule,
     RuleMask,
+    RulePlugin,
     Rung,
     adjacent_block_mask,
     adjacent_terminal_mask,
@@ -29,6 +31,7 @@ from stackfp.masks import (
     compile_masks,
     fits_at,
     position_mask,
+    rule_bindings,
     rule_free,
     wire_floor,
     wire_mask,
@@ -36,7 +39,7 @@ from stackfp.masks import (
 )
 from stackfp.fileio import synth_instance
 from stackfp.metrics import total_hpwl
-from stackfp.solvers import _pick_cell
+from stackfp.solvers import _pick_cell, greedy_place
 
 import oracles
 
@@ -586,6 +589,21 @@ class TestBlockDistancePlugin:
         assert bin_mask[3, 0] == 1 and bin_mask[4, 0] == 0
         s.place(1, 3, 0)
         assert rule.metric(s) == 3.0
+        assert BlockDistanceRule(0, 1, 0).max_distance == 0.0
+
+    @pytest.mark.parametrize("args, field", [
+        (json.loads("[0, 1, NaN]"), "max_distance"),       # as a spec file gives it
+        ((0, 1, math.inf), "max_distance"),
+        ((0, 1, -math.inf), "max_distance"),
+        ((0, 1, -0.5), "max_distance"),
+        ((1, 1, 3.0), "anchor"),
+    ])
+    def test_rules_that_can_never_hold_rejected(self, args, field):
+        """A NaN or negative bound never holds, an infinite one always
+        does, and an anchor that is its own subject never applies: none of
+        these rules constrains anything."""
+        with pytest.raises(ValueError, match=field):
+            BlockDistanceRule(*args)
 
 
 class TestCompileMasks:
@@ -636,14 +654,34 @@ class TestCompileMasks:
                     assert oracles.adjacency_length((x, y, 2, 2), s.rect(1)) > 0
 
     def test_plugins_join_the_stack(self):
-        blocks, cons, terms, nets = self._fixture()
-        s = make_state(blocks, {1: (2, 0)}, terminals=terms, nets=nets,
-                       constraints=cons)
-        rule = BlockDistanceRule(anchor=1, subject=0, max_distance=2.0)
-        stack = compile_masks(s, 0, TaskProfile.for_task(3), plugins=(rule,))
-        assert list(stack.rules) == ["wire", "position", "terminal", "grouping",
-                                     rule.name]
-        assert stack.named_value_masks() == list(stack.rules.items())
+        """Two plug-ins on a block with a terminal binding and a placed
+        island mate: `rules` lists them after the built-in rules in the
+        order given, and the ladder takes them below the built-in rules from
+        last to first.  Block 0 touches a terminal and abuts its mate only
+        at (3, 0) and (7, 0); each plug-in holds at one of them, so the one
+        given first is dropped.  Two plug-ins that hold at neither both
+        drop, named least severe, i.e. given first, first."""
+        terms = (Terminal(0, "l", 3, 0, 0), Terminal(1, "r", 8, 0, 0))
+        cons = ConstraintSet(groups=((0, 1),),
+                             boundary_bindings=(BoundaryBinding(0, (0, 1), "ANY"),))
+        s = make_state([hard(b, 2, 2) for b in range(4)],
+                       {1: (5, 0), 2: (0, 8), 3: (10, 8)}, terminals=terms,
+                       dims=(12, 12, 1), constraints=cons)
+        near_l = BlockDistanceRule(anchor=2, subject=0, max_distance=12.0)
+        near_r = BlockDistanceRule(anchor=3, subject=0, max_distance=12.0)
+        profile = TaskProfile.for_task(3)
+        for plugins, cell in (((near_l, near_r), (7, 0)), ((near_r, near_l), (3, 0))):
+            stack = compile_masks(s, 0, profile, plugins=plugins)
+            assert list(stack.rules) == ["wire", "position", "terminal", "grouping",
+                                         plugins[0].name, plugins[1].name]
+            assert stack.named_value_masks() == list(stack.rules.items())
+            res = stack.availability
+            assert res.dropped == (plugins[0].name,)
+            assert list(zip(*res.anchors())) == [cell]
+        far = (BlockDistanceRule(2, 0, 1.0), BlockDistanceRule(3, 0, 1.0))
+        res = compile_masks(s, 0, profile, plugins=far).availability
+        assert res.dropped == (far[0].name, far[1].name)
+        assert sorted(zip(*res.anchors())) == [(3, 0), (7, 0)]
 
     def test_clashing_plugins_relax_first_listed_first(self):
         s = make_state([hard(0, 2, 2), hard(1, 2, 2), hard(2, 2, 2)],
@@ -676,6 +714,73 @@ class TestCompileMasks:
         stack = compile_masks(s, 0, TaskProfile.for_task(3), plugins=(twice[0], other))
         assert twice[0].name in stack.rules
 
+    def test_huge_alignment_floor_drops_the_rung(self):
+        """A floor fraction so large that the floor overflows makes it inf,
+        which no score reaches: the alignment rung drops, with no numpy
+        overflow on the way (the suite turns warnings into errors)."""
+        blocks, cons, terms, nets = self._fixture()
+        s = make_state(blocks, {1: (2, 0), 2: (0, 0)}, terminals=terms,
+                       nets=nets, constraints=cons)
+        stack = compile_masks(s, 0, TaskProfile.for_task(3, alignment_mask_frac=1e308))
+        assert stack.availability.dropped == ("alignment",)
+        assert stack.availability.allows(0, 0)
+
+
+class FarColumns(RulePlugin):
+    """A plug-in written to the `RulePlugin` API alone: its value mask is a
+    full grid, 1 on the columns x >= lo, and its metric the subject's x."""
+
+    def __init__(self, subject: int, lo: int):
+        self.subject, self.lo = subject, lo
+        self.name = f"far_columns[{subject}]"
+
+    def applies_to(self, state, block_id):
+        return block_id == self.subject
+
+    def build(self, state, block_id):
+        values = np.zeros((state.circuit.dims.width, state.circuit.dims.height))
+        values[self.lo:] = 1.0
+        return RuleMask(values)
+
+    def binarize(self, mask):
+        return mask.values > 0
+
+    def metric(self, state):
+        return float(state.rect(self.subject)[0]) if state.placed[self.subject] else -1.0
+
+
+class TestGridPlugin:
+    @pytest.mark.parametrize("side", [20, 66])
+    def test_grid_valued_plugin_takes_the_ladder(self, side, monkeypatch):
+        """A plug-in whose `build` gives a full grid compiles on grids both
+        sides of WHOLE_GRID_MAX_ANCHORS, joins the ladder below every
+        built-in rule, is the first rule relaxed when it clashes with them,
+        and reports its metric in the episode summary."""
+        terms = (Terminal(0, "t", 0, 0, 0),)
+        cons = ConstraintSet(groups=((0, 1),),
+                             boundary_bindings=(BoundaryBinding(0, (0,), "ALL"),))
+        nets = (Net(blocks=(0, 1), terminals=(0,)),)
+        s = make_state([hard(0, 2, 2), hard(1, 2, 2)], {1: (2, 0)}, terminals=terms,
+                       nets=nets, dims=(side, side, 1), constraints=cons)
+        profile = TaskProfile.for_task(3)
+        ladders = []
+        real = masks.availability_mask
+        monkeypatch.setattr(masks, "availability_mask",
+                            lambda pos, ladder: ladders.append(ladder) or real(pos, ladder))
+        far, near = FarColumns(0, side // 2), FarColumns(0, 0)
+        stack = compile_masks(s, 0, profile, plugins=(far,))
+        assert [rung.name for rung in ladders[-1]] == ["terminal", "grouping", far.name]
+        assert list(stack.rules) == ["wire", "position", "terminal", "grouping", far.name]
+        # the terminal pins block 0 to the corner, far from the columns
+        assert stack.availability.dropped == (far.name,)
+        assert list(zip(*stack.availability.anchors())) == [(0, 0)]
+        stack = compile_masks(s, 0, profile, plugins=(near,))
+        assert stack.availability.dropped == ()
+        assert list(zip(*stack.availability.anchors())) == [(0, 0)]
+        res = greedy_place(s.circuit, profile, plugins=(far,))
+        assert res.summary.plugin_metrics == {far.name: far.metric(res.state)}
+        assert res.summary.plugin_metrics[far.name] >= 0
+
 
 class TestRuleFree:
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -707,7 +812,7 @@ class TestRuleFree:
             m.setattr(masks, "availability_mask",
                       lambda pos, ladder: ladders.append(ladder) or real(pos, ladder))
             for b in np.flatnonzero(~s.placed).tolist():
-                free = rule_free(s, b, profile, plugins)
+                free = rule_free(rule_bindings(s, b, profile, plugins))
                 stack = compile_masks(s, b, profile, plugins)
                 assert free == (len(ladders[-1]) == 0), b
                 if free:
@@ -739,12 +844,12 @@ def full_grid_availability(state, stack, profile, plugins):
     position mask and each rule on the ladder binarized over the whole
     grid from its `values`, relaxed by exhaustive subset search."""
     rules, block = stack.rules, stack.block
-    bound = masks.rule_bindings(state, block, profile, plugins)
+    island = state.circuit.index.group_of.get(block, ())
     ladder = []
     if "terminal" in rules:
         ladder.append(("terminal",
                        rules["terminal"].values <= profile.terminal_mask_threshold))
-    if bound.mates:
+    if "grouping" in rules and any(state.placed[m] for m in island if m != block):
         floor, vals = profile.block_mask_threshold, rules["grouping"].values
         ladder.append(("grouping", vals > 0 if floor <= 0 else vals >= floor))
     if "alignment" in rules:
@@ -752,7 +857,8 @@ def full_grid_availability(state, stack, profile, plugins):
         pair = state.circuit.constraints.alignment_pairs[k]
         floor_area = profile.alignment_mask_frac * state.circuit.index.small_area[k]
         ladder.append(("alignment", rules["alignment"].values >= floor_area / pair.min_area))
-    ladder += [(p.name, p.binarize(rules[p.name])) for p in reversed(bound.plugins)]
+    ladder += [(p.name, p.binarize(rules[p.name])) for p in reversed(plugins)
+               if p.applies_to(state, block)]
     return oracles.relaxed_availability(rules["position"].values, ladder[::-1])
 
 

@@ -37,8 +37,8 @@ from stackfp.env import Observation, PlacementEnv
 from stackfp.fileio import synth_instance
 from stackfp.masks import (
     BlockDistanceRule,
-    RuleBindings,
     compile_masks,
+    rule_bindings,
     rule_free,
     wire_profiles,
 )
@@ -172,6 +172,18 @@ class TestGreedyFrozen:
 
 
 class TestGreedyProperties:
+    def test_huge_alignment_fraction_relaxes_alignment(self):
+        """A floor fraction whose floor overflows relaxes the alignment
+        rung of the block placed after its partner, with no numpy overflow
+        on the way (the suite turns warnings into errors), and leaves the
+        other rules kept."""
+        g = greedy_place(demo_circuit(), TaskProfile.for_task(3, alignment_mask_frac=1e308))
+        placed = set()
+        for rec in g.trace.steps:
+            pair = 2 if rec.block == 0 else 0 if rec.block == 2 else None
+            assert rec.dropped == (("alignment",) if pair in placed else ()), rec
+            placed.add(rec.block)
+
     def test_constraints_hold_on_demo(self):
         g = greedy_place(demo_circuit(), TaskProfile.for_task(3))
         sat = g.summary.satisfaction
@@ -221,7 +233,7 @@ class TestGreedyProperties:
             obs = observe(env)
             if obs is not None:
                 observed.append(obs)
-                free[obs.block] = rule_free(env.state, obs.block, env.profile)
+                free[obs.block] = rule_free(rule_bindings(env.state, obs.block, env.profile))
             return obs
 
         monkeypatch.setattr(envmod, "compile_masks",
@@ -529,7 +541,7 @@ class TestLookaheadHandOver:
             assert obs._stack == []
             fresh[block] = compile_masks(state, block, *obs._rules)
             handed[block] = masks
-            free[block] = rule_free(state, block, *obs._rules)
+            free[block] = rule_free(rule_bindings(state, block, *obs._rules))
             hand(obs, masks)
             if masks is not None:
                 assert obs.masks is masks
@@ -609,7 +621,7 @@ class TestBoundedScan:
                 if ahead.masks is None:
                     sim = _scan_state(env, pending)
                     sim.set_shape(block_id, r)
-                    assert rule_free(sim, block_id, env.profile, env.plugins)
+                    assert rule_free(rule_bindings(sim, block_id, env.profile, env.plugins))
                 else:
                     assert_same_stack(ahead.masks, want[1])
             return r, ahead
@@ -662,7 +674,7 @@ class TestBoundedScan:
         compiled = []
         monkeypatch.setattr(solvers, "wire_floor", lambda state, block, wire: (
             0.0 if free else -float(state.w[block]), 0))
-        monkeypatch.setattr(RuleBindings, "free", property(lambda bound: free))
+        monkeypatch.setattr(solvers, "rule_free", lambda bound: free)
         monkeypatch.setattr(solvers, "_filter_cells", lambda stack: (
             compiled.append(stack) or np.array([0]), (0.0, 0.0)))
         return ladder, compiled, solvers._scan_ar(env, b, None)
