@@ -53,7 +53,6 @@ from .masks import (
     MaskStack,
     RuleMask,
     RulePlugin,
-    Rung,
     availability_mask,
     compile_masks,
 )

@@ -150,6 +150,8 @@ def parse_pl_text(text: str) -> dict[str, tuple[float, float]]:
         tokens = line.split()
         if len(tokens) < 3:
             raise ParseError(f"pl line wants name x y: {line!r}", ln)
+        if tokens[0] in coords:
+            raise ParseError(f"duplicate placement of {tokens[0]!r}", ln)
         coords[tokens[0]] = (_number(tokens[1], line, ln), _number(tokens[2], line, ln))
     return coords
 

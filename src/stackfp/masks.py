@@ -29,8 +29,9 @@ and the rule values at the few anchors that survive it, so on a large grid
 no rule's grid is built.  On a grid of at most WHOLE_GRID_MAX_ANCHORS
 anchors every box is the whole grid instead, and each grid the pass
 evaluates becomes the rule's values.  The position and wire masks read the
-state's incremental bookkeeping: window sums of its summed-area table and
-its live net boxes, so neither grows with the number of placed blocks.
+state's incremental bookkeeping: window sums of its summed-area table (the
+position mask holds a copy of its layer's table) and its live net boxes,
+so neither grows with the number of placed blocks.
 
 The wire mask is the sum of two per-axis profiles (`wire_profiles`).  A
 block of width w anchored at x has its centre at k / 2 with k = 2x + w, so
@@ -88,14 +89,15 @@ class RuleMask:
     mask is built, so a mask read after its state has moved on still
     scores the state it was built on.  (The position mask gives
     `grid(x0, x1, y0, y1)`, which scores a box of anchors by window sums,
-    in place of a kernel.)  `values` evaluates the whole grid when first
-    read and keeps it.  `over` evaluates a box of anchors and keeps the
-    last box (as `values` when it is the whole grid); `at` scores given
-    anchors, read off the kept grid or box when it covers them, and
-    otherwise by the kernel.  The kernel scores each anchor on its own, so
-    all three agree bit for bit."""
+    in place of a kernel.)  So a mask holds its grid or its kernel: `values`
+    evaluates the whole grid when first read and keeps it in place of the
+    kernel, letting go of the kernel's inputs.  `over` evaluates a box of
+    anchors, kept as `values` when it is the whole grid; `at` scores given
+    anchors by the kernel while there is one, and otherwise reads them off
+    `values`.  The kernel scores each anchor on its own, so all three agree
+    bit for bit."""
 
-    __slots__ = ("shape", "_values", "_kernel", "_grid", "_corner", "_part")
+    __slots__ = ("shape", "_values", "_kernel", "_grid")
 
     def __init__(self, values: np.ndarray | None = None, *,
                  kernel: Callable | None = None, grid: Callable | None = None,
@@ -104,7 +106,6 @@ class RuleMask:
         self._values = values
         self._kernel = kernel
         self._grid = grid
-        self._corner = self._part = None
 
     @property
     def values(self) -> np.ndarray:
@@ -122,20 +123,12 @@ class RuleMask:
             part = self._kernel(_axis(self.shape[0])[x0:x1, None],
                                 _axis(self.shape[1])[None, y0:y1])
         if (x1 - x0, y1 - y0) == self.shape:
-            self._values = part
-        else:
-            self._corner, self._part = (x0, y0), part
+            self._values, self._kernel, self._grid = part, None, None
         return part
 
     def at(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """The values at the anchors (xs[i], ys[i])."""
-        part = self._part
-        if self._values is None and part is not None and xs.size:
-            x0, y0 = self._corner
-            if (x0 <= xs.min() and xs.max() < x0 + part.shape[0]
-                    and y0 <= ys.min() and ys.max() < y0 + part.shape[1]):
-                return part[xs - x0, ys - y0]
-        if self._values is None and self._kernel is not None:
+        if self._kernel is not None:
             return self._kernel(xs, ys)
         return self.values[xs, ys]
 
@@ -146,8 +139,7 @@ class AvailabilityResult:
     The conjunction is held as `part`, a bool array over the anchor box
     whose low corner is `corner`, on a grid of `shape`; no available anchor
     lies outside the box.  `mask`, the conjunction as a (W, H) uint8 grid,
-    is built when first read; `allows`, `anchors` and `cells` read the
-    box."""
+    is built when first read; `allows` and `anchors` read the box."""
 
     __slots__ = ("dropped", "feasible", "shape", "corner", "part", "_mask")
 
@@ -194,11 +186,6 @@ class AvailabilityResult:
         if y0:
             ys += y0
         return xs, ys
-
-    def cells(self) -> np.ndarray:
-        """The available anchors' flat indices x * H + y, ascending."""
-        xs, ys = self.anchors()
-        return xs * self.shape[1] + ys
 
 
 def _require_unplaced(state: FloorplanState, block_id: int) -> None:
@@ -274,19 +261,15 @@ def _fits(sat: np.ndarray, w: int, h: int, xs: tuple[int, int],
 def position_mask(state: FloorplanState, block_id: int) -> RuleMask:
     """1 where the block fits fully on its layer without touching any placed
     footprint, 0 elsewhere: the anchors that keep it on the grid and whose
-    window of the layer's summed-area table sums to zero.  On a grid of at
-    most WHOLE_GRID_MAX_ANCHORS anchors the grid is built at once; on a
-    larger one the mask holds a copy of the table, and a box of it costs
-    window sums over that box only."""
+    window of the layer's summed-area table sums to zero.  The mask holds a
+    copy of the table, so a read after the state moves on still sees the
+    state it was built on, and a box of it costs window sums over that box
+    only."""
     _require_unplaced(state, block_id)
     dims = state.circuit.dims
-    shape = (dims.width, dims.height)
     w, h = int(state.w[block_id]), int(state.h[block_id])
     nx, ny = dims.width - w + 1, dims.height - h + 1     # fitting anchors per axis
-    whole = dims.width * dims.height <= WHOLE_GRID_MAX_ANCHORS
-    sat = state.sat[state.circuit.blocks[block_id].z]
-    if not whole:
-        sat = sat.copy()
+    sat = state.sat[state.circuit.blocks[block_id].z].copy()
 
     def grid(x0, x1, y0, y1):
         out = np.zeros((x1 - x0, y1 - y0))
@@ -295,10 +278,7 @@ def position_mask(state: FloorplanState, block_id: int) -> RuleMask:
             out[:fits.shape[0], :fits.shape[1]] = fits
         return out
 
-    mask = RuleMask(grid=grid, shape=shape)
-    if whole:
-        mask.over(0, dims.width, 0, dims.height)
-    return mask
+    return RuleMask(grid=grid, shape=(dims.width, dims.height))
 
 
 class WireProfile(NamedTuple):
@@ -440,18 +420,6 @@ def block_distance_mask(state: FloorplanState, block_id: int, anchor_id: int) ->
         xs, ys, w, h, *rect))
 
 
-class Rung(NamedTuple):
-    """One rule on the ladder: the anchors whose `mask` value passes
-    `test(value, threshold)` (`np.less_equal` and the like) satisfy it, and
-    none of them lies outside `reach`, the anchor box (x0, x1, y0, y1),
-    half-open, or None for the whole grid."""
-    name: str
-    mask: RuleMask
-    test: Callable
-    threshold: float
-    reach: tuple[int, int, int, int] | None = None
-
-
 def _meet(a: tuple, b: tuple) -> tuple:
     """The intersection of two anchor boxes (x0, x1, y0, y1)."""
     return max(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), min(a[3], b[3])
@@ -462,9 +430,13 @@ def _join(a: tuple, b: tuple) -> tuple:
     return min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3])
 
 
-def availability_mask(position: RuleMask, ladder: list[Rung]) -> AvailabilityResult:
+def availability_mask(position: RuleMask, ladder: list[tuple]) -> AvailabilityResult:
     """Conjunction of the position mask with the ladder's rules, listed from
-    the most severe to the least.  A rule that would empty the conjunction
+    the most severe to the least.  Each rule is a tuple (name, mask, test,
+    threshold, reach): the anchors whose `mask` value passes `test(value,
+    threshold)` (`np.less_equal` and the like) satisfy it, and none of them
+    lies outside `reach`, the anchor box (x0, x1, y0, y1), half-open, or
+    None for the whole grid.  A rule that would empty the conjunction
     is dropped instead, so one pass keeps the most severe rules that can be
     kept together (k+1 conjunctions for k rules); `dropped` names them
     least severe first.  The position mask is never given up: if it is
@@ -603,7 +575,7 @@ def _island_mask(state: FloorplanState, block_id: int, mates: list[int]) -> Rule
     return _kernel_mask(state, block_id, grouping)
 
 
-def _terminal_rung(state, binding: BoundaryBinding, threshold, mask, w, h, fit) -> Rung:
+def _terminal_rung(state, binding: BoundaryBinding, threshold, mask, w, h, fit) -> tuple:
     """Terminal keeps distances up to its threshold.  A rim distance is an
     integer at least the terminal-rect gap on either axis, so each terminal
     reaches the anchors within floor(threshold) of it on both axes: all of
@@ -616,20 +588,20 @@ def _terminal_rung(state, binding: BoundaryBinding, threshold, mask, w, h, fit) 
             _meet if binding.mode == "ALL" else _join,
             [(terms[k].x - w + 1 - t, terms[k].x + t + 1, terms[k].y - h + 1 - t,
               terms[k].y + t + 1) for k in binding.terminals]))
-    return Rung("terminal", mask, np.less_equal, threshold, reach)
+    return "terminal", mask, np.less_equal, threshold, reach
 
 
-def _grouping_rung(state, mates: list[int], floor, mask, w, h, fit) -> Rung:
+def _grouping_rung(state, mates: list[int], floor, mask, w, h, fit) -> tuple:
     """Grouping keeps any contact at a zero floor, at least the floor above
     zero; a nonzero abutment needs the rects to touch or overlap, so it
     reaches the bounding box of each placed mate's such anchors."""
     reach = None if fit is None else _meet(fit, functools.reduce(_join, [
         (x - w, x + mw + 1, y - h, y + mh + 1) for x, y, mw, mh in map(state.rect, mates)]))
     test, threshold = (np.greater, 0) if floor <= 0 else (np.greater_equal, floor)
-    return Rung("grouping", mask, test, threshold, reach)
+    return "grouping", mask, test, threshold, reach
 
 
-def _alignment_rung(state, partner: int, floor, mask, w, h, fit) -> Rung:
+def _alignment_rung(state, partner: int, floor, mask, w, h, fit) -> tuple:
     """Alignment keeps scores from its floor up; a score above zero needs
     the rects to overlap, so a floor above zero reaches the anchors over the
     partner's footprint, and one at or below zero the whole grid."""
@@ -637,12 +609,12 @@ def _alignment_rung(state, partner: int, floor, mask, w, h, fit) -> Rung:
     if floor > 0 and fit is not None:
         x, y, pw, ph = state.rect(partner)
         reach = _meet(fit, (x - w + 1, x + pw, y - h + 1, y + ph))
-    return Rung("alignment", mask, np.greater_equal, floor, reach)
+    return "alignment", mask, np.greater_equal, floor, reach
 
 
-def _plugin_rung(plugin: RulePlugin, mask, w, h, fit) -> Rung:
+def _plugin_rung(plugin: RulePlugin, mask, w, h, fit) -> tuple:
     """A plug-in's rung: the nonzero cells of its own binarized grid."""
-    return Rung(plugin.name, RuleMask(np.asarray(plugin.binarize(mask))), np.greater, 0)
+    return plugin.name, RuleMask(np.asarray(plugin.binarize(mask))), np.greater, 0, None
 
 
 def rule_bindings(state: FloorplanState, block_id: int, profile,
@@ -651,9 +623,10 @@ def rule_bindings(state: FloorplanState, block_id: int, profile,
     stack now, in the order `MaskStack.rules` lists them: terminal,
     grouping, alignment, then the plug-ins that apply in the order given.
     `build()` gives the value mask for the block's current shape, `rung(
-    mask, w, h, fit)` its `Rung` for a w x h block fitting in the anchor
-    box `fit` (None on a grid worked whole), or None for an island with no
-    placed member.  What binds does not depend on the block's shape."""
+    mask, w, h, fit)` its ladder tuple (as `availability_mask` takes it)
+    for a w x h block fitting in the anchor box `fit` (None on a grid
+    worked whole), or None for an island with no placed member.  What
+    binds does not depend on the block's shape."""
     index, cons = state.circuit.index, state.circuit.constraints
     bound = []
     k = index.binding_col.get(block_id) if profile.uses("boundary") else None

@@ -32,6 +32,7 @@ so lower is better and the annealer's objective agrees with the reward.
 import dataclasses
 import functools
 import math
+import numbers
 import time
 from typing import Callable, NamedTuple
 
@@ -86,6 +87,11 @@ class SolverConfig:
     def __post_init__(self):
         if self.kind not in ("greedy", "sa", "random"):
             raise ValueError(f"unknown solver kind {self.kind!r}")
+        for name in ("seed", "sa_iterations", "sa_calibration_moves"):
+            value = getattr(self, name)
+            # numpy integers count; a bool is no count
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 @dataclasses.dataclass
@@ -125,19 +131,13 @@ def objective_cost(norm: MetricTuple, profile: TaskProfile) -> float:
     return -weighted_score(norm, profile)
 
 
-@functools.lru_cache(maxsize=1024, typed=True)
-def _ladder_ratios(ar_min: float, ar_max: float) -> tuple[float, ...]:
-    """AR_CANDIDATES geometrically spaced ratios across [ar_min, ar_max],
-    kept per band: blocks commonly share one."""
-    return tuple(np.geomspace(ar_min, ar_max, AR_CANDIDATES).tolist())
-
-
 @functools.lru_cache(maxsize=4096, typed=True)
 def _ladder_shapes(area: int, ar_min: float,
                    ar_max: float) -> tuple[tuple[float, tuple[int, int]], ...]:
-    """The ladder's (ratio, shape) pairs, kept per area and band."""
+    """The ladder's (ratio, shape) pairs: AR_CANDIDATES geometrically
+    spaced ratios across [ar_min, ar_max], kept per area and band."""
     out, seen = [], set()
-    for r in _ladder_ratios(ar_min, ar_max):
+    for r in np.geomspace(ar_min, ar_max, AR_CANDIDATES).tolist():
         shape = shape_from_ar(area, r, ar_min, ar_max)
         if shape not in seen:
             seen.add(shape)

@@ -194,6 +194,12 @@ class TestBookshelfParsing:
         pl = parse_pl_text("p0 1.5 2.25\n")
         assert pl["p0"] == (1.5, 2.25)
 
+    def test_pl_name_listed_twice(self):
+        """A name placed twice is refused at its second line, as a block
+        declared twice is."""
+        with pytest.raises(ParseError, match="^line 5: duplicate placement of 'p0'"):
+            parse_pl_text(PL_TEXT + "p0 3 3\n")
+
     def test_layers_never_exceed_capacity(self):
         c = toy_circuit(dims=GridDims(24, 24, 2))
         per = {z: 0 for z in range(2)}
@@ -652,6 +658,13 @@ class TestCli:
         self.assert_io(capsys, ["solve", "--circuit", str(workdir / "gsrc"),
                                 "--dims", "24x24x2", "--task", "1",
                                 "--out", str(workdir / "o")], "'6O'")
+
+    def test_bookshelf_pl_name_twice_is_io(self, workdir, capsys):
+        pl = workdir / "gsrc" / "toy.pl"
+        pl.write_text(pl.read_text() + "p1 0 0\n")
+        self.assert_io(capsys, ["solve", "--circuit", str(workdir / "gsrc"),
+                                "--dims", "24x24x2", "--task", "1",
+                                "--out", str(workdir / "o")], "duplicate placement of 'p1'")
 
     def test_unprintable_bookshelf_name_is_io(self, workdir, capsys):
         blocks = workdir / "gsrc" / "toy.blocks"

@@ -22,7 +22,6 @@ from stackfp.masks import (
     BlockDistanceRule,
     RuleMask,
     RulePlugin,
-    Rung,
     adjacent_block_mask,
     adjacent_terminal_mask,
     alignment_mask,
@@ -453,7 +452,7 @@ def walk(position, ladder):
     WHOLE_GRID_MAX_ANCHORS; the two must agree."""
     def run():
         return availability_mask(RuleMask(position), [
-            Rung(name, RuleMask(binary), np.greater, 0) for name, binary in ladder])
+            (name, RuleMask(binary), np.greater, 0, None) for name, binary in ladder])
     whole = run()
     with pytest.MonkeyPatch.context() as m:
         m.setattr(masks, "WHOLE_GRID_MAX_ANCHORS", 0)
@@ -466,10 +465,10 @@ def assert_same_availability(got, want):
     assert (got.feasible, got.dropped, got.rung) == (want.feasible, want.dropped, want.rung)
     assert (got.mask.dtype, got.mask.shape) == (want.mask.dtype, want.mask.shape)
     assert got.mask.tobytes() == want.mask.tobytes()
-    assert np.array_equal(got.cells(), want.cells())
-    assert np.array_equal(got.cells(), np.flatnonzero(want.mask))
     for a, b in zip(got.anchors(), want.anchors()):
         assert np.array_equal(a, b)
+    xs, ys = got.anchors()
+    assert np.array_equal(xs * want.shape[1] + ys, np.flatnonzero(want.mask))
     w, h = want.shape
     assert [got.allows(x, y) for x in range(w) for y in range(h)] \
         == (want.mask.reshape(-1) > 0).tolist()
@@ -769,7 +768,7 @@ class TestGridPlugin:
                             lambda pos, ladder: ladders.append(ladder) or real(pos, ladder))
         far, near = FarColumns(0, side // 2), FarColumns(0, 0)
         stack = compile_masks(s, 0, profile, plugins=(far,))
-        assert [rung.name for rung in ladders[-1]] == ["terminal", "grouping", far.name]
+        assert [rung[0] for rung in ladders[-1]] == ["terminal", "grouping", far.name]
         assert list(stack.rules) == ["wire", "position", "terminal", "grouping", far.name]
         # the terminal pins block 0 to the corner, far from the columns
         assert stack.availability.dropped == (far.name,)
@@ -864,22 +863,10 @@ def full_grid_availability(state, stack, profile, plugins):
 
 def assert_at_matches_values(stack, anchors):
     """`at` on every rule of a stack whose grids are not built yet, at each
-    (xs, ys) of `anchors` and at the edges of the box the mask keeps from
-    the availability pass (the last row and column inside it, and the ones
-    just past it), equals the built grids there bit for bit."""
+    (xs, ys) of `anchors`, equals the built grids there bit for bit."""
     got = {}
     for name, m in stack.rules.items():
-        probes = list(anchors)
-        if m._part is not None:
-            (x0, y0), (n, k), (w, h) = m._corner, m._part.shape, m.shape
-            ys = np.arange(y0, y0 + k)
-            xs = np.arange(x0, x0 + n)
-            probes += [(np.full(k, x0 + n - 1), ys), (xs, np.full(n, y0 + k - 1))]
-            if x0 + n < w:
-                probes.append((np.full(k, x0 + n), ys))
-            if y0 + k < h:
-                probes.append((xs, np.full(n, y0 + k)))
-        got[name] = [(xs, ys, m.at(xs, ys)) for xs, ys in probes]
+        got[name] = [(xs, ys, m.at(xs, ys)) for xs, ys in anchors]
     for name, m in stack.rules.items():
         for xs, ys, vals in got[name]:
             want = m.values[xs, ys]
@@ -907,7 +894,7 @@ class TestWalkedAvailability:
         WHOLE_GRID_MAX_ANCHORS (66 x 66 is above it; `boxes` walks the
         small ones by boxes too), the walked availability equals the
         conjunction of the fully built grids: mask, dropped rules,
-        feasibility, rung, cells and `allows`.  `at` read before any grid
+        feasibility, rung, anchors and `allows`.  `at` read before any grid
         is built equals the grids, at the available anchors and at random
         ones."""
         s, plugins, rng = _random_state(seed, side, placed)
@@ -928,10 +915,9 @@ class TestWalkedAvailability:
                 assert res.rung == ("infeasible" if not feasible else
                                     "drop:" + "+".join(dropped) if dropped else "none")
                 assert (res.mask.dtype, res.mask.tobytes()) == (mask.dtype, mask.tobytes()), b
-                cells = res.cells()
-                assert np.array_equal(cells, np.flatnonzero(mask))
                 xs, ys = res.anchors()
-                assert np.array_equal(xs * side + ys, cells)
+                cells = xs * side + ys
+                assert np.array_equal(cells, np.flatnonzero(mask))
                 probe = np.concatenate([cells, rng.integers(0, side * side, 40)])
                 assert [res.allows(*divmod(int(c), side)) for c in probe] \
                     == [bool(mask.reshape(-1)[c]) for c in probe]
@@ -971,3 +957,29 @@ class TestWalkedAvailability:
             assert stack.availability.mask.tobytes() == want.availability.mask.tobytes()
             s = before
         assert moved and unbuilt >= (side * side > masks.WHOLE_GRID_MAX_ANCHORS)
+
+    @pytest.mark.parametrize("side", [20, 66])
+    def test_position_mask_read_after_the_state_moves_on(self, side):
+        """A position mask built on its own, not through `compile_masks`,
+        and read only after another block of its layer has gone down over
+        an anchor it allows, gives the grid of the state it was built on."""
+        s, _, _ = _random_state(9, side, 10)
+        moved = 0
+        for b in np.flatnonzero(~s.placed).tolist():
+            mask = position_mask(s, b)
+            before = s.clone()
+            want = position_mask(before, b).values
+            z = s.circuit.blocks[b].z
+            spot = next(((o, x, y) for x, y in zip(*np.nonzero(want)) for o in
+                         np.flatnonzero(~s.placed).tolist()
+                         if o != b and s.circuit.blocks[o].z == z
+                         and fits_at(s, o, int(x), int(y))), None)
+            if spot is None:
+                continue
+            o, x, y = spot
+            s.place(o, int(x), int(y))
+            moved += position_mask(s, b).values.tobytes() != want.tobytes()
+            got = mask.values
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), b
+            s = before
+        assert moved

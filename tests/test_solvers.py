@@ -83,13 +83,17 @@ class TestArLadder:
     def test_memoized_ratios_equal_geomspace(self, lo, span, area):
         """The memo holds the floats np.geomspace gives for the band, for
         every call and every argument type, and the ladder keeps them."""
+        def first_per_shape(lo, hi):
+            shapes = {}
+            for r in np.geomspace(lo, hi, solvers.AR_CANDIDATES).tolist():
+                shapes.setdefault(shape_from_ar(area, r, lo, hi), r)
+            return [(r, shape) for shape, r in shapes.items()]
         hi = lo * span
         want = np.geomspace(lo, hi, solvers.AR_CANDIDATES).tolist()
         for _ in range(2):
-            assert list(solvers._ladder_ratios(lo, hi)) == want
+            assert list(solvers._ladder_shapes(area, lo, hi)) == first_per_shape(lo, hi)
         lo32, hi32 = np.float32(lo), np.float32(hi)
-        assert list(solvers._ladder_ratios(lo32, hi32)) == \
-            np.geomspace(lo32, hi32, solvers.AR_CANDIDATES).tolist()
+        assert list(solvers._ladder_shapes(area, lo32, hi32)) == first_per_shape(lo32, hi32)
         w, h = shape_from_ar(area, lo, lo, hi)
         blk = Block(0, "b", area, w, h, lo, hi, True, 0)
         assert all(r in want for r, _ in ar_candidate_ladder(blk))
@@ -943,6 +947,22 @@ class TestDispatchAndCost:
     def test_bad_kind_rejected_up_front(self):
         with pytest.raises(ValueError, match="kind"):
             SolverConfig(kind="tabu")
+
+    @pytest.mark.parametrize("field, value", [
+        ("sa_iterations", -5), ("sa_calibration_moves", -3), ("seed", -1),
+        ("seed", 1.5), ("sa_iterations", 2.5), ("seed", True),
+        ("sa_calibration_moves", np.bool_(True)), ("seed", np.int64(-2)),
+        ("sa_iterations", "40")])
+    def test_bad_counts_rejected_up_front(self, field, value):
+        """Seeds and counts the solvers cannot use are refused by name
+        before any solve runs."""
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(kind="sa", **{field: value})
+
+    def test_numpy_integer_counts_taken(self):
+        cfg = SolverConfig(kind="sa", seed=np.int64(2), sa_iterations=np.int32(0),
+                           sa_calibration_moves=0)
+        assert (cfg.seed, cfg.sa_iterations) == (2, 0)
 
     def test_cost_is_negative_weighted_score(self):
         g = greedy_place(demo_circuit(), TaskProfile.for_task(3))
