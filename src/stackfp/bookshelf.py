@@ -320,9 +320,13 @@ def farthest_point_subset(points: list[tuple[int, int]], k: int,
 
     Indices in `taken` count as already chosen without being returned or
     re-picked, so a second call can spread new points away from an earlier
-    selection.  With `taken` empty the first pick is `start`."""
+    selection.  With `taken` empty the first pick is `start`.  A k below 0
+    or above the points left, or a `start` or `taken` index outside the
+    points, raises ValueError; k = 0 picks nothing."""
+    if not all(0 <= t < len(points) for t in taken):
+        raise ValueError(f"taken {taken} names a point outside 0..{len(points) - 1}")
     taken = tuple(dict.fromkeys(taken))
-    if k > len(points) - len(taken):
+    if not 0 <= k <= len(points) - len(taken):
         raise ValueError(
             f"cannot pick {k} of {len(points)} points ({len(taken)} taken)")
 
@@ -333,7 +337,9 @@ def farthest_point_subset(points: list[tuple[int, int]], k: int,
     chosen: list[int] = []
     if taken:
         dist = [min(span(p, points[t]) for t in taken) for p in points]
-    else:
+    elif k:
+        if not 0 <= start < len(points):
+            raise ValueError(f"start {start} is outside 0..{len(points) - 1}")
         chosen.append(start)
         blocked.add(start)
         dist = [span(p, points[start]) for p in points]

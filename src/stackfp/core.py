@@ -163,8 +163,8 @@ class AlignmentPair:
     def __post_init__(self):
         if self.a == self.b:
             raise ValueError("alignment pair needs two distinct blocks")
-        if self.min_area <= 0:
-            raise ValueError("alignment min_area must be positive")
+        if not 0 < self.min_area < math.inf:    # NaN fails this too
+            raise ValueError("alignment min_area must be positive and finite")
 
     def other(self, block_id: int) -> int:
         return self.b if block_id == self.a else self.a

@@ -17,11 +17,14 @@ The generator fabricates constraint sets matching requested counts, where
 the alignment and grouping counts tally blocks, not instances (ten aligned
 blocks means five pairs).  Bindings go to the largest blocks: they place
 early, grab their terminal before the die crowds, and so keep the
-relaxation ladder quiet.
+relaxation ladder quiet.  Ranked by area, block i < n_aln sits on layer
+(i // 2 + i % 2) mod L, later ones on the emptiest odd-count layer (else the
+emptiest), and bound rank i shares rank i - 1's terminal if odd and < n_aln.
 """
 
 import collections
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -208,13 +211,17 @@ def gen_constraints(circuit: Circuit, counts, seed: int,
     counts is (n_aln, n_tml, n_grp): blocks in alignment pairs, blocks
     bound to terminals, blocks in abutment groups.
 
-    Pairs join area-adjacent blocks across neighboring layers with
-    alternating orientation, keeping fill balanced.  Free blocks then land
-    where they fix layer parity, because same-layer pairing needs an even
-    block count per layer.  Bindings take the largest blocks and spread
-    over boundary-hugging terminals by farthest-point selection; a pair
-    bound at both ends shares a single terminal, since its members must
-    overlap across layers anyway."""
+    Blocks rank by area, largest first, ties to the lower id.  Pairs join
+    ranks 2k and 2k + 1 across layers k and k + 1 (mod L), so rank
+    i < n_aln sits on layer (i // 2 + i % 2) mod L, alternating orientation
+    to keep fill balanced.  Each later block lands on the emptiest layer
+    with an odd block count, or the emptiest when none is odd (ties to the
+    lower layer), because same-layer pairing needs an even count per layer.
+    Bindings take ranks below n_tml and spread over boundary-hugging
+    terminals by farthest-point selection; rank i shares rank i - 1's
+    terminal exactly when i is odd and i < n_aln (a pair bound at both
+    ends), since its members must overlap across layers anyway.  A
+    min_area_frac that leaves a pair no finite min_area is infeasible."""
     n_aln, n_tml, n_grp = counts
     n = circuit.num_blocks
     dims = circuit.dims
@@ -236,28 +243,20 @@ def gen_constraints(circuit: Circuit, counts, seed: int,
     # alignment pairs over the largest blocks, area-adjacent therefore
     # size-compatible; orientation alternates to balance the layers
     pairs = [(order[2 * i], order[2 * i + 1]) for i in range(n_aln // 2)]
-    layers: dict[int, int] = {}
-    for k, (a, b) in enumerate(pairs):
-        za = k % dims.num_layers
-        zb = (k + 1) % dims.num_layers
-        layers[a], layers[b] = za, zb
-
-    free = [i for i in order if i not in layers]
-    fill = [0.0] * dims.num_layers
-    for bid, z in layers.items():
-        fill[z] += circuit.blocks[bid].area
-    count_z = [0] * dims.num_layers
-    for z in layers.values():
-        count_z[z] += 1
-    for bid in free:
-        odd = [z for z in range(dims.num_layers) if count_z[z] % 2]
-        z = min(odd, key=lambda zz: fill[zz]) if odd else \
-            min(range(dims.num_layers), key=lambda zz: (fill[zz], zz))
+    layers = [0] * n
+    fill = [0] * dims.num_layers
+    by_layer = [[] for _ in range(dims.num_layers)]     # largest block first
+    for i, bid in enumerate(order):
+        if i < n_aln:
+            z = (i // 2 + i % 2) % dims.num_layers
+        else:   # the emptiest odd layer, else the emptiest; ties to the lower
+            z = min(range(dims.num_layers),
+                    key=lambda zz: (len(by_layer[zz]) % 2 == 0, fill[zz]))
         layers[bid] = z
-        count_z[z] += 1
+        by_layer[z].append(bid)
         fill[z] += circuit.blocks[bid].area
 
-    capacity = sum(2 * (c // 2) for c in count_z)
+    capacity = sum(2 * (len(members) // 2) for members in by_layer)
     if capacity < n_grp:
         raise InfeasibleError(
             f"cannot form {n_grp // 2} same-layer groups: layer parity "
@@ -266,10 +265,9 @@ def gen_constraints(circuit: Circuit, counts, seed: int,
     # groups: even quota per layer, biggest blocks first, paired by rank
     groups: list[tuple[int, int]] = []
     remaining = n_grp
-    for z in range(dims.num_layers):
+    for members in by_layer:
         if remaining <= 0:
             break
-        members = [i for i in order if layers[i] == z]
         quota = min(2 * (len(members) // 2), remaining)
         for j in range(0, quota, 2):
             groups.append((members[j], members[j + 1]))
@@ -278,41 +276,24 @@ def gen_constraints(circuit: Circuit, counts, seed: int,
     # bindings: the n_tml largest blocks, so every bound block places onto
     # a near-empty die and reaches its terminal without relaxation; a pair
     # with both members bound shares one terminal, stacking across layers
-    bound = order[:n_tml]
-    pair_index = {}
-    for k, (a, b) in enumerate(pairs):
-        pair_index[a] = pair_index[b] = k
-    anchor_groups: list[list[int]] = []
-    group_of: dict[int, int] = {}
-    for blk in bound:
-        k = pair_index.get(blk)
-        mate = None
-        if k is not None:
-            a, b = pairs[k]
-            mate = b if blk == a else a
-        if mate in group_of:
-            anchor_groups[group_of[mate]].append(blk)
-            group_of[blk] = group_of[mate]
-        else:
-            group_of[blk] = len(anchor_groups)
-            anchor_groups.append([blk])
-
     bindings = []
     if n_tml:
-        g = len(anchor_groups)
+        g = n_tml - min(n_tml, n_aln) // 2     # a fully bound pair shares one
         # terminals nearest the die's rim first
         rim_sorted = sorted(circuit.terminals, key=lambda t: (
             int(rim_distance(0, 0, dims.width, dims.height, t.x, t.y)), t.id))
         candidates = rim_sorted[:max(g, min(len(rim_sorted), 3 * g))]
-        pts = [(t.x, t.y) for t in candidates]
-        picks = farthest_point_subset(pts, g,
-                                      start=int(rng.integers(len(pts))))
-        for members, idx in zip(anchor_groups, picks):
-            for blk in members:
-                bindings.append({"block": blk,
-                                 "terminals": (candidates[idx].id,),
-                                 "mode": "ALL"})
+        picks = iter(farthest_point_subset([(t.x, t.y) for t in candidates], g,
+                                           start=int(rng.integers(len(candidates)))))
+        for i, blk in enumerate(order[:n_tml]):
+            if not (i % 2 and i < n_aln):   # else it keeps its mate's terminal
+                tid = candidates[next(picks)].id
+            bindings.append({"block": blk, "terminals": (tid,), "mode": "ALL"})
         bindings.sort(key=lambda b: b["block"])
+
+    # a pair's later block in the area order is its smaller one
+    if not all(math.isfinite(min_area_frac * circuit.blocks[b].area) for _, b in pairs):
+        raise InfeasibleError(f"min_area_frac {min_area_frac} overflows a pair's min_area")
 
     cf = ConstraintFile(
         alignment_pairs=tuple({"a": a, "b": b, "min_area_frac": min_area_frac}
@@ -320,7 +301,7 @@ def gen_constraints(circuit: Circuit, counts, seed: int,
         groups=tuple(groups),
         boundary=tuple(bindings),
         preplaced=(),
-        layers=dict(sorted(layers.items())),
+        layers=dict(enumerate(layers)),
     )
     apply_constraints(circuit, cf)       # self-check: must validate
     return cf
@@ -336,10 +317,10 @@ def synth_instance(name: str, seed: int, *, n_blocks: int = 12,
     from gen_constraints; the nets are then rebuilt to match.  Each
     alignment pair shares a net with whatever terminals its members are
     bound to, and every block outside the pairs pulls toward a spare
-    terminal of its own, plus two small random nets as noise.  Nets drawn
-    blind instead leave the wire pull uncorrelated with the rules, so
-    unrelated blocks squat on boundary corners and pair shadows before
-    their owners arrive.
+    terminal of its own (spares cycle when too few are free), plus two
+    small random nets as noise.  Nets drawn blind instead leave the wire
+    pull uncorrelated with the rules, so unrelated blocks squat on boundary
+    corners and pair shadows before their owners arrive.
 
     Returns the circuit with constraints already applied, and the
     constraint file itself.
@@ -350,50 +331,34 @@ def synth_instance(name: str, seed: int, *, n_blocks: int = 12,
     bound = {b["block"]: tuple(b["terminals"]) for b in cf.boundary}
 
     rng = np.random.default_rng(seed + 2)
-    used = {t for tids in bound.values() for t in tids}
     paired = {p[k] for p in cf.alignment_pairs for k in ("a", "b")}
     rest = [i for i in range(n_blocks) if i not in paired and i not in bound]
     unbound_pairs = sum(1 for p in cf.alignment_pairs
                         if p["a"] not in bound and p["b"] not in bound)
-    n_spare = unbound_pairs + len(rest)
     # spare terminals continue the farthest-point chain away from the
-    # binding corners, or bound blocks sprawl over the pairs' pull targets
-    term_pts = [(t.x, t.y) for t in base.terminals]
-    taken = tuple(i for i, t in enumerate(base.terminals) if t.id in used)
-    avail = len(term_pts) - len(taken)
-    spare: list[int] = []
-    if n_spare and avail:
-        k = min(n_spare, avail)
-        picks = farthest_point_subset(
-            term_pts, k, start=int(rng.integers(len(term_pts))), taken=taken)
-        spare = [base.terminals[i].id for i in picks]
-    spare_at = 0
-
-    def next_spare():
-        nonlocal spare_at
-        if not spare:
-            return ()
-        tid = spare[spare_at % len(spare)]
-        spare_at += 1
-        return (tid,)
+    # binding corners, or bound blocks sprawl over the pairs' pull targets;
+    # a terminal's id is its index
+    taken = tuple(sorted({t for tids in bound.values() for t in tids}))
+    k = min(unbound_pairs + len(rest), len(base.terminals) - len(taken))
+    picks = []
+    if k:
+        picks = farthest_point_subset([(t.x, t.y) for t in base.terminals], k,
+                                      start=int(rng.integers(len(base.terminals))),
+                                      taken=taken)
+    spare = itertools.cycle([(tid,) for tid in picks] or [()])
 
     # a pair always pulls toward some terminal, else both members start
     # with no placed pin and fall back to packing at the origin
     nets = []
-    covered = set()
     for p in cf.alignment_pairs:
         a, b = p["a"], p["b"]
         tids = tuple(sorted({*bound.get(a, ()), *bound.get(b, ())}))
-        if not tids:
-            tids = next_spare()
-        nets.append(Net(blocks=(min(a, b), max(a, b)), terminals=tids))
-        covered.update((a, b))
+        nets.append(Net(blocks=(min(a, b), max(a, b)), terminals=tids or next(spare)))
     for blk in sorted(bound):
-        if blk not in covered:
+        if blk not in paired:
             nets.append(Net(blocks=(blk,), terminals=bound[blk]))
-            covered.add(blk)
     for blk in rest:
-        nets.append(Net(blocks=(blk,), terminals=next_spare()))
+        nets.append(Net(blocks=(blk,), terminals=next(spare)))
 
     for _ in range(2):
         deg = int(rng.integers(2, min(4, n_blocks) + 1))

@@ -240,8 +240,8 @@ def alignment_mask(state: FloorplanState, block_id: int, partner_id: int,
         raise ValueError(f"block {partner_id} is not placed")
     if state.circuit.blocks[block_id].z == state.circuit.blocks[partner_id].z:
         raise ValueError(f"blocks {block_id} and {partner_id} share a layer")
-    if min_area <= 0:
-        raise ValueError("min_area must be positive")
+    if not 0 < min_area < math.inf:
+        raise ValueError("min_area must be positive and finite")
     w, h, rect = state.w[block_id], state.h[block_id], state.rect(partner_id)
     min_area = float(min_area)
     return _kernel_mask(state, block_id, lambda xs, ys: alignment_ratio(

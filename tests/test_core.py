@@ -126,6 +126,11 @@ class TestCircuitValidation:
         with pytest.raises(ValueError, match="one layer"):
             circuit([hard(0, 2, 2), hard(1, 2, 2)], constraints=cs)
 
+    @pytest.mark.parametrize("min_area", [0.0, -1.0, math.inf, math.nan])
+    def test_alignment_min_area_positive_and_finite(self, min_area):
+        with pytest.raises(ValueError, match="positive"):
+            AlignmentPair(0, 1, min_area)
+
     def test_group_spanning_layers_rejected(self):
         cs = ConstraintSet(groups=((0, 1),))
         with pytest.raises(ValueError, match="spans layers"):

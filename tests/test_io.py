@@ -1,6 +1,8 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
+import itertools
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -238,6 +240,20 @@ class TestFarthestPoint:
         with pytest.raises(ValueError, match="cannot pick"):
             farthest_point_subset([(0, 0)], 2)
 
+    @pytest.mark.parametrize("points,taken", [
+        ([(0, 0), (5, 5)], ()), ([], ()), ([(0, 0), (5, 5)], (1,))])
+    def test_zero_picks_nothing(self, points, taken):
+        assert farthest_point_subset(points, 0, taken=taken) == []
+
+    @pytest.mark.parametrize("k,kw", [
+        (-1, {}), (1, {"start": -1}), (1, {"start": 5}), (1, {"taken": (7,)}),
+        (1, {"taken": (-1,)}), (0, {"taken": (2,)})],
+        ids=["negative_k", "negative_start", "start_past_end", "taken_past_end",
+             "negative_taken", "taken_past_end_zero_k"])
+    def test_out_of_range_arguments_raise(self, k, kw):
+        with pytest.raises(ValueError):
+            farthest_point_subset([(0, 0), (5, 5)], k, **kw)
+
     def test_boundary_cells_ring(self):
         cells = boundary_cells(GridDims(4, 3, 1))
         assert len(cells) == len(set(cells)) == 2 * 4 + 2 * 3 - 4
@@ -351,6 +367,16 @@ class TestGenConstraints:
             if p["a"] in bound and p["b"] in bound:
                 assert bound[p["a"]] == bound[p["b"]]
 
+    def test_overflowing_min_area_frac_rejected(self):
+        c = synth_circuit("g", 6, 4, seed=1)
+        with pytest.raises(InfeasibleError, match="min_area_frac 1e\\+308"):
+            gen_constraints(c, (2, 1, 2), seed=0, min_area_frac=1e308)
+        cf = gen_constraints(c, (2, 1, 2), seed=0)
+        cf = dataclasses.replace(cf, alignment_pairs=tuple(
+            dict(p, min_area_frac=1e308) for p in cf.alignment_pairs))
+        with pytest.raises(ParseError, match="^constraints: .*positive and finite"):
+            apply_constraints(c, cf)
+
     def test_output_validates(self):
         c = synth_circuit("g", 12, 12, seed=8)
         cf = gen_constraints(c, (6, 4, 6), seed=8)
@@ -380,6 +406,30 @@ class TestSynthInstance:
         b_c, b_f = synth_instance("n", 5)
         assert circuit_to_json(a_c) == circuit_to_json(b_c)
         assert a_f.to_json() == b_f.to_json()
+
+    def test_generator_grid_digest(self):
+        # pins the bytes of both generators, refusals included, on 1-4 layers,
+        # odd bound counts and more bound blocks than paired ones; the perfbench
+        # digests cover only 2 layers and their own count ladder
+        h = hashlib.sha256()
+        made = 0
+        for layers in (1, 2, 3, 4):
+            for n_blocks in (7, 12):
+                for counts in itertools.product((0, 2, 6, 10), (0, 1, 3, 5, 8), (0, 2, 8)):
+                    for seed in (0, 1):
+                        try:
+                            cc, cf = synth_instance(
+                                "g", seed, n_blocks=n_blocks, n_terminals=12,
+                                counts=counts, dims=GridDims(24, 24, layers))
+                        except InfeasibleError as e:
+                            h.update(f"{type(e).__name__}: {e}".encode())
+                            continue
+                        h.update(circuit_to_json(cc).encode())
+                        h.update(cf.to_json().encode())
+                        made += 1
+        assert made == 550
+        assert h.hexdigest() == \
+            "6be65b8b31568fc5f89493fa75ff8b23edc493aff1afe70cef2bc952a10f8933"
 
 
 class TestPlacementFiles:
@@ -683,6 +733,23 @@ class TestCli:
                        "--out", str(workdir / "g.json")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:infeasible:")
+
+    def test_overflowing_min_area(self, workdir, capsys):
+        """A finite --min-area-frac whose min_area overflows is an infeasible
+        request; a constraint file carrying one is malformed input."""
+        argv = ["gen-constraints", "--circuit", str(workdir / "cli.circuit.json"),
+                "--counts", "2,1,2", "--min-area-frac", "1e308",
+                "--out", str(workdir / "g.json")]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:infeasible: min_area_frac") and len(err.splitlines()) == 1
+        assert not (workdir / "g.json").exists()
+        self.spoil(workdir / "cli.constraints.json", lambda d: d["alignment_pairs"][0].update(
+            min_area_frac=1e308))
+        self.assert_io(capsys, ["solve", "--circuit", str(workdir / "cli.circuit.json"),
+                                "--constraints", str(workdir / "cli.constraints.json"),
+                                "--task", "3", "--out", str(workdir / "o")],
+                       "error:io: constraints: alignment min_area must be positive and finite")
 
     def test_infeasible_instance_exit_two(self, workdir, capsys):
         # utilization 0.8 leaves no legal arrangement of the three giant toys

@@ -173,6 +173,12 @@ class TestAlignmentMask:
         with pytest.raises(ValueError, match="share a layer"):
             alignment_mask(s, 0, 1, 4.0)
 
+    @pytest.mark.parametrize("min_area", [0.0, math.inf, math.nan])
+    def test_min_area_positive_and_finite(self, min_area):
+        s = make_state([hard(0, 2, 2, z=0), hard(1, 2, 2, z=1)], {1: (0, 0)})
+        with pytest.raises(ValueError, match="positive"):
+            alignment_mask(s, 0, 1, min_area)
+
 
 class TestPositionMask:
     def test_empty_layer_frozen_example(self):
