@@ -243,15 +243,21 @@ def _checked_ratio(ar, name: str) -> float | None:
     return float(ar)
 
 
+def _shape_current(state: FloorplanState, ar: float | None) -> None:
+    """Shape the block up next by the checked ratio `ar`; None, a hard
+    block or a finished episode keeps every shape."""
+    if not state.done and ar is not None:
+        blk = state.circuit.blocks[state.current_block]
+        if blk.is_soft:
+            state.set_shape(blk.id, ar)
+
+
 def _advance(state: FloorplanState, block: int, x: int, y: int,
              ar_next: float | None) -> None:
     """Place the current block and shape the one after it."""
     state.place(block, x, y)
     state.cursor += 1
-    if not state.done and ar_next is not None:
-        nxt = state.circuit.blocks[state.current_block]
-        if nxt.is_soft:
-            state.set_shape(nxt.id, ar_next)
+    _shape_current(state, ar_next)
 
 
 def _with_ratio(rec: StepRecord, ar: float | None) -> StepRecord:
@@ -318,10 +324,7 @@ class PlacementEnv:
         and leaves the episode as it was."""
         first_ar = _checked_ratio(first_ar, "first_ar")
         state = self._start_state()
-        if not state.done and first_ar is not None:
-            blk = self.circuit.blocks[state.current_block]
-            if blk.is_soft:
-                state.set_shape(blk.id, first_ar)
+        _shape_current(state, first_ar)
         dims = self.circuit.dims
         records = []
         for i, rec in enumerate(steps):
@@ -395,6 +398,16 @@ class PlacementEnv:
         if done:
             self.trace.finalize_rewards(self.profile)
         return self.observation, norm, done
+
+    def _shape_next(self, ar) -> None:
+        """After a step, shape the block up next by the ratio `ar` and
+        record it as that step's `ar_next`, as if its action had carried it
+        (a rejected ratio raises InvalidActionError and changes nothing); a
+        solver that picks the ratio on the state the step left calls it
+        before the block's observation is read."""
+        ar = _checked_ratio(ar, "ar_next")
+        _shape_current(self.state, ar)
+        self.trace.steps[-1] = _with_ratio(self.trace.steps[-1], ar)
 
 
 @dataclasses.dataclass

@@ -221,7 +221,10 @@ def gen_constraints(circuit: Circuit, counts, seed: int,
     terminals by farthest-point selection; rank i shares rank i - 1's
     terminal exactly when i is odd and i < n_aln (a pair bound at both
     ends), since its members must overlap across layers anyway.  A
-    min_area_frac that leaves a pair no finite min_area is infeasible."""
+    min_area_frac that is not positive raises ValueError; one that leaves a
+    pair no finite min_area is infeasible."""
+    if not min_area_frac > 0:
+        raise ValueError(f"min_area_frac must be positive, got {min_area_frac!r}")
     n_aln, n_tml, n_grp = counts
     n = circuit.num_blocks
     dims = circuit.dims
@@ -323,8 +326,10 @@ def synth_instance(name: str, seed: int, *, n_blocks: int = 12,
     corners and pair shadows before their owners arrive.
 
     Returns the circuit with constraints already applied, and the
-    constraint file itself.
+    constraint file itself.  The noise nets need n_blocks >= 2.
     """
+    if n_blocks < 2:
+        raise ValueError(f"n_blocks must be at least 2 (a noise net joins two), got {n_blocks}")
     base = synth_circuit(name, n_blocks, n_terminals, seed=seed, dims=dims,
                          fill=fill)
     cf = gen_constraints(base, counts, seed=seed + 1)

@@ -339,24 +339,27 @@ def wire_mask(state: FloorplanState, block_id: int,
 
 
 def wire_floor(state: FloorplanState, block_id: int,
-               profiles: tuple[WireProfile, WireProfile] | None = None
-               ) -> tuple[float, int | None]:
+               profiles: tuple[WireProfile, WireProfile] | None = None, *,
+               below: float = math.inf) -> tuple[float, int | None]:
     """The least wire-mask value over the anchors the position mask sets,
     and its cell: the least flat index (x * H + y, row-major) of an anchor
-    that reaches it; (inf, None) when the block fits nowhere.  `profiles`
-    are as for `wire_mask`.  The floor comes from the same profile adds as
-    the mask, so it is a value the mask holds, not an estimate: no
-    available cell of the block in this shape scores below it.  With no
-    rule on the ladder the cell is greedy's pick (see `rule_free`).
+    that reaches it; (inf, None) when the block fits nowhere or that value
+    exceeds `below`.  `profiles` are as for `wire_mask`.  The floor comes
+    from the same profile adds as the mask, so it is a value the mask
+    holds, not an estimate: no available cell of the block in this shape
+    scores below it.  With no rule on the ladder the cell is greedy's pick
+    (see `rule_free`).
 
-    The search looks at a box of anchors around the wire minimum first.
-    With gx and gy the two profiles' growth, an anchor outside the box
-    {gx <= t - min gy} x {gy <= t - min gx} scores above t, so the least
-    fitting value in the box is the floor once it is at most t, and every
-    anchor that reaches it lies in the box.  Profile values are sums of
-    halves of integers, exact in floats, so these comparisons are exact
-    too.  The first box spans about a quarter of each axis, and it mostly
-    holds the floor; otherwise one more box does.  Up to
+    With gx and gy the two profiles' growth, no anchor scores below min gx
+    + min gy, and (argmin gx, argmin gy) is the least cell that can; when
+    the block fits there, it is the answer.  Otherwise the search looks at
+    a box: an anchor outside {gx <= t - min gy} x {gy <= t - min gx} scores
+    above t, so the least fitting value in the box is the floor once it is
+    at most t, and every anchor that reaches it lies in the box.  Profile
+    values are sums of halves of integers, exact in floats, so these
+    comparisons are exact too.  A finite `below` is the only t tried;
+    otherwise the first box spans about a quarter of each axis, and it
+    mostly holds the floor, else one more box does.  Up to
     WHOLE_GRID_MAX_ANCHORS anchors the whole grid is tested at once, which
     costs less there than the box's extra steps."""
     _require_unplaced(state, block_id)
@@ -370,6 +373,12 @@ def wire_floor(state: FloorplanState, block_id: int,
     gx = profiles[0].at(w)[:nx]
     gy = profiles[1].at(h)[:ny]
     sat = state.sat[state.circuit.blocks[block_id].z]
+    ax, ay = int(gx.argmin()), int(gy.argmin())
+    low_x, low_y = gx[ax], gy[ay]
+    if low_x + low_y > below:
+        return math.inf, None
+    if window_sum(sat, ax, ay, w, h) == 0:
+        return float(low_x + low_y), ax * dims.height + ay
 
     def least_in(xs: tuple[int, int], ys: tuple[int, int]) -> tuple[float, int | None]:
         # the least fitting value over the anchors xs x ys; a box keeps the
@@ -378,13 +387,9 @@ def wire_floor(state: FloorplanState, block_id: int,
                         gx[slice(*xs), None] + gy[None, slice(*ys)], math.inf)
         x, y = divmod(int(vals.argmin()), vals.shape[1])
         least = float(vals[x, y])
-        if least == math.inf:
-            return least, None
+        if least == math.inf or least > below:
+            return math.inf, None
         return least, (xs[0] + x) * dims.height + ys[0] + y
-
-    if nx * ny <= WHOLE_GRID_MAX_ANCHORS:
-        return least_in((0, nx), (0, ny))
-    low_x, low_y = gx.min(), gy.min()
 
     def least_within(t: float) -> tuple[float, int | None]:
         # the box of anchors that can score t
@@ -392,6 +397,10 @@ def wire_floor(state: FloorplanState, block_id: int,
         by = np.flatnonzero(gy <= t - low_x)
         return least_in((bx[0], bx[-1] + 1), (by[0], by[-1] + 1))
 
+    if nx * ny <= WHOLE_GRID_MAX_ANCHORS:
+        return least_in((0, nx), (0, ny))
+    if below < math.inf:
+        return least_within(below)
     t = low_x + low_y + min(np.partition(gx, nx // 4)[nx // 4] - low_x,
                             np.partition(gy, ny // 4)[ny // 4] - low_y)
     least = least_within(t)

@@ -9,18 +9,16 @@ allowed cells and how they shape soft blocks:
 * greedy: lexicographic scan of the value masks (wirelength up, alignment
   down, shared edge down, terminal distance up), final ties broken row-major;
   each soft block's ratio comes from a scan over a small candidate ladder on
-  a copy of the state with the pending placement applied, the opening block
-  included (nothing is pending before it).  That copy is the state the
-  episode reaches once the pending block goes down, so the winning shape's
-  best cell is the one greedy places it at, and its mask stack, when it
-  compiled one, becomes the block's observation.  Candidates are visited in
-  the order of their wire floor (the least wire value a shape can reach
-  where it fits, and the least cell that reaches it), and only until no
-  remaining candidate can win; each is compiled at most once, and a block
-  that no rule on the ladder binds (`masks.rule_free`) not at all, since
-  its floor and that cell are its whole score.  The rules that bind the
-  block (`masks.rule_bindings`) do not depend on its shape, so a scan
-  lists them once.  Blocks placed without a scan take the same shortcut.
+  the episode's state once the block before it is down (the opening block's
+  on the begun episode), the state the block is observed on, so the winning
+  shape's best cell is the one greedy places it at, and its mask stack,
+  when it compiled one, becomes the block's observation.  Candidates are
+  visited by a lower bound on their score, and only until none left can
+  win; each is compiled at most once, and a block that no rule on the
+  ladder binds (`masks.rule_free`) not at all, since its wire floor (the
+  least wire value a shape can reach where it fits, and the least cell
+  that reaches it) is its whole score.  Blocks placed without a scan take
+  the same shortcut.
 * annealing: reuses greedy as a decoder for a genome of placement order plus
   per-block ratios, starting from the greedy solution itself.
 * random: uniform over the allowed cells, ratios log-uniform in the band.
@@ -216,69 +214,82 @@ def _greedy_pick(obs: Observation) -> int:
 
 class _Lookahead(NamedTuple):
     """A scanned block's winning shape: greedy's cell on the state the
-    episode reaches when the block comes up, and its mask stack there,
-    None when no rule binds it (none was compiled)."""
+    episode observes the block on, and its mask stack there, None when no
+    rule binds it (none was compiled)."""
     masks: MaskStack | None
     cell: int
 
 
-def _scan_ar(env: PlacementEnv, block_id: int,
-             pending) -> tuple[float | None, _Lookahead | None]:
-    """Greedy's ratio: try the candidate shapes of a soft block on a copy of
-    the state, with the pending placement (the current block's chosen cell,
-    None before the opening block) applied, and keep the shape whose best
-    cell scores lowest, ties going to the earlier ladder entry.  The copy is
-    the state the episode observes the block on, so the winner's best cell
-    and stack come back too, to become that observation's pick and stack.
-    The wire profiles and the rules that bind the block do not depend on
-    the shape and are worked out once for all candidates.  (None, None)
-    when no candidate fits.
+def _scan_ar(env: PlacementEnv, block_id: int) -> tuple[float | None, _Lookahead | None]:
+    """Greedy's ratio for the block up next: try its candidate shapes on
+    the episode's state, where the block is observed, and keep the shape
+    whose best cell scores lowest, ties going to the earlier ladder entry;
+    the winner's best cell and stack come back too, to become that
+    observation's pick and stack.  The wire profiles and the rules that
+    bind the block (the observation's, when there is one) do not depend on
+    the shape and are worked out once.  The block keeps the shape it had;
+    the caller sets the chosen one.  (None, None) when no candidate fits.
 
     The scan is a branch-and-bound.  A shape's score leads with its dropped
-    rules and then its least wire value over the available cells, which lie
-    inside the position mask, so its `wire_floor` bounds that value from
-    below.  A shape that no rule binds drops none, and its floor and the
-    least cell reaching it are its wire value and greedy's cell, so its
-    score is (0, floor, cell, ladder index) with no stack compiled.
-    Candidates are visited in (floor, ladder index) order and each is
-    scored at most once, until the next floor exceeds the wire value of
-    the best candidate that dropped no rule: neither it nor any later
-    candidate can win.  An infinite floor means no later candidate fits."""
-    sim = env.state.clone()
-    if pending is not None:
-        sim.place(env.observation.block, *pending)
+    rules and then its least wire value over the available cells, which its
+    `wire_floor` bounds from below, as min gx + min gy of its wire growth
+    bounds the floor.  A shape that no rule binds drops none and scores
+    (0, floor, cell, ladder index) with no stack compiled; such shapes are
+    visited in (min gx + min gy, ladder index) order until that bound
+    exceeds the best floor, each floor after the first searched only at or
+    below the best so far.  Shapes that rules bind are visited in (floor,
+    ladder index) order and each is scored at most once, until the next
+    floor exceeds the wire value of the best candidate that dropped no
+    rule.  An infinite floor or bound means no later candidate fits."""
+    state, dims = env.state, env.circuit.dims
+    kept = state.w[block_id], state.h[block_id]
     ladder = ar_candidate_ladder(env.circuit.blocks[block_id])
-    wire = wire_profiles(sim, block_id, [w for _, (w, _) in ladder],
+    wire = wire_profiles(state, block_id, [w for _, (w, _) in ladder],
                          [h for _, (_, h) in ladder])
-    bound = rule_bindings(sim, block_id, env.profile, env.plugins)
-    free = rule_free(bound)
-    floors = []
-    for i, (r, _) in enumerate(ladder):
-        sim.set_shape(block_id, r)
-        floor, cell = wire_floor(sim, block_id, wire)
-        floors.append((floor, i, cell))
+    obs = env.observation
+    bound = obs._bound if obs is not None else rule_bindings(
+        state, block_id, env.profile, env.plugins)
 
-    def scored(floor: float, i: int, cell: int):
-        # the ladder index breaks ties as the first of equal scores in
-        # ladder order would
-        r = ladder[i][0]
-        sim.set_shape(block_id, r)
-        if free:
-            return (0.0, floor, float(cell), i), r, _Lookahead(None, cell)
-        stack = compile_masks(sim, block_id, env.profile, env.plugins, wire, bound)
-        cells, score = _filter_cells(stack)
-        cell = int(cells.min())
-        return score + (float(cell), i), r, _Lookahead(stack, cell)
+    def floor(i: int, below: float = math.inf) -> tuple[float, int | None]:
+        state.set_shape(block_id, ladder[i][0])
+        return wire_floor(state, block_id, wire, below=below)
 
-    best = None
-    for floor, i, cell in sorted(floors):
-        # a score is (dropped rules, least wire, ...)
-        if floor == math.inf or (best is not None and best[0][0] == 0
-                                 and floor > best[0][1]):
-            break
-        # min lets the loser go before the next candidate is compiled
-        best = min(filter(None, (best, scored(floor, i, cell))), key=lambda c: c[0])
-    return (None, None) if best is None else best[1:]
+    def least_growth(w: int, h: int) -> float:
+        # min gx + min gy over the anchors that keep a w x h block on the grid
+        nx, ny = dims.width - w + 1, dims.height - h + 1
+        return math.inf if min(nx, ny) < 1 else wire[0].at(w)[:nx].min() + wire[1].at(h)[:ny].min()
+
+    if rule_free(bound):
+        best = (math.inf, -1, -1)       # (floor, cell, ladder index)
+        for low, i in sorted((least_growth(*shape), i) for i, (_, shape) in enumerate(ladder)):
+            if low > best[0] or low == math.inf:
+                break
+            least, cell = floor(i, best[0])
+            if cell is not None:
+                best = min(best, (least, cell, i))
+        _, cell, i = best
+        found = None if i < 0 else (ladder[i][0], _Lookahead(None, cell))
+    else:
+        def scored(i: int):
+            # the ladder index breaks ties as the first of equal scores in
+            # ladder order would
+            state.set_shape(block_id, ladder[i][0])
+            stack = compile_masks(state, block_id, env.profile, env.plugins, wire, bound)
+            cells, score = _filter_cells(stack)
+            cell = int(cells.min())
+            return score + (float(cell), i), ladder[i][0], _Lookahead(stack, cell)
+
+        best = None
+        for least, i in sorted((floor(i)[0], i) for i in range(len(ladder))):
+            # a score is (dropped rules, least wire, ...)
+            if least == math.inf or (best is not None and best[0][0] == 0
+                                     and least > best[0][1]):
+                break
+            # min lets the loser go before the next candidate is compiled
+            best = min(filter(None, (best, scored(i))), key=lambda c: c[0])
+        found = best and best[1:]
+    state.w[block_id], state.h[block_id] = kept
+    return found or (None, None)
 
 
 def _slot_key(circuit: Circuit, b: int, r) -> tuple[int, int, int] | None:
@@ -298,20 +309,20 @@ def _rollout(kind: str, circuit: Circuit, profile: TaskProfile, pick, choose,
              *, order, plugins, resume: SolveResult | None = None) -> SolveResult:
     """One masked episode, shared by every solver.  `pick(obs)` returns
     the flat index of the cell for the observed block.  `choose(env,
-    block_id, pending)` returns a soft block's ratio (None keeps its shape)
-    before that block is observed: the opening block's on the begun,
-    unobserved episode (`PlacementEnv.begin`) with nothing pending, and
-    each later one's with its predecessor's cell pending.  It returns a
+    block_id)` returns the ratio of the soft block up next (None keeps its
+    shape), before it is observed: the opening block's on the begun
+    episode (`PlacementEnv.begin`), for `reset`, and each later one's on
+    the state `step` left, for `PlacementEnv._shape_next`.  It returns a
     `_Lookahead` or None along with the ratio; given one, the block goes
-    down at its cell and its stack, if any, is handed to the observation
-    that `reset` or `step` returns for it (`Observation._hand`), so neither
-    is worked out twice.  The episode starts once, with a reset.
+    down at its cell and its stack, if any, is handed to its observation
+    (`Observation._hand`), so neither is worked out twice.  The episode
+    starts once, with a reset.
 
     `resume` is an earlier rollout of the same circuit, profile and
-    plug-ins, given only with a `choose` that reads neither env nor
-    pending, and so returns no lookahead.  Every slot's ratio is then
-    taken up front, in slot order, and each slot's key (`_slot_key`) is
-    compared once with the same slot's in `resume`: a slot's cell depends
+    plug-ins, given only with a `choose` that does not read env, and so
+    returns no lookahead.  Every slot's ratio is then taken up front, in
+    slot order, and each slot's key (`_slot_key`) is compared once with
+    the same slot's in `resume`: a slot's cell depends
     only on the blocks placed before it, their cells and shapes, and on
     its own key.  When no slot differs, the result shares `resume`'s state
     and summary.  Otherwise `reset` replays `resume`'s records of the
@@ -336,21 +347,21 @@ def _rollout(kind: str, circuit: Circuit, profile: TaskProfile, pick, choose,
     env = PlacementEnv(circuit, profile, order=order, plugins=plugins)
     chosen: dict[int, float] = {}
 
-    def shape(block_id: int, pending) -> tuple[float | None, _Lookahead | None]:
+    def shape(block_id: int) -> tuple[float | None, _Lookahead | None]:
         if not circuit.blocks[block_id].is_soft:
             return None, None
-        r, ahead = choose(env, block_id, pending)
+        r, ahead = choose(env, block_id)
         if r is not None:
             chosen[block_id] = r
         return r, ahead
 
     env.begin()
     slots = env.state.order[env.state.cursor:]
-    first_ar, ahead = shape(slots[0], None) if slots else (None, None)
+    first_ar, ahead = shape(slots[0]) if slots else (None, None)
     replayed = []
     if resume is not None:
         # fixed ratios, taken in slot order as the steps would take them
-        ratios = [first_ar] + [shape(b, None)[0] for b in slots[1:]]
+        ratios = [first_ar] + [shape(b)[0] for b in slots[1:]]
         done, final = resume.trace.steps, resume.state
         pw, ph = final.w.tolist(), final.h.tolist()
         theirs = [(s.block, pw[s.block], ph[s.block]) for s in done]
@@ -373,10 +384,6 @@ def _rollout(kind: str, circuit: Circuit, profile: TaskProfile, pick, choose,
             obs._hand(ahead and ahead.masks)
             cell = ahead.cell if ahead else pick(obs)
             x, y = divmod(cell, circuit.dims.height)
-            nxt = env.state.cursor + 1
-            ar_next, ahead = None, None
-            if nxt < len(env.state.order):
-                ar_next, ahead = shape(env.state.order[nxt], (x, y))
             if resume is not None:
                 i, b = len(env.trace.steps), obs.block
                 mine = (b, int(env.state.w[b]), int(env.state.h[b]), x, y)
@@ -392,7 +399,10 @@ def _rollout(kind: str, circuit: Circuit, profile: TaskProfile, pick, choose,
                                          env.trace.steps + [here] + rest)
                     trace.finalize_rewards(profile)
                     break
-            obs, _, _ = env.step(Action(x, y, ar_next=ar_next))
+            obs, _, _ = env.step(Action(x, y))
+            if obs is not None:
+                ar_next, ahead = shape(obs.block)
+                env._shape_next(ar_next)
         else:
             state, trace = env.state, env.trace
         summarize = functools.cache(lambda: episode_summary(
@@ -440,7 +450,7 @@ def greedy_place(circuit: Circuit, profile: TaskProfile, *,
             raise ValueError("resume needs fixed ratios (ars)")
         choose = _scan_ar
     else:
-        def choose(env, block_id, pending):
+        def choose(env, block_id):
             return ars.get(block_id), None
     return _rollout("greedy", circuit, profile, _greedy_pick, choose,
                     order=order, plugins=plugins, resume=resume)
@@ -455,7 +465,7 @@ def random_place(circuit: Circuit, profile: TaskProfile,
     def pick(obs: Observation) -> int:
         return int(rng.choice(_available_cells(obs.masks)))
 
-    def sample_ar(env, block_id, pending) -> tuple[float, None]:
+    def sample_ar(env, block_id) -> tuple[float, None]:
         block = circuit.blocks[block_id]
         return math.exp(rng.uniform(math.log(block.ar_min),
                                     math.log(block.ar_max))), None

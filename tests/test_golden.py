@@ -3,9 +3,10 @@
 Each case runs one command and compares a sha256 digest over the files it
 writes (name and content, in name order) with the digest recorded from a
 known-good build: the `bench` sweep with all three solvers, `masks` dumps
-mid-rollout with and without `--block`, and the placement and trace that
-`solve --solver sa` writes (its reports carry wall time, so they are left
-out).  A change that moves any of these bytes on purpose must record the
+mid-rollout with and without `--block`, and the placements and traces that
+`solve --solver sa` and `solve --solver greedy` write (their reports carry
+wall time, so they are left out).  The free-greedy trace records every
+ratio the scan chose as its step's `ar_next`.  A change that moves any of these bytes on purpose must record the
 new digest and say why.
 """
 
@@ -34,6 +35,8 @@ CASES = {
     "solve_sa": (["solve", *ON_CIRCUIT, "--solver", "sa", "--seed", "1",
                   "--sa-iterations", "20"],
                  "54b1e0d61c461c9726a01ad3c7074dd2bba85ed3ef03cd5ccfdd48e735d27d19"),
+    "solve_greedy": (["solve", *ON_CIRCUIT, "--solver", "greedy"],
+                     "ec4fbf644f1b356ebffbdc0c42b16f4e780d063151d21415066867e52d007619"),
 }
 TIMED = (".report.csv", ".report.json")     # solve's reports hold wall time
 

@@ -377,6 +377,15 @@ class TestGenConstraints:
         with pytest.raises(ParseError, match="^constraints: .*positive and finite"):
             apply_constraints(c, cf)
 
+    @pytest.mark.parametrize("frac", [0, -1.0, math.nan])
+    def test_nonpositive_min_area_frac_is_a_bad_argument(self, frac):
+        """A min_area_frac that is not positive is the caller's error, named
+        as such, not malformed input caught by the self-check."""
+        c = synth_circuit("g", 6, 4, seed=1)
+        with pytest.raises(ValueError, match="^min_area_frac must be positive") as err:
+            gen_constraints(c, (2, 0, 0), seed=1, min_area_frac=frac)
+        assert not isinstance(err.value, ParseError)
+
     def test_output_validates(self):
         c = synth_circuit("g", 12, 12, seed=8)
         cf = gen_constraints(c, (6, 4, 6), seed=8)
@@ -385,6 +394,11 @@ class TestGenConstraints:
 
 
 class TestSynthInstance:
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_too_few_blocks_rejected(self, n):
+        with pytest.raises(ValueError, match="^n_blocks must be at least 2"):
+            synth_instance("x", 1, n_blocks=n, counts=(0, 0, 0))
+
     def test_every_block_is_netted(self):
         cc, _ = synth_instance("n", 21)
         seen = {b for net in cc.nets for b in net.blocks}

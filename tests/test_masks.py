@@ -316,11 +316,21 @@ class TestWireProfiles:
 
 def floors(s, b, profiles):
     """`wire_floor` testing the whole grid at once and by the box search,
-    which the small grids here would not reach on their own."""
-    whole = wire_floor(s, b, profiles)
+    which the small grids here would not reach on their own.  On each path
+    a search `below` a bound half a unit under the floor, at it, half a
+    unit over it and at inf gives the floor when it is at most the bound,
+    and (inf, None) otherwise."""
+    def bounded(floor):
+        least = floor[0]
+        for below in (least - 0.5, least, least + 0.5, math.inf):
+            want = floor if least <= below else (math.inf, None)
+            assert wire_floor(s, b, profiles, below=below) == want, below
+        return floor
+
+    whole = bounded(wire_floor(s, b, profiles))
     with pytest.MonkeyPatch.context() as m:
         m.setattr(masks, "WHOLE_GRID_MAX_ANCHORS", 0)
-        return whole, wire_floor(s, b, profiles)
+        return whole, bounded(wire_floor(s, b, profiles))
 
 
 def least_wire(s, b):

@@ -567,19 +567,11 @@ class TestLookaheadHandOver:
             assert (handed[b] is None) == free[b]
 
 
-def _scan_state(env, pending):
-    """The state a scan scores its candidates on."""
-    sim = env.state.clone()
-    if pending is not None:
-        sim.place(env.observation.block, *pending)
-    return sim
-
-
-def _exhaustive_scan(env, block_id, pending):
-    """The ratio scan without a bound: every candidate shape compiled, in
-    ladder order, and the first of the lowest (score, cell) kept.  Returns
-    (ratio, stack, cell), or None when no candidate fits."""
-    sim = _scan_state(env, pending)
+def _exhaustive_scan(sim, env, block_id):
+    """The ratio scan without a bound on `sim`, a copy of the state the
+    block is scanned on: every candidate shape compiled, in ladder order,
+    and the first of the lowest (score, cell) kept.  Returns (ratio, stack,
+    cell), or None when no candidate fits."""
     ladder = ar_candidate_ladder(env.circuit.blocks[block_id])
     wire = wire_profiles(sim, block_id, [w for _, (w, _) in ladder],
                          [h for _, (_, h) in ladder])
@@ -610,20 +602,23 @@ class TestBoundedScan:
             compiled.append((int(state.w[block_id]), int(state.h[block_id])))
             return compile_masks(state, block_id, *args)
 
-        def checked(env, block_id, pending, bounded=solvers._scan_ar):
+        def checked(env, block_id, bounded=solvers._scan_ar):
             compiled.clear()
-            r, ahead = bounded(env, block_id, pending)
+            sim = env.state.clone()     # the state the block is scanned on
+            r, ahead = bounded(env, block_id)
+            # the scan leaves every shape as it found it, the caller sets r
+            assert (env.state.w.tolist(), env.state.h.tolist()) == (
+                sim.w.tolist(), sim.h.tolist())
             shapes = list(compiled)
             assert len(set(shapes)) == len(shapes), "a shape compiled twice"
             scans.append((len(ar_candidate_ladder(env.circuit.blocks[block_id])),
                           shapes))
-            want = _exhaustive_scan(env, block_id, pending)
+            want = _exhaustive_scan(sim.clone(), env, block_id)
             if want is None:
                 assert (r, ahead) == (None, None)
             else:
                 assert r == want[0] and ahead.cell == want[2]
                 if ahead.masks is None:
-                    sim = _scan_state(env, pending)
                     sim.set_shape(block_id, r)
                     assert rule_free(rule_bindings(sim, block_id, env.profile, env.plugins))
                 else:
@@ -667,8 +662,10 @@ class TestBoundedScan:
     def tied_scan(monkeypatch, free: bool):
         """Scan the opening block of the demo circuit with every candidate
         given cell 0 and the same score, and its floors set so that later
-        shapes come first unless `free`, when they all tie.  Returns the
-        ladder, the stacks compiled and the scan's result."""
+        shapes come first unless `free`, when they all tie (above any
+        shape's least wire growth, the bound a rule-free scan visits them
+        by).  Returns the ladder, the stacks compiled and the scan's
+        result."""
         env = PlacementEnv(demo_circuit(), TaskProfile.for_task(1))
         env.begin()
         b = env.state.current_block
@@ -676,12 +673,12 @@ class TestBoundedScan:
         widths = [w for _, (w, _) in ladder]
         assert len(ladder) > 1 and widths == sorted(set(widths))
         compiled = []
-        monkeypatch.setattr(solvers, "wire_floor", lambda state, block, wire: (
-            0.0 if free else -float(state.w[block]), 0))
+        monkeypatch.setattr(solvers, "wire_floor", lambda state, block, wire, below: (
+            1e9 if free else -float(state.w[block]), 0))
         monkeypatch.setattr(solvers, "rule_free", lambda bound: free)
         monkeypatch.setattr(solvers, "_filter_cells", lambda stack: (
             compiled.append(stack) or np.array([0]), (0.0, 0.0)))
-        return ladder, compiled, solvers._scan_ar(env, b, None)
+        return ladder, compiled, solvers._scan_ar(env, b)
 
     def test_ties_go_to_the_earlier_ladder_entry(self, monkeypatch):
         """Candidates visited out of ladder order (later shapes given lower
