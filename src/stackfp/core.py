@@ -440,6 +440,21 @@ def default_order(circuit: Circuit) -> list[int]:
     return [b.id for b in head + tail]
 
 
+def checked_order(circuit: Circuit, order: list[int] | None) -> list[int]:
+    """`order` (`default_order` when None) as a list; ValueError unless it
+    is a permutation of all block ids."""
+    order = default_order(circuit) if order is None else list(order)
+    if sorted(order) != list(range(circuit.num_blocks)):
+        raise ValueError("order must be a permutation of all block ids")
+    return order
+
+
+def split_pinned(circuit: Circuit, order: list[int]) -> tuple[list[int], list[int]]:
+    """The preplaced blocks of `order` and the rest, each in order."""
+    pre = {pp.block for pp in circuit.constraints.preplacements}
+    return [b for b in order if b in pre], [b for b in order if b not in pre]
+
+
 class FloorplanState:
     """Mutable placement state over an immutable circuit.
 
@@ -473,11 +488,7 @@ class FloorplanState:
     def __init__(self, circuit: Circuit, order: list[int] | None = None):
         self.circuit = circuit
         n = circuit.num_blocks
-        if order is None:
-            order = default_order(circuit)
-        if sorted(order) != list(range(n)):
-            raise ValueError("order must be a permutation of all block ids")
-        self.order = list(order)
+        self.order = checked_order(circuit, order)
         self.cursor = 0
         self.x = np.zeros(n, dtype=np.int64)
         self.y = np.zeros(n, dtype=np.int64)
@@ -610,18 +621,12 @@ class FloorplanState:
     def apply_preplacements(self) -> None:
         """Pin every preplaced block at its fixed spot and move those blocks
         to the front of the order; the cursor skips past them."""
-        pres = self.circuit.constraints.preplacements
-        if not pres:
-            return
-        pre_ids = [pp.block for pp in pres]
-        rest = [b for b in self.order if b not in set(pre_ids)]
-        ordered_pre = [b for b in self.order if b in set(pre_ids)]
-        self.order = ordered_pre + rest
-        for pp in pres:
+        pinned, rest = split_pinned(self.circuit, self.order)
+        self.order, self.cursor = pinned + rest, len(pinned)
+        for pp in self.circuit.constraints.preplacements:
             self.w[pp.block] = pp.w
             self.h[pp.block] = pp.h
             self.place(pp.block, pp.x, pp.y)
-        self.cursor = len(ordered_pre)
 
 
 def window_sums(sat: np.ndarray, w: int, h: int) -> np.ndarray:

@@ -24,7 +24,14 @@ import math
 
 import numpy as np
 
-from .core import Circuit, FloorplanError, FloorplanState, occupancy_grid
+from .core import (
+    Circuit,
+    FloorplanError,
+    FloorplanState,
+    checked_order,
+    occupancy_grid,
+    split_pinned,
+)
 from .masks import (
     MaskStack,
     compile_masks,
@@ -100,7 +107,7 @@ class Observation:
     @functools.cached_property
     def _bound(self) -> list:
         """What binds the block (`masks.rule_bindings`), worked out once for
-        `rule_free` and the compile."""
+        a ratio scan, `rule_free` and the compile."""
         self._require_current("ladder")
         return rule_bindings(self._state, self.block, *self._rules)
 
@@ -286,44 +293,35 @@ class PlacementEnv:
         self.trace: EpisodeTrace | None = None
         self.observation: Observation | None = None
 
-    def _start_state(self) -> FloorplanState:
-        """A fresh state, with the preplaced blocks pinned when that rule
-        is active."""
-        state = FloorplanState(self.circuit, self._order)
-        if self.profile.uses("preplace"):
-            state.apply_preplacements()
-        return state
-
-    def begin(self) -> FloorplanState:
-        """Start an episode without observing it, on the state every
-        `reset` starts from; a caller that must read the start state first
-        (to choose the opening block's ratio) begins, decides, and then
-        resets; `step` refuses a begun episode until it is reset."""
-        self.state, self.observation = self._start_state(), None
-        return self.state
+    def _slots(self) -> tuple[list[int], list[int]]:
+        """A `reset`'s start order, worked out without a state: the pinned
+        blocks that lead it and the blocks left to place, each in order."""
+        order = checked_order(self.circuit, self._order)
+        return split_pinned(self.circuit, order) if self.profile.uses("preplace") else ([], order)
 
     def reset(self, first_ar: float | None = None,
               steps: list[StepRecord] | tuple = ()) -> Observation | None:
         """Start an episode: preplace fixed blocks when that rule is active,
-        optionally shape the first movable block, take `steps` over, and
-        observe the block up next.
+        optionally shape the first movable block (or leave it to
+        `_shape_next`), take `steps` over, and observe the block up next.
 
         `steps` are the leading records of an earlier episode of this
         circuit, profile, order and plug-ins whose blocks had the shapes
         that `first_ar` and the records' `ar_next` give them here.  Each
         block goes down at its recorded cell without an availability check,
         and the record joins the trace with its ratio as the float `step`
-        would record (the record itself when its ratio is written that way
-        already): nothing is observed or measured until the block after
-        the last record.  `first_ar` is checked as `step` checks a ratio,
-        and so is each record's `ar_next`; each record's block must be the
-        one up next, and its anchor a pair of integers that keeps the block,
-        in the shape it has then, inside the outline.  The episode is
-        replaced only once every record has gone down: a malformed ratio,
-        a record out of order or a bad anchor raises InvalidActionError
-        and leaves the episode as it was."""
+        would record (`_with_ratio`): nothing is observed or measured until
+        the block after the last record.  `first_ar` is checked as `step`
+        checks a ratio, and so is each record's `ar_next`; each record's
+        block must be the one up next, and its anchor a pair of integers
+        that keeps the block, in the shape it has then, inside the outline.
+        The episode is replaced only once every record has gone down: a
+        malformed ratio, a record out of order or a bad anchor raises
+        InvalidActionError and leaves the episode as it was."""
         first_ar = _checked_ratio(first_ar, "first_ar")
-        state = self._start_state()
+        state = FloorplanState(self.circuit, self._order)
+        if self.profile.uses("preplace"):
+            state.apply_preplacements()
         _shape_current(state, first_ar)
         dims = self.circuit.dims
         records = []
@@ -366,7 +364,7 @@ class PlacementEnv:
         a bool or NaN, reshapes the next block before it is observed and is
         recorded as a float.  A rejected action raises InvalidActionError
         and changes nothing."""
-        if self.state is None or (self.observation is None and not self.state.done):
+        if self.state is None:
             raise FloorplanError("reset() the environment before stepping")
         if self.state.done:
             raise InvalidActionError("episode is over; nothing left to place")
@@ -400,14 +398,15 @@ class PlacementEnv:
         return self.observation, norm, done
 
     def _shape_next(self, ar) -> None:
-        """After a step, shape the block up next by the ratio `ar` and
-        record it as that step's `ar_next`, as if its action had carried it
-        (a rejected ratio raises InvalidActionError and changes nothing); a
-        solver that picks the ratio on the state the step left calls it
-        before the block's observation is read."""
-        ar = _checked_ratio(ar, "ar_next")
+        """Shape the block up next by the ratio `ar` before its observation
+        is read: checked as `reset`'s `first_ar` for the opening block, else
+        recorded as the last step's `ar_next`, as if its action had carried
+        it; a rejected ratio raises InvalidActionError and changes nothing."""
+        steps = self.trace.steps
+        ar = _checked_ratio(ar, "ar_next" if steps else "first_ar")
         _shape_current(self.state, ar)
-        self.trace.steps[-1] = _with_ratio(self.trace.steps[-1], ar)
+        if steps:
+            steps[-1] = _with_ratio(steps[-1], ar)
 
 
 @dataclasses.dataclass

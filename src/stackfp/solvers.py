@@ -9,8 +9,7 @@ allowed cells and how they shape soft blocks:
 * greedy: lexicographic scan of the value masks (wirelength up, alignment
   down, shared edge down, terminal distance up), final ties broken row-major;
   each soft block's ratio comes from a scan over a small candidate ladder on
-  the episode's state once the block before it is down (the opening block's
-  on the begun episode), the state the block is observed on, so the winning
+  the episode's live state, the one the block is observed on, so the winning
   shape's best cell is the one greedy places it at, and its mask stack,
   when it compiled one, becomes the block's observation.  Candidates are
   visited by a lower bound on their score, and only until none left can
@@ -60,7 +59,6 @@ from .env import (
 from .masks import (
     MaskStack,
     compile_masks,
-    rule_bindings,
     rule_free,
     wire_floor,
     wire_profiles,
@@ -226,9 +224,9 @@ def _scan_ar(env: PlacementEnv, block_id: int) -> tuple[float | None, _Lookahead
     whose best cell scores lowest, ties going to the earlier ladder entry;
     the winner's best cell and stack come back too, to become that
     observation's pick and stack.  The wire profiles and the rules that
-    bind the block (the observation's, when there is one) do not depend on
-    the shape and are worked out once.  The block keeps the shape it had;
-    the caller sets the chosen one.  (None, None) when no candidate fits.
+    bind the block (the observation's) do not depend on the shape and are
+    worked out once.  The block keeps the shape it had; the caller sets
+    the chosen one.  (None, None) when no candidate fits.
 
     The scan is a branch-and-bound.  A shape's score leads with its dropped
     rules and then its least wire value over the available cells, which its
@@ -246,9 +244,7 @@ def _scan_ar(env: PlacementEnv, block_id: int) -> tuple[float | None, _Lookahead
     ladder = ar_candidate_ladder(env.circuit.blocks[block_id])
     wire = wire_profiles(state, block_id, [w for _, (w, _) in ladder],
                          [h for _, (_, h) in ladder])
-    obs = env.observation
-    bound = obs._bound if obs is not None else rule_bindings(
-        state, block_id, env.profile, env.plugins)
+    bound = env.observation._bound
 
     def floor(i: int, below: float = math.inf) -> tuple[float, int | None]:
         state.set_shape(block_id, ladder[i][0])
@@ -308,26 +304,25 @@ def _slot_key(circuit: Circuit, b: int, r) -> tuple[int, int, int] | None:
 def _rollout(kind: str, circuit: Circuit, profile: TaskProfile, pick, choose,
              *, order, plugins, resume: SolveResult | None = None) -> SolveResult:
     """One masked episode, shared by every solver.  `pick(obs)` returns
-    the flat index of the cell for the observed block.  `choose(env,
-    block_id)` returns the ratio of the soft block up next (None keeps its
-    shape), before it is observed: the opening block's on the begun
-    episode (`PlacementEnv.begin`), for `reset`, and each later one's on
-    the state `step` left, for `PlacementEnv._shape_next`.  It returns a
-    `_Lookahead` or None along with the ratio; given one, the block goes
-    down at its cell and its stack, if any, is handed to its observation
-    (`Observation._hand`), so neither is worked out twice.  The episode
-    starts once, with a reset.
+    the flat index of the cell for the observed block.  The episode starts
+    with one reset; then, for each block up next, `choose(env, block_id)`
+    returns its ratio on the live state (None keeps its shape), which
+    `PlacementEnv._shape_next` sets before the block's observation is read,
+    and a `_Lookahead` or None; given one, the block goes down at its cell
+    and its stack, if any, is handed to its observation
+    (`Observation._hand`), so neither is worked out twice.
 
     `resume` is an earlier rollout of the same circuit, profile and
     plug-ins, given only with a `choose` that does not read env, and so
-    returns no lookahead.  Every slot's ratio is then taken up front, in
-    slot order, and each slot's key (`_slot_key`) is compared once with
-    the same slot's in `resume`: a slot's cell depends
+    returns no lookahead.  Every slot's ratio (`PlacementEnv._slots`) is
+    then taken up front, in slot order, and each slot's key (`_slot_key`)
+    compared once with the same slot's in `resume`: a slot's cell depends
     only on the blocks placed before it, their cells and shapes, and on
-    its own key.  When no slot differs, the result shares `resume`'s state
-    and summary.  Otherwise `reset` replays `resume`'s records of the
-    slots before the first that differs, unobserved, and the episode steps
-    from there until, at or past the last slot that differs and with
+    its own key.  When no slot differs and the pinned blocks lead the order
+    as in `resume`, the result shares `resume`'s state and summary.
+    Otherwise `reset` replays `resume`'s records of the slots before the
+    first that differs (of all, if none does), unobserved, and the episode
+    steps from there until, at or past the last slot that differs and with
     slots left, the blocks it has placed are exactly `resume`'s at the
     same slot (same blocks, cells and shapes, in any order).  Every later
     step is `resume`'s, so that slot is not stepped: its record takes this
@@ -355,13 +350,11 @@ def _rollout(kind: str, circuit: Circuit, profile: TaskProfile, pick, choose,
             chosen[block_id] = r
         return r, ahead
 
-    env.begin()
-    slots = env.state.order[env.state.cursor:]
-    first_ar, ahead = shape(slots[0]) if slots else (None, None)
-    replayed = []
+    first_ar, replayed = None, []
     if resume is not None:
         # fixed ratios, taken in slot order as the steps would take them
-        ratios = [first_ar] + [shape(b)[0] for b in slots[1:]]
+        pinned, slots = env._slots()
+        ratios = [shape(b)[0] for b in slots]
         done, final = resume.trace.steps, resume.state
         pw, ph = final.w.tolist(), final.h.tolist()
         theirs = [(s.block, pw[s.block], ph[s.block]) for s in done]
@@ -374,13 +367,17 @@ def _rollout(kind: str, circuit: Circuit, profile: TaskProfile, pick, choose,
             return [_with_ratio(done[i], _checked_ratio(nexts[i], "ar_next"))
                     for i in range(lo, hi)]
         replayed = taken(0, differ[0] if differ else len(slots))
-    if resume is not None and not differ:
+        # slot 0 is shaped before its record goes down
+        first_ar = ratios[0] if replayed else None
+    if resume is not None and not differ and final.order == pinned + slots:
         state, summarize = resume.state, resume._summarize
         trace = dataclasses.replace(resume.trace, steps=replayed)
     else:
         obs = env.reset(first_ar, replayed)
         apart: set[tuple[int, ...]] = set()   # placed by one episode only
         while obs is not None:
+            r, ahead = shape(obs.block)
+            env._shape_next(r)
             obs._hand(ahead and ahead.masks)
             cell = ahead.cell if ahead else pick(obs)
             x, y = divmod(cell, circuit.dims.height)
@@ -400,9 +397,6 @@ def _rollout(kind: str, circuit: Circuit, profile: TaskProfile, pick, choose,
                     trace.finalize_rewards(profile)
                     break
             obs, _, _ = env.step(Action(x, y))
-            if obs is not None:
-                ar_next, ahead = shape(obs.block)
-                env._shape_next(ar_next)
         else:
             state, trace = env.state, env.trace
         summarize = functools.cache(lambda: episode_summary(
@@ -413,7 +407,7 @@ def _rollout(kind: str, circuit: Circuit, profile: TaskProfile, pick, choose,
         kind=kind,
         state=state,
         trace=trace,
-        order=tuple(env.state.order),
+        order=tuple(state.order),
         ars=chosen,
         cost=objective_cost(norm, profile),
         runtime_s=time.perf_counter() - t_start,
@@ -429,10 +423,9 @@ def greedy_place(circuit: Circuit, profile: TaskProfile, *,
     """Mask-guided greedy placement.
 
     Free mode (ars None) also chooses every soft block's ratio by the
-    candidate scan, the opening block's on the begun episode before its
-    first observation.  With `ars` given the ratios are fixed and no
-    scanning happens, which is the decode path the annealer uses.  Either
-    way the episode starts once, and each placed block is observed once.
+    candidate scan.  With `ars` given the ratios are fixed and no scanning
+    happens, which is the decode path the annealer uses.  Either way the
+    episode starts once, and each placed block is observed once.
 
     `resume`, allowed with fixed ratios only, is an earlier greedy result
     for the same circuit, profile and plug-ins, free or fixed, of any order
@@ -444,7 +437,8 @@ def greedy_place(circuit: Circuit, profile: TaskProfile, *,
     `_rollout`).  The output does not depend on `resume`: placement,
     trace, summary, ratios and cost equal those of the decode without it,
     which raises the same error exactly when this one does.  When no slot
-    differs, the result shares `resume`'s state and summary objects."""
+    differs (nor the order of the pinned blocks), the result shares
+    `resume`'s state and summary objects."""
     if ars is None:
         if resume is not None:
             raise ValueError("resume needs fixed ratios (ars)")

@@ -162,9 +162,6 @@ class TestEnvMechanics:
         env = PlacementEnv(four_block_circuit(), unit_profile())
         with pytest.raises(FloorplanError, match="reset"):
             env.step(Action(0, 0))
-        env.begin()                                 # begun, not observed
-        with pytest.raises(FloorplanError, match="reset"):
-            env.step(Action(0, 0))
 
     def test_out_of_grid_action_rejected(self):
         env = PlacementEnv(four_block_circuit(), unit_profile())

@@ -32,7 +32,7 @@ from stackfp import (
 from stackfp import env as envmod
 from stackfp import masks
 from stackfp import solvers
-from stackfp.core import default_order, shape_from_ar
+from stackfp.core import FloorplanState, default_order, shape_from_ar
 from stackfp.env import Observation, PlacementEnv
 from stackfp.fileio import synth_instance
 from stackfp.masks import (
@@ -507,7 +507,7 @@ class TestBindingsOnce:
         def counting(real, into):
             return lambda state, block, *a: into.append(key(state, block)) or real(
                 state, block, *a)
-        for mod in (masks, solvers, envmod):
+        for mod in (masks, envmod):
             monkeypatch.setattr(mod, "rule_bindings", counting(mod.rule_bindings, seen))
         for mod in (solvers, envmod):
             monkeypatch.setattr(mod, "compile_masks", counting(mod.compile_masks, compiled))
@@ -667,8 +667,7 @@ class TestBoundedScan:
         by).  Returns the ladder, the stacks compiled and the scan's
         result."""
         env = PlacementEnv(demo_circuit(), TaskProfile.for_task(1))
-        env.begin()
-        b = env.state.current_block
+        b = env.reset().block
         ladder = ar_candidate_ladder(env.circuit.blocks[b])
         widths = [w for _, (w, _) in ladder]
         assert len(ladder) > 1 and widths == sorted(set(widths))
@@ -756,6 +755,22 @@ class TestResume:
         assert res.state is free.state
         assert [s.ar_next for s in res.trace.steps[:-1]] == \
             [ars.get(b) for b in free.order[1:]]
+
+    def test_reordered_pinned_blocks_decode_in_full(self):
+        """An order that changes no slot but lists the pinned blocks the
+        other way round decodes as in full: the result does not share the
+        parent's state, whose order differs."""
+        c = _pinned_instance(2, 12, 24, 0.35, 2)
+        p = TaskProfile.for_task(3)
+        free = greedy_place(c, p)
+        order = list(free.order)
+        assert len(order) - len(free.trace.steps) == 2
+        order[:2] = order[1::-1]
+        full = greedy_place(c, p, order=order, ars=free.ars)
+        res = greedy_place(c, p, order=order, ars=free.ars, resume=free)
+        assert res.state is not free.state
+        assert_same_decode(res, full)
+        assert res.order == tuple(order)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10_000), n=st.integers(6, 12),
@@ -930,6 +945,76 @@ class TestResume:
         for f in dataclasses.fields(solvers.SAResult):
             if f.name not in ("state", "trace", "_summarize", "runtime_s", "noops"):
                 assert getattr(resumed, f.name) == getattr(full, f.name), f.name
+
+
+class TestOneStart:
+    def test_each_decode_builds_one_start_state(self, monkeypatch):
+        """Every decode starts with one reset, the opening block shaped in
+        the step loop like the rest, so it builds one state; a resumed
+        decode that changes no slot builds none."""
+        c, _ = synth_instance("a", 1, n_blocks=20)
+        p = TaskProfile.for_task(3)
+        c.wire_baseline             # its rollout builds a state of its own
+        built, init = [], FloorplanState.__init__
+        monkeypatch.setattr(FloorplanState, "__init__",
+                            lambda self, *a: built.append(1) or init(self, *a))
+
+        def states(run):
+            built.clear()
+            res = run()
+            return res, len(built)
+        free, n_free = states(lambda: greedy_place(c, p))
+        order = list(free.order)
+        fixed, n_fixed = states(lambda: greedy_place(c, p, order=order, ars=free.ars))
+        order[-2:] = order[:-3:-1]
+        changed, n_changed = states(lambda: greedy_place(c, p, order=order,
+                                                         ars=free.ars, resume=fixed))
+        same, n_same = states(lambda: greedy_place(c, p, order=list(free.order),
+                                                   ars=free.ars, resume=fixed))
+        _, n_random = states(lambda: random_place(c, p, SolverConfig(kind="random")))
+        assert same.state is fixed.state and changed.state is not fixed.state
+        assert (n_free, n_fixed, n_changed, n_random, n_same) == (1, 1, 1, 1, 0)
+
+    @pytest.mark.parametrize("order", [[0, 2, 2, 3], [0, 2, 1], [0, 2, 1, 3, 0],
+                                       [0, 2, 1, 4]],
+                             ids=["duplicate", "short", "long", "out-of-range"])
+    def test_bad_order_raises_before_anything_else(self, order):
+        c = demo_circuit()
+        p = TaskProfile.for_task(3)
+        free = greedy_place(c, p)
+        for kw in ({}, {"resume": free}):
+            with pytest.raises(ValueError) as err:
+                greedy_place(c, p, order=order, ars=free.ars, **kw)
+            assert str(err.value) == "order must be a permutation of all block ids"
+
+    def test_every_block_pinned(self):
+        """A circuit whose every block is preplaced leaves no slot: each
+        solver takes no step and reports the pinned order and one cost."""
+        blocks = (hard(0, 3, 3), hard(1, 2, 4))
+        cons = ConstraintSet(preplacements=(Preplacement(1, 0, 0, 0, 2, 4),
+                                            Preplacement(0, 5, 5, 0, 3, 3)))
+        c = Circuit("pinned", GridDims(10, 10, 1), blocks, (),
+                    (Net(blocks=(0, 1)),), cons, utilization=1.0)
+        p = TaskProfile.for_task(3)
+        free = greedy_place(c, p)
+        fixed = greedy_place(c, p, order=list(free.order), ars={})
+        runs = [free, fixed,
+                greedy_place(c, p, order=list(free.order), ars={}, resume=fixed),
+                random_place(c, p),
+                sa_place(c, p, SolverConfig(kind="sa", sa_iterations=5,
+                                            sa_calibration_moves=2))]
+        for res in runs:
+            assert res.trace.steps == []
+            assert (res.order, res.cost) == (free.order, free.cost)
+        assert free.state.rect(1) == (0, 0, 2, 4) and free.state.rect(0) == (5, 5, 3, 3)
+
+    def test_opening_ratio_rejected_by_name(self):
+        """A decode's opening ratio is checked as `reset`'s `first_ar`."""
+        c = demo_circuit()
+        with pytest.raises(InvalidActionError, match="^first_ar nan is not a ratio$"):
+            greedy_place(c, TaskProfile.for_task(3), order=[0, 2, 1, 3],
+                         ars={0: float("nan")})
+
 
 class TestDispatchAndCost:
     def test_solve_routes_by_kind(self):
