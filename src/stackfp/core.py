@@ -8,13 +8,14 @@ anchor coordinate equals the other block's far edge.  Layers are indexed
 `FloorplanState` keeps its own bookkeeping up to date as blocks go down, so
 no step recomputes it from the placed blocks: a per-layer summed-area table
 of cell cover (Crow, SIGGRAPH 1984), whose window sums give the position
-mask and whose double difference is the occupancy canvas; each net's live
-bounding box, which the wire mask reads, and the running wirelength, the
-summed span of those boxes; the running footprint overlap, which each
-rect reads as its window sum of the table (four corners); and the
-constraint terms (alignment scores, abutment and binding distance) that
-the per-step metrics sum.  Blocks are only ever added, never removed, and
-every placed block lies inside the outline (`GridDims.holds`).
+mask; the same cover painted rect by rect, which the occupancy canvas
+copies; each net's live bounding box, which the wire mask reads, and the
+running wirelength, the summed span of those boxes; the running footprint
+overlap, which each rect reads as its window sum of the table (four
+corners); and the constraint terms (alignment scores, abutment and binding
+distance) that the per-step metrics sum.  Blocks are only ever added,
+never removed, and every placed block lies inside the outline
+(`GridDims.holds`).
 """
 
 import dataclasses
@@ -466,9 +467,10 @@ class FloorplanState:
     for a rect that leaves it.  It keeps these current for the placed
     blocks: `sat`, the per-layer summed-area table of cell cover, shape
     (L, W+1, H+1), where sat[z, i, j] counts the covered cells
-    [0, i) x [0, j) of layer z with multiplicity; `net_lo` and `net_hi`,
-    each net's (2, nets) box over its terminal cells and its placed
-    blocks' centers;
+    [0, i) x [0, j) of layer z with multiplicity; `cover`, the same cover
+    as a bool (L, W, H) grid, cell [z, x, y], each rect painted into it by
+    one slice write; `net_lo` and `net_hi`, each net's (2, nets) box over
+    its terminal cells and its placed blocks' centers;
     `hpwl`, the summed span of the boxes that are not empty, a Python float
     that a placement moves by the change in its nets' spans only (every
     span is a multiple of 0.5, so the running sum is exact);
@@ -498,6 +500,7 @@ class FloorplanState:
         dims = circuit.dims
         self.sat = np.zeros((dims.num_layers, dims.width + 1, dims.height + 1),
                             dtype=np.int32)
+        self.cover = np.zeros((dims.num_layers, dims.width, dims.height), dtype=bool)
         lo, hi = circuit.index.terminal_boxes
         self.net_lo = lo.copy()
         self.net_hi = hi.copy()
@@ -518,6 +521,7 @@ class FloorplanState:
         dup.h = self.h.copy()
         dup.placed = self.placed.copy()
         dup.sat = self.sat.copy()
+        dup.cover = self.cover.copy()
         dup.net_lo = self.net_lo.copy()
         dup.net_hi = self.net_hi.copy()
         dup.hpwl = self.hpwl
@@ -579,7 +583,8 @@ class FloorplanState:
                 f"{dims.width}x{dims.height} outline")
         # the table counts every placed cell, so the rect's window sum
         # before the update is its overlap
-        sat = self.sat[self.circuit.blocks[block_id].z]
+        z = self.circuit.blocks[block_id].z
+        sat = self.sat[z]
         self.overlap += window_sum(sat, x, y, w, h)
         self.x[block_id] = x
         self.y[block_id] = y
@@ -590,6 +595,7 @@ class FloorplanState:
         sat[x + 1:, y + 1:] += np.multiply.outer(
             np.minimum(np.arange(1, dims.width + 1 - x, dtype=np.int32), w),
             np.minimum(np.arange(1, dims.height + 1 - y, dtype=np.int32), h))
+        self.cover[z, x:x + w, y:y + h] = True
 
         # a block sits on few nets: update their boxes on Python floats
         index = self.circuit.index
@@ -643,5 +649,7 @@ def window_sum(sat: np.ndarray, x: int, y: int, w: int, h: int) -> int:
 
 
 def occupancy_grid(state: FloorplanState) -> np.ndarray:
-    """Binary per-layer coverage, shape (num_layers, W, H), cell [z, x, y]."""
-    return (window_sums(state.sat, 1, 1) > 0).astype(np.uint8)
+    """Binary per-layer coverage, shape (num_layers, W, H), cell [z, x, y]:
+    the state's painted `cover` as a fresh uint8 array, which the caller
+    may write into."""
+    return state.cover.astype(np.uint8)

@@ -119,7 +119,9 @@ class Observation:
 
     @property
     def canvas(self) -> np.ndarray:
-        """(num_layers, W, H) occupancy before this block goes down."""
+        """(num_layers, W, H) uint8 occupancy before this block goes down,
+        copied from the state's painted cover on each read, so the caller
+        may write into it."""
         self._require_current("canvas")
         return occupancy_grid(self._state)
 

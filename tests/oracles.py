@@ -122,8 +122,8 @@ def relaxed_availability(position, components):
     (name, binary mask) from least to most severe, every subset of them is
     tried as the drop set in order of its bit pattern (most severe mask the
     highest bit), and the first subset that leaves a cell is taken.  Returns
-    (mask as uint8, dropped names in list order, feasible)."""
-    base = (np.asarray(position) > 0).astype(np.uint8)
+    (mask as bool, dropped names in list order, feasible)."""
+    base = np.asarray(position) > 0
     if not base.any():
         return np.zeros_like(base), tuple(n for n, _ in components), False
     for drop_bits in range(2 ** len(components)):
@@ -135,7 +135,7 @@ def relaxed_availability(position, components):
             else:
                 mask = mask & (comp > 0)
         if mask.any():
-            return mask.astype(np.uint8), tuple(dropped), True
+            return mask, tuple(dropped), True
     raise AssertionError("dropping every mask leaves the nonempty position mask")
 
 

@@ -22,6 +22,7 @@ from stackfp import (
     shape_from_ar,
 )
 from stackfp.core import COMMON_RULES, RULE_OVERLAP, window_sums
+from stackfp.fileio import state_from_placement
 from stackfp.masks import position_mask, wire_mask
 from stackfp.metrics import total_hpwl, total_overlap
 
@@ -325,6 +326,42 @@ class TestOccupancy:
         grid = occupancy_grid(s)
         assert grid[0].sum() == 4 and grid[1].sum() == 4
 
+    def test_grid_is_a_fresh_array_each_read(self):
+        """The grid is a copy of the state's painted cover: writing into
+        one read changes neither the state nor the next read."""
+        s = FloorplanState(circuit([hard(0, 2, 3), hard(1, 2, 2)]))
+        s.place(0, 1, 1)
+        cover, sat = s.cover.copy(), s.sat.copy()
+        grid = occupancy_grid(s)
+        assert grid.dtype == np.uint8
+        grid[...] = 7
+        assert np.array_equal(s.cover, cover) and np.array_equal(s.sat, sat)
+        again = occupancy_grid(s)
+        assert again is not grid and int(again.sum()) == 6
+        assert np.array_equal(again, cover.astype(np.uint8))
+
+    def test_placing_on_a_clone_leaves_the_original_grid(self):
+        s = FloorplanState(circuit([hard(0, 2, 2), hard(1, 3, 2), hard(2, 2, 2, z=1)]))
+        s.place(0, 0, 0)
+        before = occupancy_grid(s)
+        d = s.clone()
+        d.place(1, 4, 4)
+        d.place(2, 0, 0)
+        assert np.array_equal(occupancy_grid(s), before)
+        assert int(occupancy_grid(d).sum()) == 4 + 6 + 4
+
+    def test_overlapping_rows_read_back_paint_the_cover_once(self):
+        """A placement file may overlap blocks: the table counts the shared
+        cells twice, the cover and the grid once."""
+        c = circuit([hard(0, 3, 3), hard(1, 3, 3), hard(2, 2, 2, z=1)])
+        rows = [{"id": 0, "x": 0, "y": 0, "z": 0, "w": 3, "h": 3},
+                {"id": 1, "x": 2, "y": 1, "z": 0, "w": 3, "h": 3},
+                {"id": 2, "x": 0, "y": 0, "z": 1, "w": 2, "h": 2}]
+        s = state_from_placement(c, rows)
+        assert s.overlap == 2
+        assert_matches_scratch(s, (2, 2))
+        assert int(occupancy_grid(s).sum()) == 9 + 9 - 2 + 4
+
 
 @st.composite
 def small_circuits(draw):
@@ -390,6 +427,8 @@ def assert_matches_scratch(s, window):
         for x in range(dims.width - w + 1):
             for y in range(dims.height - h + 1):
                 assert list(sums[:, x, y]) == list(cover[:, x:x + w, y:y + h].sum(axis=(1, 2)))
+    assert s.cover.dtype == np.bool_
+    assert np.array_equal(s.cover, oracles.painted_cover(s) > 0)
     assert np.array_equal(occupancy_grid(s), oracles.painted_occupancy(s))
     assert total_overlap(s) == oracles.pairwise_overlap(s)
     nets = range(len(s.circuit.nets))
@@ -412,7 +451,7 @@ def assert_matches_scratch(s, window):
 
 def _kept(s):
     """What a placement updates, as bytes and values."""
-    return (s.sat.tobytes(), s.overlap, s.hpwl, s.net_lo.tobytes(),
+    return (s.sat.tobytes(), s.cover.tobytes(), s.overlap, s.hpwl, s.net_lo.tobytes(),
             s.net_hi.tobytes(), list(s.alignment), s.adjacency, s.distance,
             s.placed.tobytes(), s.x.tobytes(), s.y.tobytes())
 

@@ -201,6 +201,7 @@ class TestEnvMechanics:
         assert [env.state.rect(b) for b in range(4)] == \
             [before.rect(b) for b in range(4)]
         assert np.array_equal(env.state.sat, before.sat)
+        assert np.array_equal(env.state.cover, before.cover)
         assert env.state.overlap == before.overlap
         assert env.trace.to_jsonl() == trace
         assert env.observation is obs
@@ -345,6 +346,21 @@ class TestEnvMechanics:
         assert env.observation.canvas.sum() == 16
         assert built == [1]
 
+    def test_canvas_is_a_fresh_array_each_read(self):
+        """A policy may write into the canvas it reads: neither the state
+        nor the next read sees it."""
+        env = PlacementEnv(four_block_circuit(), unit_profile())
+        env.reset()
+        obs, _, _ = env.step(Action(0, 0))
+        cover = env.state.cover.copy()
+        canvas = obs.canvas
+        assert canvas.dtype == np.uint8
+        canvas[...] = 1
+        assert np.array_equal(env.state.cover, cover)
+        assert obs.canvas.sum() == 16
+        obs, _, _ = env.step(Action(4, 0))
+        assert obs.canvas.sum() == 16 + 12
+
     def test_canvas_of_a_stepped_past_observation_raises(self):
         env = PlacementEnv(four_block_circuit(), unit_profile())
         first = env.reset()
@@ -427,6 +443,7 @@ class TestEnvMechanics:
         assert [env.state.rect(b) for b in range(4)] == \
             [before.rect(b) for b in range(4)]
         assert np.array_equal(env.state.sat, before.sat)
+        assert np.array_equal(env.state.cover, before.cover)
         assert env.state.overlap == before.overlap
         assert env.trace.to_jsonl() == jsonl
         env.step(Action(4, 0))

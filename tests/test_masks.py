@@ -36,6 +36,7 @@ from stackfp.masks import (
     wire_mask,
     wire_profiles,
 )
+from stackfp.env import Action, PlacementEnv
 from stackfp.fileio import synth_instance
 from stackfp.metrics import total_hpwl
 from stackfp.solvers import _pick_cell, greedy_place
@@ -458,7 +459,7 @@ class TestBinarize:
         stack = compile_masks(s, 0, TaskProfile.for_task(3))
         assert list(stack.rules) == ["wire", "position"]
         assert np.array_equal(stack.availability.mask, stack.rules["position"].values)
-        assert stack.availability.mask.dtype == np.uint8
+        assert stack.availability.mask.dtype == np.bool_
 
 
 def walk(position, ladder):
@@ -544,7 +545,7 @@ class TestAvailability:
         assert not res.feasible
         assert res.rung == "infeasible"
         assert res.dropped == ("grouping", "terminal")
-        assert not res.mask.any() and res.mask.dtype == np.uint8
+        assert not res.mask.any() and res.mask.dtype == np.bool_
 
     def test_extras_dropped_first(self):
         pos = np.ones((4, 4), dtype=np.uint8)
@@ -577,7 +578,7 @@ def test_availability_matches_subset_search(inputs):
     mask, dropped, feasible = oracles.relaxed_availability(position, ladder[::-1])
     assert res.feasible == feasible
     assert res.dropped == dropped
-    assert res.mask.dtype == mask.dtype == np.uint8
+    assert res.mask.dtype == mask.dtype == np.bool_
     assert np.array_equal(res.mask, mask)
 
 
@@ -999,3 +1000,23 @@ class TestWalkedAvailability:
             assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), b
             s = before
         assert moved
+
+    @pytest.mark.parametrize("side", [20, 66])
+    def test_bool_mask_selects_the_available_anchors(self, side):
+        """`availability.mask` is a bool grid, so indexing a grid by it
+        selects exactly the anchors `anchors()` lists, in row-major order;
+        checked at every step of an episode on a grid worked whole (20 x 20)
+        and on one walked by boxes (66 x 66)."""
+        s, plugins, rng = _random_state(3, side, 0)
+        env = PlacementEnv(s.circuit, TaskProfile.for_task(3), plugins=plugins)
+        grid = np.arange(side * side).reshape(side, side)
+        obs, steps = env.reset(), 0
+        while obs is not None and obs.availability.feasible:
+            res = obs.availability
+            assert res.mask.dtype == np.bool_ and res.mask.shape == (side, side)
+            xs, ys = res.anchors()
+            assert np.array_equal(grid[res.mask], xs * side + ys)
+            cell = int(rng.choice(grid[res.mask]))
+            obs, _, _ = env.step(Action(*divmod(cell, side)))
+            steps += 1
+        assert steps >= 10
