@@ -635,16 +635,10 @@ class FloorplanState:
             self.place(pp.block, pp.x, pp.y)
 
 
-def window_sums(sat: np.ndarray, w: int, h: int) -> np.ndarray:
-    """Cover summed over every w x h window that fits the grid, from
-    summed-area tables over the last two axes: entry [..., x, y] counts the
-    covered cells of [x, x+w) x [y, y+h), shape (..., W-w+1, H-h+1)."""
-    return sat[..., w:, h:] - sat[..., :-w, h:] - sat[..., w:, :-h] + sat[..., :-w, :-h]
-
-
 def window_sum(sat: np.ndarray, x: int, y: int, w: int, h: int) -> int:
-    """Cover of the one w x h window anchored at (x, y), read at four
-    corners of a layer's summed-area table: `window_sums` at one anchor."""
+    """Cover of the one w x h window anchored at (x, y), the cells
+    [x, x+w) x [y, y+h), read at four corners of a layer's summed-area
+    table."""
     return sat.item(x + w, y + h) - sat.item(x, y + h) - sat.item(x + w, y) + sat.item(x, y)
 
 

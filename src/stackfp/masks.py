@@ -285,14 +285,10 @@ def _fits(sat: np.ndarray, w: int, h: int, xs: tuple[int, int],
     ([0, W-w] x [0, H-h] at most).  With `strip` the table differenced
     over the window's w rows, the window [x, x+w) x [y, y+h) sums to zero
     when strip[x, y+h] == strip[x, y]: two differences of the table,
-    exact in int32 like it.  The strip is compared with itself h entries
-    on as one flat run, which costs a third of a row-by-row comparison;
-    the entries that pair across a row end fall in the h columns cut off."""
+    exact in int32 like it."""
     (x0, x1), (y0, y1) = xs, ys
-    strip = (sat[x0 + w:x1 + w, y0:y1 + h] - sat[x0:x1, y0:y1 + h]).reshape(-1)
-    fits = np.empty((x1 - x0, y1 - y0 + h), dtype=bool)
-    np.equal(strip[h:], strip[:-h], out=fits.reshape(-1)[:-h])
-    return fits[:, :y1 - y0]
+    strip = sat[x0 + w:x1 + w, y0:y1 + h] - sat[x0:x1, y0:y1 + h]
+    return strip[:, h:] == strip[:, :-h]
 
 
 def position_mask(state: FloorplanState, block_id: int) -> FitMask:
@@ -309,8 +305,6 @@ def position_mask(state: FloorplanState, block_id: int) -> FitMask:
     sat = state.sat[state.circuit.blocks[block_id].z].copy()
 
     def fit(x0, x1, y0, y1):
-        if x1 <= nx and y1 <= ny:
-            return _fits(sat, w, h, (x0, x1), (y0, y1))
         out = np.zeros((x1 - x0, y1 - y0), dtype=bool)
         if min(x1, nx) > x0 and min(y1, ny) > y0:
             fits = _fits(sat, w, h, (x0, min(x1, nx)), (y0, min(y1, ny)))

@@ -162,6 +162,13 @@ def binding_distance(state, binding):
     return max(ds) if binding.mode == "ALL" else min(ds)
 
 
+def window_sums(sat, w, h):
+    """Cover summed over every w x h window that fits the grid, from
+    summed-area tables over the last two axes: entry [..., x, y] counts the
+    covered cells of [x, x+w) x [y, y+h), shape (..., W-w+1, H-h+1)."""
+    return sat[..., w:, h:] - sat[..., :-w, h:] - sat[..., w:, :-h] + sat[..., :-w, :-h]
+
+
 def painted_occupancy(state):
     """Binary per-layer coverage, shape (num_layers, W, H), as uint8."""
     return (painted_cover(state) > 0).astype(np.uint8)

@@ -21,7 +21,7 @@ from stackfp import (
     occupancy_grid,
     shape_from_ar,
 )
-from stackfp.core import COMMON_RULES, RULE_OVERLAP, window_sums
+from stackfp.core import COMMON_RULES, RULE_OVERLAP
 from stackfp.fileio import state_from_placement
 from stackfp.masks import position_mask, wire_mask
 from stackfp.metrics import total_hpwl, total_overlap
@@ -423,7 +423,7 @@ def assert_matches_scratch(s, window):
     w, h = window
     dims = s.circuit.dims
     if w <= dims.width and h <= dims.height:
-        sums = window_sums(s.sat, w, h)
+        sums = oracles.window_sums(s.sat, w, h)
         for x in range(dims.width - w + 1):
             for y in range(dims.height - h + 1):
                 assert list(sums[:, x, y]) == list(cover[:, x:x + w, y:y + h].sum(axis=(1, 2)))
